@@ -203,7 +203,7 @@ pub fn run_case(case: &ChaosCase) -> ChaosVerdict {
 /// leaf 0's committee.
 pub fn takeover_plan(n: usize, seed: &[u8]) -> CorruptionPlan {
     let params = TreeParams::scaled(n, 2);
-    // Mirror Session::establish's tree derivation exactly.
+    // Mirror Service::try_establish's tree derivation exactly.
     let mut tree_seed = seed.to_vec();
     tree_seed.extend_from_slice(b"/ae-tree");
     let tree = Tree::build(&params, &tree_seed);

@@ -24,7 +24,7 @@
 //! extrapolated by `√(n/n₀)`.
 
 use pba_core::baselines::sqrt_sampling_boost;
-use pba_core::protocol::{BaConfig, KeyPolicy, Session};
+use pba_core::protocol::{BaConfig, KeyPolicy, Service};
 use pba_srds::snark::SnarkSrds;
 use std::time::Instant;
 
@@ -232,7 +232,7 @@ fn run_case(n: usize, anchor_sqrt_bits: u64) -> ScaleCase {
     let scheme = SnarkSrds::with_defaults();
     let inputs = vec![1u8; n];
     let start = Instant::now();
-    let mut session = Session::try_establish(&scheme, &config).expect("honest establishment");
+    let mut session = Service::try_establish(&scheme, &config).expect("honest establishment");
     let committee_inputs = session.robust_committee_inputs(&inputs);
     let round = session
         .try_certified_round(&committee_inputs)

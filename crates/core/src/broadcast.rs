@@ -17,7 +17,7 @@
 //! ⌈log₂ ℓ⌉`. The Lamport-based OWF scheme supports a single certified
 //! execution per key generation.
 
-use crate::protocol::{BaConfig, RoundOutcome, Session};
+use crate::protocol::{BaConfig, RoundOutcome, Service};
 use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
 use pba_net::wire::{self, step, tag};
 use pba_net::{PartyId, Report, WireMsg};
@@ -81,7 +81,10 @@ impl BroadcastOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `values` is empty or `sender` is out of range.
+/// Panics if `values` is empty or `sender` is out of range, if the
+/// corruption plan reaches `n/3`, or if an execution's committee phase
+/// fails or overdraws the scheme's one-time signing budget (impossible
+/// below the fault bound with a scheme sized for `values.len()` epochs).
 pub fn run_broadcasts<S>(
     scheme: &S,
     config: &BaConfig,
@@ -94,7 +97,7 @@ where
 {
     assert!(!values.is_empty(), "need at least one broadcast");
     assert!(sender.index() < config.n, "sender out of range");
-    let mut session = Session::establish(scheme, config);
+    let mut session = Service::try_establish(scheme, config).unwrap_or_else(|e| panic!("{e}"));
     let setup_report = session.report();
     let supreme = session.supreme_committee();
     let sender_honest = !session.corrupt().contains(&sender);
@@ -128,7 +131,9 @@ where
         }
         session.net.bump_round();
 
-        let round = session.certified_round(&committee_inputs);
+        let round = session
+            .try_certified_round(&committee_inputs)
+            .unwrap_or_else(|e| panic!("broadcast execution failed: {e}"));
         if sender_honest {
             for &p in session.honest() {
                 if round.outputs[p.index()] != Some(value) {

@@ -5,9 +5,11 @@
 //! layer of the *Boyle–Cohen–Goel (PODC 2021)* reproduction:
 //!
 //! * [`phase_king`] — committee BA (`f_ba`, t < n/3);
-//! * [`coin`] — committee coin tossing (`f_ct`, commit–echo–reveal);
-//! * [`vss_coin`] — robust `f_ct` via Shamir deal/echo + Berlekamp–Welch
-//!   error-corrected reconstruction (the Chor et al. instantiation);
+//! * [`coin`] — the commit–echo–reveal coin toss (the simple `f_ct`
+//!   realization; `π_ba` does not run it);
+//! * [`vss_coin`] — the `f_ct` that `π_ba` runs: Shamir deal/echo +
+//!   Berlekamp–Welch error-corrected reconstruction (the Chor et al.
+//!   instantiation), then phase-king on the candidate seed;
 //! * [`aggr`] — the signature-aggregation functionality (`f_aggr-sig`);
 //! * [`protocol`] — `π_ba` (Fig. 3), generic over the SRDS scheme;
 //! * [`baselines`] — the Table 1 comparison protocols (all-to-all
@@ -33,5 +35,5 @@ pub mod vss_coin;
 pub use broadcast::{run_broadcasts, BroadcastOutcome};
 pub use protocol::{
     run_ba, try_run_ba, AdversaryProfile, BaConfig, BaOutcome, ProtocolError, ProtocolPhase,
-    RunOutcome, Session,
+    RunOutcome, Service,
 };

@@ -19,7 +19,7 @@
 //!    decryption shares, and reconstructs the output;
 //! 5. the output is delivered to everyone through the certified
 //!    dissemination of Fig. 3 (steps 3–8) via
-//!    [`crate::protocol::Session::certify_bytes`].
+//!    [`crate::protocol::Service::certify_bytes`].
 //!
 //! Communication: step 2 is `n · polylog · ℓin`; step 3 sums to
 //! `n · ℓin` ciphertext bytes per level across `polylog` copies and
@@ -27,7 +27,7 @@
 //! corollary's bound. (Parties near the root carry more than `Õ(ℓin)` —
 //! the corollary bounds *total*, not per-party, communication.)
 
-use crate::protocol::{AdversaryProfile, BaConfig, Session};
+use crate::protocol::{AdversaryProfile, BaConfig, Service};
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use pba_net::{PartyId, Report};
 use pba_snark::fhe::{Ciphertext, FheSystem};
@@ -71,8 +71,9 @@ fn merge_maps(maps: &[Vec<u8>]) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != config.n` or if the supreme committee cannot
-/// reach its decryption threshold (impossible below the fault bound).
+/// Panics if `inputs.len() != config.n`, if the corruption plan reaches
+/// `n/3`, or if the supreme committee cannot reach its decryption
+/// threshold or agree on the coin (impossible below the fault bound).
 pub fn run_mpc<S, F>(scheme: &S, config: &BaConfig, inputs: &[Vec<u8>], f: F) -> MpcOutcome
 where
     S: Srds,
@@ -80,7 +81,7 @@ where
     F: Fn(&BTreeMap<u64, Vec<u8>>) -> Vec<u8>,
 {
     assert_eq!(inputs.len(), config.n, "one input per party");
-    let mut session = Session::establish(scheme, config);
+    let mut session = Service::try_establish(scheme, config).unwrap_or_else(|e| panic!("{e}"));
     let supreme = session.supreme_committee();
     let corrupt = session.corrupt().clone();
     let tree = session.tree().clone();
@@ -245,7 +246,9 @@ where
     };
 
     // 5. Certified delivery of the public output to everyone.
-    let s = session.committee_coin();
+    let s = session
+        .try_committee_coin()
+        .unwrap_or_else(|e| panic!("coin tossing failed: {e}"));
     let delivered = session.certify_bytes(output.clone(), s);
 
     MpcOutcome {

@@ -229,37 +229,13 @@ pub fn toss_coin_vss(
     adversary: &mut dyn Adversary,
     prg: &mut Prg,
 ) -> BTreeMap<PartyId, Digest> {
-    toss_coin_vss_threaded(net, committee, adversary, prg, 1)
+    toss_coin_vss_driven(net, committee, adversary, prg, RoundDriver::Lockstep, 0, 1)
+        .expect("phase-king terminated")
 }
 
-/// [`toss_coin_vss`] with the honest round engine spread over `threads`
-/// scoped workers. Any thread count yields a bit-identical run — see
-/// [`pba_net::run_phase_threaded`].
-///
-/// # Panics
-///
-/// Panics if phase-king fails to terminate (impossible below the fault
-/// bound).
-pub fn toss_coin_vss_threaded(
-    net: &mut Network,
-    committee: &[PartyId],
-    adversary: &mut dyn Adversary,
-    prg: &mut Prg,
-    threads: usize,
-) -> BTreeMap<PartyId, Digest> {
-    toss_coin_vss_driven(
-        net,
-        committee,
-        adversary,
-        prg,
-        RoundDriver::Lockstep,
-        0,
-        threads,
-    )
-    .expect("phase-king terminated")
-}
-
-/// [`toss_coin_vss_threaded`] under an explicit [`RoundDriver`], fallible:
+/// [`toss_coin_vss`] under an explicit [`RoundDriver`] and thread count
+/// (any count yields a bit-identical run — see
+/// [`pba_net::run_phase_threaded`]), fallible:
 /// timing faults (churned members offline past the phase budget, delays
 /// beyond the driver window) can leave a member without a phase-king
 /// output, which surfaces as `Err` with the failing phase's

@@ -1100,6 +1100,46 @@ mod tests {
     }
 
     #[test]
+    fn round_overlap_absorbs_bumps_and_nothing_else() {
+        // Three rounds of traffic; with `overlap`, two extra bumps land
+        // inside a window after the first round (the deferred-certification
+        // shape). They must be counted by the window and by nothing else.
+        let run = |overlap: bool| {
+            let mut net = Network::new(2);
+            net.enable_transcript();
+            let mut absorbed = 0;
+            for round in 0..3u8 {
+                net.stage(Envelope::new(PartyId(0), PartyId(1), vec![round]));
+                net.metrics_mut().record_send(PartyId(0), PartyId(1), 1);
+                net.take_staged();
+                net.bump_round();
+                if round == 0 {
+                    if overlap {
+                        net.begin_round_overlap();
+                        net.bump_round();
+                        net.bump_round();
+                    }
+                    // Bytes are never absorbed: the charge lands in full,
+                    // window or not.
+                    net.metrics_mut().record_send(PartyId(1), PartyId(0), 7);
+                    if overlap {
+                        absorbed = net.end_round_overlap();
+                    }
+                }
+            }
+            (
+                absorbed,
+                net.now(),
+                net.report(),
+                net.transcript().unwrap().to_vec(),
+            )
+        };
+        let (absorbed, now, report, transcript) = run(true);
+        assert_eq!(absorbed, 2);
+        assert_eq!((0, now, report, transcript), run(false));
+    }
+
+    #[test]
     fn transport_failure_latches_and_empties_delivery() {
         let mut net = Network::new(2);
         net.attach_transport(Box::new(FailingTransport));

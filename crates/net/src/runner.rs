@@ -301,7 +301,9 @@ pub fn run_phase_threaded(
     )
 }
 
-/// Runs one phase under an explicit [`RoundDriver`].
+/// Runs one phase under an explicit [`RoundDriver`] — the engine's one
+/// full-form entry; [`run_phase`] and [`run_phase_threaded`] forward here
+/// with `Lockstep` (and one thread) filled in.
 ///
 /// [`RoundDriver::Lockstep`] is exactly [`run_phase_threaded`]. Under
 /// [`RoundDriver::PartialSynchrony`] each machine round drains a window of
@@ -318,61 +320,14 @@ pub fn run_phase_threaded(
 ///
 /// Panics if a corrupted identity appears among the honest machines, or if
 /// a machine panics on a worker thread.
-pub fn run_phase_driven(
-    net: &mut Network,
-    machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + '_>>,
-    adversary: &mut dyn Adversary,
-    max_rounds: u64,
-    driver: RoundDriver,
-    threads: usize,
-) -> PhaseOutcome {
-    let (outcome, absorbed) =
-        run_phase_overlapped(net, machines, adversary, max_rounds, driver, threads, None);
-    debug_assert_eq!(absorbed, 0, "no background work was supplied");
-    outcome
-}
-
-/// The per-round background hook of [`run_phase_overlapped`]: called with
-/// the network (inside an overlap window) and the current machine round,
-/// returns `true` when its work is done.
-pub type BackgroundHook<'a> = &'a mut dyn FnMut(&mut Network, u64) -> bool;
-
-/// Runs one phase while a background task executes in the slack of each
-/// machine round — the pipelined driver behind BA-as-a-service streaming.
-///
-/// This is the chained-block shape from Fast-HotStuff: while the committee
-/// machines vote on instance `i+1`'s rounds, the `background` hook makes
-/// progress on instance `i`'s leftover work (predecessor-certificate
-/// validation, deferred certification charges). The hook is called once per
-/// machine round, after the adversary acts, with the network wrapped in a
-/// round-overlap window: any [`Network::bump_round`] the hook performs is
-/// absorbed into the concurrently-running machine round instead of
-/// advancing the clock. The hook returns `true` when its work is done;
-/// it is not called again after that.
-///
-/// Returns the phase outcome plus the number of absorbed background rounds.
-/// Callers that overlap round-bearing work (deferred certification) should
-/// compare that figure against the phase's own rounds and bump the clock by
-/// the difference — the overlap can only hide as many rounds as the
-/// foreground phase actually runs.
-///
-/// With `background = None` this is exactly [`run_phase_driven`]: no
-/// overlap window is ever opened, so it composes with timing models.
-///
-/// # Panics
-///
-/// Panics if a corrupted identity appears among the honest machines, or if
-/// a machine panics on a worker thread.
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase_overlapped<'m>(
+pub fn run_phase_driven<'m>(
     net: &mut Network,
     machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + 'm>>,
     adversary: &mut dyn Adversary,
     max_rounds: u64,
     driver: RoundDriver,
     threads: usize,
-    background: Option<BackgroundHook<'_>>,
-) -> (PhaseOutcome, u64) {
+) -> PhaseOutcome {
     for id in machines.keys() {
         assert!(
             !adversary.corrupted().contains(id),
@@ -389,7 +344,6 @@ pub fn run_phase_overlapped<'m>(
             adversary,
             max_rounds,
             driver,
-            background,
             &mut |net, machines, inboxes, round, offline| {
                 for (&id, machine) in machines.iter_mut() {
                     let inbox = inboxes.remove(&id).unwrap_or_default();
@@ -414,7 +368,6 @@ pub fn run_phase_overlapped<'m>(
             adversary,
             max_rounds,
             driver,
-            background,
             &mut |net, machines, inboxes, round, offline| {
                 pool.step_round(net, machines, inboxes, round, offline, &mut cost);
             },
@@ -434,19 +387,16 @@ type StepFn<'a, 'm> = &'a mut dyn FnMut(
 );
 
 /// The phase loop shared by the sequential and pooled engines: delivery
-/// ticks, the honest step (via `step`), rushing adversary, background
-/// overlap, and completion detection.
-#[allow(clippy::too_many_arguments)]
+/// ticks, the honest step (via `step`), rushing adversary, and completion
+/// detection.
 fn phase_loop<'m>(
     net: &mut Network,
     machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + 'm>>,
     adversary: &mut dyn Adversary,
     max_rounds: u64,
     driver: RoundDriver,
-    mut background: Option<BackgroundHook<'_>>,
     step: StepFn<'_, 'm>,
-) -> (PhaseOutcome, u64) {
-    let mut absorbed_total = 0u64;
+) -> PhaseOutcome {
     // Drop any stale cross-phase messages that are *due*. Traffic still in
     // the delay queue survives into this phase and arrives in the machine
     // round whose window covers its deliver-at tick.
@@ -469,13 +419,10 @@ fn phase_loop<'m>(
         // the oracle. Abort the phase; the protocol layer reads the
         // recorded error off the network and reports it structurally.
         if net.transport_error().is_some() {
-            return (
-                PhaseOutcome {
-                    rounds,
-                    completed: false,
-                },
-                absorbed_total,
-            );
+            return PhaseOutcome {
+                rounds,
+                completed: false,
+            };
         }
 
         // Partition deliveries per receiver.
@@ -525,24 +472,12 @@ fn phase_loop<'m>(
             adversary.on_round(rounds - 1, &rushed, &mut sender);
         }
 
-        // Background slot: the pipelined predecessor-instance work runs in
-        // the slack of this machine round. Its round bumps are absorbed by
-        // the overlap window rather than advancing the shared clock.
-        if let Some(hook) = background.as_mut() {
-            net.begin_round_overlap();
-            let done = hook(net, rounds - 1);
-            absorbed_total += net.end_round_overlap();
-            if done {
-                background = None;
-            }
-        }
-
         if machines.values().all(|m| m.is_done()) {
             completed = true;
             break;
         }
     }
-    (PhaseOutcome { rounds, completed }, absorbed_total)
+    PhaseOutcome { rounds, completed }
 }
 
 #[cfg(test)]
@@ -645,46 +580,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn overlapped_background_absorbs_rounds() {
-        let n = 4u64;
-        // Oracle: the same phase with no background work.
-        let mut plain_net = Network::new(n as usize);
-        plain_net.enable_transcript();
-        let mut plain_machines = ring_machines(n);
-        let mut adv = SilentAdversary::default();
-        let plain_out = run_phase(&mut plain_net, &mut plain_machines, &mut adv, 20);
-
-        // Pipelined: a background task burns two of its own rounds in the
-        // slack of each of the first two machine rounds. All four bumps are
-        // absorbed — the foreground phase and the shared clock are unchanged.
-        let mut net = Network::new(n as usize);
-        net.enable_transcript();
-        let mut machines = ring_machines(n);
-        let mut adv = SilentAdversary::default();
-        let mut calls = 0u64;
-        let mut background = |net: &mut Network, _round: u64| {
-            net.bump_round();
-            net.bump_round();
-            calls += 1;
-            calls == 2
-        };
-        let (out, absorbed) = run_phase_overlapped(
-            &mut net,
-            &mut machines,
-            &mut adv,
-            20,
-            RoundDriver::Lockstep,
-            1,
-            Some(&mut background),
-        );
-        assert_eq!(out, plain_out);
-        assert_eq!(absorbed, 4);
-        assert_eq!(calls, 2, "hook is not called again once done");
-        assert_eq!(net.report(), plain_net.report());
-        assert_eq!(net.transcript(), plain_net.transcript());
     }
 
     #[test]

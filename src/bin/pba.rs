@@ -157,13 +157,22 @@ fn print_report(report: &Report) {
     println!("  max locality:      {}", report.max_locality);
 }
 
-fn run_ba_with(scheme_name: &str, config: &BaConfig, inputs: &[u8]) -> Result<BaOutcome, String> {
-    match scheme_name {
-        "snark" => Ok(run_ba(&SnarkSrds::with_defaults(), config, inputs)),
-        "owf" => Ok(run_ba(&OwfSrds::with_defaults(), config, inputs)),
-        "multisig" => Ok(run_ba(&MultisigSrds::with_defaults(), config, inputs)),
-        other => Err(format!("unknown scheme {other} (snark|owf|multisig)")),
+/// A protocol-level failure (stall, disagreement, timeout, corruption past
+/// the bound) is an `error:` line and a failing exit code, never a panic.
+fn completed(outcome: RunOutcome) -> Result<BaOutcome, String> {
+    match outcome {
+        RunOutcome::Completed(out) => Ok(out),
+        RunOutcome::Failed { phase, reason } => Err(format!("pi_ba failed in {phase}: {reason}")),
     }
+}
+
+fn run_ba_with(scheme_name: &str, config: &BaConfig, inputs: &[u8]) -> Result<BaOutcome, String> {
+    completed(match scheme_name {
+        "snark" => try_run_ba(&SnarkSrds::with_defaults(), config, inputs),
+        "owf" => try_run_ba(&OwfSrds::with_defaults(), config, inputs),
+        "multisig" => try_run_ba(&MultisigSrds::with_defaults(), config, inputs),
+        other => return Err(format!("unknown scheme {other} (snark|owf|multisig)")),
+    })
 }
 
 fn cmd_ba(args: &Args) -> Result<(), String> {
@@ -316,4 +325,31 @@ fn cmd_isolation(args: &Args) -> Result<(), String> {
         srds.honest_msgs, srds.adversarial_msgs, srds.victim_fooled
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failed_run_maps_to_an_error_line() {
+        let stalled = ProtocolError::Stalled {
+            phase: ProtocolPhase::Certification,
+            delivered: 7,
+            honest: 40,
+        };
+        assert_eq!(
+            completed(stalled.into()).unwrap_err(),
+            "pi_ba failed in certification: certification stalled: \
+             only 7 of 40 honest parties obtained output"
+        );
+    }
+
+    #[test]
+    fn over_bound_run_is_an_error_not_a_panic() {
+        // 3 * 16 = 48: establishment refuses the corruption plan.
+        let config = BaConfig::byzantine(48, 16, b"cli-over-bound");
+        let err = run_ba_with("owf", &config, &[1u8; 48]).unwrap_err();
+        assert!(err.starts_with("pi_ba failed in establishment"), "{err}");
+    }
 }

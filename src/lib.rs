@@ -57,7 +57,7 @@ pub mod prelude {
     pub use pba_core::broadcast::{run_broadcasts, BroadcastOutcome};
     pub use pba_core::protocol::{
         run_ba, try_run_ba, AdversaryProfile, BaConfig, BaOutcome, KeyError, KeyPolicy,
-        ProtocolError, ProtocolPhase, RoundOutcome, RunOutcome, Session,
+        ProtocolError, ProtocolPhase, RoundOutcome, RunOutcome, Service,
     };
     pub use pba_crypto::prg::Prg;
     pub use pba_crypto::sha256::{Digest, Sha256};

@@ -8,7 +8,7 @@
 //! key is touched.
 
 use pba_aetree::robust::dedup_committee;
-use pba_core::protocol::{AdversaryProfile, BaConfig, Establishment, KeyError, KeyPolicy, Session};
+use pba_core::protocol::{AdversaryProfile, BaConfig, Establishment, KeyError, KeyPolicy, Service};
 use pba_crypto::sha256::Digest;
 use pba_net::corruption::CorruptionPlan;
 use pba_net::PartyId;
@@ -37,11 +37,11 @@ struct RunRecord {
     breakdown: String,
 }
 
-/// One full run (establishment + certified round) through the `Session`
+/// One full run (establishment + certified round) through the `Service`
 /// API with the staged-delivery transcript recorded.
 fn run(config: &BaConfig) -> RunRecord {
     let scheme = SnarkSrds::with_defaults();
-    let mut session = Session::try_establish(&scheme, config).expect("establishment");
+    let mut session = Service::try_establish(&scheme, config).expect("establishment");
     session.net.enable_transcript();
     let inputs = vec![1u8; config.n];
     let committee_inputs = session.robust_committee_inputs(&inputs);
@@ -114,7 +114,7 @@ fn sampled_off_path_key_is_a_structured_error() {
     let mut probe_config = config(n, Establishment::Charged, KeyPolicy::Eager);
     probe_config.corruption = CorruptionPlan::None;
     probe_config.profile = AdversaryProfile::Passive;
-    let probe = Session::try_establish(&scheme, &probe_config).expect("probe establishment");
+    let probe = Service::try_establish(&scheme, &probe_config).expect("probe establishment");
     let root_level = probe.tree().height() - 1;
     let supreme = dedup_committee(probe.tree().committee(root_level, 0));
 
@@ -133,7 +133,7 @@ fn sampled_off_path_key_is_a_structured_error() {
     );
     let mut cfg = config(n, Establishment::Charged, KeyPolicy::Sampled);
     cfg.corruption = CorruptionPlan::Explicit(bad);
-    let session = Session::try_establish(&scheme, &cfg).expect("establishment");
+    let session = Service::try_establish(&scheme, &cfg).expect("establishment");
 
     let err = session
         .signing_key(PartyId(0), 0)
@@ -153,6 +153,6 @@ fn sampled_off_path_key_is_a_structured_error() {
     // Positive control: the same run under Lazy derives the key fine.
     let mut lazy_cfg = cfg.clone();
     lazy_cfg.key_policy = KeyPolicy::Lazy;
-    let lazy_session = Session::try_establish(&scheme, &lazy_cfg).expect("establishment");
+    let lazy_session = Service::try_establish(&scheme, &lazy_cfg).expect("establishment");
     assert!(lazy_session.signing_key(PartyId(0), 0).is_ok());
 }

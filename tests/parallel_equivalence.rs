@@ -10,7 +10,7 @@
 //! rather than spinning up idle stealers that could race the injector.
 //!
 //! The threads knob reaches both threaded sub-protocols
-//! ([`pba_core::protocol::Session::try_committee_ba`] and the VSS coin),
+//! ([`pba_core::protocol::Service::try_committee_ba`] and the VSS coin),
 //! and the adversaries here include rushing, equivocating, flooding, and
 //! adaptive strategies — exactly the observers that would notice a
 //! schedule change. The timing strategies (seeded latency, partitions,
@@ -22,7 +22,7 @@
 //! [`ProtocolError`]: pba_core::protocol::ProtocolError
 
 use pba_bench::chaos::{default_cases, ChaosCase};
-use pba_core::protocol::{AdversaryProfile, BaConfig, Establishment, KeyPolicy, Session};
+use pba_core::protocol::{AdversaryProfile, BaConfig, Establishment, KeyPolicy, Service};
 use pba_crypto::sha256::Digest;
 use pba_srds::snark::SnarkSrds;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,7 +36,7 @@ struct RunRecord {
     report: String,
 }
 
-/// Runs one chaos case through the `Session` API with the given worker
+/// Runs one chaos case through the `Service` API with the given worker
 /// count, recording the transcript of every delivered round after
 /// establishment (the threaded region).
 fn run_with_threads(case: &ChaosCase, threads: usize) -> RunRecord {
@@ -55,7 +55,7 @@ fn run_with_threads(case: &ChaosCase, threads: usize) -> RunRecord {
     let scheme = SnarkSrds::with_defaults();
     let inputs = vec![1u8; case.n];
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let mut session = match Session::try_establish(&scheme, &config) {
+        let mut session = match Service::try_establish(&scheme, &config) {
             Ok(session) => session,
             Err(e) => {
                 return RunRecord {

@@ -9,7 +9,7 @@
 //! dense shadow armed.
 
 use pba_bench::chaos::default_cases;
-use pba_core::protocol::{AdversaryProfile, BaConfig, KeyPolicy, Session};
+use pba_core::protocol::{AdversaryProfile, BaConfig, KeyPolicy, Service};
 use pba_net::metrics::DenseMetricsTable;
 use pba_net::{MetricsTable, PartyId};
 use pba_srds::snark::SnarkSrds;
@@ -284,7 +284,7 @@ fn chaos_catalogue_runs_without_sparse_dense_divergence() {
         let scheme = SnarkSrds::with_defaults();
         let inputs = vec![1u8; case.n];
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut session = match Session::try_establish(&scheme, &config) {
+            let mut session = match Service::try_establish(&scheme, &config) {
                 Ok(session) => session,
                 // Structured establishment failure (corruption bound,
                 // timing): no session, nothing to diff.

@@ -1,4 +1,4 @@
-//! ISSUE 9: the Service/Instance split and the pipelined decision
+//! ISSUE 9: the establish-once `Service` and the pipelined decision
 //! stream.
 //!
 //! * **Transcript identity** — the first instance of a stream is
@@ -126,6 +126,20 @@ fn pipelined_stream_matches_sequential_and_hides_rounds() {
         assert_eq!(
             a.report.transcript_digest, b.report.transcript_digest,
             "instance {} transcripts diverge",
+            a.index
+        );
+        // Chain validation runs inline at instance open in both modes, so
+        // the cache counters, bytes and step snapshots agree per instance.
+        assert_eq!(a.report.cache, b.report.cache, "instance {} cache", a.index);
+        assert_eq!(
+            a.report.total_bytes, b.report.total_bytes,
+            "instance {} bytes",
+            a.index
+        );
+        assert_eq!(
+            a.report.steps.len(),
+            b.report.steps.len(),
+            "instance {} steps",
             a.index
         );
     }
