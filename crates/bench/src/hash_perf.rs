@@ -13,7 +13,7 @@
 //!   digests carry no data dependency, which is exactly the workload shape
 //!   π_ba produces and the engine batches) at n ∈ {64, 256, 1024}, run
 //!   once hashing through the scalar core and once through
-//!   [`pba_net::Ctx::hash_batch`], with transcript equality asserted.
+//!   [`pba_crypto::sha256::batch_digest`], with transcript equality asserted.
 //!
 //! The binary (`cargo run -p pba-bench --bin hash_perf --release`) renders
 //! the result as `BENCH_5.json`.
@@ -21,7 +21,7 @@
 use pba_crypto::lamport::{LamportKeyPair, LamportParams};
 use pba_crypto::merkle::{hash_leaf, hash_leaf_batch, MerkleTree};
 use pba_crypto::prg::Prg;
-use pba_crypto::sha256::{Digest, Sha256, DIGEST_LEN, LANES};
+use pba_crypto::sha256::{batch_digest, Digest, Sha256, DIGEST_LEN, LANES};
 use pba_net::runner::run_phase_threaded;
 use pba_net::{Envelope, Machine, Network, PartyId, SilentAdversary};
 use rand::RngCore;
@@ -316,7 +316,7 @@ fn bench_leaf_hash(config: &HashPerfConfig) -> MicroBench {
 
 /// The end-to-end workload: every party digests its inbox into a round
 /// seed, computes `iters` *independent* digests `H(seed ‖ i)` (batched
-/// through [`pba_net::Ctx::hash_batch`] or one by one through the scalar
+/// through [`batch_digest`] or one by one through the scalar
 /// core), XOR-folds them into its state, and gossips the state to two
 /// ring neighbours. Identical message traffic in both modes — only the
 /// hashing engine differs, so transcript equality is exactly the
@@ -350,7 +350,7 @@ impl Machine for BatchGrind {
             .collect();
         let digests: Vec<Digest> = if self.batched {
             let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-            ctx.hash_batch(&refs)
+            batch_digest(&refs)
         } else {
             msgs.iter().map(|m| Sha256::digest(m)).collect()
         };

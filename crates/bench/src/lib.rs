@@ -41,12 +41,6 @@
 //!   vs. `k` independent full runs, with the setup-amortization ratio and
 //!   the rounds hidden by certification chaining, emitted as
 //!   `BENCH_9.json` (see [`pipeline`]);
-//! * **the compound threads × lanes grid**
-//!   (`cargo run -p pba-bench --bin thread_scale --release [-- --smoke]`)
-//!   — the work-stealing round engine swept over `(threads, lanes)`
-//!   cells with sequential-transcript identity gated per cell, lane
-//!   occupancy measured per cell, and the host core count stamped into
-//!   the artifact, emitted as `BENCH_10.json` (see [`threads`]);
 //! * criterion micro/macro benches under `benches/`.
 
 pub mod chaos;
@@ -55,7 +49,6 @@ pub mod perf;
 pub mod pipeline;
 pub mod scale;
 pub mod socket;
-pub mod threads;
 
 use pba_core::baselines::{all_to_all_ba, committee_flood_ba, sqrt_sampling_boost};
 use pba_core::protocol::{run_ba, BaConfig};

@@ -78,24 +78,8 @@ fn partition(population: &[PartyId], g: usize) -> Vec<Vec<PartyId>> {
 ///
 /// The adversary participates through the committee-level coin tosses
 /// (its corrupted members can misbehave there); representatives are then
-/// determined by the group seeds.
-pub fn establish_interactive(
-    net: &mut Network,
-    params: &TreeParams,
-    adversary: &mut dyn Adversary,
-    prg: &mut Prg,
-) -> Election {
-    match try_establish_interactive(net, params, adversary, prg) {
-        Ok(election) => election,
-        Err(outcome) => panic!(
-            "interactive establishment failed after {} rounds",
-            outcome.rounds
-        ),
-    }
-}
-
-/// Fallible [`establish_interactive`]: a group toss that cannot converge
-/// — a dead transport, a phase budget blown by faults — surfaces as `Err`
+/// determined by the group seeds. A group toss that cannot converge — a
+/// dead transport, a phase budget blown by faults — surfaces as `Err`
 /// with the failing phase's [`PhaseOutcome`] instead of a panic, so the
 /// protocol layer can attribute it (e.g. to a recorded transport error).
 ///
@@ -185,7 +169,8 @@ mod tests {
         let corrupt = CorruptionPlan::Random { t }.materialize(n, &mut prg);
         let mut adversary = SilentAdversary::new(corrupt.clone());
         let mut net = Network::new(n);
-        let election = establish_interactive(&mut net, &params, &mut adversary, &mut prg);
+        let election = try_establish_interactive(&mut net, &params, &mut adversary, &mut prg)
+            .expect("honest-majority election converges");
         (election, net, corrupt)
     }
 

@@ -129,9 +129,9 @@ pub struct BaConfig {
     pub chaos: Option<StrategySpec>,
     /// Worker threads for the committee sub-protocol round engine
     /// (`0` and `1` both mean sequential). Larger values run honest
-    /// machines on a phase-persistent work-stealing pool with
-    /// cost-balanced chunks; any value — including more threads than
-    /// parties — yields a bit-identical execution (see
+    /// machines on a phase-persistent worker pool that claims
+    /// equal-count chunks from one queue; any value — including more
+    /// threads than parties — yields a bit-identical execution (see
     /// [`pba_net::run_phase_threaded`]; the committee phases reach the same
     /// engine through [`pba_net::run_phase_driven`]), so this is purely a
     /// wall-clock knob.

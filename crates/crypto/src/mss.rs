@@ -147,11 +147,6 @@ impl MssKeyPair {
         MssVerificationKey(self.tree.root())
     }
 
-    /// Number of signatures already issued.
-    pub fn signatures_used(&self) -> usize {
-        self.next
-    }
-
     /// Signs with the next unused one-time key.
     ///
     /// # Errors

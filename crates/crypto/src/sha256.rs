@@ -17,7 +17,6 @@
 //! );
 //! ```
 
-use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -327,9 +326,8 @@ static SCALAR_DIGESTS: AtomicU64 = AtomicU64::new(0);
 /// Counters are process-wide and monotone (`Relaxed` atomics — the same
 /// idiom as the Merkle/cert cache counters), so concurrent hashing from
 /// worker threads is counted without synchronization. Measure a workload by
-/// diffing two snapshots with [`EngineStats::since`]; *lane occupancy*
-/// (the fraction of batched digests that took the vector path) is the
-/// figure the cross-party batching layer exists to raise.
+/// diffing two snapshots with [`EngineStats::since`]; *lane occupancy* is
+/// the fraction of batched digests that took the vector path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Digests computed by the 8-lane core (counted in groups of [`LANES`]).
@@ -531,22 +529,13 @@ fn digest_lane_group(views: &[View<'_>; LANES], indices: &[usize; LANES], out: &
 /// so ragged batches are handled without dummy-lane waste and the result
 /// is bit-identical to per-input [`Sha256::digest`] in all cases.
 fn batch_views(views: &[View<'_>]) -> Vec<Digest> {
-    let mut out = Vec::new();
-    batch_views_into(views, &mut out);
-    out
-}
-
-/// [`batch_views`] writing into a caller-supplied buffer (cleared first;
-/// capacity is reused across rounds on the hot path).
-fn batch_views_into(views: &[View<'_>], out: &mut Vec<Digest>) {
-    out.clear();
-    out.resize(views.len(), Digest::ZERO);
+    let mut out = vec![Digest::ZERO; views.len()];
     if views.len() < LANES {
         SCALAR_DIGESTS.fetch_add(views.len() as u64, Ordering::Relaxed);
         for (o, v) in out.iter_mut().zip(views) {
             *o = v.scalar_digest();
         }
-        return;
+        return out;
     }
     let mut order: Vec<usize> = (0..views.len()).collect();
     order.sort_by_key(|&i| views[i].nblocks());
@@ -562,7 +551,7 @@ fn batch_views_into(views: &[View<'_>], out: &mut Vec<Digest>) {
         for chunk in &mut chunks {
             let indices: [usize; LANES] = chunk.try_into().expect("exact chunk");
             let group: [View<'_>; LANES] = std::array::from_fn(|l| views[indices[l]]);
-            digest_lane_group(&group, &indices, out);
+            digest_lane_group(&group, &indices, &mut out);
         }
         let tail = chunks.remainder();
         SCALAR_DIGESTS.fetch_add(tail.len() as u64, Ordering::Relaxed);
@@ -571,6 +560,7 @@ fn batch_views_into(views: &[View<'_>], out: &mut Vec<Digest>) {
         }
         run_start = run_end;
     }
+    out
 }
 
 /// Hashes many independent inputs through the multi-lane engine.
@@ -591,28 +581,6 @@ fn batch_views_into(views: &[View<'_>], out: &mut Vec<Digest>) {
 pub fn batch_digest(inputs: &[&[u8]]) -> Vec<Digest> {
     let views: Vec<View<'_>> = inputs.iter().map(|i| View::new([i, &[], &[]])).collect();
     batch_views(&views)
-}
-
-/// [`batch_digest`] writing into a caller-supplied scratch buffer.
-///
-/// `out` is cleared and refilled; its capacity survives across calls, so a
-/// machine hashing every round reuses one allocation for the whole phase
-/// instead of paying a fresh `Vec<Digest>` per round. Contents are
-/// bit-identical to [`batch_digest`].
-///
-/// # Examples
-///
-/// ```
-/// use pba_crypto::sha256::{batch_digest, batch_digest_into};
-///
-/// let inputs: Vec<&[u8]> = vec![b"a", b"bc"];
-/// let mut scratch = Vec::new();
-/// batch_digest_into(&inputs, &mut scratch);
-/// assert_eq!(scratch, batch_digest(&inputs));
-/// ```
-pub fn batch_digest_into(inputs: &[&[u8]], out: &mut Vec<Digest>) {
-    let views: Vec<View<'_>> = inputs.iter().map(|i| View::new([i, &[], &[]])).collect();
-    batch_views_into(&views, out);
 }
 
 /// Hashes `prefix ‖ input` for each input, batched. Used for domain-prefixed
@@ -682,162 +650,6 @@ pub fn batch_digest_pairs(prefix: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest>
         *o = scalar_pair(pair);
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Cross-party batch grouping
-// ---------------------------------------------------------------------------
-
-/// Pools the hash manifests of many independent producers (the parties of
-/// one scheduler chunk) into a single batch, so ragged per-party remainders
-/// fill full [`LANES`]-wide groups instead of each falling back to the
-/// scalar core.
-///
-/// Usage is two-phase: [`DigestBatcher::enqueue`] each producer's declared
-/// inputs (recording a [`BatchJob`] handle per producer), [`DigestBatcher::
-/// flush`] once over the pooled set, then hand each producer a
-/// [`PrefetchedDigests`] view of its own slice via [`DigestBatcher::job`].
-/// A view *serves* digest requests by matching the requested inputs
-/// byte-for-byte against the declared manifest in order — a served digest is
-/// therefore bit-identical to computing it on the spot, and any mismatch
-/// (a producer hashing something it did not declare) simply falls back to
-/// on-demand computation at the call site.
-///
-/// # Examples
-///
-/// ```
-/// use pba_crypto::sha256::{DigestBatcher, Sha256};
-///
-/// let mut batcher = DigestBatcher::new();
-/// let job = batcher
-///     .enqueue(vec![b"a".to_vec(), b"bc".to_vec()])
-///     .expect("non-empty manifest");
-/// batcher.flush();
-/// let view = batcher.job(&job);
-/// let served = view.serve(&[b"a", b"bc"]).expect("declared in order");
-/// assert_eq!(served[1], Sha256::digest(b"bc"));
-/// ```
-#[derive(Debug, Default)]
-pub struct DigestBatcher {
-    inputs: Vec<Vec<u8>>,
-    digests: Vec<Digest>,
-    flushed: bool,
-}
-
-/// Handle to one producer's contiguous slice of a [`DigestBatcher`] pool.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchJob {
-    start: usize,
-    end: usize,
-}
-
-impl DigestBatcher {
-    /// An empty batcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clears queued inputs and digests, keeping allocated capacity — one
-    /// batcher per worker is reused across every chunk of a phase.
-    pub fn reset(&mut self) {
-        self.inputs.clear();
-        self.digests.clear();
-        self.flushed = false;
-    }
-
-    /// Queues one producer's declared hash inputs, returning its job handle
-    /// (`None` for an empty manifest).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`DigestBatcher::flush`] without an
-    /// intervening [`DigestBatcher::reset`].
-    pub fn enqueue(&mut self, manifest: Vec<Vec<u8>>) -> Option<BatchJob> {
-        assert!(!self.flushed, "enqueue after flush; call reset first");
-        if manifest.is_empty() {
-            return None;
-        }
-        let start = self.inputs.len();
-        self.inputs.extend(manifest);
-        Some(BatchJob {
-            start,
-            end: self.inputs.len(),
-        })
-    }
-
-    /// Digests the entire pooled set in one multi-lane batch. Grouping by
-    /// block count happens across *all* queued producers, which is the
-    /// whole point: eight parties with five ragged leftovers each become
-    /// five full lane groups.
-    pub fn flush(&mut self) {
-        let refs: Vec<&[u8]> = self.inputs.iter().map(|i| i.as_slice()).collect();
-        batch_digest_into(&refs, &mut self.digests);
-        self.flushed = true;
-    }
-
-    /// Number of pooled inputs.
-    pub fn len(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// True when no inputs are queued.
-    pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
-    }
-
-    /// The prefetched view for one producer's job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool was not flushed.
-    pub fn job(&self, job: &BatchJob) -> PrefetchedDigests<'_> {
-        assert!(self.flushed, "job view requested before flush");
-        PrefetchedDigests {
-            inputs: &self.inputs[job.start..job.end],
-            digests: &self.digests[job.start..job.end],
-            cursor: Cell::new(0),
-        }
-    }
-}
-
-/// One producer's slice of a flushed [`DigestBatcher`] pool: declared
-/// inputs and their digests, consumed in declaration order.
-#[derive(Debug)]
-pub struct PrefetchedDigests<'a> {
-    inputs: &'a [Vec<u8>],
-    digests: &'a [Digest],
-    cursor: Cell<usize>,
-}
-
-impl PrefetchedDigests<'_> {
-    /// Serves a digest request against the prefetched sequence: if the next
-    /// `requested.len()` declared inputs match the request byte-for-byte,
-    /// returns their digests and advances the cursor; otherwise returns
-    /// `None` and leaves the cursor untouched, so the caller computes
-    /// on demand (and later declared inputs can still be served).
-    pub fn serve(&self, requested: &[&[u8]]) -> Option<&[Digest]> {
-        let start = self.cursor.get();
-        let end = start.checked_add(requested.len())?;
-        if end > self.inputs.len() {
-            return None;
-        }
-        let declared = &self.inputs[start..end];
-        if declared
-            .iter()
-            .zip(requested)
-            .all(|(have, want)| have.as_slice() == *want)
-        {
-            self.cursor.set(end);
-            Some(&self.digests[start..end])
-        } else {
-            None
-        }
-    }
-
-    /// Declared inputs not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.inputs.len() - self.cursor.get()
-    }
 }
 
 #[cfg(test)]
@@ -999,21 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_digest_into_matches_and_reuses_capacity() {
-        let msgs: Vec<Vec<u8>> = (0..2 * LANES + 3).map(|i| vec![i as u8; i * 7]).collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let mut scratch = Vec::new();
-        batch_digest_into(&refs, &mut scratch);
-        assert_eq!(scratch, batch_digest(&refs));
-        let cap = scratch.capacity();
-        let ptr = scratch.as_ptr();
-        batch_digest_into(&refs[..LANES], &mut scratch);
-        assert_eq!(scratch, batch_digest(&refs[..LANES]));
-        assert_eq!(scratch.capacity(), cap, "no reallocation on smaller batch");
-        assert_eq!(scratch.as_ptr(), ptr, "buffer reused in place");
-    }
-
-    #[test]
     fn engine_stats_count_lane_and_scalar_dispatch() {
         // Counters are process-wide and monotone; concurrent tests can only
         // add, so assert lower bounds on the deltas.
@@ -1026,55 +823,6 @@ mod tests {
         assert!(delta.scalar_digests >= 3, "{delta:?}");
         assert!(delta.occupancy() > 0.0 && delta.occupancy() < 1.0);
         assert_eq!(EngineStats::default().occupancy(), 0.0);
-    }
-
-    #[test]
-    fn digest_batcher_serves_declared_inputs_bit_identically() {
-        let mut batcher = DigestBatcher::new();
-        // Three producers with ragged manifests (5 each: all-scalar alone).
-        let manifests: Vec<Vec<Vec<u8>>> = (0..3u8)
-            .map(|p| (0..5u8).map(|i| vec![p * 16 + i; 20]).collect())
-            .collect();
-        let jobs: Vec<BatchJob> = manifests
-            .iter()
-            .map(|m| batcher.enqueue(m.clone()).expect("non-empty"))
-            .collect();
-        assert_eq!(batcher.len(), 15);
-        batcher.flush();
-        for (manifest, job) in manifests.iter().zip(&jobs) {
-            let view = batcher.job(job);
-            // Split the request: two served calls walk the same sequence.
-            let first: Vec<&[u8]> = manifest[..2].iter().map(|m| m.as_slice()).collect();
-            let rest: Vec<&[u8]> = manifest[2..].iter().map(|m| m.as_slice()).collect();
-            let d1 = view.serve(&first).expect("prefix declared").to_vec();
-            let d2 = view.serve(&rest).expect("suffix declared").to_vec();
-            for (d, m) in d1.iter().chain(&d2).zip(manifest) {
-                assert_eq!(*d, Sha256::digest(m));
-            }
-            assert_eq!(view.remaining(), 0);
-        }
-        // Reset keeps the batcher reusable.
-        batcher.reset();
-        assert!(batcher.is_empty());
-    }
-
-    #[test]
-    fn digest_batcher_mismatch_falls_back_without_advancing() {
-        let mut batcher = DigestBatcher::new();
-        let declared = vec![b"alpha".to_vec(), b"beta".to_vec()];
-        let job = batcher.enqueue(declared).expect("non-empty");
-        batcher.flush();
-        let view = batcher.job(&job);
-        // Undeclared request: not served, cursor untouched.
-        assert!(view.serve(&[b"gamma"]).is_none());
-        assert_eq!(view.remaining(), 2);
-        // Over-long request: not served.
-        assert!(view.serve(&[b"alpha", b"beta", b"gamma"]).is_none());
-        // The declared sequence still serves afterwards.
-        let served = view.serve(&[b"alpha", b"beta"]).expect("still available");
-        assert_eq!(served[0], Sha256::digest(b"alpha"));
-        // Exhausted: nothing further.
-        assert!(view.serve(&[b"alpha"]).is_none());
     }
 
     #[test]

@@ -37,7 +37,6 @@ use crate::metrics::{MetricsTable, Report};
 use crate::transport::{Transport, TransportError};
 use crate::wire::{self, WireMsg};
 use pba_crypto::codec::{decode_from_slice, Decode, Encode};
-use pba_crypto::sha256::PrefetchedDigests;
 use pba_crypto::{Digest, Sha256};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -514,7 +513,6 @@ impl Network {
             id,
             round,
             backend: Backend::Direct(self),
-            prefetch: None,
         }
     }
 }
@@ -543,12 +541,6 @@ pub struct Ctx<'a> {
     id: PartyId,
     round: u64,
     backend: Backend<'a>,
-    /// Digests prefetched by the worker's cross-party [`pba_crypto::sha256::
-    /// DigestBatcher`], if the machine declared a hash manifest for this
-    /// round (see [`crate::runner::Machine::hash_manifest`]). Serving is
-    /// bit-identical to computing on demand, so this carries no observable
-    /// state — only lane occupancy changes.
-    prefetch: Option<PrefetchedDigests<'a>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -560,17 +552,7 @@ impl<'a> Ctx<'a> {
             id,
             round,
             backend: Backend::Buffered { n, effects },
-            prefetch: None,
         }
-    }
-
-    /// Attaches a prefetched-digest view: subsequent [`Ctx::hash_batch`] /
-    /// [`Ctx::hash_batch_into`] calls whose inputs match the declared
-    /// manifest (in order) are served from the pool instead of hashing
-    /// on the calling thread.
-    pub fn with_prefetch(mut self, prefetch: PrefetchedDigests<'a>) -> Self {
-        self.prefetch = Some(prefetch);
-        self
     }
 }
 
@@ -627,41 +609,6 @@ impl Ctx<'_> {
         wire::encode_msg_into(msg, scratch);
         let payload = scratch.as_slice().to_vec();
         self.send_raw(to, payload);
-    }
-
-    /// Hashes many independent inputs through the multi-lane SHA-256
-    /// engine ([`pba_crypto::sha256::batch_digest`]): bit-identical to
-    /// hashing each input with the scalar core, up to ~8× fewer compression
-    /// passes.
-    ///
-    /// This is the round engine's batching entry point: machines hand their
-    /// per-round hash workload (inbox digests, commitment openings, …) to
-    /// the engine in one call. The function is pure — no network state is
-    /// read or written — so worker threads under
-    /// [`crate::runner::run_phase_threaded`] each batch their own machines'
-    /// workloads and `BaConfig::threads` composes with lane-level batching.
-    ///
-    /// When the worker prefetched this machine's declared manifest (see
-    /// [`crate::runner::Machine::hash_manifest`]), matching requests are
-    /// served from the cross-party pool — same bytes, fuller lanes.
-    pub fn hash_batch(&self, inputs: &[&[u8]]) -> Vec<Digest> {
-        if let Some(served) = self.prefetch.as_ref().and_then(|p| p.serve(inputs)) {
-            return served.to_vec();
-        }
-        pba_crypto::sha256::batch_digest(inputs)
-    }
-
-    /// [`Ctx::hash_batch`] writing into a caller-owned scratch buffer
-    /// ([`pba_crypto::sha256::batch_digest_into`]): `out` is cleared and
-    /// refilled, reusing its capacity round over round — no per-call
-    /// allocation on the round hot path.
-    pub fn hash_batch_into(&self, inputs: &[&[u8]], out: &mut Vec<Digest>) {
-        if let Some(served) = self.prefetch.as_ref().and_then(|p| p.serve(inputs)) {
-            out.clear();
-            out.extend_from_slice(served);
-            return;
-        }
-        pba_crypto::sha256::batch_digest_into(inputs, out);
     }
 
     /// Sends raw payload bytes to `to`.
@@ -919,17 +866,6 @@ mod tests {
         for env in &staged {
             assert_eq!(env.payload.len(), env.payload.capacity());
         }
-    }
-
-    #[test]
-    fn hash_batch_matches_scalar_digests() {
-        let mut net = Network::new(1);
-        let inputs: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; i as usize * 7]).collect();
-        let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let ctx = net.ctx(PartyId(0), 0);
-        let batched = ctx.hash_batch(&refs);
-        let scalar: Vec<Digest> = refs.iter().map(|i| Sha256::digest(i)).collect();
-        assert_eq!(batched, scalar);
     }
 
     #[test]

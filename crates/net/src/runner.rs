@@ -19,32 +19,26 @@
 //! its own inbox (delivered last round) and its own state, and its effects
 //! on the network (sends, receive charges) commute with nothing until the
 //! round boundary. [`run_phase_threaded`] exploits this: machines run on a
-//! phase-persistent pool of [`std::thread::scope`] workers (the
-//! work-stealing scheduler in `sched`) with *buffered* contexts
-//! ([`crate::network::RoundEffects`]), and the per-party effect logs are
-//! replayed against the network in ascending [`PartyId`] order — the same
-//! order the sequential engine steps parties in. Chunk boundaries follow a
-//! per-party step-cost model and idle workers steal trailing chunks, but
-//! neither influences the merge order, so the result is byte-identical to
+//! phase-persistent pool of [`std::thread::scope`] workers (the pool in
+//! `sched`) with *buffered* contexts ([`crate::network::RoundEffects`]),
+//! and the per-party effect logs are replayed against the network in
+//! ascending [`PartyId`] order — the same order the sequential engine steps
+//! parties in. Each round is cut into more equal-count chunks than workers
+//! and idle workers claim trailing chunks, but claim order does not
+//! influence the merge order, so the result is byte-identical to
 //! [`run_phase`]: identical staged-envelope order, identical metrics, and
 //! an identical rushing view for the adversary, which always runs on the
 //! calling thread after the merge.
 //!
 //! Thread-level parallelism composes with *lane-level* hash batching:
-//! machines route their per-round hash workloads through
-//! [`crate::network::Ctx::hash_batch`] (the multi-lane SHA-256 engine),
-//! which is pure — each worker batches its own machines' digests with no
-//! shared state, so `BaConfig::threads` and the engine's lanes multiply
-//! rather than contend. Machines that additionally declare their workload
-//! up front ([`Machine::hash_manifest`]) get *cross-party* batching: the
-//! worker pools every declared input of a chunk into one
-//! [`pba_crypto::sha256::DigestBatcher`] flush, so ragged per-party
-//! remainders fill whole lane groups instead of falling back to the
-//! scalar core.
+//! [`pba_crypto::sha256::batch_digest`] (the multi-lane SHA-256 engine) is
+//! pure — each worker batches its own machines' digests with no shared
+//! state, so `BaConfig::threads` and the engine's lanes multiply rather
+//! than contend.
 
 use crate::envelope::{Envelope, PartyId};
 use crate::network::Network;
-use crate::sched::{self, CostModel};
+use crate::sched;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A per-party protocol state machine for one phase.
@@ -58,24 +52,6 @@ pub trait Machine {
     /// True once the machine has produced its output and will ignore
     /// further rounds.
     fn is_done(&self) -> bool;
-
-    /// Declares, *before* the round is stepped, the exact inputs this
-    /// machine will feed to [`crate::network::Ctx::hash_batch`] /
-    /// [`crate::network::Ctx::hash_batch_into`] this round (in call
-    /// order), given the inbox it is about to receive.
-    ///
-    /// The parallel engine's workers pool the declared manifests of every
-    /// machine in a chunk into a single cross-party
-    /// [`pba_crypto::sha256::DigestBatcher`] batch before stepping any of
-    /// them, then serve each machine's `hash_batch` calls from the pool by
-    /// byte-matching the requests against the declaration. A machine whose
-    /// calls diverge from its manifest (or that keeps the empty default)
-    /// simply hashes on demand — served or not, the digests are
-    /// bit-identical, so declaring is purely a lane-occupancy optimization
-    /// and never a correctness obligation.
-    fn hash_manifest(&self, _inbox: &[Envelope]) -> Vec<Vec<u8>> {
-        Vec::new()
-    }
 }
 
 impl<M: Machine + ?Sized> Machine for &mut M {
@@ -84,9 +60,6 @@ impl<M: Machine + ?Sized> Machine for &mut M {
     }
     fn is_done(&self) -> bool {
         (**self).is_done()
-    }
-    fn hash_manifest(&self, inbox: &[Envelope]) -> Vec<Vec<u8>> {
-        (**self).hash_manifest(inbox)
     }
 }
 
@@ -270,14 +243,13 @@ pub fn run_phase(
 /// `threads <= 1` (including `0`) is the plain sequential engine. For
 /// `threads > 1`, the phase spawns a persistent worker pool (capped at the
 /// machine count, so `threads > n` is safe); each round's honest machines
-/// are split into contiguous ascending-id chunks whose boundaries track
-/// observed per-party step costs, idle workers steal trailing chunks from
-/// a shared queue, and every worker runs its chunks against buffered
-/// contexts. The buffered effects are merged in ascending [`PartyId`]
-/// order before the adversary acts — steal order may vary run to run, the
-/// merge order may not — so the execution (outcome, staged-envelope
-/// transcript, metrics, adversary observations) is bit-identical for
-/// every thread count.
+/// are split into equal-count contiguous ascending-id chunks, three per
+/// worker, idle workers claim trailing chunks from a shared queue, and
+/// every worker runs its chunks against buffered contexts. The buffered
+/// effects are merged in ascending [`PartyId`] order before the adversary
+/// acts — claim order may vary run to run, the merge order may not — so
+/// the execution (outcome, staged-envelope transcript, metrics, adversary
+/// observations) is bit-identical for every thread count.
 ///
 /// # Panics
 ///
@@ -356,12 +328,9 @@ pub fn run_phase_driven<'m>(
             },
         );
     }
-    // Parallel engine: one scoped worker pool for the whole phase. The
-    // cost model persists across the phase's rounds — costs observed in
-    // round r seed the chunk boundaries of round r + 1.
+    // Parallel engine: one scoped worker pool for the whole phase.
     let workers = threads.min(machines.len());
     sched::with_pool(workers, |pool| {
-        let mut cost = CostModel::new();
         phase_loop(
             net,
             machines,
@@ -369,7 +338,7 @@ pub fn run_phase_driven<'m>(
             max_rounds,
             driver,
             &mut |net, machines, inboxes, round, offline| {
-                pool.step_round(net, machines, inboxes, round, offline, &mut cost);
+                pool.step_round(net, machines, inboxes, round, offline);
             },
         )
     })
@@ -556,7 +525,7 @@ mod tests {
     #[test]
     fn parallel_ring_matches_sequential() {
         // 0 is the sequential engine spelled differently; 7 > n exercises
-        // a pool capped at the machine count; the rest steal for real.
+        // a pool capped at the machine count; the rest run the pool.
         for threads in [0, 2, 3, 7, 64] {
             let n = 6u64;
             let mut seq_net = Network::new(n as usize);
@@ -710,22 +679,44 @@ mod tests {
         run_phase_threaded(&mut net, &mut machines, &mut adv, 2, 2);
     }
 
-    /// A hash-bound machine that routes its per-round workload through
-    /// [`Ctx::hash_batch_into`] and (optionally) declares it up front via
-    /// [`Machine::hash_manifest`], XOR-folding the digests into a gossip
-    /// payload so any divergence — wrong digest, wrong order, stale
-    /// prefetch — corrupts the transcript.
-    struct ManifestGrind {
+    #[test]
+    #[should_panic(expected = "machine 4 gave up")]
+    fn lone_panic_in_a_later_chunk_is_reraised() {
+        // Two workers cut six machines into six one-machine chunks; only
+        // the fifth panics. The five clean chunks must not mask it.
+        struct Fragile(PartyId);
+        impl Machine for Fragile {
+            fn on_round(&mut self, ctx: &mut Ctx<'_>, _: &[Envelope]) {
+                assert!(self.0 != PartyId(4), "machine 4 gave up");
+                ctx.send_raw(self.0, vec![1]);
+            }
+            fn is_done(&self) -> bool {
+                false
+            }
+        }
+        let mut net = Network::new(6);
+        let mut machines: BTreeMap<PartyId, Box<dyn Machine + Send>> = (0..6)
+            .map(|i| {
+                let id = PartyId(i);
+                (id, Box::new(Fragile(id)) as Box<dyn Machine + Send>)
+            })
+            .collect();
+        let mut adv = SilentAdversary::default();
+        run_phase_threaded(&mut net, &mut machines, &mut adv, 2, 2);
+    }
+
+    /// A hash-bound machine that routes its per-round workload through the
+    /// lane engine, XOR-folding the digests into a gossip payload so any
+    /// divergence — wrong digest, wrong order — corrupts the transcript.
+    struct HashGrind {
         id: PartyId,
         n: u64,
         iters: usize,
         rounds: u64,
         quota: u64,
-        declare: bool,
-        scratch: Vec<pba_crypto::Digest>,
     }
 
-    impl ManifestGrind {
+    impl HashGrind {
         fn workload(&self, inbox: &[Envelope]) -> Vec<Vec<u8>> {
             let mut acc: u64 = self.rounds.wrapping_mul(0x9e37_79b9) ^ self.id.0;
             for env in inbox {
@@ -743,16 +734,13 @@ mod tests {
         }
     }
 
-    impl Machine for ManifestGrind {
+    impl Machine for HashGrind {
         fn on_round(&mut self, ctx: &mut Ctx<'_>, inbox: &[Envelope]) {
             let inputs = self.workload(inbox);
             let refs: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-            let mut digests = std::mem::take(&mut self.scratch);
-            ctx.hash_batch_into(&refs, &mut digests);
-            let fold = digests
+            let fold = pba_crypto::sha256::batch_digest(&refs)
                 .iter()
                 .fold(pba_crypto::Digest::ZERO, |acc, d| acc.xor(d));
-            self.scratch = digests;
             let to = PartyId((self.id.0 + 1) % self.n);
             ctx.send_raw(to, fold.as_bytes().to_vec());
             self.rounds += 1;
@@ -760,31 +748,21 @@ mod tests {
         fn is_done(&self) -> bool {
             self.rounds >= self.quota
         }
-        fn hash_manifest(&self, inbox: &[Envelope]) -> Vec<Vec<u8>> {
-            if self.declare {
-                self.workload(inbox)
-            } else {
-                Vec::new()
-            }
-        }
     }
 
-    fn grind_machines(n: u64, declare: bool) -> BTreeMap<PartyId, Box<dyn Machine + Send>> {
+    fn grind_machines(n: u64) -> BTreeMap<PartyId, Box<dyn Machine + Send>> {
         (0..n)
             .map(|i| {
                 (
                     PartyId(i),
-                    Box::new(ManifestGrind {
+                    Box::new(HashGrind {
                         id: PartyId(i),
                         n,
-                        // Ragged on purpose: 13 % LANES != 0, so per-party
-                        // batches leave scalar remainders the cross-party
-                        // pool absorbs.
+                        // Ragged on purpose: 13 % LANES != 0, so every
+                        // batch takes both the lane and the scalar path.
                         iters: 13,
                         rounds: 0,
                         quota: 4,
-                        declare,
-                        scratch: Vec::new(),
                     }) as Box<dyn Machine + Send>,
                 )
             })
@@ -792,35 +770,24 @@ mod tests {
     }
 
     #[test]
-    fn manifest_prefetch_matches_undeclared_and_sequential() {
-        // Reference: sequential, no manifest declared (pure on-demand).
+    fn hash_bound_machines_match_sequential() {
         let n = 9u64;
         let mut seq_net = Network::new(n as usize);
         seq_net.enable_transcript();
-        let mut seq_machines = grind_machines(n, false);
+        let mut seq_machines = grind_machines(n);
         let mut adv = SilentAdversary::default();
         let seq_out = run_phase(&mut seq_net, &mut seq_machines, &mut adv, 10);
         assert!(seq_out.completed);
 
-        for declare in [false, true] {
-            for threads in [2, 4, 7] {
-                let mut net = Network::new(n as usize);
-                net.enable_transcript();
-                let mut machines = grind_machines(n, declare);
-                let mut adv = SilentAdversary::default();
-                let out = run_phase_threaded(&mut net, &mut machines, &mut adv, 10, threads);
-                assert_eq!(seq_out, out, "declare={declare} threads={threads}");
-                assert_eq!(
-                    seq_net.report(),
-                    net.report(),
-                    "declare={declare} threads={threads}"
-                );
-                assert_eq!(
-                    seq_net.transcript(),
-                    net.transcript(),
-                    "declare={declare} threads={threads}"
-                );
-            }
+        for threads in [2, 4, 7] {
+            let mut net = Network::new(n as usize);
+            net.enable_transcript();
+            let mut machines = grind_machines(n);
+            let mut adv = SilentAdversary::default();
+            let out = run_phase_threaded(&mut net, &mut machines, &mut adv, 10, threads);
+            assert_eq!(seq_out, out, "threads={threads}");
+            assert_eq!(seq_net.report(), net.report(), "threads={threads}");
+            assert_eq!(seq_net.transcript(), net.transcript(), "threads={threads}");
         }
     }
 

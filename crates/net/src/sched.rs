@@ -1,56 +1,42 @@
-//! The work-stealing scheduler behind the parallel round engine.
+//! The worker pool behind the parallel round engine.
 //!
-//! [`crate::runner::run_phase_threaded`] used to spawn one thread per round
-//! per contiguous chunk. This module replaces that with a **persistent
-//! scoped worker pool** per phase plus cost-balanced, stealable chunking
-//! per round:
+//! [`crate::runner::run_phase_threaded`] steps a phase's honest machines on
+//! a **persistent scoped worker pool** with over-partitioned,
+//! self-scheduled chunks per round:
 //!
 //! * the phase spawns `workers` scoped threads once; each round's machines
 //!   are drained into owned [`WorkItem`]s and pushed onto a shared injector
 //!   queue;
-//! * chunks stay **contiguous ascending-id ranges**, but their boundaries
-//!   are chosen by a per-party cost model ([`CostModel`]): the EWMA of step
-//!   times observed in round `r` seeds the partition for round `r + 1`,
-//!   and each round is over-partitioned into more chunks than workers so
-//!   an idle worker *steals* trailing chunks a static partition would have
+//! * chunks are **equal-count contiguous ascending-id ranges**, and each
+//!   round is cut into more chunks than workers so an idle worker claims
+//!   trailing chunks a one-chunk-per-worker partition would have
 //!   serialized behind a slow neighbour;
 //! * workers never touch the [`Network`]: every machine steps against a
 //!   buffered [`Ctx`] and the per-chunk effect logs are merged on the
 //!   calling thread in ascending chunk order — which is ascending
-//!   [`PartyId`] order, the sequential engine's order. Steal order and
-//!   chunk boundaries therefore influence *wall-clock only*; transcripts,
-//!   metrics, and the adversary's rushing view stay bit-identical for
-//!   every thread count.
-//!
-//! Workers also run the cross-party hash grouping layer: before stepping a
-//! chunk, the declared manifests of all its machines
-//! ([`Machine::hash_manifest`]) are pooled through one
-//! [`DigestBatcher`] flush, so ragged per-party remainders fill full
-//! SHA-256 lane groups instead of each falling back to the scalar core.
-//! Served digests are byte-matched against the declaration, hence
-//! bit-identical to on-demand hashing — only lane occupancy changes.
+//!   [`PartyId`] order, the sequential engine's order. Claim order
+//!   therefore influences *wall-clock only*; transcripts, metrics, and the
+//!   adversary's rushing view stay bit-identical for every thread count.
 
 use crate::envelope::{Envelope, PartyId};
 use crate::network::{Ctx, Network, RoundEffects};
 use crate::runner::Machine;
-use pba_crypto::sha256::{BatchJob, DigestBatcher};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A phase-scoped boxed honest machine.
 pub(crate) type BoxedMachine<'m> = Box<dyn Machine + Send + 'm>;
 
-/// Chunks offered per worker per round: over-partitioning is what makes
-/// stealing possible (an idle worker picks up a trailing chunk while a
-/// busy one is still inside an earlier chunk). Three is a latency/overhead
-/// compromise — chunk dispatch costs one channel send plus one mutex pull.
+/// Chunks offered per worker per round: over-partitioning is what lets an
+/// idle worker pick up a trailing chunk while a busy one is still inside
+/// an earlier chunk. Three is a latency/overhead compromise — chunk dispatch
+/// costs one channel send plus one mutex pull.
 const CHUNKS_PER_WORKER: usize = 3;
 
-/// One stealable unit of round work: a contiguous ascending-id run of
+/// One claimable unit of round work: a contiguous ascending-id run of
 /// machines with their inboxes, owned while in flight.
 struct WorkItem<'m> {
     chunk: usize,
@@ -59,77 +45,18 @@ struct WorkItem<'m> {
     parties: Vec<(PartyId, BoxedMachine<'m>, Vec<Envelope>)>,
 }
 
-/// A completed chunk: machines handed back with their buffered effects and
-/// the observed per-party step cost in nanoseconds.
+/// A completed chunk: machines handed back with their buffered effects.
 struct ChunkResult<'m> {
     chunk: usize,
-    parties: Vec<(PartyId, BoxedMachine<'m>, RoundEffects, u64)>,
+    parties: Vec<(PartyId, BoxedMachine<'m>, RoundEffects)>,
 }
 
 /// What a worker reports per chunk: the result, or the caught panic payload
 /// (re-raised on the calling thread with its original message).
 type ChunkOutcome<'m> = Result<ChunkResult<'m>, Box<dyn Any + Send>>;
 
-/// Exponentially-weighted per-party step-cost estimates, fed by observed
-/// step times and read by the next round's partition.
-///
-/// The model is deliberately *outside* the determinism boundary: wall-clock
-/// observations are nondeterministic, but they only ever move chunk
-/// boundaries — never the PartyId-ordered merge — so two runs with wildly
-/// different cost histories still produce identical transcripts.
-#[derive(Debug, Default)]
-pub(crate) struct CostModel {
-    ewma_ns: BTreeMap<PartyId, f64>,
-}
-
-impl CostModel {
-    /// Smoothing factor: reactive enough to track a machine whose phase
-    /// role changes (committee member vs bystander), damped enough to ride
-    /// out scheduler noise.
-    const ALPHA: f64 = 0.4;
-
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observed step cost.
-    fn observe(&mut self, id: PartyId, ns: u64) {
-        let e = self.ewma_ns.entry(id).or_insert(ns as f64);
-        *e = (1.0 - Self::ALPHA) * *e + Self::ALPHA * ns as f64;
-    }
-
-    /// Predicted cost of stepping `id` (floor 1.0 so zero-cost histories
-    /// cannot collapse a chunk share to nothing).
-    fn predict(&self, id: PartyId) -> f64 {
-        self.ewma_ns.get(&id).copied().unwrap_or(1.0).max(1.0)
-    }
-
-    /// Cuts `ids` (ascending) into at most `target_chunks` contiguous
-    /// ranges of roughly equal predicted cost, returning the exclusive end
-    /// index of each chunk. With no observations yet every party costs the
-    /// same and this degenerates to the classic equal-count partition.
-    fn chunk_bounds(&self, ids: &[PartyId], target_chunks: usize) -> Vec<usize> {
-        let target_chunks = target_chunks.clamp(1, ids.len());
-        let costs: Vec<f64> = ids.iter().map(|&id| self.predict(id)).collect();
-        let total: f64 = costs.iter().sum();
-        let share = total / target_chunks as f64;
-        let mut bounds = Vec::with_capacity(target_chunks);
-        let mut acc = 0.0;
-        for (i, c) in costs.iter().enumerate() {
-            acc += c;
-            if acc >= share - f64::EPSILON && bounds.len() + 1 < target_chunks {
-                bounds.push(i + 1);
-                acc = 0.0;
-            }
-        }
-        bounds.push(ids.len());
-        bounds
-    }
-}
-
-/// The per-phase worker pool: a shared injector queue the workers pull
-/// (and thereby steal) chunks from, and a results channel back to the
-/// phase-driving thread.
+/// The per-phase worker pool: a shared injector queue the workers claim
+/// chunks from, and a results channel back to the phase-driving thread.
 pub(crate) struct Pool<'m> {
     injector: Sender<WorkItem<'m>>,
     results: Receiver<ChunkOutcome<'m>>,
@@ -159,12 +86,11 @@ pub(crate) fn with_pool<'m, R>(workers: usize, f: impl FnOnce(&mut Pool<'m>) -> 
     })
 }
 
-/// One worker: pull the next unclaimed chunk (self-scheduling *is* the
-/// steal — whichever worker goes idle first claims the trailing chunk),
-/// run it behind a panic guard, report the outcome. Exits when the
-/// injector closes at the end of the phase.
+/// One worker: claim the next chunk on the queue (self-scheduling —
+/// whichever worker goes idle first takes the trailing chunk), run it
+/// behind a panic guard, report the outcome. Exits when the injector
+/// closes at the end of the phase.
 fn worker_loop<'m>(queue: &Mutex<Receiver<WorkItem<'m>>>, results: &Sender<ChunkOutcome<'m>>) {
-    let mut batcher = DigestBatcher::new();
     loop {
         // Holding the lock while blocked in recv serializes *claims*, not
         // work: the next idle worker waits on the mutex and claims the next
@@ -176,48 +102,26 @@ fn worker_loop<'m>(queue: &Mutex<Receiver<WorkItem<'m>>>, results: &Sender<Chunk
                 Err(_) => return, // phase over
             }
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_chunk(item, &mut batcher)));
-        if outcome.is_err() {
-            // A machine panicked mid-chunk; the batcher may hold a
-            // half-consumed pool. Start clean for any further chunks.
-            batcher = DigestBatcher::new();
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_chunk(item)));
         if results.send(outcome).is_err() {
             return; // phase thread gone (itself unwinding)
         }
     }
 }
 
-/// Steps every machine of one chunk against a buffered context, pooling the
-/// chunk's declared hash manifests through one cross-party batch first.
-fn run_chunk<'m>(item: WorkItem<'m>, batcher: &mut DigestBatcher) -> ChunkResult<'m> {
+/// Steps every machine of one chunk against a buffered context.
+fn run_chunk(item: WorkItem<'_>) -> ChunkResult<'_> {
     let WorkItem {
         chunk,
         round,
         n,
         parties,
     } = item;
-    batcher.reset();
-    let jobs: Vec<Option<BatchJob>> = parties
-        .iter()
-        .map(|(_, machine, inbox)| batcher.enqueue(machine.hash_manifest(inbox)))
-        .collect();
-    if !batcher.is_empty() {
-        batcher.flush();
-    }
     let mut done = Vec::with_capacity(parties.len());
-    for ((id, mut machine, inbox), job) in parties.into_iter().zip(jobs) {
-        let started = Instant::now();
+    for (id, mut machine, inbox) in parties {
         let mut effects = RoundEffects::new();
-        {
-            let mut ctx = Ctx::buffered(id, round, n, &mut effects);
-            if let Some(job) = &job {
-                ctx = ctx.with_prefetch(batcher.job(job));
-            }
-            machine.on_round(&mut ctx, &inbox);
-        }
-        let cost_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        done.push((id, machine, effects, cost_ns));
+        machine.on_round(&mut Ctx::buffered(id, round, n, &mut effects), &inbox);
+        done.push((id, machine, effects));
     }
     ChunkResult {
         chunk,
@@ -227,9 +131,8 @@ fn run_chunk<'m>(item: WorkItem<'m>, batcher: &mut DigestBatcher) -> ChunkResult
 
 impl<'m> Pool<'m> {
     /// Runs one parallel honest step: drain the steppable machines into
-    /// cost-balanced chunks, let the workers claim them, then merge the
-    /// buffered effects in ascending chunk (= [`PartyId`]) order and feed
-    /// the observed step costs back into the model.
+    /// equal-count contiguous chunks, let the workers claim them, then
+    /// merge the buffered effects in ascending chunk (= [`PartyId`]) order.
     ///
     /// # Panics
     ///
@@ -243,7 +146,6 @@ impl<'m> Pool<'m> {
         inboxes: &mut BTreeMap<PartyId, Vec<Envelope>>,
         round: u64,
         offline: &BTreeSet<PartyId>,
-        cost: &mut CostModel,
     ) {
         let n = net.len();
         let ids: Vec<PartyId> = machines.keys().copied().collect();
@@ -262,20 +164,18 @@ impl<'m> Pool<'m> {
         if items.is_empty() {
             return; // every machine offline this round
         }
-        let item_ids: Vec<PartyId> = items.iter().map(|(id, _, _)| *id).collect();
-        let bounds = cost.chunk_bounds(&item_ids, self.workers * CHUNKS_PER_WORKER);
-        let nchunks = bounds.len();
+        let total = items.len();
+        let nchunks = (self.workers * CHUNKS_PER_WORKER).min(total);
         let mut items = items.into_iter();
-        let mut start = 0;
-        for (chunk, &end) in bounds.iter().enumerate() {
-            let parties: Vec<_> = items.by_ref().take(end - start).collect();
-            start = end;
+        for chunk in 0..nchunks {
+            // Chunk c covers [c·total/nchunks, (c+1)·total/nchunks).
+            let len = (chunk + 1) * total / nchunks - chunk * total / nchunks;
             self.injector
                 .send(WorkItem {
                     chunk,
                     round,
                     n,
-                    parties,
+                    parties: items.by_ref().take(len).collect(),
                 })
                 .expect("pool workers alive");
         }
@@ -297,61 +197,10 @@ impl<'m> Pool<'m> {
         // order is ascending PartyId order — the sequential merge order.
         results.sort_by_key(|r| r.chunk);
         for res in results {
-            for (id, machine, effects, ns) in res.parties {
+            for (id, machine, effects) in res.parties {
                 net.apply_effects(effects);
-                cost.observe(id, ns);
                 machines.insert(id, machine);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunk_bounds_uniform_matches_equal_partition() {
-        let model = CostModel::new();
-        let ids: Vec<PartyId> = (0..12).map(PartyId).collect();
-        let bounds = model.chunk_bounds(&ids, 4);
-        assert_eq!(bounds, vec![3, 6, 9, 12]);
-    }
-
-    #[test]
-    fn chunk_bounds_isolate_expensive_party() {
-        let mut model = CostModel::new();
-        for i in 0..8u64 {
-            model.observe(PartyId(i), if i == 0 { 1_000_000 } else { 10 });
-        }
-        let ids: Vec<PartyId> = (0..8).map(PartyId).collect();
-        let bounds = model.chunk_bounds(&ids, 4);
-        // The hot party closes its own chunk immediately.
-        assert_eq!(bounds[0], 1, "bounds = {bounds:?}");
-        assert_eq!(*bounds.last().unwrap(), 8);
-        assert!(bounds.len() <= 4);
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "strictly increasing"
-        );
-    }
-
-    #[test]
-    fn chunk_bounds_clamp_to_item_count() {
-        let model = CostModel::new();
-        let ids: Vec<PartyId> = (0..3).map(PartyId).collect();
-        let bounds = model.chunk_bounds(&ids, 24);
-        assert_eq!(bounds, vec![1, 2, 3], "one party per chunk at most");
-    }
-
-    #[test]
-    fn ewma_tracks_changing_costs() {
-        let mut model = CostModel::new();
-        model.observe(PartyId(0), 1000);
-        assert_eq!(model.predict(PartyId(0)), 1000.0);
-        model.observe(PartyId(0), 0);
-        assert!(model.predict(PartyId(0)) < 1000.0);
-        // Unseen parties and all-zero histories stay at the floor.
-        assert_eq!(model.predict(PartyId(9)), 1.0);
     }
 }

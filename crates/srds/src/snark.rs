@@ -90,11 +90,6 @@ impl SnarkSrds {
     pub fn with_defaults() -> Self {
         Self::default()
     }
-
-    /// Number of distinct certificates whose verdicts are cached.
-    pub fn cached_certificates(&self) -> usize {
-        self.cert_cache.len()
-    }
 }
 
 /// Public parameters: the CRS (common random string + SNARK setup), base

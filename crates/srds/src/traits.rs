@@ -16,7 +16,6 @@
 //! * the final signature plus everything needed to verify it is `Õ(1)`.
 
 use pba_crypto::prg::Prg;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The PKI flavour a scheme is secure under (§1.2 "On the different PKI
@@ -245,13 +244,6 @@ impl<S: Srds> PkiBoard<S> {
 pub fn check_succinctness(sig_len: usize, n: usize, base: usize) -> bool {
     let logn = (usize::BITS - n.max(2).saturating_sub(1).leading_zeros()) as usize;
     sig_len <= base * logn * logn
-}
-
-/// Helper: indices (SRDS party ids) covered by a signature set, for tests.
-pub fn covered_indices<S: Srds>(scheme: &S, sigs: &[S::Signature]) -> BTreeSet<(u64, u64)> {
-    sigs.iter()
-        .map(|s| (scheme.min_index(s), scheme.max_index(s)))
-        .collect()
 }
 
 #[cfg(test)]
