@@ -116,30 +116,33 @@ fn majority(values: &[Rc<Vec<u8>>]) -> Option<Rc<Vec<u8>>> {
     }
 }
 
-/// Adds one copy of `value` to a per-seat tally. The tally holds one entry
-/// per *distinct* payload with a multiplicity, instead of one `Rc` per
-/// copy: a seat receives `committee_size` copies per relaying committee,
-/// which at scale made the per-level inboxes the largest transient
-/// allocation of the whole run.
-fn tally_push(tally: &mut Vec<(Rc<Vec<u8>>, usize)>, value: &Rc<Vec<u8>>) {
-    if let Some(entry) = tally
+/// The copies addressed to one child committee: one entry per *distinct*
+/// payload, in order of first appearance, with the members relaying it (a
+/// member holding several seats of the relaying committee appears once per
+/// seat). Every relay reaches every seat of the child, so this is both the
+/// list of committee exchanges to meter and each seat's vote tally.
+type Relays = Vec<(Rc<Vec<u8>>, Vec<PartyId>)>;
+
+/// Records that `member` relays `value`.
+fn relay_push(relays: &mut Relays, value: Rc<Vec<u8>>, member: PartyId) {
+    if let Some(entry) = relays
         .iter_mut()
-        .find(|(v, _)| Rc::ptr_eq(v, value) || v.as_slice() == value.as_slice())
+        .find(|(v, _)| Rc::ptr_eq(v, &value) || v.as_slice() == value.as_slice())
     {
-        entry.1 += 1;
+        entry.1.push(member);
     } else {
-        tally.push((Rc::clone(value), 1));
+        relays.push((value, vec![member]));
     }
 }
 
-/// Strict-majority vote over a tally — same semantics as [`majority`] over
-/// the expanded copy list: a value wins iff its multiplicity exceeds half
-/// the total copy count (at most one value can, so the winner is
-/// independent of tally order).
-fn majority_tally(tally: &[(Rc<Vec<u8>>, usize)]) -> Option<Rc<Vec<u8>>> {
-    let total: usize = tally.iter().map(|(_, c)| *c).sum();
-    let (best, count) = tally.iter().map(|(v, c)| (v, *c)).max_by_key(|&(_, c)| c)?;
-    if 2 * count > total {
+/// Strict-majority vote over the relayed copies — same semantics as
+/// [`majority`] over the expanded copy list: a value wins iff its relay
+/// count exceeds half the total copy count (at most one value can, so the
+/// winner is independent of entry order).
+fn majority_relayed(relays: &Relays) -> Option<Rc<Vec<u8>>> {
+    let total: usize = relays.iter().map(|(_, from)| from.len()).sum();
+    let (best, from) = relays.iter().max_by_key(|(_, from)| from.len())?;
+    if 2 * from.len() > total {
         Some(Rc::clone(best))
     } else {
         None
@@ -183,22 +186,21 @@ pub fn disseminate(
     for level in (1..=root_level).rev() {
         let child_level = level - 1;
 
-        // inbox[child node][seat] = tally of copies received this level
-        // (distinct payload → multiplicity).
-        #[allow(clippy::type_complexity)]
-        let mut inbox: Vec<Vec<Vec<(Rc<Vec<u8>>, usize)>>> = (0..tree.nodes_at_level(child_level))
-            .map(|node| vec![Vec::new(); tree.committee(child_level, node).len()])
-            .collect();
+        let mut next_views: Vec<Vec<Option<Rc<Vec<u8>>>>> =
+            Vec::with_capacity(tree.nodes_at_level(child_level));
 
         // Relay: every member of every node sends its value to every seat of
-        // each child committee. Metrics are recorded per copy on both sides
-        // (receivers must process all copies to majority-vote). The message
-        // is addressed to the *seat*; routing is by seat so a party holding
-        // several seats receives one copy per seat.
+        // each child committee, and receivers process all copies to
+        // majority-vote. The message is addressed to the *seat*; routing is
+        // by seat so a party holding several seats receives one copy per
+        // seat. Relay values are computed member-major (the order a stateful
+        // adversary observes), then metered as one committee exchange per
+        // (child, distinct payload).
         for node in 0..tree.nodes_at_level(level) {
-            let members = tree.committee(level, node).to_vec();
-            for (mi, &member) in members.iter().enumerate() {
-                for child in tree.children(level, node) {
+            let children = tree.children(level, node);
+            let mut relays: Vec<Relays> = vec![Vec::new(); children.len()];
+            for (mi, &member) in tree.committee(level, node).iter().enumerate() {
+                for (ci, child) in children.clone().enumerate() {
                     let value: Option<Rc<Vec<u8>>> = if corrupt.contains(&member) {
                         adversary(DisseminationStep {
                             level,
@@ -212,41 +214,31 @@ pub fn disseminate(
                         views[node][mi].clone()
                     };
                     if let Some(bytes) = value {
-                        let committee = tree.committee(child_level, child).to_vec();
-                        // Relay copies keep their typed headers, so the
-                        // per-copy charge lands in the payload's own
-                        // tag/step bucket (ValueSeed → step 3,
-                        // Certificate → step 6, headerless → untyped).
-                        let relay_tag = wire::peek_tag(&bytes);
-                        for (si, &recipient) in committee.iter().enumerate() {
-                            net.metrics_mut().record_send_tagged(
-                                member,
-                                recipient,
-                                bytes.len(),
-                                relay_tag,
-                            );
-                            net.metrics_mut().record_receive_tagged(
-                                recipient,
-                                member,
-                                bytes.len(),
-                                relay_tag,
-                            );
-                            tally_push(&mut inbox[child][si], &bytes);
-                        }
+                        relay_push(&mut relays[ci], bytes, member);
                     }
                 }
             }
+            for (child, relays) in children.zip(&relays) {
+                let committee = tree.committee(child_level, child);
+                for (bytes, from) in relays {
+                    // Relay copies keep their typed headers, so the charge
+                    // lands in the payload's own tag/step bucket
+                    // (ValueSeed → step 3, Certificate → step 6,
+                    // headerless → untyped).
+                    net.metrics_mut().charge_exchange(
+                        from,
+                        committee,
+                        bytes.len(),
+                        wire::peek_tag(bytes),
+                        false,
+                    );
+                }
+                debug_assert_eq!(child, next_views.len(), "children partition the level");
+                next_views.push(vec![majority_relayed(relays); committee.len()]);
+            }
         }
         net.bump_round();
-
-        views = (0..tree.nodes_at_level(child_level))
-            .map(|node| {
-                inbox[node]
-                    .iter()
-                    .map(|copies| majority_tally(copies))
-                    .collect()
-            })
-            .collect();
+        views = next_views;
     }
 
     // Leaf seats are the virtual slots, in order.
@@ -441,6 +433,43 @@ mod tests {
     }
 
     #[test]
+    fn adversary_is_called_in_node_member_child_order() {
+        // A stateful adversary must observe the relay decisions in the
+        // order the per-copy loop made them — level down, node, committee
+        // seat, child — however the copies are grouped for metering.
+        let mut prg = Prg::from_seed_bytes(b"order");
+        let (tree, mut net) = setup(128, 2);
+        let corrupt = CorruptionPlan::Random { t: 20 }.materialize(128, &mut prg);
+        let mut calls: Vec<(usize, usize, PartyId, usize)> = Vec::new();
+        let mut counting = |step: DisseminationStep<'_>| {
+            calls.push((step.level, step.node, step.member, step.child));
+            // State-dependent output: equivocates by call parity.
+            Some(vec![(calls.len() % 2) as u8; 4])
+        };
+        disseminate(
+            &mut net,
+            &tree,
+            &corrupt,
+            &|_| Some(b"v".to_vec()),
+            &mut counting,
+        );
+        let mut expected = Vec::new();
+        for level in (1..tree.height()).rev() {
+            for node in 0..tree.nodes_at_level(level) {
+                for &member in tree.committee(level, node) {
+                    if corrupt.contains(&member) {
+                        for child in tree.children(level, node) {
+                            expected.push((level, node, member, child));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(!expected.is_empty());
+        assert_eq!(calls, expected);
+    }
+
+    #[test]
     fn majority_helper() {
         let rc = |v: Vec<u8>| std::rc::Rc::new(v);
         assert_eq!(majority(&[]), None);
@@ -456,9 +485,9 @@ mod tests {
     }
 
     #[test]
-    fn tally_matches_expanded_majority() {
-        // The tallied inbox must agree with the naive copy-list vote on
-        // every mix of strict-majority / tie / minority outcomes.
+    fn relayed_vote_matches_expanded_majority() {
+        // The per-payload relay lists must agree with the naive copy-list
+        // vote on every mix of strict-majority / tie / minority outcomes.
         let rc = |v: Vec<u8>| std::rc::Rc::new(v);
         let cases: Vec<Vec<Rc<Vec<u8>>>> = vec![
             vec![],
@@ -475,12 +504,12 @@ mod tests {
             vec![rc(vec![1]), rc(vec![1]), rc(vec![2]), rc(vec![2])],
         ];
         for copies in cases {
-            let mut tally = Vec::new();
-            for c in &copies {
-                tally_push(&mut tally, c);
+            let mut relays = Relays::new();
+            for (i, c) in copies.iter().enumerate() {
+                relay_push(&mut relays, Rc::clone(c), PartyId(i as u64));
             }
             assert_eq!(
-                majority_tally(&tally).map(|r| (*r).clone()),
+                majority_relayed(&relays).map(|r| (*r).clone()),
                 majority(&copies).map(|r| (*r).clone()),
                 "copies: {copies:?}"
             );

@@ -52,8 +52,10 @@ pub struct AscentOutcome<T> {
 /// list one entry per virtual slot, so parties holding several slots
 /// repeat; votes are counted per distinct member).
 pub fn dedup_committee(members: &[PartyId]) -> Vec<PartyId> {
-    let set: BTreeSet<PartyId> = members.iter().copied().collect();
-    set.into_iter().collect()
+    let mut distinct = members.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct
 }
 
 /// The value held by a **strict majority** of `copies` (`None` entries are
@@ -141,22 +143,21 @@ where
                         }
                     })
                     .collect();
-                for (i, &sender) in child_committee.iter().enumerate() {
-                    if corrupt.contains(&sender) {
-                        continue;
-                    }
-                    let Some(copy) = &copies[i] else { continue };
-                    let bytes = len_of(copy);
-                    for &receiver in &parent_committee {
-                        if receiver == sender {
-                            continue;
-                        }
-                        net.metrics_mut()
-                            .record_send_tagged(sender, receiver, bytes, copy_tag);
-                        net.metrics_mut()
-                            .record_receive_tagged(receiver, sender, bytes, copy_tag);
-                        copies_sent += 1;
-                    }
+                // Honest members all transmit the node's value: one
+                // child-committee → parent-committee exchange.
+                if let Some(value) = child_value {
+                    let senders: Vec<PartyId> = child_committee
+                        .iter()
+                        .filter(|p| !corrupt.contains(p))
+                        .copied()
+                        .collect();
+                    copies_sent += net.metrics_mut().charge_exchange(
+                        &senders,
+                        &parent_committee,
+                        len_of(value),
+                        copy_tag,
+                        true,
+                    );
                 }
                 winners.push(strict_majority(&copies));
             }

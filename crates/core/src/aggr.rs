@@ -89,44 +89,23 @@ pub fn f_aggr_sig_uniform<S: Srds>(
 /// each member broadcasts its input set to every other member (Fig. 3 step
 /// 5b) and participates in the constant-round aggregation protocol.
 ///
-/// `input_bytes` is each member's total submitted signature bytes;
-/// `output_bytes` the size of the aggregate (exchanged during the MPC
-/// output phase).
+/// `input_bytes` is each member's total submitted signature bytes (the
+/// members hold the same majority-exchanged set); `output_bytes` the size
+/// of the aggregate (exchanged during the MPC output phase).
 pub fn charge_aggr_round(
     net: &mut Network,
     committee: &[PartyId],
-    input_bytes: &BTreeMap<PartyId, usize>,
+    input_bytes: usize,
     output_bytes: usize,
 ) {
-    for &member in committee {
-        let bytes = input_bytes.get(&member).copied().unwrap_or(0);
-        for &peer in committee {
-            if peer == member {
-                continue;
-            }
-            // Step 5b exchange: signature-share sets between members.
-            net.metrics_mut()
-                .record_send_tagged(member, peer, bytes, tag::AGGR_SHARE);
-            net.metrics_mut()
-                .record_receive_tagged(peer, member, bytes, tag::AGGR_SHARE);
-        }
-        // Constant-round MPC output delivery, charged per concrete link
-        // so the aggregate's fan-out is visible in locality and in the
-        // receivers' totals (addressee-less `charge_synthetic` kept this
-        // traffic out of both — the silent-metrics gap).
-        for &peer in committee {
-            if peer == member {
-                continue;
-            }
-            net.metrics_mut().charge_synthetic_link_tagged(
-                member,
-                peer,
-                output_bytes as u64,
-                1,
-                tag::AGGR_MPC,
-            );
-        }
-    }
+    let metrics = net.metrics_mut();
+    // Step 5b exchange: signature-share sets between members.
+    metrics.charge_exchange(committee, committee, input_bytes, tag::AGGR_SHARE, true);
+    // Constant-round MPC output delivery, charged over the concrete links
+    // so the aggregate's fan-out is visible in locality and in the
+    // receivers' totals (addressee-less `charge_synthetic` kept this
+    // traffic out of both — the silent-metrics gap).
+    metrics.charge_exchange(committee, committee, output_bytes, tag::AGGR_MPC, true);
     // Round accounting is the caller's: all nodes of a tree level run their
     // f_aggr-sig invocations in parallel, so the caller bumps once per level.
 }
@@ -244,8 +223,7 @@ mod tests {
     fn charge_aggr_round_meters_members_only() {
         let mut net = Network::new(20);
         let committee: Vec<PartyId> = (0..5u64).map(PartyId).collect();
-        let input_bytes: BTreeMap<PartyId, usize> = committee.iter().map(|&m| (m, 100)).collect();
-        charge_aggr_round(&mut net, &committee, &input_bytes, 64);
+        charge_aggr_round(&mut net, &committee, 100, 64);
         for i in 0..5u64 {
             assert!(net.metrics().party(PartyId(i)).bytes_sent >= 400);
         }

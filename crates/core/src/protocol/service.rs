@@ -448,12 +448,12 @@ where
     }
 
     pub(super) fn snap(&mut self, label: &'static str) {
-        let total = self.honest_bytes_sent();
+        let (total, max_bytes_after) = self.honest_sent_and_max_total();
         let prior: u64 = self.steps.iter().map(|s| s.total_bytes).sum();
         self.steps.push(StepReport {
             label,
             total_bytes: total - prior,
-            max_bytes_after: self.report().max_bytes_per_party,
+            max_bytes_after,
         });
     }
 
@@ -514,13 +514,17 @@ where
         }
     }
 
+    /// Honest `(Σ bytes_sent, max bytes_total)` so far, counters only.
+    fn honest_sent_and_max_total(&self) -> (u64, u64) {
+        self.net
+            .metrics()
+            .sent_and_max_total_for(self.honest.iter().copied())
+    }
+
     /// Honest bytes sent so far (the cumulative figure step snapshots and
     /// instance baselines are deltas of).
     pub(super) fn honest_bytes_sent(&self) -> u64 {
-        self.honest
-            .iter()
-            .map(|&p| self.net.metrics().party(p).bytes_sent)
-            .sum()
+        self.honest_sent_and_max_total().0
     }
 
     /// Reserves the current epoch's one-time signing slot against the

@@ -371,6 +371,9 @@ where
                 .copied()
                 .collect();
             let mut sigs: Vec<S::Signature> = Vec::new();
+            // Honest submitters grouped by signature length (one entry per
+            // signature): each group is one signer-set → committee exchange.
+            let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
             for &(is_corrupt, owner, slot) in &seats {
                 let (owner_ck, j) = self.slot_sk[slot as usize];
                 debug_assert_eq!(owner_ck, owner);
@@ -407,18 +410,20 @@ where
                     continue; // sortition loser (OWF scheme)
                 };
                 let len = self.scheme.signature_len(&sig);
-                for &r in &committee {
-                    if r == p {
-                        continue;
-                    }
-                    self.net
-                        .metrics_mut()
-                        .record_send_tagged(p, r, len, tag::SIG_SUBMIT);
-                    self.net
-                        .metrics_mut()
-                        .record_receive_tagged(r, p, len, tag::SIG_SUBMIT);
+                match submits.iter_mut().find(|(l, _)| *l == len) {
+                    Some((_, signers)) => signers.push(p),
+                    None => submits.push((len, vec![p])),
                 }
                 sigs.push(sig);
+            }
+            for (len, signers) in &submits {
+                self.net.metrics_mut().charge_exchange(
+                    signers,
+                    &committee,
+                    *len,
+                    tag::SIG_SUBMIT,
+                    true,
+                );
             }
             // Step 5a for this leaf: all honest leaf members hold the same
             // majority-exchanged signature set, aggregated iff the honest
@@ -468,9 +473,7 @@ where
                 .filter(|p| !corrupt.contains(p))
                 .copied()
                 .collect();
-            let bytes_map: BTreeMap<PartyId, usize> =
-                committee.iter().map(|&m| (m, input_bytes)).collect();
-            charge_aggr_round(&mut self.net, &honest_members, &bytes_map, out_len);
+            charge_aggr_round(&mut self.net, &honest_members, input_bytes, out_len);
         }
         // All leaves aggregated in parallel: one exchange + MPC round pair.
         self.net.bump_round();
@@ -529,9 +532,7 @@ where
                     &children_sigs,
                 );
                 let out_len = agg.as_ref().map(|a| scheme.signature_len(a)).unwrap_or(0);
-                let bytes_map: BTreeMap<PartyId, usize> =
-                    committee.iter().map(|&m| (m, input_bytes)).collect();
-                charge_aggr_round(net, &honest_members, &bytes_map, out_len);
+                charge_aggr_round(net, &honest_members, input_bytes, out_len);
                 agg
             },
             |_, _, _| evil_copy.clone(),
@@ -624,14 +625,11 @@ where
                     continue;
                 };
                 let prf = SubsetPrf::new(cert.seed, n as u64, subset_size);
-                for j in prf.eval(p.0) {
-                    let receiver = PartyId(j);
-                    self.net.metrics_mut().record_send_tagged(
-                        p,
-                        receiver,
-                        bytes.len(),
-                        tag::SPREAD,
-                    );
+                let targets: Vec<PartyId> = prf.eval(p.0).into_iter().map(PartyId).collect();
+                self.net
+                    .metrics_mut()
+                    .record_sends_tagged(p, &targets, bytes.len(), tag::SPREAD);
+                for receiver in targets {
                     if corrupt.contains(&receiver) || offline.contains(&receiver) {
                         continue; // corrupt ignores; offline expires unread
                     }

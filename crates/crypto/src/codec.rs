@@ -283,6 +283,9 @@ impl<T: Encode> Encode for Vec<T> {
             item.encode(buf);
         }
     }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
+    }
 }
 
 impl<T: Decode> Decode for Vec<T> {
@@ -371,6 +374,9 @@ impl Encode for MerkleProof {
         self.leaf_index().encode(buf);
         self.path().to_vec().encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        MerkleProof::encoded_len(self)
+    }
 }
 
 impl Decode for MerkleProof {
@@ -386,6 +392,9 @@ impl Encode for LamportSignature {
         let (revealed, complements) = self.clone().into_parts();
         revealed.encode(buf);
         complements.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        LamportSignature::encoded_len(self)
     }
 }
 
@@ -404,6 +413,9 @@ impl Encode for MssSignature {
         vk.encode(buf);
         sig.encode(buf);
         path.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        MssSignature::encoded_len(self)
     }
 }
 

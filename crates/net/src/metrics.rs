@@ -18,16 +18,34 @@
 //! marginals live in sorted vectors inside the cell (committee-sized, so
 //! binary-search insertion beats a `BTreeMap`'s per-node allocations).
 //!
-//! A pre-aggregated [`Totals`] row is maintained on every charge, which
-//! keeps the global conservation check
+//! A pre-aggregated [`Totals`] row is maintained by every charging call —
+//! once per envelope on the per-link paths, once per *exchange* on the
+//! bulk paths below — which keeps the global conservation check
 //! ([`MetricsTable::tags_conserve_totals`]) and the per-step attribution in
 //! `--bin table1` exact without a full scan.
+//!
+//! # Committee-granular charges
+//!
+//! Fig. 3 steps 3–8 move bytes committee to committee, so their call
+//! sites meter a whole exchange at once: [`MetricsTable::charge_exchange`]
+//! (every sender seat to every receiver seat) and the sender-half
+//! [`MetricsTable::record_sends_tagged`]. Both are *defined as* their
+//! per-link expansion into [`MetricsTable::record_send_tagged`] /
+//! [`MetricsTable::record_receive_tagged`] and are observationally
+//! identical to it, but touch each party's cell once per exchange instead
+//! of once per link: counters move by `bytes · k`, the peer vector takes
+//! one in-place sorted merge, the tag marginal and the totals row one
+//! bump. Seats listed several times count by multiplicity, and a party
+//! with `k = 0` links is never materialized (DESIGN.md §4b
+//! "Committee-granular metering").
 //!
 //! # Differential oracle
 //!
 //! The previous dense implementation is kept verbatim as
 //! [`DenseMetricsTable`]. [`MetricsTable::enable_shadow`] attaches a dense
-//! shadow that receives every charge first; [`MetricsTable::shadow_divergence`]
+//! shadow that receives every charge first — a bulk charge as its
+//! link-by-link expansion, so the shadow checks the bulk arithmetic
+//! instead of repeating it; [`MetricsTable::shadow_divergence`]
 //! then asserts exact equality on every counter, peer set, tag marginal,
 //! report column and conservation check. The chaos catalogue runs under
 //! this shadow in `tests/proptest_metrics_sparse.rs` — the acceptance gate
@@ -111,6 +129,73 @@ fn bump_tag(v: &mut Vec<(u8, u64)>, tag: u8, bytes: u64) {
     }
 }
 
+/// The distinct ids of `ids` in sorted order, each with its multiplicity
+/// (a party holding several committee seats appears once per seat).
+fn seat_counts(ids: &[PartyId]) -> Vec<(u64, u64)> {
+    let mut counts: Vec<(u64, u64)> = ids.iter().map(|p| (p.0, 1)).collect();
+    counts.sort_unstable();
+    counts.dedup_by(|dup, kept| {
+        let same = dup.0 == kept.0;
+        if same {
+            kept.1 += dup.1;
+        }
+        same
+    });
+    counts
+}
+
+/// Multiplicity of `id` in a [`seat_counts`] list (0 when absent).
+fn seats_of(counts: &[(u64, u64)], id: u64) -> u64 {
+    counts
+        .binary_search_by_key(&id, |e| e.0)
+        .map_or(0, |i| counts[i].1)
+}
+
+/// Merges the ids of `add` (a [`seat_counts`] list; `skip` excluded) into
+/// the sorted, deduplicated `v` — the bulk form of one [`insert_sorted`]
+/// per id. One counting pass decides how many ids are missing; when none
+/// are (`v` is already a superset, the common case from a committee's
+/// second exchange on) `v` is left untouched, capacity included. Otherwise
+/// `v` grows once by `resize` and is merged backward in place, so growth
+/// follows `Vec`'s amortized doubling instead of an exact-size
+/// reallocation per exchange.
+fn merge_sorted(v: &mut Vec<u64>, add: &[(u64, u64)], skip: Option<u64>) {
+    let wanted = || add.iter().map(|e| e.0).filter(|&x| Some(x) != skip);
+    let (mut i, mut missing) = (0usize, 0usize);
+    for x in wanted() {
+        while i < v.len() && v[i] < x {
+            i += 1;
+        }
+        if i == v.len() || v[i] != x {
+            missing += 1;
+        }
+    }
+    if missing == 0 {
+        return;
+    }
+    let old = v.len();
+    v.resize(old + missing, 0);
+    // `v[..read]` is still to be placed, `v[write..]` is final.
+    let (mut read, mut write) = (old, old + missing);
+    for x in wanted().rev() {
+        while read > 0 && v[read - 1] > x {
+            write -= 1;
+            v[write] = v[read - 1];
+            read -= 1;
+        }
+        if read > 0 && v[read - 1] == x {
+            continue;
+        }
+        write -= 1;
+        v[write] = x;
+        if write == read {
+            break; // every missing id is placed; the rest of `v` is home
+        }
+    }
+    debug_assert_eq!(write, read, "length = old + missing");
+    debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "sorted and deduplicated");
+}
+
 /// Count of the union of two sorted, deduplicated slices.
 fn union_len(a: &[u64], b: &[u64]) -> usize {
     let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
@@ -140,6 +225,37 @@ impl PartyCell {
     fn conserves(&self) -> bool {
         self.sent_by_tag.iter().map(|(_, b)| b).sum::<u64>() == self.bytes_sent
             && self.recv_by_tag.iter().map(|(_, b)| b).sum::<u64>() == self.bytes_received
+    }
+
+    /// `links` sent envelopes of `bytes` each, to the ids of `peers`
+    /// (`skip` excluded), in one touch of the cell.
+    fn charge_sent(
+        &mut self,
+        links: u64,
+        bytes: u64,
+        tag: u8,
+        peers: &[(u64, u64)],
+        skip: Option<u64>,
+    ) {
+        self.bytes_sent += bytes * links;
+        self.msgs_sent += links;
+        merge_sorted(&mut self.peers_out, peers, skip);
+        bump_tag(&mut self.sent_by_tag, tag, bytes * links);
+    }
+
+    /// Receive-side twin of [`PartyCell::charge_sent`].
+    fn charge_received(
+        &mut self,
+        links: u64,
+        bytes: u64,
+        tag: u8,
+        peers: &[(u64, u64)],
+        skip: Option<u64>,
+    ) {
+        self.bytes_received += bytes * links;
+        self.msgs_received += links;
+        merge_sorted(&mut self.peers_in, peers, skip);
+        bump_tag(&mut self.recv_by_tag, tag, bytes * links);
     }
 
     /// Owned dense-shaped view of this cell.
@@ -182,6 +298,18 @@ impl Totals {
     fn conserves(&self) -> bool {
         self.sent_by_tag.values().sum::<u64>() == self.bytes_sent
             && self.recv_by_tag.values().sum::<u64>() == self.bytes_received
+    }
+
+    fn sent(&mut self, bytes: u64, msgs: u64, tag: u8) {
+        self.bytes_sent += bytes;
+        self.msgs_sent += msgs;
+        *self.sent_by_tag.entry(tag).or_insert(0) += bytes;
+    }
+
+    fn received(&mut self, bytes: u64, msgs: u64, tag: u8) {
+        self.bytes_received += bytes;
+        self.msgs_received += msgs;
+        *self.recv_by_tag.entry(tag).or_insert(0) += bytes;
     }
 }
 
@@ -317,9 +445,7 @@ impl MetricsTable {
         m.msgs_sent += 1;
         insert_sorted(&mut m.peers_out, to.0);
         bump_tag(&mut m.sent_by_tag, tag, bytes as u64);
-        self.totals.bytes_sent += bytes as u64;
-        self.totals.msgs_sent += 1;
-        *self.totals.sent_by_tag.entry(tag).or_insert(0) += bytes as u64;
+        self.totals.sent(bytes as u64, 1, tag);
     }
 
     /// Records a received-and-processed envelope, attributed to
@@ -339,9 +465,105 @@ impl MetricsTable {
         m.msgs_received += 1;
         insert_sorted(&mut m.peers_in, from.0);
         bump_tag(&mut m.recv_by_tag, tag, bytes as u64);
-        self.totals.bytes_received += bytes as u64;
-        self.totals.msgs_received += 1;
-        *self.totals.recv_by_tag.entry(tag).or_insert(0) += bytes as u64;
+        self.totals.received(bytes as u64, 1, tag);
+    }
+
+    /// Charges one committee-to-committee exchange: every seat of `senders`
+    /// sends `bytes` to every seat of `receivers` and every copy is
+    /// received and processed. **Defined as** the per-link expansion
+    ///
+    /// ```text
+    /// for s in senders { for r in receivers {
+    ///     if skip_self && r == s { continue }
+    ///     record_send_tagged(s, r, bytes, tag);
+    ///     record_receive_tagged(r, s, bytes, tag);
+    /// }}
+    /// ```
+    ///
+    /// and observationally identical to it — the attached dense shadow is
+    /// fed exactly that expansion — but each party's cell is touched once:
+    /// counters move by `bytes · k` for the party's `k` links, the peer
+    /// vector takes one in-place merge, the tag marginal and the totals
+    /// row one bump. A party listed on several seats is charged once per
+    /// seat (multiplicity), and a party with `k = 0` links (e.g. the only
+    /// receiver of its own `skip_self` exchange) is not materialized, so
+    /// no `(tag, 0)` marginal appears that the expansion would not write.
+    ///
+    /// Returns the number of links charged.
+    pub fn charge_exchange(
+        &mut self,
+        senders: &[PartyId],
+        receivers: &[PartyId],
+        bytes: usize,
+        tag: u8,
+        skip_self: bool,
+    ) -> u64 {
+        if let Some(shadow) = self.shadow.as_deref_mut() {
+            for &s in senders {
+                for &r in receivers.iter().filter(|&&r| !(skip_self && r == s)) {
+                    shadow.record_send_tagged(s, r, bytes, tag);
+                    shadow.record_receive_tagged(r, s, bytes, tag);
+                }
+            }
+        }
+        let bytes = bytes as u64;
+        let from = seat_counts(senders);
+        let to = seat_counts(receivers);
+        // Links of one seat of `id` toward the `total` seats opposite.
+        let per_seat = |id: u64, total: usize, opposite: &[(u64, u64)]| {
+            total as u64 - if skip_self { seats_of(opposite, id) } else { 0 }
+        };
+        let mut links = 0u64;
+        for &(s, seats) in &from {
+            let k = seats * per_seat(s, receivers.len(), &to);
+            if k > 0 {
+                links += k;
+                self.cell_mut(s as usize)
+                    .charge_sent(k, bytes, tag, &to, skip_self.then_some(s));
+            }
+        }
+        for &(r, seats) in &to {
+            let k = seats * per_seat(r, senders.len(), &from);
+            if k > 0 {
+                self.cell_mut(r as usize).charge_received(
+                    k,
+                    bytes,
+                    tag,
+                    &from,
+                    skip_self.then_some(r),
+                );
+            }
+        }
+        if links > 0 {
+            self.totals.sent(bytes * links, links, tag);
+            self.totals.received(bytes * links, links, tag);
+        }
+        links
+    }
+
+    /// The sender half of a fan-out: `from` sends `bytes` to every entry
+    /// of `to` — **defined as** one [`MetricsTable::record_send_tagged`]
+    /// per entry, with the same single-touch bookkeeping as
+    /// [`MetricsTable::charge_exchange`]. For exchanges whose receive side
+    /// is decided per link (the step 7–8 spread: corrupt and offline
+    /// addressees never process their copy).
+    pub fn record_sends_tagged(&mut self, from: PartyId, to: &[PartyId], bytes: usize, tag: u8) {
+        if let Some(shadow) = self.shadow.as_deref_mut() {
+            for &r in to {
+                shadow.record_send_tagged(from, r, bytes, tag);
+            }
+        }
+        let links = to.len() as u64;
+        if links > 0 {
+            self.cell_mut(from.index()).charge_sent(
+                links,
+                bytes as u64,
+                tag,
+                &seat_counts(to),
+                None,
+            );
+            self.totals.sent(bytes as u64 * links, links, tag);
+        }
     }
 
     /// Charges synthetic communication to a party — used when a
@@ -370,9 +592,7 @@ impl MetricsTable {
         m.bytes_sent += bytes;
         m.msgs_sent += msgs;
         bump_tag(&mut m.sent_by_tag, tag, bytes);
-        self.totals.bytes_sent += bytes;
-        self.totals.msgs_sent += msgs;
-        *self.totals.sent_by_tag.entry(tag).or_insert(0) += bytes;
+        self.totals.sent(bytes, msgs, tag);
     }
 
     /// Charges synthetic communication over a concrete `from → to` link:
@@ -412,12 +632,8 @@ impl MetricsTable {
         receiver.msgs_received += msgs;
         insert_sorted(&mut receiver.peers_in, from.0);
         bump_tag(&mut receiver.recv_by_tag, tag, bytes);
-        self.totals.bytes_sent += bytes;
-        self.totals.msgs_sent += msgs;
-        *self.totals.sent_by_tag.entry(tag).or_insert(0) += bytes;
-        self.totals.bytes_received += bytes;
-        self.totals.msgs_received += msgs;
-        *self.totals.recv_by_tag.entry(tag).or_insert(0) += bytes;
+        self.totals.sent(bytes, msgs, tag);
+        self.totals.received(bytes, msgs, tag);
     }
 
     /// Advances the round counter.
@@ -462,6 +678,22 @@ impl MetricsTable {
     /// Aggregated report over all parties.
     pub fn report(&self) -> Report {
         self.report_for((0..self.cells.len()).map(PartyId::from))
+    }
+
+    /// `(Σ bytes_sent, max bytes_total)` over a set of parties — the two
+    /// [`Report`] columns (`total_bytes`, `max_bytes_per_party`) a per-step
+    /// snapshot needs, in one pass that reads counters only: no snapshot
+    /// is cloned and no peer vectors are merged for locality.
+    pub fn sent_and_max_total_for<I: IntoIterator<Item = PartyId>>(&self, ids: I) -> (u64, u64) {
+        let (mut sent, mut max_total) = (0u64, 0u64);
+        for cell in ids
+            .into_iter()
+            .filter_map(|id| self.cells[id.index()].as_deref())
+        {
+            sent += cell.bytes_sent;
+            max_total = max_total.max(cell.bytes_total());
+        }
+        (sent, max_total)
     }
 
     /// Per-tag byte breakdown aggregated over a set of parties (typically
@@ -907,6 +1139,188 @@ mod tests {
         t.bump_round();
         t.record_send_tagged(PartyId(0), PartyId(1), 3, tag::SPREAD);
         assert_eq!(t.shadow_divergence(), None);
+    }
+
+    fn ids(seats: &[u64]) -> Vec<PartyId> {
+        seats.iter().copied().map(PartyId).collect()
+    }
+
+    /// Charges one exchange in bulk on a shadowed table and as its
+    /// per-link definition on a second; every observable must agree.
+    /// Returns the bulk table.
+    fn bulk_equals_per_link(
+        n: usize,
+        senders: &[u64],
+        receivers: &[u64],
+        bytes: usize,
+        skip_self: bool,
+    ) -> MetricsTable {
+        use crate::wire::tag;
+        let (senders, receivers) = (ids(senders), ids(receivers));
+        let mut bulk = MetricsTable::new(n);
+        bulk.enable_shadow();
+        let links = bulk.charge_exchange(&senders, &receivers, bytes, tag::AGGR_SHARE, skip_self);
+        let mut per_link = MetricsTable::new(n);
+        for &s in &senders {
+            for &r in &receivers {
+                if skip_self && r == s {
+                    continue;
+                }
+                per_link.record_send_tagged(s, r, bytes, tag::AGGR_SHARE);
+                per_link.record_receive_tagged(r, s, bytes, tag::AGGR_SHARE);
+            }
+        }
+        assert_eq!(bulk.shadow_divergence(), None);
+        for i in 0..n {
+            let id = PartyId::from(i);
+            assert_eq!(bulk.party(id), per_link.party(id), "party {i}");
+        }
+        assert_eq!(bulk.report(), per_link.report());
+        assert_eq!(links, per_link.report().total_msgs);
+        assert_eq!(bulk.allocated_cells(), per_link.allocated_cells());
+        assert!(bulk.tags_conserve_totals());
+        bulk
+    }
+
+    #[test]
+    fn exchange_equals_per_link_on_disjoint_committees() {
+        let t = bulk_equals_per_link(16, &[0, 1, 2], &[7, 9, 8, 15], 100, false);
+        assert_eq!(t.party(PartyId(1)).bytes_sent, 400);
+        assert_eq!(t.party(PartyId(9)).msgs_received, 3);
+        // Disjoint sides: skip_self changes nothing.
+        bulk_equals_per_link(16, &[0, 1, 2], &[7, 9, 8, 15], 100, true);
+    }
+
+    #[test]
+    fn exchange_equals_per_link_on_overlapping_committees() {
+        // An intra-committee exchange, and a partial overlap.
+        let t = bulk_equals_per_link(8, &[1, 3, 5], &[1, 3, 5], 10, true);
+        assert_eq!(t.party(PartyId(3)).msgs_sent, 2);
+        assert_eq!(t.party(PartyId(3)).locality(), 2, "own id is no peer");
+        bulk_equals_per_link(8, &[1, 3, 5], &[3, 4, 5, 6], 10, true);
+        // Without skip_self a party is its own peer, as per link.
+        let t = bulk_equals_per_link(8, &[1, 3, 5], &[3, 4, 5, 6], 10, false);
+        assert!(t.party(PartyId(3)).peers_out.contains(&PartyId(3)));
+    }
+
+    #[test]
+    fn exchange_counts_duplicate_seats_by_multiplicity() {
+        // Party 2 holds two sender seats, party 5 three receiver seats,
+        // party 4 one of each.
+        let t = bulk_equals_per_link(8, &[2, 4, 2], &[5, 4, 5, 6, 5], 7, true);
+        assert_eq!(t.party(PartyId(2)).msgs_sent, 10);
+        assert_eq!(t.party(PartyId(4)).msgs_sent, 4);
+        assert_eq!(t.party(PartyId(5)).msgs_received, 9);
+        assert_eq!(t.party(PartyId(5)).peers_in.len(), 2);
+        bulk_equals_per_link(8, &[2, 4, 2], &[5, 4, 5, 6, 5], 7, false);
+    }
+
+    #[test]
+    fn zero_byte_exchange_still_writes_the_tag_row() {
+        use crate::wire::tag;
+        let t = bulk_equals_per_link(6, &[0, 1], &[1, 2], 0, true);
+        assert_eq!(
+            t.party(PartyId(0)).sent_by_tag.get(&tag::AGGR_SHARE),
+            Some(&0)
+        );
+        assert_eq!(
+            t.party(PartyId(2)).recv_by_tag.get(&tag::AGGR_SHARE),
+            Some(&0)
+        );
+        assert_eq!(t.party(PartyId(0)).msgs_sent, 2);
+    }
+
+    #[test]
+    fn linkless_seats_are_not_materialized() {
+        // Empty sides, and a party whose only counterpart is itself.
+        for (senders, receivers) in [
+            (&[][..], &[1u64, 2][..]),
+            (&[1, 2][..], &[][..]),
+            (&[][..], &[][..]),
+            (&[3][..], &[3][..]),
+            (&[3, 3][..], &[3][..]),
+        ] {
+            let t = bulk_equals_per_link(8, senders, receivers, 50, true);
+            assert_eq!(t.allocated_cells(), 0, "{senders:?} -> {receivers:?}");
+            assert_eq!(t.breakdown_for((0..8u64).map(PartyId)), Default::default());
+        }
+        // k = 0 for one seat only: party 3 sends nothing (its own seat is
+        // the sole receiver it could address) but still receives from 1.
+        let t = bulk_equals_per_link(8, &[1, 3], &[3], 50, true);
+        assert_eq!(t.allocated_cells(), 2);
+        assert!(t.party(PartyId(3)).sent_by_tag.is_empty());
+
+        let mut t = MetricsTable::new(4);
+        t.enable_shadow();
+        t.record_sends_tagged(PartyId(0), &[], 9, 1);
+        assert_eq!(t.allocated_cells(), 0);
+        assert_eq!(t.shadow_divergence(), None);
+    }
+
+    #[test]
+    fn superset_peers_leave_the_vector_untouched() {
+        let (members, outsiders) = (ids(&[1, 2, 3, 4, 5, 6, 7]), ids(&[2, 4, 6]));
+        let mut t = MetricsTable::new(8);
+        t.enable_shadow();
+        t.charge_exchange(&members, &members, 10, 3, true);
+        let cell = |t: &MetricsTable| {
+            let c = t.cells[1].as_deref().expect("charged");
+            (
+                c.peers_out.clone(),
+                c.peers_out.capacity(),
+                c.peers_in.capacity(),
+            )
+        };
+        let before = cell(&t);
+        // Same committee again, then a subset of it: nothing to merge.
+        t.charge_exchange(&members, &members, 99, 4, true);
+        t.charge_exchange(&ids(&[1]), &outsiders, 5, 4, true);
+        t.record_sends_tagged(PartyId(1), &outsiders, 5, 4);
+        assert_eq!(cell(&t), before);
+        assert_eq!(t.party(PartyId(1)).msgs_sent, 6 + 6 + 3 + 3);
+        assert_eq!(t.shadow_divergence(), None);
+    }
+
+    #[test]
+    fn merge_sorted_grows_in_place() {
+        let add = |ids: &[u64]| ids.iter().map(|&x| (x, 1)).collect::<Vec<_>>();
+        let mut v = vec![10, 20, 30];
+        merge_sorted(&mut v, &add(&[5, 20, 25, 40]), None);
+        assert_eq!(v, [5, 10, 20, 25, 30, 40]);
+        merge_sorted(&mut v, &add(&[1, 2, 3]), Some(2));
+        assert_eq!(v, [1, 3, 5, 10, 20, 25, 30, 40]);
+        let mut empty = Vec::new();
+        merge_sorted(&mut empty, &add(&[7, 8]), Some(7));
+        assert_eq!(empty, [8]);
+        merge_sorted(&mut empty, &add(&[8]), None);
+        merge_sorted(&mut empty, &[], None);
+        assert_eq!(empty, [8]);
+    }
+
+    #[test]
+    fn sends_equal_per_link_sends() {
+        let mut bulk = MetricsTable::new(8);
+        bulk.enable_shadow();
+        bulk.record_sends_tagged(PartyId(2), &ids(&[5, 1, 5, 2]), 11, 6);
+        let m = bulk.party(PartyId(2));
+        assert_eq!((m.bytes_sent, m.msgs_sent), (44, 4));
+        assert_eq!(m.peers_out, ids(&[1, 2, 5]).into_iter().collect());
+        assert_eq!(bulk.allocated_cells(), 1, "sender side only");
+        assert_eq!(bulk.shadow_divergence(), None);
+        assert!(bulk.tags_conserve_totals());
+    }
+
+    #[test]
+    fn sent_and_max_total_matches_report_columns() {
+        let mut t = MetricsTable::new(6);
+        t.charge_exchange(&ids(&[0, 1]), &ids(&[1, 2, 3]), 10, 1, true);
+        t.charge_synthetic(PartyId(4), 1000, 1);
+        let honest = || ids(&[0, 1, 2, 5]).into_iter();
+        let report = t.report_for(honest());
+        assert_eq!(
+            t.sent_and_max_total_for(honest()),
+            (report.total_bytes, report.max_bytes_per_party)
+        );
     }
 
     #[test]

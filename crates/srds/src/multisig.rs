@@ -18,10 +18,10 @@
 //! measures.
 
 use crate::traits::{PkiMode, Srds};
-use pba_crypto::codec::{encode_to_vec, CodecError, Decode, Encode, Reader};
+use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
 use pba_crypto::mss::{MssKeyPair, MssParams, MssSignature, MssVerificationKey};
 use pba_crypto::prg::Prg;
-use pba_crypto::sha256::{Digest, Sha256};
+use pba_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
 use pba_snark::system::{Attestor, SnarkCrs};
 
 /// Tunables of the multi-signature baseline.
@@ -193,6 +193,13 @@ impl Encode for MultisigSignature {
                 buf.push(2);
                 id.encode(buf);
             }
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            MultisigSignature::Base { mss, .. } => 8 + mss.encoded_len(),
+            MultisigSignature::Combined { bitmap, .. } => 8 + bitmap.len() + DIGEST_LEN,
+            MultisigSignature::Attested { .. } => 8,
         }
     }
 }
@@ -424,7 +431,7 @@ impl Srds for MultisigSrds {
     }
 
     fn signature_len(&self, sig: &MultisigSignature) -> usize {
-        encode_to_vec(sig).len()
+        sig.encoded_len()
     }
 }
 
@@ -432,6 +439,7 @@ impl Srds for MultisigSrds {
 mod tests {
     use super::*;
     use crate::traits::PkiBoard;
+    use pba_crypto::codec::encode_to_vec;
 
     fn setup(
         n: usize,

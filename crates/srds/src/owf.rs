@@ -138,6 +138,9 @@ impl Encode for OwfEntry {
         self.id.encode(buf);
         self.sig.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.sig.encoded_len()
+    }
 }
 
 impl Decode for OwfEntry {
@@ -160,6 +163,9 @@ pub struct OwfSignature {
 impl Encode for OwfSignature {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.entries.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.entries.encoded_len()
     }
 }
 
@@ -329,7 +335,7 @@ impl Srds for OwfSrds {
     }
 
     fn signature_len(&self, sig: &OwfSignature) -> usize {
-        pba_crypto::codec::encode_to_vec(sig).len()
+        sig.encoded_len()
     }
 }
 

@@ -42,7 +42,7 @@ use pba_crypto::codec::{encode_to_vec, CodecError, Decode, Encode, Reader};
 use pba_crypto::merkle::{MerkleProof, MerkleTree};
 use pba_crypto::mss::{MssKeyPair, MssParams, MssSignature, MssVerificationKey};
 use pba_crypto::prg::Prg;
-use pba_crypto::sha256::{Digest, Sha256};
+use pba_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
 use pba_snark::pcd::{CompliancePredicate, PcdProof, PcdSystem};
 use pba_snark::system::SnarkCrs;
 
@@ -149,6 +149,9 @@ impl Encode for AggCertificate {
         self.vk_root.encode(buf);
         self.proof.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        3 * 8 + 2 * DIGEST_LEN + self.proof.encoded_len()
+    }
 }
 
 impl Decode for AggCertificate {
@@ -220,6 +223,15 @@ impl Encode for SnarkSignature {
                 buf.push(2);
                 cert.encode(buf);
             }
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            SnarkSignature::Base { mss, .. } => 8 + mss.encoded_len(),
+            SnarkSignature::Attested { mss, path, .. } => {
+                8 + mss.encoded_len() + path.encoded_len() + 2 * DIGEST_LEN
+            }
+            SnarkSignature::Agg(cert) => cert.encoded_len(),
         }
     }
 }
@@ -840,7 +852,7 @@ impl Srds for SnarkSrds {
     }
 
     fn signature_len(&self, sig: &SnarkSignature) -> usize {
-        encode_to_vec(sig).len()
+        sig.encoded_len()
     }
 }
 

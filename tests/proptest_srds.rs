@@ -2,10 +2,12 @@
 //! order-insensitive and duplicate-proof, verification thresholds are
 //! exact, and the security games hold over random corruption patterns.
 
+use pba_crypto::codec::{encode_to_vec, Encode};
 use pba_crypto::prg::Prg;
 use pba_srds::experiments::{
     run_forgery, run_robustness, AggregateForgeryAdversary, DefaultRobustnessAdversary,
 };
+use pba_srds::multisig::MultisigSrds;
 use pba_srds::owf::{OwfSignature, OwfSrds};
 use pba_srds::snark::{SnarkSignature, SnarkSrds};
 use pba_srds::traits::{PkiBoard, Srds};
@@ -31,8 +33,39 @@ fn snark_board(n: usize, seed: &[u8]) -> (SnarkSrds, PkiBoard<SnarkSrds>, Vec<Sn
     (scheme, board, sigs)
 }
 
+/// `signature_len` is arithmetic: for base signatures, `Aggregate₁`'s
+/// attested hand-offs and an aggregate over the first `take` signers it
+/// must equal the length of the actual encoding.
+fn arithmetic_lengths_match_encodings<S>(scheme: &S, seed: &[u8], take: usize)
+where
+    S: Srds,
+    S::Signature: Encode,
+{
+    let mut prg = Prg::from_seed_bytes(seed);
+    let board = PkiBoard::establish(scheme, 96, &mut prg);
+    let keys = board.prepare(scheme);
+    let base: Vec<S::Signature> = (0..96u64)
+        .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"prop-m"))
+        .collect();
+    let take = take.min(base.len());
+    let attested = scheme.aggregate1(&board.pp, &keys, b"prop-m", &base[..take]);
+    let aggregate = scheme.aggregate2(&board.pp, b"prop-m", &attested);
+    for sig in base.iter().chain(&attested).chain(&aggregate) {
+        let encoded = encode_to_vec(sig).len();
+        assert_eq!(sig.encoded_len(), encoded);
+        assert_eq!(scheme.signature_len(sig), encoded);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn encoded_len_matches_encoding_for_every_scheme(seed in any::<[u8; 8]>(), take in 0usize..97) {
+        arithmetic_lengths_match_encodings(&SnarkSrds::with_defaults(), &seed, take);
+        arithmetic_lengths_match_encodings(&OwfSrds::with_defaults(), &seed, take);
+        arithmetic_lengths_match_encodings(&MultisigSrds::with_defaults(), &seed, take);
+    }
 
     #[test]
     fn owf_aggregation_order_insensitive(seed in any::<[u8; 8]>(), swaps in proptest::collection::vec((0usize..64, 0usize..64), 0..24)) {
