@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # pba-aetree
 //!
 //! Almost-everywhere communication trees — the combinatorial substrate of

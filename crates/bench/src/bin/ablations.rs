@@ -17,6 +17,7 @@
 //!   signer count — the concrete-security margin finding (DESIGN.md §4b).
 //! * **A4 — base-signature size (κ knob):** SRDS base/aggregate signature
 //!   sizes vs the Lamport digest width.
+#![forbid(unsafe_code)]
 
 use pba_aetree::analysis::TreeAnalysis;
 use pba_aetree::params::TreeParams;

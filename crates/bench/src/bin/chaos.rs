@@ -9,6 +9,7 @@
 //! execution seed, so two invocations with the same seed produce
 //! identical sweeps. Violations print a `CHAOS-REPRO` line with the
 //! exact configuration to replay.
+#![forbid(unsafe_code)]
 
 use pba_bench::chaos::{
     default_cases, default_stream_cases, render_sweep, run_case, run_stream_case, ChaosReport,

@@ -15,6 +15,7 @@
 //! ```sh
 //! cargo run -p pba-bench --bin figures --release -- fig1 fig2 fig3 cor12 lb e9
 //! ```
+#![forbid(unsafe_code)]
 
 use pba_bench::bench_owf;
 use pba_core::lowerbound::{isolation_attack_crs, isolation_attack_with_srds};

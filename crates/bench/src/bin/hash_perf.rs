@@ -7,10 +7,16 @@
 //! ```
 //!
 //! `--smoke` shrinks every dimension for CI but keeps the equivalence
-//! gates: the run fails if the batched engine and the scalar reference
-//! ever disagree on a single digest or transcript. The ≥ 1.5× speedup
-//! targets are asserted only on full runs (smoke sizes are too small to
-//! time meaningfully).
+//! gates: the run fails if the batched engine and the one-at-a-time path
+//! ever disagree on a single digest or transcript, on whichever
+//! compression backend the host selected (printed, and stamped into the
+//! JSON as `sha256_backend`). The ≥ 1.5× speedup bar is asserted only on
+//! full runs (smoke sizes are too small to time meaningfully) and only on
+//! the `portable-cores` row — the portable scalar core against the
+//! portable 8-lane core, called directly: through the dispatching APIs a
+//! SHA-NI host runs one kernel on both sides, so a ratio there says
+//! nothing about the lane engine.
+#![forbid(unsafe_code)]
 
 use pba_bench::hash_perf::{run_hash_perf, HashPerfConfig};
 
@@ -34,8 +40,12 @@ fn main() {
     };
 
     eprintln!(
-        "hash_perf: e2e sizes {:?}, {} rounds/case, {} digests/round, micro reps {}",
-        config.sizes, config.rounds, config.hash_iters, config.micro_reps
+        "hash_perf: sha256_backend {}, e2e sizes {:?}, {} rounds/case, {} digests/round, micro reps {}",
+        pba_crypto::sha256::backend(),
+        config.sizes,
+        config.rounds,
+        config.hash_iters,
+        config.micro_reps
     );
     let report = run_hash_perf(&config, smoke);
 
@@ -61,23 +71,25 @@ fn main() {
     }
 
     // The hard gate, smoke or full: batched output must be bit-identical
-    // to the scalar reference everywhere it was compared.
+    // to the one-at-a-time path everywhere it was compared, on the backend
+    // this host runs.
     assert!(
         report.digests_identical(),
-        "batched and scalar digests diverged — engine bug"
+        "batched and scalar digests diverged on the {} backend — engine bug",
+        report.sha256_backend
     );
 
     if !smoke {
-        for m in &report.micro {
-            if matches!(m.name, "merkle-build" | "lamport-keygen") {
-                assert!(
-                    m.speedup() >= 1.5,
-                    "{} below the 1.5x acceptance bar (x{:.2})",
-                    m.name,
-                    m.speedup()
-                );
-            }
-        }
+        let portable = report
+            .micro
+            .iter()
+            .find(|m| m.name == "portable-cores")
+            .expect("the portable-cores row is always measured");
+        assert!(
+            portable.speedup() >= 1.5,
+            "portable lane core below the 1.5x acceptance bar over the portable scalar core (x{:.2})",
+            portable.speedup()
+        );
         for c in &report.e2e {
             if c.n >= 1024 {
                 assert!(

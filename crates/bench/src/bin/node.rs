@@ -21,6 +21,7 @@
 //! [`pba_bench::socket::endpoint_json`]) and exits nonzero on transport
 //! or protocol failure — never hangs (every socket wait is bounded by
 //! [`pba_net::TransportOpts`] timeouts).
+#![forbid(unsafe_code)]
 
 use pba_bench::socket::{
     endpoint_json, launch_processes, parse_establishment, render_socket_table, socket_table,

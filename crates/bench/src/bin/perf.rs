@@ -11,6 +11,7 @@
 //! cell exists and the reported speedup is 1.0 by definition; the ≥ 2×
 //! parallel target is only asserted where it is physically attainable
 //! (4+ hardware threads, full sweep).
+#![forbid(unsafe_code)]
 
 use pba_bench::perf::{run_perf, PerfConfig};
 

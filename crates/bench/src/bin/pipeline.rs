@@ -9,6 +9,7 @@
 //! `--smoke` restricts the grid to n = 64, k ∈ {1, 4} for the CI
 //! `pipeline-smoke` job. The ≥ 2× amortization gate is asserted only on
 //! the full grid's n = 1024, k = 16 cell.
+#![forbid(unsafe_code)]
 
 use pba_bench::pipeline::{run_pipeline, PipelineConfig};
 

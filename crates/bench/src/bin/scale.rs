@@ -9,6 +9,7 @@
 //! The full sweep runs one honest `π_ba` round at n = 2^10 … 2^20;
 //! `--smoke` restricts it to n ∈ {2^10, 2^16} and arms the peak-RSS
 //! budget assertion (the CI memory regression gate).
+#![forbid(unsafe_code)]
 
 use pba_bench::scale::{run_scale, ScaleConfig};
 
@@ -28,8 +29,11 @@ fn main() {
     };
 
     eprintln!(
-        "scale: sizes {:?}, rss budget {:?} MiB",
-        config.sizes, config.rss_budget_mib
+        "scale: sizes {:?}, rss budget {:?} MiB, host_cores {}, sha256_backend {}",
+        config.sizes,
+        config.rss_budget_mib,
+        std::thread::available_parallelism().map_or(1, |v| v.get()),
+        pba_crypto::sha256::backend(),
     );
     let report = run_scale(&config, smoke);
 

@@ -5,6 +5,7 @@
 //! ```sh
 //! cargo run -p pba-bench --bin table1 --release [-- --max-n 2048]
 //! ```
+#![forbid(unsafe_code)]
 
 use pba_bench::{
     bench_owf, certificate_size, growth_exponent, measure, polylog_fit, power_fit,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # pba-bench
 //!
 //! The measurement harness that regenerates the paper's evaluation

@@ -104,6 +104,9 @@ pub struct ScaleReport {
     pub lanes: usize,
     /// `std::thread::available_parallelism()` of the measuring host.
     pub host_cores: usize,
+    /// [`pba_crypto::sha256::backend`] of the measuring host: every wall
+    /// time in the report was hashed on this compression core.
+    pub sha256_backend: &'static str,
     /// Measured √n anchors at n ∈ {2^6, 2^7, 2^8, 2^9, 2^10} (ascending).
     pub sqrt_anchors: Vec<SqrtAnchor>,
     /// Measured √n-baseline bits/party at the anchor size `n₀ = 2^10`
@@ -157,6 +160,7 @@ impl ScaleReport {
                 "\"smoke\":{},",
                 "\"lanes\":{},",
                 "\"host_cores\":{},",
+                "\"sha256_backend\":\"{}\",",
                 "\"sqrt_anchors\":[{}],",
                 "\"anchor_sqrt_bits\":{},",
                 "\"polylog_fit\":{{\"k\":{:.4},\"r2\":{:.4}}},",
@@ -166,6 +170,7 @@ impl ScaleReport {
             self.smoke,
             self.lanes,
             self.host_cores,
+            self.sha256_backend,
             anchors.join(","),
             self.anchor_sqrt_bits,
             self.polylog_fit.0,
@@ -317,6 +322,7 @@ pub fn run_scale(config: &ScaleConfig, smoke: bool) -> ScaleReport {
         host_cores: std::thread::available_parallelism()
             .map(|v| v.get())
             .unwrap_or(1),
+        sha256_backend: pba_crypto::sha256::backend(),
         sqrt_anchors,
         anchor_sqrt_bits,
         polylog_fit: crate::polylog_fit(&points),
@@ -347,6 +353,7 @@ mod tests {
             smoke: true,
             lanes: pba_crypto::sha256::LANES,
             host_cores: 1,
+            sha256_backend: "portable",
             sqrt_anchors: vec![SqrtAnchor {
                 n: 64,
                 bits_per_party: 512,
@@ -360,6 +367,7 @@ mod tests {
         assert!(json.contains("\"bench\":\"million-party-scaling\""));
         assert!(json.contains("\"lanes\":8"));
         assert!(json.contains("\"host_cores\":1"));
+        assert!(json.contains("\"sha256_backend\":\"portable\""));
         assert!(json.contains("\"polylog_fit\""));
         assert!(json.contains("\"sqrt_anchors\":[{\"n\":64,\"bits_per_party\":512}]"));
     }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # pba-core
 //!
 //! Balanced Byzantine agreement with polylog bits per party — the protocol

@@ -92,13 +92,18 @@ impl LamportParams {
             return false;
         }
         let bits = self.message_bits(message);
+        // The revealed preimages are independent 32-byte messages: one
+        // batch through the hash engine instead of one digest each.
+        let revealed: Vec<&[u8]> = sig.revealed.iter().map(|x| x.as_slice()).collect();
+        let revealed_hashes = batch_digest(&revealed);
         let mut key_hasher = Sha256::new();
-        for (i, &bit) in bits.iter().enumerate() {
-            let revealed_hash = Sha256::digest(&sig.revealed[i]);
+        for ((&bit, revealed_hash), complement_hash) in
+            bits.iter().zip(revealed_hashes).zip(&sig.complement_hashes)
+        {
             let (h0, h1) = if bit {
-                (sig.complement_hashes[i], revealed_hash)
+                (*complement_hash, revealed_hash)
             } else {
-                (revealed_hash, sig.complement_hashes[i])
+                (revealed_hash, *complement_hash)
             };
             key_hasher.update(h0.as_bytes());
             key_hasher.update(h1.as_bytes());
@@ -221,18 +226,13 @@ impl LamportKeyPair {
     /// same key reveals enough preimages to forge.
     pub fn sign(&self, message: &[u8]) -> LamportSignature {
         let bits = self.params.message_bits(message);
-        let mut revealed = Vec::with_capacity(bits.len());
-        let mut complement_hashes = Vec::with_capacity(bits.len());
-        for (i, &bit) in bits.iter().enumerate() {
-            let (x0, x1) = &self.preimages[i];
-            if bit {
-                revealed.push(*x1);
-                complement_hashes.push(Sha256::digest(x0));
-            } else {
-                revealed.push(*x0);
-                complement_hashes.push(Sha256::digest(x1));
-            }
-        }
+        let (revealed, complements): (Vec<[u8; DIGEST_LEN]>, Vec<&[u8]>) = bits
+            .iter()
+            .zip(&self.preimages)
+            .map(|(&bit, (x0, x1))| if bit { (*x1, &x0[..]) } else { (*x0, &x1[..]) })
+            .unzip();
+        // Independent 32-byte messages: one batch through the hash engine.
+        let complement_hashes = batch_digest(&complements);
         LamportSignature {
             revealed,
             complement_hashes,
@@ -405,6 +405,68 @@ mod tests {
             assert_eq!(m.preimages, s.preimages);
         }
         assert_eq!(many_prg.next_u64(), seq_prg.next_u64());
+    }
+
+    #[test]
+    fn batched_sign_and_verify_match_one_digest_at_a_time() {
+        // The per-position loops `sign` and `verify` ran before they were
+        // batched, kept here as the reference.
+        fn sign_one_by_one(kp: &LamportKeyPair, message: &[u8]) -> LamportSignature {
+            let (mut revealed, mut complement_hashes) = (Vec::new(), Vec::new());
+            for (&bit, (x0, x1)) in kp.params.message_bits(message).iter().zip(&kp.preimages) {
+                let (shown, hidden) = if bit { (x1, x0) } else { (x0, x1) };
+                revealed.push(*shown);
+                complement_hashes.push(Sha256::digest(hidden));
+            }
+            LamportSignature::from_parts(revealed, complement_hashes)
+        }
+        fn verify_one_by_one(
+            params: &LamportParams,
+            vk: &LamportVerificationKey,
+            message: &[u8],
+            sig: &LamportSignature,
+        ) -> bool {
+            if sig.revealed.len() != params.bits || sig.complement_hashes.len() != params.bits {
+                return false;
+            }
+            let mut key_hasher = Sha256::new();
+            for (i, &bit) in params.message_bits(message).iter().enumerate() {
+                let revealed_hash = Sha256::digest(&sig.revealed[i]);
+                let (h0, h1) = if bit {
+                    (sig.complement_hashes[i], revealed_hash)
+                } else {
+                    (revealed_hash, sig.complement_hashes[i])
+                };
+                key_hasher.update(h0.as_bytes());
+                key_hasher.update(h1.as_bytes());
+            }
+            key_hasher.finalize() == vk.0
+        }
+        // Widths below, at and above the engine's group size, so both the
+        // one-at-a-time and the grouped hashing paths sign and verify.
+        for bits in [1usize, 7, 8, 9, 32, 128] {
+            let params = LamportParams::new(bits);
+            let kp = LamportKeyPair::generate(&params, &mut Prg::from_seed_bytes(b"sign-equiv"));
+            let vk = kp.verification_key();
+            for message in [&b"agree on 1"[..], b"", &[0xa5; 200]] {
+                let sig = kp.sign(message);
+                assert_eq!(sig, sign_one_by_one(&kp, message), "bits={bits}");
+                let (mut revealed, complements) = sig.clone().into_parts();
+                revealed[bits / 2][3] ^= 0x40;
+                let tampered = LamportSignature::from_parts(revealed, complements);
+                for (candidate, text) in
+                    [(&sig, message), (&sig, &b"other"[..]), (&tampered, message)]
+                {
+                    assert_eq!(
+                        params.verify(&vk, text, candidate),
+                        verify_one_by_one(&params, &vk, text, candidate),
+                        "bits={bits}"
+                    );
+                }
+                assert!(params.verify(&vk, message, &sig));
+                assert!(!params.verify(&vk, message, &tampered));
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// `unsafe` is allowed in exactly one module, `sha256::shani` (the SHA-NI
+// intrinsics); every other crate in the workspace forbids it outright.
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
 //! # pba-crypto
 //!
 //! The from-scratch cryptographic substrate for the `polylog-ba` workspace —

@@ -3,7 +3,27 @@
 //! This is the collision-resistant hash underlying every other primitive in
 //! the workspace: HMAC, the PRF/PRG, Merkle trees, Lamport/Merkle signatures,
 //! and commitments. It supports incremental (streaming) hashing through
-//! [`Sha256`] and one-shot hashing through [`Sha256::digest`].
+//! [`Sha256`], one-shot hashing through [`Sha256::digest`], and batched
+//! hashing of independent messages through [`batch_digest`].
+//!
+//! # Compression backends
+//!
+//! Everything above the compression function — padding, buffering, batch
+//! grouping, Merkle/Lamport/PRG/HMAC — is written once and reaches the
+//! function through two calls, [`Backend::compress`] (one chaining state, a
+//! run of blocks) and [`Backend::compress_group`] (one block into each of
+//! [`LANES`] states). Two backends implement them:
+//!
+//! * **portable** — a scalar core and an 8-lane structure-of-arrays core in
+//!   plain integer Rust. The only backend on CPUs without the SHA
+//!   extensions, and the reference every equivalence test compares against.
+//! * **sha-ni** — the x86 SHA extensions, in the private `shani` module
+//!   (the only `unsafe` in the workspace).
+//!
+//! [`Backend::active`] picks once per process from what the CPU reports;
+//! there is nothing to configure. Both backends compute the FIPS 180-4
+//! function on 32-bit words, so every digest is bit-identical whichever one
+//! ran; [`backend`] names the choice for results files.
 //!
 //! # Examples
 //!
@@ -19,6 +39,11 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani;
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -144,6 +169,145 @@ impl From<[u8; DIGEST_LEN]> for Digest {
     }
 }
 
+/// A SHA-256 compression core: the portable integer cores or the x86 SHA
+/// extensions (see the [module docs](self#compression-backends)).
+///
+/// Production code never names a backend — [`Sha256`] and the batch APIs
+/// run on [`Backend::active`]. The explicit constructors exist so
+/// equivalence tests and the `hash_perf` harness can run one input through
+/// each core and compare.
+///
+/// # Examples
+///
+/// ```
+/// use pba_crypto::sha256::{Backend, Sha256};
+///
+/// let portable = Backend::PORTABLE.digest(b"abc");
+/// assert_eq!(portable, Sha256::digest(b"abc"));
+/// if let Some(sha_ni) = Backend::sha_ni() {
+///     assert_eq!(sha_ni.digest(b"abc"), portable);
+/// }
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Backend(Core);
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Core {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(shani::ShaNi),
+}
+
+impl Backend {
+    /// The portable cores: available everywhere, and the oracle.
+    pub const PORTABLE: Backend = Backend(Core::Portable);
+
+    /// The SHA-extension core, if this CPU has it.
+    pub fn sha_ni() -> Option<Backend> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(detected) = shani::ShaNi::detect() {
+            return Some(Backend(Core::ShaNi(detected)));
+        }
+        None
+    }
+
+    /// The backend every dispatching API uses: SHA-NI where the CPU has it,
+    /// portable otherwise. Detected on first use, fixed for the process.
+    pub fn active() -> Backend {
+        static ACTIVE: OnceLock<Backend> = OnceLock::new();
+        *ACTIVE.get_or_init(|| Backend::sha_ni().unwrap_or(Backend::PORTABLE))
+    }
+
+    /// `"sha-ni"` or `"portable"`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Core::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Core::ShaNi(_) => "sha-ni",
+        }
+    }
+
+    /// Compresses a run of consecutive blocks (possibly none) into one
+    /// chaining state.
+    pub fn compress(self, state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+        if blocks.is_empty() {
+            return;
+        }
+        match self.0 {
+            Core::Portable => {
+                for block in blocks {
+                    compress_scalar(state, block);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Core::ShaNi(core) => core.compress(state, blocks),
+        }
+    }
+
+    /// Compresses `blocks[l]` into `states[l]` for [`LANES`] independent
+    /// chaining states at once.
+    pub fn compress_group(self, states: &mut [[u32; 8]; LANES], blocks: &[[u8; BLOCK_LEN]; LANES]) {
+        match self.0 {
+            Core::Portable => {
+                // The 8-lane core wants structure-of-arrays state.
+                let mut soa: [[u32; LANES]; 8] =
+                    std::array::from_fn(|k| std::array::from_fn(|l| states[l][k]));
+                compress_lanes(&mut soa, blocks);
+                *states = std::array::from_fn(|l| std::array::from_fn(|k| soa[k][l]));
+            }
+            #[cfg(target_arch = "x86_64")]
+            Core::ShaNi(core) => core.compress_group(states, blocks),
+        }
+    }
+
+    /// [`Sha256::digest`] on this backend.
+    pub fn digest(self, data: &[u8]) -> Digest {
+        let mut state = H0;
+        let (blocks, tail) = data.as_chunks::<BLOCK_LEN>();
+        self.compress(&mut state, blocks);
+        self.finish(state, tail, data.len() as u64)
+    }
+
+    /// [`batch_digest`] on this backend (one-at-a-time and grouped paths
+    /// both).
+    pub fn batch_digest(self, inputs: &[&[u8]]) -> Vec<Digest> {
+        let views: Vec<View<'_>> = inputs.iter().map(|i| View::new([i, &[], &[]])).collect();
+        batch_views(self, &views)
+    }
+
+    /// Pads and compresses the last `tail.len() < BLOCK_LEN` bytes of a
+    /// `total_len`-byte message: `0x80`, zeros, 8-byte big-endian bit
+    /// length — one block when the tail leaves room for the length, two
+    /// otherwise.
+    fn finish(self, mut state: [u32; 8], tail: &[u8], total_len: u64) -> Digest {
+        let mut block = [0u8; BLOCK_LEN];
+        block[..tail.len()].copy_from_slice(tail);
+        block[tail.len()] = 0x80;
+        if tail.len() >= BLOCK_LEN - 8 {
+            self.compress(&mut state, std::slice::from_ref(&block));
+            block = [0u8; BLOCK_LEN];
+        }
+        block[BLOCK_LEN - 8..].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+        self.compress(&mut state, std::slice::from_ref(&block));
+        state_digest(&state)
+    }
+}
+
+/// Name of the compression backend this process hashes with — `"sha-ni"`
+/// or `"portable"` — for stamping into results files.
+pub fn backend() -> &'static str {
+    Backend::active().name()
+}
+
+/// Serializes a chaining state as the big-endian digest.
+fn state_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -190,113 +354,78 @@ impl Sha256 {
     }
 
     /// One-shot convenience: hash `data` and return the digest.
+    ///
+    /// Skips the streaming buffer: whole blocks are compressed in place and
+    /// the tail is padded on the stack, so an input of at most 55 bytes is
+    /// one padded block and one compression.
     pub fn digest(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+        Backend::active().digest(data)
     }
 
     /// Feeds more data into the hasher.
     pub fn update(&mut self, mut data: &[u8]) {
+        let backend = Backend::active();
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (BLOCK_LEN - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            backend.compress(&mut self.state, std::slice::from_ref(&self.buf));
+            self.buf_len = 0;
         }
-        while data.len() >= BLOCK_LEN {
-            let block: [u8; BLOCK_LEN] = data[..BLOCK_LEN].try_into().expect("checked length");
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let (blocks, tail) = data.as_chunks::<BLOCK_LEN>();
+        backend.compress(&mut self.state, blocks);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Completes the hash and returns the digest, consuming the hasher.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        let mut pad = [0u8; BLOCK_LEN * 2];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        // Bypass total_len bookkeeping; it is already final.
-        let mut remaining = &pad[..pad_len + 8];
-        if self.buf_len > 0 {
-            let take = BLOCK_LEN - self.buf_len;
-            self.buf[self.buf_len..].copy_from_slice(&remaining[..take]);
-            let block = self.buf;
-            self.compress(&block);
-            remaining = &remaining[take..];
-        }
-        while remaining.len() >= BLOCK_LEN {
-            let block: [u8; BLOCK_LEN] = remaining[..BLOCK_LEN].try_into().expect("checked");
-            self.compress(&block);
-            remaining = &remaining[BLOCK_LEN..];
-        }
-        debug_assert!(remaining.is_empty());
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+    pub fn finalize(self) -> Digest {
+        Backend::active().finish(self.state, &self.buf[..self.buf_len], self.total_len)
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The portable scalar compression function (FIPS 180-4 §6.2.2).
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -304,35 +433,39 @@ impl Sha256 {
 // Multi-lane batched engine
 // ---------------------------------------------------------------------------
 
-/// Number of independent messages the batched engine compresses per pass.
+/// Number of independent messages the batched engine compresses per group.
 ///
 /// Eight `u32` lanes advanced in lockstep fill one 256-bit vector register
-/// per working variable, so the compiler can turn every round statement into
-/// a single SIMD instruction (two on 128-bit-only targets). The value is a
-/// tuning constant, not a correctness parameter: every batch API accepts any
-/// input count and falls back to the scalar reference core for ragged tails.
+/// per working variable, so on the portable core the compiler can turn every
+/// round statement into a single SIMD instruction (two on 128-bit-only
+/// targets); the SHA-NI core splits the same group into interleaved
+/// sub-batches. The value is a tuning constant, not a correctness parameter:
+/// every batch API accepts any input count and hashes ragged tails one at a
+/// time.
 pub const LANES: usize = 8;
 
-/// Digests the batch APIs produced through the 8-lane vector core
+/// Digests the batch APIs produced in full groups of [`LANES`]
 /// (process-wide, monotone; see [`engine_stats`]).
 static LANE_DIGESTS: AtomicU64 = AtomicU64::new(0);
-/// Digests the batch APIs handed to the scalar fallback (ragged run tails
-/// and sub-[`LANES`] batches).
+/// Digests the batch APIs hashed one at a time (ragged run tails and
+/// sub-[`LANES`] batches).
 static SCALAR_DIGESTS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the batch engine's dispatch counters: how many digests the
-/// batch APIs computed on the 8-lane vector core versus the scalar fallback.
+/// batch APIs computed in full groups of [`LANES`] versus one at a time. The
+/// split depends on batch shapes only, not on the [`Backend`] that ran.
 ///
 /// Counters are process-wide and monotone (`Relaxed` atomics — the same
 /// idiom as the Merkle/cert cache counters), so concurrent hashing from
 /// worker threads is counted without synchronization. Measure a workload by
 /// diffing two snapshots with [`EngineStats::since`]; *lane occupancy* is
-/// the fraction of batched digests that took the vector path.
+/// the fraction of batched digests that took the group path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Digests computed by the 8-lane core (counted in groups of [`LANES`]).
+    /// Digests computed through [`Backend::compress_group`] (counted in
+    /// groups of [`LANES`]).
     pub lane_digests: u64,
-    /// Digests computed by the scalar reference core inside a batch call.
+    /// Digests computed one at a time inside a batch call.
     pub scalar_digests: u64,
 }
 
@@ -419,24 +552,32 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Scalar reference digest of the viewed message (streaming core).
-    fn scalar_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        for seg in self.segs {
-            h.update(seg);
+    /// Digest of the viewed message alone, one padded block at a time
+    /// through the single-stream core.
+    fn single_digest(&self, backend: Backend) -> Digest {
+        let mut state = H0;
+        let mut block = [0u8; BLOCK_LEN];
+        for b in 0..self.nblocks() {
+            self.fill_block(b, &mut block);
+            backend.compress(&mut state, std::slice::from_ref(&block));
         }
-        h.finalize()
+        state_digest(&state)
     }
 }
 
-/// Compresses one block into each of the `LANES` states, in lockstep.
+/// The portable 8-lane core: compresses one block into each of the `LANES`
+/// states, in lockstep.
 ///
 /// The structure-of-arrays layout (`state[var][lane]`, `w[round][lane]`)
 /// keeps every statement an elementwise loop over the lane dimension, which
 /// is exactly the shape LLVM's loop vectorizer turns into packed `u32`
-/// arithmetic. No `unsafe`, no explicit intrinsics: the scalar semantics of
-/// each lane are literally those of the streaming core's compress loop, so
-/// batched output is bit-identical to the scalar path by construction.
+/// arithmetic. The scalar semantics of each lane are literally those of
+/// [`compress_scalar`]'s loop, so its output is bit-identical to the scalar
+/// core by construction.
+// Out of line on purpose: inlined into `Backend::compress_group` next to
+// the layout transposes, the vectorizer gives up on the round loops
+// (242 ns/digest against 68–86 measured through `batch_digest`).
+#[inline(never)]
 fn compress_lanes(state: &mut [[u32; LANES]; 8], blocks: &[[u8; BLOCK_LEN]; LANES]) {
     let mut w = [[0u32; LANES]; 64];
     for t in 0..16 {
@@ -495,45 +636,44 @@ fn compress_lanes(state: &mut [[u32; LANES]; 8], blocks: &[[u8; BLOCK_LEN]; LANE
     }
 }
 
-/// Runs `LANES` equal-block-count views through the lane core, scattering
+/// Runs `LANES` equal-block-count views through the group core, scattering
 /// the digests to `out[indices[l]]`.
-fn digest_lane_group(views: &[View<'_>; LANES], indices: &[usize; LANES], out: &mut [Digest]) {
+fn digest_lane_group(
+    backend: Backend,
+    views: &[View<'_>; LANES],
+    indices: &[usize; LANES],
+    out: &mut [Digest],
+) {
     LANE_DIGESTS.fetch_add(LANES as u64, Ordering::Relaxed);
     let nblocks = views[0].nblocks();
     debug_assert!(views.iter().all(|v| v.nblocks() == nblocks));
-    let mut state = [[0u32; LANES]; 8];
-    for k in 0..8 {
-        state[k] = [H0[k]; LANES];
-    }
+    let mut states = [H0; LANES];
     let mut blocks = [[0u8; BLOCK_LEN]; LANES];
     for b in 0..nblocks {
         for l in 0..LANES {
             views[l].fill_block(b, &mut blocks[l]);
         }
-        compress_lanes(&mut state, &blocks);
+        backend.compress_group(&mut states, &blocks);
     }
     for l in 0..LANES {
-        let mut bytes = [0u8; DIGEST_LEN];
-        for k in 0..8 {
-            bytes[k * 4..k * 4 + 4].copy_from_slice(&state[k][l].to_be_bytes());
-        }
-        out[indices[l]] = Digest(bytes);
+        out[indices[l]] = state_digest(&states[l]);
     }
 }
 
 /// Digests a batch of views, preserving input order in the output.
 ///
 /// Views are grouped by padded block count (lockstep lanes must compress
-/// the same number of blocks); full groups of [`LANES`] run through the
-/// vector core, every leftover runs through the scalar reference core —
-/// so ragged batches are handled without dummy-lane waste and the result
-/// is bit-identical to per-input [`Sha256::digest`] in all cases.
-fn batch_views(views: &[View<'_>]) -> Vec<Digest> {
+/// the same number of blocks); full groups of [`LANES`] run through
+/// [`Backend::compress_group`], every leftover runs alone through
+/// [`Backend::compress`] — so ragged batches are handled without
+/// dummy-lane waste and the result is bit-identical to per-input
+/// [`Sha256::digest`] in all cases.
+fn batch_views(backend: Backend, views: &[View<'_>]) -> Vec<Digest> {
     let mut out = vec![Digest::ZERO; views.len()];
     if views.len() < LANES {
         SCALAR_DIGESTS.fetch_add(views.len() as u64, Ordering::Relaxed);
         for (o, v) in out.iter_mut().zip(views) {
-            *o = v.scalar_digest();
+            *o = v.single_digest(backend);
         }
         return out;
     }
@@ -551,12 +691,12 @@ fn batch_views(views: &[View<'_>]) -> Vec<Digest> {
         for chunk in &mut chunks {
             let indices: [usize; LANES] = chunk.try_into().expect("exact chunk");
             let group: [View<'_>; LANES] = std::array::from_fn(|l| views[indices[l]]);
-            digest_lane_group(&group, &indices, &mut out);
+            digest_lane_group(backend, &group, &indices, &mut out);
         }
         let tail = chunks.remainder();
         SCALAR_DIGESTS.fetch_add(tail.len() as u64, Ordering::Relaxed);
         for &i in tail {
-            out[i] = views[i].scalar_digest();
+            out[i] = views[i].single_digest(backend);
         }
         run_start = run_end;
     }
@@ -567,7 +707,7 @@ fn batch_views(views: &[View<'_>]) -> Vec<Digest> {
 ///
 /// Output `i` is bit-identical to `Sha256::digest(inputs[i])` for every
 /// batch shape — empty inputs, padding-boundary lengths, and batches
-/// smaller than [`LANES`] included (those take the scalar reference path).
+/// smaller than [`LANES`] included (those are hashed one at a time).
 ///
 /// # Examples
 ///
@@ -579,8 +719,7 @@ fn batch_views(views: &[View<'_>]) -> Vec<Digest> {
 /// assert_eq!(digests[1], Sha256::digest(b"bc"));
 /// ```
 pub fn batch_digest(inputs: &[&[u8]]) -> Vec<Digest> {
-    let views: Vec<View<'_>> = inputs.iter().map(|i| View::new([i, &[], &[]])).collect();
-    batch_views(&views)
+    Backend::active().batch_digest(inputs)
 }
 
 /// Hashes `prefix ‖ input` for each input, batched. Used for domain-prefixed
@@ -590,7 +729,7 @@ pub fn batch_digest(inputs: &[&[u8]]) -> Vec<Digest> {
 /// Output `i` equals `Sha256::digest(prefix ‖ inputs[i])`.
 pub fn batch_digest_prefixed(prefix: &[u8], inputs: &[&[u8]]) -> Vec<Digest> {
     let views: Vec<View<'_>> = inputs.iter().map(|i| View::new([prefix, i, &[]])).collect();
-    batch_views(&views)
+    batch_views(Backend::active(), &views)
 }
 
 /// The fixed-input fast path: digests of `prefix ‖ a ‖ b` for digest pairs —
@@ -601,6 +740,7 @@ pub fn batch_digest_prefixed(prefix: &[u8], inputs: &[&[u8]]) -> Vec<Digest> {
 ///
 /// Output `i` equals `Sha256::digest([prefix] ‖ pairs[i].0 ‖ pairs[i].1)`.
 pub fn batch_digest_pairs(prefix: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest> {
+    let backend = Backend::active();
     let mut out = vec![Digest::ZERO; pairs.len()];
     let scalar_pair = |(a, b): &(Digest, Digest)| {
         let mut h = Sha256::new();
@@ -613,10 +753,7 @@ pub fn batch_digest_pairs(prefix: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest>
     let mut base = 0;
     for chunk in &mut chunks {
         LANE_DIGESTS.fetch_add(LANES as u64, Ordering::Relaxed);
-        let mut state = [[0u32; LANES]; 8];
-        for k in 0..8 {
-            state[k] = [H0[k]; LANES];
-        }
+        let mut states = [H0; LANES];
         // Block 0: prefix byte, the full left digest, 31 bytes of the right.
         let mut blocks = [[0u8; BLOCK_LEN]; LANES];
         for (l, (a, b)) in chunk.iter().enumerate() {
@@ -624,7 +761,7 @@ pub fn batch_digest_pairs(prefix: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest>
             blocks[l][1..33].copy_from_slice(a.as_bytes());
             blocks[l][33..64].copy_from_slice(&b.as_bytes()[..31]);
         }
-        compress_lanes(&mut state, &blocks);
+        backend.compress_group(&mut states, &blocks);
         // Block 1: last right byte, 0x80, zeros, 520-bit length. Constant
         // except for the first byte.
         let mut pad = [0u8; BLOCK_LEN];
@@ -634,13 +771,9 @@ pub fn batch_digest_pairs(prefix: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest>
         for (l, (_, b)) in chunk.iter().enumerate() {
             blocks[l][0] = b.as_bytes()[31];
         }
-        compress_lanes(&mut state, &blocks);
-        for l in 0..LANES {
-            let mut bytes = [0u8; DIGEST_LEN];
-            for k in 0..8 {
-                bytes[k * 4..k * 4 + 4].copy_from_slice(&state[k][l].to_be_bytes());
-            }
-            out[base + l] = Digest(bytes);
+        backend.compress_group(&mut states, &blocks);
+        for (o, state) in out[base..base + LANES].iter_mut().zip(&states) {
+            *o = state_digest(state);
         }
         base += LANES;
     }
@@ -676,23 +809,54 @@ mod tests {
         ),
     ];
 
+    /// Every core this host can run. On a CPU without the SHA extensions
+    /// the SHA-NI arm says so instead of passing silently.
+    fn cores() -> Vec<Backend> {
+        let mut cores = vec![Backend::PORTABLE];
+        match Backend::sha_ni() {
+            Some(sha_ni) => cores.push(sha_ni),
+            None => eprintln!("note: no SHA extensions on this CPU; sha-ni core not exercised"),
+        }
+        cores
+    }
+
     #[test]
     fn nist_vectors() {
         for (input, expected) in VECTORS {
             assert_eq!(Sha256::digest(input).to_hex(), *expected);
+            for core in cores() {
+                assert_eq!(core.digest(input).to_hex(), *expected, "{}", core.name());
+                // The same vector eight times over goes through the group
+                // core (portable lanes / SHA-NI interleaved).
+                for d in core.batch_digest(&[*input; LANES]) {
+                    assert_eq!(d.to_hex(), *expected, "{} group", core.name());
+                }
+            }
         }
     }
 
     #[test]
     fn million_a() {
+        const EXPECTED: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         for _ in 0..1000 {
             h.update(&[b'a'; 1000]);
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(h.finalize().to_hex(), EXPECTED);
+        let message = vec![b'a'; 1_000_000];
+        for core in cores() {
+            assert_eq!(core.digest(&message).to_hex(), EXPECTED, "{}", core.name());
+        }
+    }
+
+    #[test]
+    fn backend_name_reports_sha_ni_exactly_when_detected() {
+        let expected = if Backend::sha_ni().is_some() {
+            "sha-ni"
+        } else {
+            "portable"
+        };
+        assert_eq!(backend(), expected);
     }
 
     #[test]

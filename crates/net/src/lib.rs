@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # pba-net
 //!
 //! A synchronous, round-based network simulator with **exact per-party

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # pba-snark
 //!
 //! Succinct-argument machinery for the `polylog-ba` workspace: a simulated

@@ -11,6 +11,7 @@
 //! Flags are `--key value` pairs with sensible defaults; `--help` prints
 //! usage. Argument parsing is hand-rolled to keep the dependency set to the
 //! approved list.
+#![forbid(unsafe_code)]
 
 use pba_core::broadcast::run_broadcasts;
 use pba_core::lowerbound::{isolation_attack_crs, isolation_attack_with_srds};
@@ -180,8 +181,13 @@ fn cmd_ba(args: &Args) -> Result<(), String> {
     let input = args.usize_or("input", 1)? as u8;
     let scheme = args.str_or("scheme", "snark");
     println!(
-        "pi_ba: n = {}, corruption = {:?}, profile = {:?}, scheme = {scheme}",
-        config.n, config.corruption, config.profile
+        "pi_ba: n = {}, corruption = {:?}, profile = {:?}, scheme = {scheme}, \
+         host_cores = {}, sha256_backend = {}",
+        config.n,
+        config.corruption,
+        config.profile,
+        std::thread::available_parallelism().map_or(1, |v| v.get()),
+        pba_crypto::sha256::backend(),
     );
     let inputs = vec![input; config.n];
     let out = run_ba_with(&scheme, &config, &inputs)?;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # polylog-ba
 //!
 //! A production-quality Rust reproduction of

@@ -1,13 +1,15 @@
-//! Differential test of the deterministic work-stealing round engine:
-//! every chaos-matrix strategy × placement at n = 48 is executed
-//! sequentially and with 0, 2, 4, 7, and 64 workers from the same seed,
-//! and the runs must be *bit-identical* — same
+//! Differential test of the deterministic parallel round engine (a
+//! phase-persistent worker pool claiming `PartyId`-ordered chunks from one
+//! shared queue, effects merged in `PartyId` order): every chaos-matrix
+//! strategy × placement at n = 48 is executed sequentially and with 0, 2,
+//! 4, 7, and 64 workers from the same seed, and the runs must be
+//! *bit-identical* — same
 //! [`RoundOutcome`]/[`ProtocolError`], same staged envelope transcript
 //! (compared round by round, so a divergence names the first differing
 //! round), and the same [`pba_net::Report`] snapshot. The degenerate
 //! knob values are deliberate: `threads = 0` must alias the sequential
 //! path, and `threads = 64 > n` must cap at one machine per worker
-//! rather than spinning up idle stealers that could race the injector.
+//! rather than spawning workers with nothing to claim.
 //!
 //! The threads knob reaches both threaded sub-protocols
 //! ([`pba_core::protocol::Service::try_committee_ba`] and the VSS coin),

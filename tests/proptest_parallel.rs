@@ -79,7 +79,7 @@ proptest! {
     /// sequential run bit for bit, under every catalogue strategy — the
     /// degenerate knobs included (`threads = 0` aliases the sequential
     /// path; `threads = 33 > n` caps at one machine per worker instead
-    /// of spawning idle stealers).
+    /// of spawning workers with nothing to claim).
     #[test]
     fn thread_count_invariance(
         n in 6usize..24,
