@@ -214,6 +214,21 @@ mod tests {
     }
 
     #[test]
+    fn master_seed_matches_the_berlekamp_welch_reconstruction() {
+        // Values printed by the commit whose group tosses still decoded
+        // with the Berlekamp–Welch search; the silent-corruption run has
+        // groups whose words are short by their corrupt members.
+        assert_eq!(
+            run(128, 0, b"kA").0.master_seed.to_hex(),
+            "f1ed5c5800ed886edb1151dff5549c59a989eb6bb3073f6ee033cf6c675da53b"
+        );
+        assert_eq!(
+            run(128, 12, b"k3a").0.master_seed.to_hex(),
+            "51f7b5d5bbe38897ac4bd262d141ac39d004ac2421d7c562a7254f0498dc4b20"
+        );
+    }
+
+    #[test]
     fn representative_fraction_stays_proportional() {
         // Random corruption must not let corrupt parties dominate the
         // final population (here proxied by the supreme committee).

@@ -8,8 +8,8 @@
 //!    threshold `t = ⌊(c−1)/3⌋` over private channels;
 //! 2. **echo** — every member broadcasts all shares it received;
 //! 3. **reconstruct** — each dealer's polynomial is decoded from the `c`
-//!    echoed shares with Berlekamp–Welch, correcting up to `t` Byzantine
-//!    echoes (`c ≥ 3t + 1`); undecodable dealers are excluded;
+//!    echoed shares, correcting up to `t` Byzantine echoes (`c ≥ 3t + 1`);
+//!    undecodable dealers are excluded;
 //! 4. **agree** — phase-king on the candidate seed handles residual
 //!    divergence from equivocating echoes of inconsistent corrupt dealers.
 //!
@@ -18,6 +18,18 @@
 //! the deal round only shows it `t` shares of each honest dealer — below
 //! the threshold, revealing nothing. The coin is therefore unbiased, not
 //! merely bounded-influence.
+//!
+//! **Which decoder runs, and what a toss costs.** Step 3 asks, per dealer,
+//! for *the* degree-`≤ t` polynomial within distance `e` of the echoed
+//! word, `e = min(t, ⌊(m − t − 1)/2⌋)` for `m` echoes — unique because two
+//! such polynomials would agree on `m − 2e ≥ t + 1` points. Dealers echoed
+//! by the same members share an evaluation set, so they share one
+//! [`reed_solomon::Decoder`]: one table build (tens of µs), then an honest
+//! word costs `m − t − 1` parity dot-products plus a `(t + 1)²` mat-vec,
+//! and a word with lies one `O(m²)` key-equation solve. Per member and
+//! toss that is `O(c³)` field multiplications; there is one evaluation set
+//! whenever no echoer omits a dealer, and never more than `c` even when
+//! corrupt echoers omit dealers to split them.
 
 use crate::phase_king::{rounds_for, PhaseKing};
 use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
@@ -77,10 +89,12 @@ pub struct VssCoin {
     me: PartyId,
     my_pos: usize,
     t: usize,
-    my_poly_shares: Vec<Fp>, // shares of this member's own secret, per seat
-    received: BTreeMap<usize, Fp>, // dealer position -> my share
-    /// `echoes[echoer position][dealer position]` = echoed share.
-    echoes: Vec<BTreeMap<usize, Fp>>,
+    my_poly_shares: Vec<Fp>,   // shares of this member's own secret, per seat
+    received: Vec<Option<Fp>>, // dealer position -> my share
+    /// `echoes[echoer position · c + dealer position]` = echoed share.
+    echoes: Vec<Option<Fp>>,
+    /// Echoers whose vector has been taken: the first non-empty one wins.
+    echoed: Vec<bool>,
     candidate: Option<Digest>,
     done: bool,
 }
@@ -98,20 +112,19 @@ impl VssCoin {
             .expect("member not in committee");
         let c = committee.len();
         let t = c.saturating_sub(1) / 3;
-        let secret = Fp::random(prg);
-        let my_poly_shares: Vec<Fp> = shamir::share(secret, t, c, prg)
+        let my_poly_shares: Vec<Fp> = shamir::share(Fp::random(prg), t, c, prg)
             .into_iter()
             .map(|s| s.value)
             .collect();
-        let _ = secret; // fully encoded in the shares
         VssCoin {
-            echoes: vec![BTreeMap::new(); c],
             committee,
             me,
             my_pos,
             t,
             my_poly_shares,
-            received: BTreeMap::new(),
+            received: vec![None; c],
+            echoes: vec![None; c * c],
+            echoed: vec![false; c],
             candidate: None,
             done: false,
         }
@@ -136,11 +149,10 @@ impl Machine for VssCoin {
         match ctx.round() {
             0 => {
                 // Deal: private share to every member.
-                self.received
-                    .insert(self.my_pos, self.my_poly_shares[self.my_pos]);
-                for (pos, &peer) in self.committee.clone().iter().enumerate() {
+                self.received[self.my_pos] = Some(self.my_poly_shares[self.my_pos]);
+                for (&peer, &share) in self.committee.iter().zip(&self.my_poly_shares) {
                     if peer != self.me {
-                        ctx.send_msg(peer, &VssCoinMsg::Deal(self.my_poly_shares[pos]));
+                        ctx.send_msg(peer, &VssCoinMsg::Deal(share));
                     }
                 }
             }
@@ -150,55 +162,75 @@ impl Machine for VssCoin {
                     let Some(pos) = self.position_of(env.from) else {
                         continue;
                     };
-                    if self.received.contains_key(&pos) {
+                    if self.received[pos].is_some() {
                         continue;
                     }
                     if let Some(VssCoinMsg::Deal(v)) = ctx.recv_msg(env) {
-                        self.received.insert(pos, v);
+                        self.received[pos] = Some(v);
                     }
                 }
-                let vector: Vec<(u64, Fp)> =
-                    self.received.iter().map(|(&d, &v)| (d as u64, v)).collect();
-                self.echoes[self.my_pos] = self.received.clone();
-                for &peer in &self.committee.clone() {
+                let vector: Vec<(u64, Fp)> = self
+                    .received
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(d, v)| v.map(|v| (d as u64, v)))
+                    .collect();
+                self.echoes[self.my_pos * c..][..c].copy_from_slice(&self.received);
+                self.echoed[self.my_pos] = !vector.is_empty();
+                let echo = VssCoinMsg::Echo(vector);
+                for &peer in &self.committee {
                     if peer != self.me {
-                        ctx.send_msg(peer, &VssCoinMsg::Echo(vector.clone()));
+                        ctx.send_msg(peer, &echo);
                     }
                 }
             }
             _ => {
-                // Collect echoes; reconstruct every dealer with BW decoding.
+                // Collect echoes. A sender's vector is untrusted: dealer
+                // indices outside the committee are dropped, a repeated
+                // index keeps its last value.
                 for env in inbox {
                     let Some(pos) = self.position_of(env.from) else {
                         continue;
                     };
-                    if !self.echoes[pos].is_empty() {
+                    if self.echoed[pos] {
                         continue;
                     }
                     if let Some(VssCoinMsg::Echo(vector)) = ctx.recv_msg(env) {
+                        self.echoed[pos] = !vector.is_empty();
                         for (d, v) in vector {
-                            self.echoes[pos].insert(d as usize, v);
+                            if d < c as u64 {
+                                self.echoes[pos * c + d as usize] = Some(v);
+                            }
                         }
                     }
                 }
+                // Reconstruct every dealer, one decoder per distinct set of
+                // echoers (x-coordinates).
+                let k = self.t + 1;
+                let mut decoders: Vec<(Vec<Fp>, reed_solomon::Decoder)> = Vec::new();
                 let mut seed_acc = Sha256::new();
                 seed_acc.update(b"pba-vss-coin");
                 let mut included = 0u64;
                 for dealer in 0..c {
                     // Points: echoer position -> echoed share of this dealer.
-                    let points: Vec<(Fp, Fp)> = (0..c)
+                    let (xs, ys): (Vec<Fp>, Vec<Fp>) = (0..c)
                         .filter_map(|echoer| {
-                            self.echoes[echoer]
-                                .get(&dealer)
-                                .map(|&v| (Fp::new(echoer as u64 + 1), v))
+                            self.echoes[echoer * c + dealer]
+                                .map(|v| (Fp::new(echoer as u64 + 1), v))
                         })
-                        .collect();
-                    let k = self.t + 1;
-                    if points.len() < k {
+                        .unzip();
+                    if xs.len() < k {
                         continue;
                     }
-                    let budget = ((points.len() - k) / 2).min(self.t);
-                    if let Ok(poly) = reed_solomon::decode(&points, k, budget) {
+                    let budget = ((xs.len() - k) / 2).min(self.t);
+                    let known = decoders.iter().position(|(set, _)| *set == xs);
+                    let at = known.unwrap_or_else(|| {
+                        let decoder = reed_solomon::Decoder::new(&xs, k)
+                            .expect("distinct seats, at least k of them");
+                        decoders.push((xs, decoder));
+                        decoders.len() - 1
+                    });
+                    if let Ok(poly) = decoders[at].1.decode(&ys, budget) {
                         seed_acc.update(&(dealer as u64).to_le_bytes());
                         seed_acc.update(&poly.eval(Fp::ZERO).value().to_le_bytes());
                         included += 1;
@@ -430,5 +462,257 @@ mod tests {
             let m = net.metrics().party(PartyId(outsider));
             assert_eq!(m.bytes_sent + m.bytes_received, 0);
         }
+    }
+
+    /// Corrupt members echo garbage for some dealers and omit the rest, a
+    /// different subset each, so the dealers' echoer sets differ and one
+    /// reconstruction decodes over several evaluation sets.
+    struct PartialEchoer {
+        corrupted: BTreeSet<PartyId>,
+        committee: Vec<PartyId>,
+    }
+
+    impl Adversary for PartialEchoer {
+        fn corrupted(&self) -> &BTreeSet<PartyId> {
+            &self.corrupted
+        }
+        fn on_round(
+            &mut self,
+            round: u64,
+            _rushed: &BTreeMap<PartyId, Vec<Envelope>>,
+            sender: &mut AdvSender<'_>,
+        ) {
+            if round != 1 {
+                return;
+            }
+            let c = self.committee.len() as u64;
+            for (i, &bad) in self.corrupted.iter().enumerate() {
+                let vector: Vec<(u64, Fp)> = (0..c)
+                    .filter(|d| !(d + i as u64).is_multiple_of(3))
+                    .map(|d| (d, Fp::new(d * 31 + i as u64)))
+                    .collect();
+                for &peer in &self.committee {
+                    if !self.corrupted.contains(&peer) {
+                        sender.send_msg(bad, peer, &VssCoinMsg::Echo(vector.clone()));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Corrupt dealers hand out a degree-`t` sharing with a growing number
+    /// of wrong shares, then stay silent: with only the `c − t` honest
+    /// echoes the error budget is `(c − 2t − 1) / 2`, and the dealers sit
+    /// just below, at and just above it.
+    struct SloppyDealer {
+        corrupted: BTreeSet<PartyId>,
+        committee: Vec<PartyId>,
+    }
+
+    impl Adversary for SloppyDealer {
+        fn corrupted(&self) -> &BTreeSet<PartyId> {
+            &self.corrupted
+        }
+        fn on_round(
+            &mut self,
+            round: u64,
+            _rushed: &BTreeMap<PartyId, Vec<Envelope>>,
+            sender: &mut AdvSender<'_>,
+        ) {
+            if round != 0 {
+                return;
+            }
+            let c = self.committee.len();
+            let t = (c - 1) / 3;
+            let budget = (c - 2 * t - 1) / 2;
+            for (i, &bad) in self.corrupted.iter().enumerate() {
+                let poly = pba_crypto::poly::Polynomial::new(
+                    (0..=t as u64)
+                        .map(|d| Fp::new(1000 * (i as u64 + 1) + d))
+                        .collect(),
+                );
+                let wrong = budget - 1 + i % 3;
+                let honest = self
+                    .committee
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| !self.corrupted.contains(p));
+                for (nth, (pos, &peer)) in honest.enumerate() {
+                    let share = poly.eval(Fp::new(pos as u64 + 1));
+                    let dealt = if nth < wrong { share + Fp::ONE } else { share };
+                    sender.send_msg(bad, peer, &VssCoinMsg::Deal(dealt));
+                }
+            }
+        }
+    }
+
+    /// The one seed every honest member of a `c`-seat toss ends with.
+    fn agreed_seed(c: usize, adv: &mut dyn Adversary) -> String {
+        let members = committee(c);
+        let mut net = Network::new(c);
+        let mut prg = Prg::from_seed_bytes(b"vss-pin");
+        let seeds = toss_coin_vss(&mut net, &members, adv, &mut prg);
+        let distinct: BTreeSet<Digest> = seeds.values().copied().collect();
+        assert_eq!(distinct.len(), 1, "committee split");
+        distinct.iter().next().unwrap().to_hex()
+    }
+
+    fn first_seats(count: usize) -> BTreeSet<PartyId> {
+        (0..count).map(PartyId::from).collect()
+    }
+
+    #[test]
+    fn partial_echoes_still_converge() {
+        // t corrupt echoers each omit a different third of the dealers and
+        // lie about the rest. They deal nothing, so the seed every honest
+        // member must reach is the honest dealers' (values printed by the
+        // Berlekamp–Welch commit, equal to the `LyingEchoer` pins below).
+        for (c, seed) in [
+            (
+                10usize,
+                "12f4b6c862812d41d47a493600420256f2688864cb52ed105695a42e7d464bb9",
+            ),
+            (
+                30,
+                "f254510544c38b444831dced9fa18dd113bbd3678756a3699dcdb6016a7256f4",
+            ),
+            (
+                42,
+                "2eb5f76d17ba03a29b5a830f2b28541e158213c041c9ed9495311c3baf2664c1",
+            ),
+        ] {
+            let mut adv = PartialEchoer {
+                corrupted: first_seats((c - 1) / 3),
+                committee: committee(c),
+            };
+            assert_eq!(agreed_seed(c, &mut adv), seed, "c={c}");
+        }
+    }
+
+    /// Seeds printed by the commit that still reconstructed with the
+    /// Berlekamp–Welch search: the decoder swap must not move a bit of
+    /// them, through honest words, short words, corrected lies and dealers
+    /// beyond the error budget.
+    #[test]
+    fn coin_seeds_match_the_berlekamp_welch_reconstruction() {
+        assert_eq!(
+            agreed_seed(30, &mut SilentAdversary::default()),
+            "ff2122f0c267aee1ee60db43c226157c021994dc1f36b67fb4ac12fa93c60225"
+        );
+        let silent: BTreeSet<PartyId> = [PartyId(7), PartyId(8), PartyId(9)].into();
+        assert_eq!(
+            agreed_seed(10, &mut SilentAdversary::new(silent)),
+            "2fa75647a6390b64b52cf9fb757c95feb0fd2fefc0a3fe75313c1d78770db7e5"
+        );
+        for (c, liars, sloppy) in [
+            (
+                10usize,
+                "12f4b6c862812d41d47a493600420256f2688864cb52ed105695a42e7d464bb9",
+                "4b8f00978c5e317a412b7a648fa77f7617b4d1856f0e9dc4b899ece8826b71d7",
+            ),
+            (
+                42,
+                "2eb5f76d17ba03a29b5a830f2b28541e158213c041c9ed9495311c3baf2664c1",
+                "d980b4d9efac2a2abb74992c4cfbd2e649dde227a14063c0b8e1eb1e84656e23",
+            ),
+        ] {
+            let (corrupted, committee) = (first_seats((c - 1) / 3), committee(c));
+            let mut adv = LyingEchoer {
+                corrupted: corrupted.clone(),
+                committee: committee.clone(),
+            };
+            assert_eq!(agreed_seed(c, &mut adv), liars, "lying echoers, c={c}");
+            let mut adv = SloppyDealer {
+                corrupted,
+                committee,
+            };
+            assert_eq!(agreed_seed(c, &mut adv), sloppy, "sloppy dealers, c={c}");
+        }
+    }
+
+    /// Seat 0 of a `c`-seat committee on a 16-party network, advanced
+    /// through the deal and echo rounds with no mail: ready for echoes.
+    fn awaiting_echoes(c: usize) -> (VssCoin, Network) {
+        let mut net = Network::new(16);
+        let mut prg = Prg::from_seed_bytes(b"vss-machine");
+        let mut machine = VssCoin::new(committee(c), PartyId(0), &mut prg);
+        machine.on_round(&mut net.ctx(PartyId(0), 0), &[]);
+        machine.on_round(&mut net.ctx(PartyId(0), 1), &[]);
+        (machine, net)
+    }
+
+    fn echo_from(seat: u64, vector: Vec<(u64, Fp)>) -> Envelope {
+        let payload = pba_net::wire::encode_msg(&VssCoinMsg::Echo(vector));
+        Envelope::new(PartyId(seat), PartyId(0), payload)
+    }
+
+    fn row(machine: &VssCoin, echoer: usize) -> &[Option<Fp>] {
+        let c = machine.committee.len();
+        &machine.echoes[echoer * c..][..c]
+    }
+
+    #[test]
+    fn dealer_indices_outside_the_committee_are_dropped() {
+        let (mut machine, mut net) = awaiting_echoes(7);
+        let capacity = machine.echoes.capacity();
+        let vector = vec![
+            (7, Fp::new(1)),
+            (2, Fp::new(5)),
+            (u64::MAX, Fp::new(1)),
+            (1 << 32, Fp::new(1)),
+        ];
+        machine.on_round(&mut net.ctx(PartyId(0), 2), &[echo_from(3, vector)]);
+        let mut expected = [None; 7];
+        expected[2] = Some(Fp::new(5));
+        assert_eq!(row(&machine, 3), expected);
+        assert_eq!(machine.echoes.len(), 49);
+        assert_eq!(machine.echoes.capacity(), capacity);
+        assert!(machine.candidate().is_some());
+    }
+
+    #[test]
+    fn repeated_dealer_entry_keeps_its_last_value() {
+        let (mut machine, mut net) = awaiting_echoes(7);
+        let vector = vec![(4, Fp::new(1)), (5, Fp::new(2)), (4, Fp::new(3))];
+        machine.on_round(&mut net.ctx(PartyId(0), 2), &[echo_from(2, vector)]);
+        assert_eq!(row(&machine, 2)[4], Some(Fp::new(3)));
+        assert_eq!(row(&machine, 2)[5], Some(Fp::new(2)));
+    }
+
+    #[test]
+    fn first_non_empty_echo_per_sender_wins_and_later_ones_are_not_read() {
+        let (mut machine, mut net) = awaiting_echoes(7);
+        let inbox = [
+            echo_from(3, vec![]),
+            echo_from(3, vec![(1, Fp::new(10))]),
+            echo_from(3, vec![(1, Fp::new(20)), (2, Fp::new(20))]),
+            // Non-empty even though nothing in it is usable.
+            echo_from(4, vec![(u64::MAX, Fp::new(30))]),
+            echo_from(4, vec![(1, Fp::new(40))]),
+        ];
+        machine.on_round(&mut net.ctx(PartyId(0), 2), &inbox);
+        assert_eq!(row(&machine, 3)[1], Some(Fp::new(10)));
+        assert_eq!(row(&machine, 3)[2], None);
+        assert_eq!(row(&machine, 4), [None; 7]);
+        // Skipped envelopes are dropped before `recv_msg`: never metered.
+        let read: usize = [&inbox[0], &inbox[1], &inbox[3]]
+            .iter()
+            .map(|env| env.len())
+            .sum();
+        assert_eq!(net.metrics().party(PartyId(0)).bytes_received, read as u64);
+    }
+
+    #[test]
+    fn non_members_and_own_seat_are_ignored_unread() {
+        let (mut machine, mut net) = awaiting_echoes(7);
+        let before = machine.echoes.clone();
+        let inbox = [
+            echo_from(7, vec![(1, Fp::new(1))]),
+            echo_from(15, vec![(1, Fp::new(1))]),
+            echo_from(0, vec![(1, Fp::new(1))]),
+        ];
+        machine.on_round(&mut net.ctx(PartyId(0), 2), &inbox);
+        assert_eq!(machine.echoes, before);
+        assert_eq!(net.metrics().party(PartyId(0)).bytes_received, 0);
     }
 }

@@ -22,8 +22,9 @@
 //!   PKI" for the SNARK-based SRDS and baselines);
 //! * [`field`], [`poly`], [`shamir`] — `F_{2^61-1}` arithmetic and Shamir
 //!   sharing for committee coin tossing;
-//! * [`reed_solomon`] — Berlekamp–Welch error-corrected share decoding
-//!   (robust reconstruction against Byzantine echoes);
+//! * [`reed_solomon`] — error-corrected share decoding, one table-driven
+//!   decoder per evaluation set (robust reconstruction against Byzantine
+//!   echoes);
 //! * [`vss`] — committed verifiable secret sharing (Merkle-bound shares);
 //! * [`commit`] — hash commitments for commit–reveal;
 //! * [`codec`] — the deterministic wire format used for exact communication

@@ -12,7 +12,7 @@
 //! assert_eq!(f.eval(Fp::new(10)), Fp::new(23));
 //! ```
 
-use crate::field::Fp;
+use crate::field::{batch_inverse, Fp};
 use crate::prg::Prg;
 
 /// A polynomial stored by coefficients, lowest degree first.
@@ -72,33 +72,21 @@ impl Polynomial {
 ///
 /// Panics if `points` is empty or contains duplicate x-coordinates.
 pub fn interpolate_at_zero(points: &[(Fp, Fp)]) -> Fp {
-    assert!(!points.is_empty(), "interpolation needs at least one point");
-    let mut acc = Fp::ZERO;
-    for (i, &(xi, yi)) in points.iter().enumerate() {
-        let mut num = Fp::ONE;
-        let mut den = Fp::ONE;
-        for (j, &(xj, _)) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            assert!(xi != xj, "duplicate x-coordinate in interpolation");
-            num *= -xj; // (0 - xj)
-            den *= xi - xj;
-        }
-        acc += yi * num * den.inverse();
-    }
-    acc
+    interpolate_at(points, Fp::ZERO)
 }
 
-/// Lagrange-interpolates and evaluates at an arbitrary `x`.
+/// Lagrange-interpolates and evaluates at an arbitrary `x`. The
+/// `points.len()` basis denominators share one field inversion
+/// ([`batch_inverse`]).
 ///
 /// # Panics
 ///
 /// Panics if `points` is empty or contains duplicate x-coordinates.
 pub fn interpolate_at(points: &[(Fp, Fp)], x: Fp) -> Fp {
     assert!(!points.is_empty(), "interpolation needs at least one point");
-    let mut acc = Fp::ZERO;
-    for (i, &(xi, yi)) in points.iter().enumerate() {
+    let mut nums = Vec::with_capacity(points.len());
+    let mut dens = Vec::with_capacity(points.len());
+    for (i, &(xi, _)) in points.iter().enumerate() {
         let mut num = Fp::ONE;
         let mut den = Fp::ONE;
         for (j, &(xj, _)) in points.iter().enumerate() {
@@ -109,9 +97,16 @@ pub fn interpolate_at(points: &[(Fp, Fp)], x: Fp) -> Fp {
             num *= x - xj;
             den *= xi - xj;
         }
-        acc += yi * num * den.inverse();
+        nums.push(num);
+        dens.push(den);
     }
-    acc
+    batch_inverse(&mut dens);
+    points
+        .iter()
+        .zip(nums)
+        .zip(dens)
+        .map(|((&(_, yi), num), den_inv)| yi * num * den_inv)
+        .sum()
 }
 
 #[cfg(test)]

@@ -96,7 +96,8 @@ proptest! {
 
     #[test]
     fn vss_coin_survives_fuzzing(
-        c in 7usize..14,
+        // Up to 43 seats, so both benchmark committee sizes (30, 42) run.
+        c in 7usize..44,
         seed in any::<[u8; 8]>(),
         max_len in 1usize..128,
     ) {

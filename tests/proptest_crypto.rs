@@ -4,11 +4,122 @@ use pba_crypto::codec::{decode_from_slice, encode_to_vec};
 use pba_crypto::field::{Fp, MODULUS};
 use pba_crypto::lamport::{LamportKeyPair, LamportParams};
 use pba_crypto::merkle::MerkleTree;
-use pba_crypto::poly::interpolate_at_zero;
+use pba_crypto::poly::{interpolate_at_zero, Polynomial};
 use pba_crypto::prg::Prg;
+use pba_crypto::reed_solomon::{self, Decoder, RsError};
 use pba_crypto::sha256::{Digest, Sha256};
 use pba_crypto::shamir::{reconstruct, share};
 use proptest::prelude::*;
+
+#[path = "oracle/berlekamp_welch.rs"]
+mod berlekamp_welch;
+
+/// How the wrong values of a Reed–Solomon word are chosen.
+#[derive(Clone, Copy, Debug)]
+enum Lies {
+    /// Independent uniform field elements.
+    Uniform,
+    /// Every liar reports the same small constant.
+    Constant,
+    /// Every liar reports a second degree-`< k` polynomial — a competing
+    /// codeword, the hardest word once more than `e` values are wrong.
+    Codeword,
+}
+
+/// `m` distinct x-coordinates in no particular order: a shuffled subset
+/// of `1 ..= 3m` (committee positions with gaps) or uniform elements.
+fn evaluation_set(m: usize, dense: bool, prg: &mut Prg) -> Vec<Fp> {
+    if dense {
+        prg.sample_distinct(3 * m as u64, m)
+            .into_iter()
+            .map(|v| Fp::new(v + 1))
+            .collect()
+    } else {
+        let mut xs = Vec::with_capacity(m);
+        while xs.len() < m {
+            let x = Fp::random(prg);
+            if !xs.contains(&x) {
+                xs.push(x);
+            }
+        }
+        xs
+    }
+}
+
+/// A codeword of a random degree-`< k` polynomial over `xs` with `errors`
+/// of its values replaced by lies that differ from the truth.
+fn corrupted_word(xs: &[Fp], k: usize, errors: usize, lies: Lies, prg: &mut Prg) -> Vec<Fp> {
+    let random_poly =
+        |prg: &mut Prg| Polynomial::new((0..k).map(|_| Fp::random(prg)).collect::<Vec<_>>());
+    let truth = random_poly(prg);
+    let rival = random_poly(prg);
+    let constant = Fp::new(prg.gen_range(3));
+    let mut ys: Vec<Fp> = xs.iter().map(|&x| truth.eval(x)).collect();
+    for pos in prg.sample_distinct(xs.len() as u64, errors.min(xs.len())) {
+        let pos = pos as usize;
+        let lie = match lies {
+            Lies::Uniform => Fp::random(prg),
+            Lies::Constant => constant,
+            Lies::Codeword => rival.eval(xs[pos]),
+        };
+        ys[pos] = if lie == ys[pos] { lie + Fp::ONE } else { lie };
+    }
+    ys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The per-evaluation-set decoder returns, on every input, exactly the
+    /// `Result` (coefficients included) of the Berlekamp–Welch search it
+    /// replaced — through the clean path, the error-correcting path, a
+    /// reused decoder, and the one-shot wrapper's input checks.
+    #[test]
+    fn decoder_matches_berlekamp_welch(
+        k in 1usize..16,
+        e in 0usize..8,
+        surplus in 0usize..4,
+        budget_cut in 0usize..3,
+        errors in proptest::collection::vec(0usize..10, 3),
+        lies in prop_oneof![Just(Lies::Uniform), Just(Lies::Constant), Just(Lies::Codeword)],
+        dense in any::<bool>(),
+        malformed in 0usize..10,
+        seed in any::<[u8; 8]>(),
+    ) {
+        let mut prg = Prg::from_seed_bytes(&seed);
+        let m = k + 2 * e + surplus;
+        let xs = evaluation_set(m, dense, &mut prg);
+        // Capacity is ⌊(m − k)/2⌋ ≥ e; the caller may allow fewer.
+        let budget = e.saturating_sub(budget_cut);
+
+        let decoder = Decoder::new(&xs, k).expect("distinct xs, m >= k");
+        for &errors in &errors {
+            let ys = corrupted_word(&xs, k, errors % (e + 3), lies, &mut prg);
+            let points: Vec<(Fp, Fp)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+            let expected = berlekamp_welch::decode(&points, k, budget);
+            prop_assert_eq!(&decoder.decode(&ys, budget), &expected);
+            prop_assert_eq!(&reed_solomon::decode(&points, k, budget), &expected);
+        }
+
+        // Inputs the one-shot wrapper must reject the way the old one did.
+        let ys = corrupted_word(&xs, k, 0, lies, &mut prg);
+        let mut points: Vec<(Fp, Fp)> = xs.iter().copied().zip(ys).collect();
+        match malformed {
+            0 if m >= 2 => {
+                points[m - 1].0 = points[0].0;
+                let repeated: Vec<Fp> = points.iter().map(|p| p.0).collect();
+                prop_assert_eq!(Decoder::new(&repeated, k).unwrap_err(), RsError::DuplicateX);
+            }
+            1 => points.truncate((k + 2 * budget).saturating_sub(1)),
+            2 => points.truncate(k.saturating_sub(1)),
+            _ => {}
+        }
+        prop_assert_eq!(
+            reed_solomon::decode(&points, k, budget),
+            berlekamp_welch::decode(&points, k, budget)
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
