@@ -12,18 +12,12 @@
 //!   exponents;
 //! * **Figures 1–3 and the corollaries**
 //!   (`cargo run -p pba-bench --bin figures --release -- <fig1|fig2|fig3|cor12|lb>`);
+//! * **the ablations** (`cargo run -p pba-bench --bin ablations --release`)
+//!   — what each knob of the construction buys (leaf multiplicity `z`,
+//!   committee size, OWF sortition size, base-signature width);
 //! * **the chaos sweep** (`cargo run -p pba-bench --bin chaos --release`)
 //!   — fault-injection strategies × corruption placements × sizes, with
 //!   agreement/validity invariants checked per case (see [`chaos`]);
-//! * **the parallel-round-engine perf baseline**
-//!   (`cargo run -p pba-bench --bin perf --release [-- --smoke]`) —
-//!   sequential vs. all-core wall time, determinism cross-check, and
-//!   hot-path cache hit rates, emitted as `BENCH_3.json` (see [`perf`]);
-//! * **the multi-lane hash-engine baseline**
-//!   (`cargo run -p pba-bench --bin hash_perf --release [-- --smoke]`) —
-//!   scalar vs. batched per-primitive microbenches and end-to-end
-//!   rounds/sec, bit-identity gated, emitted as `BENCH_5.json` (see
-//!   [`hash_perf`]);
 //! * **the socket deployment harness**
 //!   (`cargo run -p pba-bench --bin node --release -- <sim|run|launch|table>`)
 //!   — real-TCP endpoints diffed against the deterministic in-process
@@ -36,18 +30,13 @@
 //!   measured runs at every power of two n ∈ {2^6 … 2^10}), wall time,
 //!   and peak RSS,
 //!   emitted as `BENCH_8.json` (see [`scale`]);
-//! * **the pipelined BA-as-a-service throughput grid**
-//!   (`cargo run -p pba-bench --bin pipeline --release [-- --smoke]`) —
-//!   decisions/sec of one establishment streaming `k` chained instances
-//!   vs. `k` independent full runs, with the setup-amortization ratio and
-//!   the rounds hidden by certification chaining, emitted as
-//!   `BENCH_9.json` (see [`pipeline`]);
 //! * criterion micro/macro benches under `benches/`.
+//!
+//! Those six bins are the paper's artefacts plus the safety, socket and
+//! memory gates. Wall-clock per layer is reported by one harness only, the
+//! benchmark of record under `benchmark/` (see `BENCHMARK.json`).
 
 pub mod chaos;
-pub mod hash_perf;
-pub mod perf;
-pub mod pipeline;
 pub mod scale;
 pub mod socket;
 

@@ -103,8 +103,8 @@ pub fn charge_aggr_round(
     metrics.charge_exchange(committee, committee, input_bytes, tag::AGGR_SHARE, true);
     // Constant-round MPC output delivery, charged over the concrete links
     // so the aggregate's fan-out is visible in locality and in the
-    // receivers' totals (addressee-less `charge_synthetic` kept this
-    // traffic out of both — the silent-metrics gap).
+    // receivers' totals (an addressee-less synthetic charge would keep
+    // this traffic out of both — the silent-metrics gap).
     metrics.charge_exchange(committee, committee, output_bytes, tag::AGGR_MPC, true);
     // Round accounting is the caller's: all nodes of a tree level run their
     // f_aggr-sig invocations in parallel, so the caller bumps once per level.

@@ -6,11 +6,10 @@
 //! layer of the *Boyle–Cohen–Goel (PODC 2021)* reproduction:
 //!
 //! * [`phase_king`] — committee BA (`f_ba`, t < n/3);
-//! * [`coin`] — the commit–echo–reveal coin toss (the simple `f_ct`
-//!   realization; `π_ba` does not run it);
-//! * [`vss_coin`] — the `f_ct` that `π_ba` runs: Shamir deal/echo +
-//!   Berlekamp–Welch error-corrected reconstruction (the Chor et al.
-//!   instantiation), then phase-king on the candidate seed;
+//! * [`vss_coin`] — the coin `f_ct`: Shamir deal/echo + Reed–Solomon
+//!   error-corrected reconstruction through one table-driven decoder per
+//!   evaluation set (the Chor et al. instantiation), then phase-king on the
+//!   candidate seed;
 //! * [`aggr`] — the signature-aggregation functionality (`f_aggr-sig`);
 //! * [`protocol`] — `π_ba` (Fig. 3), generic over the SRDS scheme;
 //! * [`baselines`] — the Table 1 comparison protocols (all-to-all
@@ -24,7 +23,6 @@
 pub mod aggr;
 pub mod baselines;
 pub mod broadcast;
-pub mod coin;
 pub mod dolev_strong;
 pub mod kssv;
 pub mod lowerbound;

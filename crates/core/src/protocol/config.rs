@@ -3,7 +3,6 @@
 
 use pba_net::corruption::CorruptionPlan;
 use pba_net::faults::StrategySpec;
-use pba_net::PartyId;
 use std::fmt;
 
 /// How the `f_ae-comm` tree is established.
@@ -32,43 +31,26 @@ impl Establishment {
 ///
 /// Key *derivation* is a pure function of the session PRG — party `i`'s
 /// `j`-th key pair always comes from `prg.child("party-keys", i).child("slot", j)`
-/// — so every policy yields bit-identical verification keys, transcripts
-/// and outcomes; the policies differ only in *when* (and for Sampled,
-/// *whether*) the signing half is materialized in memory.
+/// — so both policies yield bit-identical verification keys, transcripts
+/// and outcomes; they differ only in *when* the signing half is
+/// materialized in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyPolicy {
     /// Generate and hold all `n × (z + 2)` key pairs at establishment.
     /// Simple, but the MSS signing material dominates memory at large `n`
-    /// (the 2^20 blocker named in ROADMAP "Million-party simulation").
+    /// (EXPERIMENTS.md §E-scale: the reason the `scale` sweep runs Lazy).
     Eager,
     /// Hold no signing keys: re-derive each from the session PRG at the
     /// moment of signing. Verification keys are still derived once at
     /// establishment (the keyboard needs all of them). Bit-identical to
     /// [`KeyPolicy::Eager`] in every observable.
     Lazy,
-    /// [`KeyPolicy::Lazy`], plus only parties serving on a *viable* leaf
-    /// path (every committee from their leaf to the root keeps its corrupt
-    /// members a strict minority) may materialize signing keys; touching
-    /// any other party's keys is a structured [`KeyError`]. Signatures
-    /// from non-viable leaves can never survive the redundant-path ascent,
-    /// so agreement verdicts are unchanged — but per-party *metering* of
-    /// doomed signers differs from Eager/Lazy, so this policy is for
-    /// capacity sweeps, not for transcript-equivalence tests.
-    Sampled,
 }
 
 /// Structured error for signing-key material the service cannot provide:
-/// a party whose keys the [`KeyPolicy`] declined to instantiate, or an
-/// instance the establishment's one-time signing capacity cannot cover.
+/// an instance the establishment's one-time signing capacity cannot cover.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KeyError {
-    /// The Sampled policy left this party's keys unmaterialized.
-    NotInstantiated {
-        /// The party whose keys were requested.
-        party: PartyId,
-        /// The per-party key occurrence index requested.
-        key_index: usize,
-    },
     /// The establishment's one-time signing budget (the MSS leaf
     /// capacity, one epoch slot per agreement instance) is spent.
     BudgetExhausted {
@@ -82,10 +64,6 @@ pub enum KeyError {
 impl fmt::Display for KeyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KeyError::NotInstantiated { party, key_index } => write!(
-                f,
-                "signing key {key_index} of party {party} is not instantiated under the Sampled key policy"
-            ),
             KeyError::BudgetExhausted { instance, capacity } => write!(
                 f,
                 "instance {instance} exceeds the establishment's one-time signing budget of {capacity} epoch slot(s)"
@@ -190,13 +168,6 @@ impl BaConfig {
     /// Returns the configuration with the given key policy.
     pub fn with_key_policy(mut self, policy: KeyPolicy) -> Self {
         self.key_policy = policy;
-        self
-    }
-
-    /// Returns the configuration with the dense metrics shadow attached
-    /// (differential testing of the sparse table).
-    pub fn with_dense_shadow(mut self) -> Self {
-        self.dense_shadow = true;
         self
     }
 }

@@ -60,8 +60,7 @@ enum KeyStore<S: Srds> {
     /// `keys[party][j]` = the party's `j`-th key pair.
     Eager(Vec<Vec<(S::VerificationKey, S::SigningKey)>>),
     /// No stored signing keys; re-derived from the session PRG on demand.
-    /// `instantiable` (the Sampled policy) gates which parties may.
-    Lazy { instantiable: Option<Vec<bool>> },
+    Lazy,
 }
 
 /// An established `π_ba` service: everything establishment builds once —

@@ -10,7 +10,6 @@ use crate::phase_king::PkMsg;
 use pba_aetree::analysis::{adaptive_targets, TreeAnalysis};
 use pba_aetree::fae::charge_establishment;
 use pba_aetree::params::TreeParams;
-use pba_aetree::robust::dedup_committee;
 use pba_aetree::tree::Tree;
 use pba_crypto::codec::{Decode, Encode};
 use pba_crypto::mss::LeafBudget;
@@ -50,40 +49,6 @@ impl<S: Srds> std::fmt::Debug for KeyHandle<'_, S> {
             KeyHandle::Owned(_) => f.write_str("KeyHandle::Owned(..)"),
         }
     }
-}
-
-/// Which parties the Sampled policy lets materialize signing keys: the
-/// members of every leaf committee whose full path to the root keeps
-/// corrupt members a strict minority of each (deduplicated) committee.
-/// Signatures originating at any other leaf lose every redundant-path
-/// vote on the way up ([`pba_aetree::robust`]), so withholding those
-/// parties' keys cannot change what reaches the root.
-fn sampled_mask(tree: &Tree, corrupt: &BTreeSet<PartyId>) -> Vec<bool> {
-    let params = tree.params();
-    let mut mask = vec![false; params.n];
-    for leaf in 0..params.leaf_count {
-        let mut viable = true;
-        let (mut level, mut node) = (0usize, leaf);
-        loop {
-            let committee = dedup_committee(tree.committee(level, node));
-            let bad = committee.iter().filter(|p| corrupt.contains(p)).count();
-            if 2 * bad >= committee.len() {
-                viable = false;
-                break;
-            }
-            if level + 1 >= params.height {
-                break;
-            }
-            node /= params.branching;
-            level += 1;
-        }
-        if viable {
-            for &member in tree.committee(0, leaf) {
-                mask[member.index()] = true;
-            }
-        }
-    }
-    mask
 }
 
 /// Per-step communication snapshot (honest parties only).
@@ -215,7 +180,7 @@ where
                         })
                         .collect(),
                 ),
-                KeyPolicy::Lazy | KeyPolicy::Sampled => None,
+                KeyPolicy::Lazy => None,
             };
 
         // Corruption: adaptive during setup (sees all public keys) — or,
@@ -330,12 +295,9 @@ where
         }
         let keyboard = scheme.prepare(&pp, &vks);
 
-        let keys = match (config.key_policy, eager_keys) {
-            (_, Some(keys)) => KeyStore::Eager(keys),
-            (KeyPolicy::Lazy, None) => KeyStore::Lazy { instantiable: None },
-            (_, None) => KeyStore::Lazy {
-                instantiable: Some(sampled_mask(&tree, &corrupt)),
-            },
+        let keys = match eager_keys {
+            Some(keys) => KeyStore::Eager(keys),
+            None => KeyStore::Lazy,
         };
 
         let budget = scheme.epoch_capacity(&pp).map(LeafBudget::new);
@@ -418,31 +380,20 @@ where
     }
 
     /// The signing key for `party`'s `j`-th virtual identity, resolved
-    /// under the session's [`KeyPolicy`]: borrowed from the eager store,
-    /// re-derived from the session PRG (Lazy), or a structured
-    /// [`KeyError`] for a party the Sampled policy left uninstantiated.
+    /// under the session's [`KeyPolicy`]: borrowed from the eager store, or
+    /// re-derived from the session PRG (Lazy).
     ///
     /// Derivation is the same pure PRG child used at establishment, so a
     /// re-derived key is bit-identical to its eager counterpart.
-    pub fn signing_key(&self, party: PartyId, j: usize) -> Result<KeyHandle<'_, S>, KeyError> {
+    pub fn signing_key(&self, party: PartyId, j: usize) -> KeyHandle<'_, S> {
         match &self.keys {
-            KeyStore::Eager(keys) => Ok(KeyHandle::Borrowed(&keys[party.index()][j].1)),
-            KeyStore::Lazy { instantiable } => {
-                if let Some(mask) = instantiable {
-                    if !mask[party.index()] {
-                        return Err(KeyError::NotInstantiated {
-                            party,
-                            key_index: j,
-                        });
-                    }
-                }
+            KeyStore::Eager(keys) => KeyHandle::Borrowed(&keys[party.index()][j].1),
+            KeyStore::Lazy => {
                 let mut slot_prg = self
                     .prg
                     .child("party-keys", party.0)
                     .child("slot", j as u64);
-                Ok(KeyHandle::Owned(
-                    self.scheme.keygen(&self.pp, &mut slot_prg).1,
-                ))
+                KeyHandle::Owned(self.scheme.keygen(&self.pp, &mut slot_prg).1)
             }
         }
     }

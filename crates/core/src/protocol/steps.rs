@@ -382,9 +382,7 @@ where
                     if !byzantine {
                         continue;
                     }
-                    let Ok(handle) = self.signing_key(p, j) else {
-                        continue; // Sampled policy: key never materialized
-                    };
+                    let handle = self.signing_key(p, j);
                     if let Some(sig) =
                         self.scheme
                             .sign_epoch(&self.pp, slot, handle.key(), epoch, &evil_payload)
@@ -400,9 +398,7 @@ where
                 let my_payload = ys_result.per_party[owner]
                     .clone()
                     .expect("signable implies payload");
-                let Ok(handle) = self.signing_key(p, j) else {
-                    continue; // Sampled policy: off-path vote is lost regardless
-                };
+                let handle = self.signing_key(p, j);
                 let Some(sig) =
                     self.scheme
                         .sign_epoch(&self.pp, slot, handle.key(), epoch, &my_payload)

@@ -1,8 +1,7 @@
 //! Robust committee coin tossing via verifiable-secret-sharing-style
 //! deal/echo/reconstruct — the Chor–Goldwasser–Micali–Awerbuch
-//! instantiation of `f_ct` that §3.1 cites, strengthened over the
-//! commit–reveal variant in [`crate::coin`] by **error-corrected
-//! reconstruction**:
+//! instantiation of `f_ct` that §3.1 cites, strengthened over a plain
+//! commit–reveal coin by **error-corrected reconstruction**:
 //!
 //! 1. **deal** — every member Shamir-shares a random field element with
 //!    threshold `t = ⌊(c−1)/3⌋` over private channels;

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pba_crypto::lamport::{LamportKeyPair, LamportParams};
 use pba_crypto::merkle::{hash_leaf, hash_leaf_batch, MerkleTree};
 use pba_crypto::prg::Prg;
-use pba_crypto::sha256::{batch_digest, Digest, Sha256, DIGEST_LEN};
+use pba_crypto::sha256::{batch_digest, Backend, Digest, Sha256, DIGEST_LEN};
 use rand::RngCore;
 
 fn bench_batch_digest(c: &mut Criterion) {
@@ -29,6 +29,30 @@ fn bench_batch_digest(c: &mut Criterion) {
             b.iter(|| batch_digest(refs));
         });
     }
+    group.finish();
+}
+
+/// The portable cores called directly, whatever backend is active: the
+/// scalar core one 32-byte message (the Lamport / Merkle shape) at a time
+/// against the 8-lane core over the same messages.
+fn bench_portable_cores(c: &mut Criterion) {
+    let mut group = c.benchmark_group("portable_cores");
+    let count = 1024usize;
+    let messages: Vec<[u8; DIGEST_LEN]> = (0..count as u64)
+        .map(|i| Sha256::digest(&i.to_le_bytes()).into_bytes())
+        .collect();
+    let refs: Vec<&[u8]> = messages.iter().map(|m| m.as_slice()).collect();
+    group.throughput(Throughput::Elements(count as u64));
+    group.bench_with_input(BenchmarkId::new("scalar", count), &refs, |b, refs| {
+        b.iter(|| {
+            refs.iter()
+                .map(|m| Backend::PORTABLE.digest(m))
+                .collect::<Vec<_>>()
+        });
+    });
+    group.bench_with_input(BenchmarkId::new("lanes", count), &refs, |b, refs| {
+        b.iter(|| Backend::PORTABLE.batch_digest(refs));
+    });
     group.finish();
 }
 
@@ -109,6 +133,7 @@ fn bench_prg_expand(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_batch_digest,
+    bench_portable_cores,
     bench_merkle_build,
     bench_leaf_hash,
     bench_lamport_keygen,

@@ -26,7 +26,6 @@
 //!   decoder per evaluation set (robust reconstruction against Byzantine
 //!   echoes);
 //! * [`vss`] — committed verifiable secret sharing (Merkle-bound shares);
-//! * [`commit`] — hash commitments for commit–reveal;
 //! * [`codec`] — the deterministic wire format used for exact communication
 //!   accounting.
 //!
@@ -44,7 +43,6 @@
 //! ```
 
 pub mod codec;
-pub mod commit;
 pub mod field;
 pub mod hmac;
 pub mod lamport;

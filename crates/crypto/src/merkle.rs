@@ -37,9 +37,9 @@ const NODE_PREFIX: u8 = 0x01;
 /// acquire/release pairing is needed. The guarantees callers may rely on:
 ///
 /// * **Per-counter monotonicity.** Between two calls to
-///   [`proof_cache_stats`] on *any* thread (absent a reset), each counter
-///   is non-decreasing — relaxed RMWs still hit a single modification
-///   order per atomic.
+///   [`proof_cache_stats`] on *any* thread, each counter is non-decreasing
+///   — relaxed RMWs still hit a single modification order per atomic, and
+///   nothing ever resets one.
 /// * **No cross-counter snapshot.** A `(hits, misses)` pair is two
 ///   independent loads, not an atomic snapshot; concurrent `prove` calls
 ///   may land between them. Derived quantities (hit rates, totals) are
@@ -55,24 +55,6 @@ pub fn proof_cache_stats() -> (u64, u64) {
     (
         PROOF_CACHE_HITS.load(Ordering::Relaxed),
         PROOF_CACHE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Resets the process-wide proof-cache counters and returns the values they
-/// held, `(hits, misses)`.
-///
-/// **Single-threaded entry points only.** A reset racing `prove` calls on
-/// worker threads would interleave with their increments and break the
-/// monotonicity contract that property tests rely on, so this must only be
-/// called from harness code while no threaded round engine is running
-/// (e.g. between `run_cell` invocations, under the perf harness's exercise
-/// lock). The swap is atomic per counter, so even a misplaced call cannot
-/// lose increments — it can only make a concurrent reader's window span
-/// the reset.
-pub fn reset_proof_cache_stats() -> (u64, u64) {
-    (
-        PROOF_CACHE_HITS.swap(0, Ordering::Relaxed),
-        PROOF_CACHE_MISSES.swap(0, Ordering::Relaxed),
     )
 }
 
@@ -180,8 +162,8 @@ impl MerkleTree {
     ///
     /// Kept as the equivalence baseline for the batched
     /// [`MerkleTree::from_leaf_digests`]; property tests assert the two
-    /// produce identical levels for all shapes, and the perf harness
-    /// benches them against each other.
+    /// produce identical levels for all shapes, and the `hash_engine`
+    /// bench times them against each other.
     pub fn from_leaf_digests_scalar(digests: Vec<Digest>) -> Self {
         assert!(!digests.is_empty(), "merkle tree needs at least one leaf");
         let mut levels = vec![digests];
@@ -431,27 +413,8 @@ mod tests {
         assert_eq!(batched, scalar);
     }
 
-    // Tests that reset or assert monotonicity of the process-wide counters
-    // must not race each other (the single-threaded-entry-point contract of
-    // `reset_proof_cache_stats`); they serialise on this lock.
-    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn reset_returns_previous_counts() {
-        let _guard = COUNTER_LOCK.lock().expect("counter lock poisoned");
-        let tree = MerkleTree::from_leaves(leaves(4).iter());
-        tree.prove(0);
-        let before = proof_cache_stats();
-        let returned = reset_proof_cache_stats();
-        // Other (non-counter) tests may still increment between the two
-        // calls, so the swapped-out values are at least what we observed.
-        assert!(returned.0 >= before.0 && returned.1 >= before.1);
-        assert!(returned.1 >= 1, "the fresh proof above was a miss");
-    }
-
     #[test]
     fn repeated_proofs_hit_the_cache() {
-        let _guard = COUNTER_LOCK.lock().expect("counter lock poisoned");
         let tree = MerkleTree::from_leaves(leaves(16).iter());
         // Counters are process-wide and other tests may run concurrently,
         // so assert only monotone lower bounds attributable to this tree.

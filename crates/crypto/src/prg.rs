@@ -104,8 +104,8 @@ impl Prg {
 
     /// The scalar reference expansion: byte-identical to [`RngCore::fill_bytes`]
     /// (which routes large requests through the multi-lane SHA-256 engine).
-    /// Kept public so equivalence tests and the perf harness can compare the
-    /// two paths on the same stream position.
+    /// Kept public so equivalence tests and the `hash_engine` bench can
+    /// compare the two paths on the same stream position.
     pub fn fill_bytes_scalar(&mut self, dest: &mut [u8]) {
         let mut filled = 0;
         while filled < dest.len() {

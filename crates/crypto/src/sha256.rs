@@ -174,7 +174,7 @@ impl From<[u8; DIGEST_LEN]> for Digest {
 ///
 /// Production code never names a backend — [`Sha256`] and the batch APIs
 /// run on [`Backend::active`]. The explicit constructors exist so
-/// equivalence tests and the `hash_perf` harness can run one input through
+/// equivalence tests and the `hash_engine` bench can run one input through
 /// each core and compare.
 ///
 /// # Examples
@@ -456,7 +456,7 @@ static SCALAR_DIGESTS: AtomicU64 = AtomicU64::new(0);
 /// split depends on batch shapes only, not on the [`Backend`] that ran.
 ///
 /// Counters are process-wide and monotone (`Relaxed` atomics — the same
-/// idiom as the Merkle/cert cache counters), so concurrent hashing from
+/// idiom as the Merkle proof-cache counters), so concurrent hashing from
 /// worker threads is counted without synchronization. Measure a workload by
 /// diffing two snapshots with [`EngineStats::since`]; *lane occupancy* is
 /// the fraction of batched digests that took the group path.

@@ -566,24 +566,18 @@ impl MetricsTable {
         }
     }
 
-    /// Charges synthetic communication to a party — used when a
-    /// sub-functionality is costed analytically rather than executed
+    /// Charges synthetic communication to a party under a wire tag — used
+    /// when a sub-functionality is costed analytically rather than executed
     /// message-by-message (see DESIGN.md §2, substitution 5).
     ///
-    /// This variant has no addressee: the bytes count toward `bytes_sent`
-    /// but touch neither peer set, so they are invisible to
-    /// [`PartyMetrics::locality`] and to the receiver's
+    /// There is no addressee: the bytes count toward `bytes_sent` but touch
+    /// neither peer set, so they are invisible to
+    /// [`PartyMetrics::locality`] and to any receiver's
     /// [`PartyMetrics::bytes_total`]. Synthetic traffic with a known
-    /// committee topology (e.g. redundant-path aggregation copies) must use
-    /// [`MetricsTable::charge_synthetic_link`] instead, or Table 1's
+    /// committee topology (e.g. redundant-path aggregation copies) must go
+    /// through [`MetricsTable::charge_exchange`] instead, or Table 1's
     /// locality and max-bytes columns silently under-report the redundancy
     /// factor.
-    pub fn charge_synthetic(&mut self, party: PartyId, bytes: u64, msgs: u64) {
-        self.charge_synthetic_tagged(party, bytes, msgs, wire::tag::RAW);
-    }
-
-    /// [`MetricsTable::charge_synthetic`] with an explicit wire tag for the
-    /// per-tag byte attribution.
     pub fn charge_synthetic_tagged(&mut self, party: PartyId, bytes: u64, msgs: u64, tag: u8) {
         if let Some(shadow) = self.shadow.as_deref_mut() {
             shadow.charge_synthetic_tagged(party, bytes, msgs, tag);
@@ -593,47 +587,6 @@ impl MetricsTable {
         m.msgs_sent += msgs;
         bump_tag(&mut m.sent_by_tag, tag, bytes);
         self.totals.sent(bytes, msgs, tag);
-    }
-
-    /// Charges synthetic communication over a concrete `from → to` link:
-    /// the sender's `bytes_sent`/`msgs_sent` and the receiver's
-    /// `bytes_received`/`msgs_received` both move, and the pair enters each
-    /// other's peer sets so [`PartyMetrics::locality`] and
-    /// [`PartyMetrics::bytes_total`] account the traffic exactly like a
-    /// real envelope.
-    ///
-    /// Use this for analytically-costed protocols whose communication graph
-    /// is known (committee exchanges, redundant-path copies); use
-    /// [`MetricsTable::charge_synthetic`] only when no addressee exists.
-    pub fn charge_synthetic_link(&mut self, from: PartyId, to: PartyId, bytes: u64, msgs: u64) {
-        self.charge_synthetic_link_tagged(from, to, bytes, msgs, wire::tag::RAW);
-    }
-
-    /// [`MetricsTable::charge_synthetic_link`] with an explicit wire tag
-    /// for the per-tag byte attribution (both endpoints).
-    pub fn charge_synthetic_link_tagged(
-        &mut self,
-        from: PartyId,
-        to: PartyId,
-        bytes: u64,
-        msgs: u64,
-        tag: u8,
-    ) {
-        if let Some(shadow) = self.shadow.as_deref_mut() {
-            shadow.charge_synthetic_link_tagged(from, to, bytes, msgs, tag);
-        }
-        let sender = self.cell_mut(from.index());
-        sender.bytes_sent += bytes;
-        sender.msgs_sent += msgs;
-        insert_sorted(&mut sender.peers_out, to.0);
-        bump_tag(&mut sender.sent_by_tag, tag, bytes);
-        let receiver = self.cell_mut(to.index());
-        receiver.bytes_received += bytes;
-        receiver.msgs_received += msgs;
-        insert_sorted(&mut receiver.peers_in, from.0);
-        bump_tag(&mut receiver.recv_by_tag, tag, bytes);
-        self.totals.sent(bytes, msgs, tag);
-        self.totals.received(bytes, msgs, tag);
     }
 
     /// Advances the round counter.
@@ -793,43 +746,12 @@ impl DenseMetricsTable {
         *m.recv_by_tag.entry(tag).or_insert(0) += bytes as u64;
     }
 
-    /// See [`MetricsTable::charge_synthetic`].
-    pub fn charge_synthetic(&mut self, party: PartyId, bytes: u64, msgs: u64) {
-        self.charge_synthetic_tagged(party, bytes, msgs, wire::tag::RAW);
-    }
-
     /// See [`MetricsTable::charge_synthetic_tagged`].
     pub fn charge_synthetic_tagged(&mut self, party: PartyId, bytes: u64, msgs: u64, tag: u8) {
         let m = &mut self.parties[party.index()];
         m.bytes_sent += bytes;
         m.msgs_sent += msgs;
         *m.sent_by_tag.entry(tag).or_insert(0) += bytes;
-    }
-
-    /// See [`MetricsTable::charge_synthetic_link`].
-    pub fn charge_synthetic_link(&mut self, from: PartyId, to: PartyId, bytes: u64, msgs: u64) {
-        self.charge_synthetic_link_tagged(from, to, bytes, msgs, wire::tag::RAW);
-    }
-
-    /// See [`MetricsTable::charge_synthetic_link_tagged`].
-    pub fn charge_synthetic_link_tagged(
-        &mut self,
-        from: PartyId,
-        to: PartyId,
-        bytes: u64,
-        msgs: u64,
-        tag: u8,
-    ) {
-        let sender = &mut self.parties[from.index()];
-        sender.bytes_sent += bytes;
-        sender.msgs_sent += msgs;
-        sender.peers_out.insert(to);
-        *sender.sent_by_tag.entry(tag).or_insert(0) += bytes;
-        let receiver = &mut self.parties[to.index()];
-        receiver.bytes_received += bytes;
-        receiver.msgs_received += msgs;
-        receiver.peers_in.insert(from);
-        *receiver.recv_by_tag.entry(tag).or_insert(0) += bytes;
     }
 
     /// Advances the round counter.
@@ -955,9 +877,9 @@ impl Report {
         self.max_bytes_per_party * 8
     }
 
-    /// Renders the report as a JSON object — used by the perf harness to
-    /// embed metric snapshots in `BENCH_*.json` without a serde dependency
-    /// (the container is offline).
+    /// Renders the report as a JSON object without a serde dependency (the
+    /// container is offline) — the form the golden metering reports are
+    /// pinned in.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"parties\":{},\"max_bytes_per_party\":{},\"max_bytes_sent\":{},\
@@ -1030,19 +952,19 @@ mod tests {
     #[test]
     fn synthetic_charge() {
         let mut t = MetricsTable::new(1);
-        t.charge_synthetic(PartyId(0), 42, 3);
+        t.charge_synthetic_tagged(PartyId(0), 42, 3, wire::tag::RAW);
         assert_eq!(t.party(PartyId(0)).bytes_sent, 42);
         assert_eq!(t.party(PartyId(0)).msgs_sent, 3);
     }
 
     #[test]
     fn synthetic_link_charge_reaches_locality_and_totals() {
-        // The silent-metrics gap: addressee-less charge_synthetic left
+        // The silent-metrics gap: an addressee-less synthetic charge leaves
         // redundant-path copies out of locality() and out of the
-        // receiver's bytes_total(). The link variant must surface both.
+        // receiver's bytes_total(). A link charge must surface both.
         let mut t = MetricsTable::new(3);
-        t.charge_synthetic_link(PartyId(0), PartyId(1), 64, 1);
-        t.charge_synthetic_link(PartyId(0), PartyId(2), 64, 1);
+        t.charge_exchange(&[PartyId(0)], &[PartyId(1)], 64, wire::tag::RAW, false);
+        t.charge_exchange(&[PartyId(0)], &[PartyId(2)], 64, wire::tag::RAW, false);
 
         // Sender side: bytes, messages, and *locality* all move.
         assert_eq!(t.party(PartyId(0)).bytes_sent, 128);
@@ -1059,11 +981,12 @@ mod tests {
         assert_eq!(t.party(PartyId(1)).bytes_total(), 64);
         assert_eq!(t.party(PartyId(1)).locality(), 1);
 
-        // Contrast with the legacy charge: no locality, no receiver bytes.
-        let mut legacy = MetricsTable::new(3);
-        legacy.charge_synthetic(PartyId(0), 128, 2);
-        assert_eq!(legacy.party(PartyId(0)).locality(), 0);
-        assert_eq!(legacy.party(PartyId(1)).bytes_total(), 0);
+        // Contrast with the addressee-less charge: no locality, no
+        // receiver bytes.
+        let mut bare = MetricsTable::new(3);
+        bare.charge_synthetic_tagged(PartyId(0), 128, 2, wire::tag::RAW);
+        assert_eq!(bare.party(PartyId(0)).locality(), 0);
+        assert_eq!(bare.party(PartyId(1)).bytes_total(), 0);
 
         // Aggregate view: the report's locality column sees the links.
         let r = t.report();
@@ -1079,7 +1002,7 @@ mod tests {
         t.record_receive_tagged(PartyId(1), PartyId(0), 10, tag::VALUE_SEED);
         t.record_send(PartyId(0), PartyId(2), 5); // untyped → RAW bucket
         t.charge_synthetic_tagged(PartyId(2), 7, 1, tag::ESTABLISH);
-        t.charge_synthetic_link_tagged(PartyId(1), PartyId(2), 3, 1, tag::SPREAD);
+        t.charge_exchange(&[PartyId(1)], &[PartyId(2)], 3, tag::SPREAD, false);
         assert!(t.tags_conserve_totals());
 
         assert_eq!(t.party(PartyId(0)).sent_by_tag[&tag::VALUE_SEED], 10);
@@ -1134,8 +1057,8 @@ mod tests {
         t.record_receive_tagged(PartyId(1), PartyId(0), 10, tag::VALUE_SEED);
         t.record_send(PartyId(3), PartyId(2), 17);
         t.charge_synthetic_tagged(PartyId(4), 100, 2, tag::ESTABLISH);
-        t.charge_synthetic_link_tagged(PartyId(5), PartyId(6), 64, 1, tag::AGGR_SHARE);
-        t.charge_synthetic(PartyId(7), 1, 1);
+        t.charge_exchange(&[PartyId(5)], &[PartyId(6)], 64, tag::AGGR_SHARE, false);
+        t.charge_synthetic_tagged(PartyId(7), 1, 1, tag::RAW);
         t.bump_round();
         t.record_send_tagged(PartyId(0), PartyId(1), 3, tag::SPREAD);
         assert_eq!(t.shadow_divergence(), None);
@@ -1314,7 +1237,7 @@ mod tests {
     fn sent_and_max_total_matches_report_columns() {
         let mut t = MetricsTable::new(6);
         t.charge_exchange(&ids(&[0, 1]), &ids(&[1, 2, 3]), 10, 1, true);
-        t.charge_synthetic(PartyId(4), 1000, 1);
+        t.charge_synthetic_tagged(PartyId(4), 1000, 1, wire::tag::RAW);
         let honest = || ids(&[0, 1, 2, 5]).into_iter();
         let report = t.report_for(honest());
         assert_eq!(

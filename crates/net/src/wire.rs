@@ -43,8 +43,8 @@ pub mod tag {
     pub const PK_MSG_U8: u8 = 0x01;
     /// `PkMsg<Digest>` — phase-king BA over digest values (coin agreement).
     pub const PK_MSG_DIGEST: u8 = 0x02;
-    /// `CoinMsg` — commit/echo/reveal common-coin toss.
-    pub const COIN: u8 = 0x03;
+    // 0x03 is retired (the commit/echo/reveal `CoinMsg`) and never
+    // reassigned; `lookup` is by value, so the gap is harmless.
     /// `VssCoinMsg` — VSS-based common-coin toss (deal/echo).
     pub const VSS_COIN: u8 = 0x04;
     /// `DsMessage` — Dolev–Strong signature-chain broadcast.
@@ -151,14 +151,6 @@ use FieldSpec as F;
 
 const PK_U8_VARIANTS: &[&[FieldSpec]] = &[&[F::Byte], &[F::Byte], &[F::Byte]];
 const PK_DIGEST_VARIANTS: &[&[FieldSpec]] = &[&[F::Bytes(32)], &[F::Bytes(32)], &[F::Bytes(32)]];
-const COIN_VARIANTS: &[&[FieldSpec]] = &[
-    // Commit(Digest)
-    &[F::Bytes(32)],
-    // Echo(Vec<(PartyId, Digest)>)
-    &[F::Seq(&[F::Varint, F::Bytes(32)])],
-    // Reveal([u8; 32], [u8; 32])
-    &[F::Bytes(32), F::Bytes(32)],
-];
 const VSS_COIN_VARIANTS: &[&[FieldSpec]] = &[
     // Deal(Fp)
     &[F::Fp],
@@ -213,14 +205,6 @@ pub const REGISTRY: &[TagInfo] = &[
         step_label: "2:committee-ba",
         crate_name: "pba-core",
         schema: BodySchema::Enum(PK_DIGEST_VARIANTS),
-    },
-    TagInfo {
-        tag: tag::COIN,
-        name: "CoinMsg",
-        step: step::COMMITTEE_BA,
-        step_label: "2:committee-ba",
-        crate_name: "pba-core",
-        schema: BodySchema::Enum(COIN_VARIANTS),
     },
     TagInfo {
         tag: tag::VSS_COIN,
@@ -692,6 +676,12 @@ mod tests {
             assert!(lookup(info.tag) == Some(info));
         }
         assert!(lookup(0xfe).is_none());
+    }
+
+    #[test]
+    fn retired_tag_is_unregistered() {
+        assert!(lookup(0x03).is_none());
+        assert_eq!(peek_tag(&[0x03, step::COMMITTEE_BA, 1, 2]), tag::RAW);
     }
 
     #[test]

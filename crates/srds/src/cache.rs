@@ -10,51 +10,17 @@
 //! boolean verdict.
 //!
 //! The cache lives inside the scheme value (one per session in practice),
-//! so verdicts never leak across CRS instances; the hit/miss counters are
-//! process-wide so harnesses can observe aggregate hit rates via
-//! [`cert_cache_stats`].
+//! so neither verdicts nor the hit/miss counters ([`CertCache::stats`],
+//! surfaced as `Srds::cache_stats`) leak across CRS instances.
 
 use pba_crypto::sha256::Digest;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-// Same memory-ordering contract as the Merkle proof-cache counters
-// (`pba_crypto::merkle`): relaxed, independently monotone event counts —
-// never used to synchronise other memory, not an atomic pair snapshot.
-static CERT_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CERT_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// `(hits, misses)` of the process-wide certificate-verification cache.
-///
-/// Each counter is monotone non-decreasing between resets on any thread;
-/// the pair is two independent relaxed loads, so derived hit rates are
-/// only exact while the threaded round engine is quiescent.
-pub fn cert_cache_stats() -> (u64, u64) {
-    (
-        CERT_CACHE_HITS.load(Ordering::Relaxed),
-        CERT_CACHE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Resets the process-wide certificate-cache counters and returns the
-/// values they held, `(hits, misses)`.
-///
-/// **Single-threaded entry points only** — same contract as
-/// `pba_crypto::merkle::reset_proof_cache_stats`: call from harness code
-/// while no threaded round engine is running, or monotonicity assertions
-/// on other threads will observe the counters going backwards.
-pub fn reset_cert_cache_stats() -> (u64, u64) {
-    (
-        CERT_CACHE_HITS.swap(0, Ordering::Relaxed),
-        CERT_CACHE_MISSES.swap(0, Ordering::Relaxed),
-    )
-}
-
-/// A snapshot of one cache's own counters (as opposed to the process-wide
-/// [`cert_cache_stats`]): hits and misses since construction, plus the
-/// *warm* hits — hits on entries inserted in an **earlier generation**
-/// than the one current at lookup time.
+/// A snapshot of one cache's counters: hits and misses since construction,
+/// plus the *warm* hits — hits on entries inserted in an **earlier
+/// generation** than the one current at lookup time.
 ///
 /// A BA service advances the generation at every instance boundary, so
 /// `warm_hits` counts exactly the cross-instance reuse: verdicts cached by
@@ -78,12 +44,11 @@ pub struct CacheStats {
 /// cover *everything* the verdict depends on (for SNARK-SRDS: the CRS
 /// public id, the full statement, and the proof bytes).
 ///
-/// Besides the process-wide counters, each cache tracks its own
-/// [`CacheStats`] and a monotone *generation*: entries remember the
-/// generation they were inserted in, and a hit on an entry from an older
-/// generation counts as a warm (cross-generation) hit. Callers that reuse
-/// one cache across protocol instances bump the generation at each
-/// boundary via [`CertCache::advance_generation`].
+/// Each cache tracks its own [`CacheStats`] and a monotone *generation*:
+/// entries remember the generation they were inserted in, and a hit on an
+/// entry from an older generation counts as a warm (cross-generation) hit.
+/// Callers that reuse one cache across protocol instances bump the
+/// generation at each boundary via [`CertCache::advance_generation`].
 #[derive(Debug, Default)]
 pub struct CertCache {
     verdicts: Mutex<HashMap<Digest, (bool, u64)>>,
@@ -121,8 +86,9 @@ impl CertCache {
         self.generation.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// This cache's own counters (relaxed independent loads — same
-    /// snapshot contract as [`cert_cache_stats`]).
+    /// This cache's counters. Same memory-ordering contract as the Merkle
+    /// proof-cache counters (`pba_crypto::merkle`): relaxed, independently
+    /// monotone event counts, not an atomic snapshot of the triple.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -136,14 +102,12 @@ impl CertCache {
     pub fn get_or_verify(&self, key: Digest, verify: impl FnOnce() -> bool) -> bool {
         let generation = self.generation.load(Ordering::Relaxed);
         if let Some(&(verdict, born)) = self.verdicts.lock().expect("cache poisoned").get(&key) {
-            CERT_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
             if born < generation {
                 self.warm_hits.fetch_add(1, Ordering::Relaxed);
             }
             return verdict;
         }
-        CERT_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let verdict = verify();
         self.verdicts
@@ -165,7 +129,6 @@ mod tests {
         let yes = Sha256::digest(b"good");
         let no = Sha256::digest(b"bad");
         let mut calls = 0;
-        let (h0, m0) = cert_cache_stats();
 
         assert!(cache.get_or_verify(yes, || {
             calls += 1;
@@ -182,11 +145,6 @@ mod tests {
         assert!(!cache.get_or_verify(no, || unreachable!("cached")));
         assert_eq!(cache.len(), 2);
 
-        let (h1, m1) = cert_cache_stats();
-        assert!(h1 >= h0 + 2);
-        assert!(m1 >= m0 + 2);
-
-        // Per-cache counters are scoped to this cache alone.
         assert_eq!(
             cache.stats(),
             CacheStats {

@@ -24,7 +24,7 @@ pub mod owf;
 pub mod snark;
 pub mod traits;
 
-pub use cache::{cert_cache_stats, CertCache};
+pub use cache::CertCache;
 pub use multisig::MultisigSrds;
 pub use owf::OwfSrds;
 pub use snark::SnarkSrds;

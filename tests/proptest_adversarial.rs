@@ -2,7 +2,6 @@
 //! against the committee sub-protocols. Whatever bytes the adversary
 //! throws, honest parties must terminate in agreement.
 
-use pba_core::coin::CoinMsg;
 use pba_core::phase_king::{rounds_for, PhaseKing, PkMsg};
 use pba_core::vss_coin::{toss_coin_vss, VssCoinMsg};
 use pba_crypto::codec::decode_from_slice;
@@ -192,7 +191,6 @@ proptest! {
         let mut bytes = vec![0u8; len];
         rand::RngCore::fill_bytes(&mut prg, &mut bytes);
         let _ = decode_from_slice::<PkMsg<u8>>(&bytes);
-        let _ = decode_from_slice::<CoinMsg>(&bytes);
         let _ = decode_from_slice::<VssCoinMsg>(&bytes);
         let _ = wire::decode_msg::<pba_core::protocol::ValueSeed>(&bytes);
         let _ = wire::decode_msg::<pba_core::protocol::Certificate>(&bytes);
@@ -218,7 +216,6 @@ proptest! {
                 for env in inbox {
                     let _ = ctx.recv_msg::<PkMsg<u8>>(env);
                     let _ = ctx.read::<PkMsg<u8>>(env);
-                    let _ = ctx.read::<CoinMsg>(env);
                     let _ = ctx.read::<VssCoinMsg>(env);
                 }
                 self.rounds += 1;

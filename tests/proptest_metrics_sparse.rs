@@ -41,14 +41,7 @@ enum Op {
         party: usize,
         bytes: u64,
         msgs: u64,
-        tag: Option<u8>,
-    },
-    Link {
-        from: usize,
-        to: usize,
-        bytes: u64,
-        msgs: u64,
-        tag: Option<u8>,
+        tag: u8,
     },
     /// [`MetricsTable::charge_exchange`]; seats may repeat and overlap.
     Exchange {
@@ -85,7 +78,7 @@ fn random_op(rng: &mut TestRng, n: usize) -> Op {
     fn seats(rng: &mut TestRng, n: u64) -> Vec<usize> {
         (0..rng.below(9)).map(|_| rng.below(n) as usize).collect()
     }
-    match rng.below(7) {
+    match rng.below(6) {
         0 => Op::Send {
             from: rng.below(n) as usize,
             to: rng.below(n) as usize,
@@ -102,23 +95,16 @@ fn random_op(rng: &mut TestRng, n: usize) -> Op {
             party: rng.below(n) as usize,
             bytes: rng.below(4096),
             msgs: rng.below(8),
-            tag: tag(rng),
+            tag: rng.below(8) as u8,
         },
-        3 => Op::Link {
-            from: rng.below(n) as usize,
-            to: rng.below(n) as usize,
-            bytes: rng.below(4096),
-            msgs: rng.below(8),
-            tag: tag(rng),
-        },
-        4 => Op::Exchange {
+        3 => Op::Exchange {
             senders: seats(rng, n),
             receivers: seats(rng, n),
             bytes: rng.below(3) as usize * 100,
             tag: rng.below(8) as u8,
             skip_self: rng.below(2) == 0,
         },
-        5 => Op::Sends {
+        4 => Op::Sends {
             from: rng.below(n) as usize,
             to: seats(rng, n),
             bytes: rng.below(3) as usize * 100,
@@ -135,9 +121,7 @@ fn ids(seats: &[usize]) -> Vec<PartyId> {
 /// The parties an op touches (cells it may materialize).
 fn touched(op: &Op) -> Vec<usize> {
     match op {
-        &Op::Send { from, to, .. } | &Op::Receive { to, from, .. } | &Op::Link { from, to, .. } => {
-            vec![from, to]
-        }
+        &Op::Send { from, to, .. } | &Op::Receive { to, from, .. } => vec![from, to],
         &Op::Synthetic { party, .. } => vec![party],
         // An upper bound: seats with no link (k = 0) stay unmaterialized.
         Op::Exchange {
@@ -190,28 +174,7 @@ fn apply_sparse(table: &mut MetricsTable, op: &Op) {
             bytes,
             msgs,
             tag,
-        } => match tag {
-            Some(t) => table.charge_synthetic_tagged(PartyId(party as u64), bytes, msgs, t),
-            None => table.charge_synthetic(PartyId(party as u64), bytes, msgs),
-        },
-        Op::Link {
-            from,
-            to,
-            bytes,
-            msgs,
-            tag,
-        } => match tag {
-            Some(t) => table.charge_synthetic_link_tagged(
-                PartyId(from as u64),
-                PartyId(to as u64),
-                bytes,
-                msgs,
-                t,
-            ),
-            None => {
-                table.charge_synthetic_link(PartyId(from as u64), PartyId(to as u64), bytes, msgs)
-            }
-        },
+        } => table.charge_synthetic_tagged(PartyId(party as u64), bytes, msgs, tag),
         Op::BumpRound => table.bump_round(),
     }
 }
@@ -271,28 +234,7 @@ fn apply_dense(table: &mut DenseMetricsTable, op: &Op) {
             bytes,
             msgs,
             tag,
-        } => match tag {
-            Some(t) => table.charge_synthetic_tagged(PartyId(party as u64), bytes, msgs, t),
-            None => table.charge_synthetic(PartyId(party as u64), bytes, msgs),
-        },
-        Op::Link {
-            from,
-            to,
-            bytes,
-            msgs,
-            tag,
-        } => match tag {
-            Some(t) => table.charge_synthetic_link_tagged(
-                PartyId(from as u64),
-                PartyId(to as u64),
-                bytes,
-                msgs,
-                t,
-            ),
-            None => {
-                table.charge_synthetic_link(PartyId(from as u64), PartyId(to as u64), bytes, msgs)
-            }
-        },
+        } => table.charge_synthetic_tagged(PartyId(party as u64), bytes, msgs, tag),
         Op::BumpRound => table.bump_round(),
     }
 }

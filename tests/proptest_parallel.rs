@@ -2,8 +2,9 @@
 //! seeds, thread counts, committee sizes, and fault-injection strategies,
 //! [`pba_net::run_phase_threaded`] must be observationally identical to
 //! the sequential engine (same outputs, same staged-envelope transcript,
-//! same metrics report), and the process-wide hot-path cache counters
-//! must be monotone non-decreasing under any operation sequence.
+//! same metrics report), the process-wide Merkle proof-cache counters
+//! must be monotone non-decreasing under any operation sequence, and a
+//! certificate cache must count every lookup exactly once.
 
 use pba_core::phase_king::{rounds_for, PhaseKing};
 use pba_crypto::merkle::{proof_cache_stats, MerkleTree};
@@ -12,7 +13,7 @@ use pba_crypto::sha256::{Digest, Sha256};
 use pba_net::faults::StrategySpec;
 use pba_net::runner::run_phase_threaded;
 use pba_net::{Machine, Network, PartyId};
-use pba_srds::{cert_cache_stats, CertCache};
+use pba_srds::CertCache;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,23 +108,19 @@ proptest! {
         prop_assert_eq!(seq_rep, par_rep);
     }
 
-    /// The engine never makes the process-wide cache counters move
-    /// backwards, whatever it executes.
+    /// The engine never makes the process-wide Merkle cache counters
+    /// move backwards, whatever it executes.
     #[test]
     fn engine_keeps_cache_counters_monotone(
         n in 6usize..16,
         threads in 1usize..5,
         seed in any::<[u8; 8]>(),
     ) {
-        let before_merkle = proof_cache_stats();
-        let before_cert = cert_cache_stats();
+        let before = proof_cache_stats();
         let _ = run_once(n, 1, &StrategySpec::Equivocate, &seed, threads);
-        let after_merkle = proof_cache_stats();
-        let after_cert = cert_cache_stats();
-        prop_assert!(after_merkle.0 >= before_merkle.0);
-        prop_assert!(after_merkle.1 >= before_merkle.1);
-        prop_assert!(after_cert.0 >= before_cert.0);
-        prop_assert!(after_cert.1 >= before_cert.1);
+        let after = proof_cache_stats();
+        prop_assert!(after.0 >= before.0);
+        prop_assert!(after.1 >= before.1);
     }
 
     /// Arbitrary Merkle proof sequences: hit/miss counters are monotone
@@ -152,24 +149,30 @@ proptest! {
         }
     }
 
-    /// Arbitrary certificate-cache lookup sequences: counters are
-    /// monotone and the cached verdict always matches the first one.
+    /// Arbitrary certificate-cache lookup sequences: the cache's own
+    /// counters are monotone, `hits + misses` grows by exactly one per
+    /// lookup, and the cached verdict always matches the first one.
     #[test]
     fn cert_cache_counters_monotone_per_op(
         keys in proptest::collection::vec(any::<[u8; 4]>(), 1..30),
     ) {
         let cache = CertCache::new();
         let mut expected: BTreeMap<Digest, bool> = BTreeMap::new();
-        let mut prev = cert_cache_stats();
+        let mut prev = cache.stats();
         for raw in keys {
             let key = Sha256::digest(&raw);
             let verdict = raw[0] % 2 == 0;
             let got = cache.get_or_verify(key, || verdict);
             let want = *expected.entry(key).or_insert(verdict);
             prop_assert_eq!(got, want, "cached verdict changed");
-            let cur = cert_cache_stats();
-            prop_assert!(cur.0 >= prev.0, "hits went backwards");
-            prop_assert!(cur.1 >= prev.1, "misses went backwards");
+            let cur = cache.stats();
+            prop_assert!(cur.hits >= prev.hits, "hits went backwards");
+            prop_assert!(cur.misses >= prev.misses, "misses went backwards");
+            prop_assert_eq!(
+                cur.hits + cur.misses,
+                prev.hits + prev.misses + 1,
+                "a lookup must count as exactly one hit or one miss"
+            );
             prev = cur;
         }
     }

@@ -2,7 +2,6 @@
 //! must never panic, over-allocate, or mis-verify — for every wire type a
 //! receiver processes.
 
-use pba_core::coin::CoinMsg;
 use pba_core::dolev_strong::DsMessage;
 use pba_core::phase_king::PkMsg;
 use pba_core::vss_coin::VssCoinMsg;
@@ -24,7 +23,6 @@ proptest! {
         // Every receiver-facing message type must decode defensively.
         let _ = decode_from_slice::<PkMsg<u8>>(&bytes);
         let _ = decode_from_slice::<PkMsg<Digest>>(&bytes);
-        let _ = decode_from_slice::<CoinMsg>(&bytes);
         let _ = decode_from_slice::<VssCoinMsg>(&bytes);
         let _ = decode_from_slice::<DsMessage>(&bytes);
         let _ = decode_from_slice::<MssSignature>(&bytes);

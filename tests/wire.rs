@@ -8,7 +8,6 @@ use polylog_ba::prelude::*;
 
 use pba_core::baselines::{SampleQuery, SampleResponse};
 use pba_core::broadcast::BroadcastInput;
-use pba_core::coin::CoinMsg;
 use pba_core::dolev_strong::DsMessage;
 use pba_core::phase_king::PkMsg;
 use pba_core::protocol::{Certificate, MvInput, ValueSeed};
@@ -40,12 +39,6 @@ fn every_registered_message_type_roundtrips() {
     roundtrip(PkMsg::Value(Digest([0xab; 32])));
     roundtrip(PkMsg::Propose(Digest::ZERO));
     roundtrip(PkMsg::King(Digest([1; 32])));
-    roundtrip(CoinMsg::Commit(Digest([3; 32])));
-    roundtrip(CoinMsg::Echo(vec![
-        (PartyId(0), Digest([4; 32])),
-        (PartyId(300), Digest::ZERO),
-    ]));
-    roundtrip(CoinMsg::Reveal([5; 32], [6; 32]));
     roundtrip(VssCoinMsg::Deal(Fp::new(12345)));
     roundtrip(VssCoinMsg::Echo(vec![(0, Fp::ZERO), (9, Fp::new(77))]));
     roundtrip(DsMessage {
@@ -167,7 +160,6 @@ fn tag_registry_golden_snapshot() {
         "0x00 raw step=0 untyped pba-net",
         "0x01 PkMsg<u8> step=2 2:committee-ba pba-core",
         "0x02 PkMsg<Digest> step=2 2:committee-ba pba-core",
-        "0x03 CoinMsg step=2 2:committee-ba pba-core",
         "0x04 VssCoinMsg step=2 2:committee-ba pba-core",
         "0x05 DsMessage step=0 baseline pba-core",
         "0x06 ValueSeed step=3 3:disseminate pba-core",
@@ -192,7 +184,6 @@ fn tag_registry_golden_snapshot() {
     for (t, s) in [
         (PkMsg::<u8>::TAG, PkMsg::<u8>::STEP),
         (PkMsg::<Digest>::TAG, PkMsg::<Digest>::STEP),
-        (CoinMsg::TAG, CoinMsg::STEP),
         (VssCoinMsg::TAG, VssCoinMsg::STEP),
         (DsMessage::TAG, DsMessage::STEP),
         (ValueSeed::TAG, ValueSeed::STEP),
@@ -235,7 +226,7 @@ fn scratch_reuse_sends_byte_identical_envelopes() {
     // The reference payloads, each encoded into its own fresh Vec.
     let msgs: Vec<Vec<u8>> = vec![
         wire::encode_msg(&PkMsg::Value(7u8)),
-        wire::encode_msg(&CoinMsg::Commit(Digest([3; 32]))),
+        wire::encode_msg(&VssCoinMsg::Deal(Fp::new(12345))),
         wire::encode_msg(&ValueSeed {
             epoch: 3,
             value: vec![1, 2, 3, 4, 5, 6, 7, 8, 9],
@@ -249,7 +240,7 @@ fn scratch_reuse_sends_byte_identical_envelopes() {
     // the clear / exact-size-copy discipline broke.
     let script = |ctx: &mut Ctx<'_>| {
         ctx.send_msg(PartyId(1), &PkMsg::Value(7u8));
-        ctx.send_msg(PartyId(1), &CoinMsg::Commit(Digest([3; 32])));
+        ctx.send_msg(PartyId(1), &VssCoinMsg::Deal(Fp::new(12345)));
         ctx.send_msg(
             PartyId(1),
             &ValueSeed {
@@ -381,13 +372,13 @@ proptest! {
         roundtrip(Certificate { epoch, value, seed: Digest(seed), sig });
     }
 
-    /// CoinMsg echo vectors roundtrip for arbitrary contents.
+    /// VssCoinMsg echo vectors roundtrip for arbitrary contents.
     #[test]
-    fn coin_echo_roundtrips(
-        entries in proptest::collection::vec((any::<u64>(), any::<[u8; 32]>()), 0..12),
+    fn vss_coin_echo_roundtrips(
+        entries in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..12),
     ) {
-        let msg = CoinMsg::Echo(
-            entries.into_iter().map(|(p, d)| (PartyId(p), Digest(d))).collect(),
+        let msg = VssCoinMsg::Echo(
+            entries.into_iter().map(|(pos, share)| (pos, Fp::new(share))).collect(),
         );
         roundtrip(msg);
     }
@@ -442,7 +433,6 @@ proptest! {
     ) {
         let _ = wire::decode_msg::<PkMsg<u8>>(&payload);
         let _ = wire::decode_msg::<PkMsg<Digest>>(&payload);
-        let _ = wire::decode_msg::<CoinMsg>(&payload);
         let _ = wire::decode_msg::<VssCoinMsg>(&payload);
         let _ = wire::decode_msg::<DsMessage>(&payload);
         let _ = wire::decode_msg::<ValueSeed>(&payload);
