@@ -3,8 +3,10 @@
 //! Runs one full honest `π_ba` round (SNARK SRDS, charged establishment,
 //! lazy key instantiation) at party counts up to `n = 2^20` and records,
 //! per size: max/avg bits per party, wall time, the process peak RSS
-//! after the case, and how many sparse metrics cells actually
-//! materialized. A King–Saia'09-style `√n` column — the *measured*
+//! after the case, how many sparse metrics cells actually materialized
+//! and how many peer groups the metrics table interned (the number that
+//! explains the RSS column: a party's peers are references into those
+//! groups, not a list of its own). A King–Saia'09-style `√n` column — the *measured*
 //! bits/party of [`sqrt_sampling_boost`] at the anchor size `n₀ = 2^10`,
 //! extrapolated by `√(n/n₀)` — rides along so the polylog bend is visible
 //! against the barrier the paper breaks. The binary
@@ -48,14 +50,15 @@ impl ScaleConfig {
     }
 
     /// CI smoke variant: n ∈ {2^10, 2^16} with the memory regression
-    /// budget armed. The budget is deliberately generous (≈3× the
-    /// ~1.26 GiB measured peak on the reference host) so it only trips
-    /// on asymptotic regressions — an O(n²) metrics table or eager
-    /// keygen at 2^16 overshoots it by an order of magnitude.
+    /// budget armed: ≈ 2× the 239 MiB measured peak on the reference
+    /// host. An O(n²) metrics table or eager keygen at 2^16 overshoots it
+    /// by an order of magnitude, and so does a private peer list per
+    /// party: the layout before peers were held by reference measured
+    /// 1,236.5 MiB on the same host.
     pub fn smoke() -> Self {
         ScaleConfig {
             sizes: vec![1 << 10, 1 << 16],
-            rss_budget_mib: Some(4096.0),
+            rss_budget_mib: Some(512.0),
         }
     }
 }
@@ -80,6 +83,10 @@ pub struct ScaleCase {
     pub peak_rss_mib: f64,
     /// Sparse metrics cells that materialized (parties actually charged).
     pub metrics_cells: usize,
+    /// Distinct peer groups the metrics table interned
+    /// ([`pba_net::MetricsTable::peer_groups`]): the committees of the
+    /// tree, which every cell's peers are references into.
+    pub peer_groups: usize,
     /// King–Saia √n baseline bits/party: measured at the anchor size and
     /// extrapolated as `anchor · √(n/n₀)`.
     pub sqrt_baseline_bits: u64,
@@ -135,7 +142,8 @@ impl ScaleReport {
                         "{{\"n\":{},\"max_bits_per_party\":{},",
                         "\"avg_bits_per_party\":{},\"total_bytes\":{},",
                         "\"rounds\":{},\"wall_ms\":{:.1},\"peak_rss_mib\":{:.1},",
-                        "\"metrics_cells\":{},\"sqrt_baseline_bits\":{}}}"
+                        "\"metrics_cells\":{},\"peer_groups\":{},",
+                        "\"sqrt_baseline_bits\":{}}}"
                     ),
                     c.n,
                     c.max_bits_per_party,
@@ -145,6 +153,7 @@ impl ScaleReport {
                     c.wall_ms,
                     c.peak_rss_mib,
                     c.metrics_cells,
+                    c.peer_groups,
                     c.sqrt_baseline_bits,
                 )
             })
@@ -249,6 +258,7 @@ fn run_case(n: usize, anchor_sqrt_bits: u64) -> ScaleCase {
     );
     let report = session.report();
     let metrics_cells = session.net.metrics().allocated_cells();
+    let peer_groups = session.net.metrics().peer_groups();
     let parties = report.parties.max(1);
     ScaleCase {
         n,
@@ -259,6 +269,7 @@ fn run_case(n: usize, anchor_sqrt_bits: u64) -> ScaleCase {
         wall_ms,
         peak_rss_mib: peak_rss_mib(),
         metrics_cells,
+        peer_groups,
         sqrt_baseline_bits: ((anchor_sqrt_bits as f64) * (n as f64 / SQRT_ANCHOR_N as f64).sqrt())
             as u64,
     }
@@ -288,7 +299,7 @@ pub fn run_scale(config: &ScaleConfig, smoke: bool) -> ScaleReport {
     for &n in &config.sizes {
         let case = run_case(n, anchor_sqrt_bits);
         eprintln!(
-            "scale: n=2^{:<2} max {:>9} bits/party (sqrt-baseline {:>10})  wall {:>9.0}ms  rss {:>7.1}MiB  cells {}/{}",
+            "scale: n=2^{:<2} max {:>9} bits/party (sqrt-baseline {:>10})  wall {:>9.0}ms  rss {:>7.1}MiB  cells {}/{}  groups {}",
             n.trailing_zeros(),
             case.max_bits_per_party,
             case.sqrt_baseline_bits,
@@ -296,6 +307,7 @@ pub fn run_scale(config: &ScaleConfig, smoke: bool) -> ScaleReport {
             case.peak_rss_mib,
             case.metrics_cells,
             n,
+            case.peer_groups,
         );
         cases.push(case);
     }
@@ -344,6 +356,9 @@ mod tests {
         // the sparsity win is at the *table construction* and in partial
         // runs; what we pin here is that the count is exact, not padded.
         assert!(case.metrics_cells <= 1 << 10);
+        // Peers are held by reference to the tree's committees: fewer
+        // groups than parties, however many exchanges ran over them.
+        assert!((1..1 << 10).contains(&case.peer_groups));
         assert_eq!(case.sqrt_baseline_bits, 1_000_000);
     }
 

@@ -14,9 +14,31 @@
 //! party and nothing else. A party's counters ([`PartyCell`], private) are
 //! boxed on its **first** charge, so establishment-only runs and the
 //! million-party sweeps (`--bin scale`) pay memory proportional to the
-//! parties that actually communicate, not to `n`. Peer sets and per-tag
-//! marginals live in sorted vectors inside the cell (committee-sized, so
-//! binary-search insertion beats a `BTreeMap`'s per-node allocations).
+//! parties that actually communicate, not to `n`.
+//!
+//! A cell records its peers in two forms. The per-link paths
+//! ([`MetricsTable::record_send_tagged`],
+//! [`MetricsTable::record_receive_tagged`],
+//! [`MetricsTable::record_sends_tagged`]) name individuals, which go into
+//! two sorted id vectors by binary-search insertion. The committee path
+//! ([`MetricsTable::charge_exchange`]) names whole sides, and those are
+//! held *by reference*: every distinct sorted, deduplicated id list an
+//! exchange has named is interned once in a pool owned by the table, and
+//! the cell keeps a 4-byte reference — pool index plus one bit, "without
+//! my own id" — the first time it meets that side. A party of an
+//! n = 2^16 run has hundreds to thousands of peers but meets them as 32
+//! committees on average (136 at most), so a cell weighs ≈ 1.4 KB where
+//! a private sorted copy of those ids weighs ≈ 13 KB (measured at
+//! n = 2^14), and a repeated exchange costs a scan of those few dozen
+//! references instead of a walk of the peer list. The pool is bounded by
+//! the committees of the tree ([`MetricsTable::peer_groups`]), not by the
+//! number of exchanges, tags or epochs.
+//!
+//! Readers expand references on demand. [`MetricsTable::party`] builds the
+//! two peer sets; [`MetricsTable::report_for`] counts each party's
+//! locality against one scratch row of stamps, in O(Σ sizes of the groups
+//! the party references) and without a sort: a report pays for the
+//! expansion, a charge never does.
 //!
 //! A pre-aggregated [`Totals`] row is maintained by every charging call —
 //! once per envelope on the per-link paths, once per *exchange* on the
@@ -33,11 +55,17 @@
 //! per-link expansion into [`MetricsTable::record_send_tagged`] /
 //! [`MetricsTable::record_receive_tagged`] and are observationally
 //! identical to it, but touch each party's cell once per exchange instead
-//! of once per link: counters move by `bytes · k`, the peer vector takes
-//! one in-place sorted merge, the tag marginal and the totals row one
-//! bump. Seats listed several times count by multiplicity, and a party
-//! with `k = 0` links is never materialized (DESIGN.md §4b
+//! of once per link: counters move by `bytes · k`, the tag marginal and
+//! the totals row take one bump, and the opposite side is one group
+//! reference. Seats listed several times count by multiplicity, and a
+//! party with `k = 0` links is never materialized (DESIGN.md §4b
 //! "Committee-granular metering").
+//!
+//! The step 7–8 spread stays per id on purpose: a sender's targets are a
+//! PRF-chosen subset that is fresh for every (sender, epoch), so interning
+//! them would add `n` lists per instance that nothing ever references
+//! twice. `record_sends_tagged` moves the counters once and inserts the
+//! targets one by one.
 //!
 //! # Differential oracle
 //!
@@ -53,14 +81,15 @@
 
 use crate::envelope::PartyId;
 use crate::wire;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Communication counters for a single party.
 ///
 /// Returned by [`MetricsTable::party`] as an owned snapshot (the sparse
-/// table stores sorted vectors internally); [`DenseMetricsTable::party`]
-/// hands out references to the same type.
+/// table stores id vectors and group references internally);
+/// [`DenseMetricsTable::party`] hands out references to the same type.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartyMetrics {
     /// Bytes of payload sent.
@@ -97,23 +126,81 @@ impl PartyMetrics {
 
 /// Sparse per-party counters: allocated on a party's first charge.
 ///
-/// Peer sets and tag marginals are sorted vectors — the working sets are
-/// committee-sized (polylog n), where binary-search insertion into a flat
-/// vector is both smaller and faster than tree maps.
+/// Peers are kept in two forms (module docs, "Sparse layout"): the ids a
+/// per-link charge named, in sorted vectors, and [`GroupRef`]s to the
+/// committees a bulk exchange named. Tag marginals are sorted vectors too —
+/// a handful of entries, where binary-search insertion into a flat vector
+/// is both smaller and faster than a tree map.
 #[derive(Clone, Debug, Default)]
 struct PartyCell {
     bytes_sent: u64,
     bytes_received: u64,
     msgs_sent: u64,
     msgs_received: u64,
-    /// Sorted, deduplicated peer ids (outbound).
+    /// Sorted, deduplicated ids of the per-link paths (outbound).
     peers_out: Vec<u64>,
-    /// Sorted, deduplicated peer ids (inbound).
+    /// Sorted, deduplicated ids of the per-link paths (inbound).
     peers_in: Vec<u64>,
+    /// Distinct groups this party sent to as a whole, in first-use order.
+    groups_out: Vec<GroupRef>,
+    /// Distinct groups this party received from as a whole.
+    groups_in: Vec<GroupRef>,
     /// Sorted `(tag, bytes)` marginals for sent traffic.
     sent_by_tag: Vec<(u8, u64)>,
     /// Sorted `(tag, bytes)` marginals for received traffic.
     recv_by_tag: Vec<(u8, u64)>,
+}
+
+/// One entry of a cell's `groups_out` / `groups_in`: the index of an
+/// interned id list in the table's [`GroupPool`], and in the low bit
+/// whether the cell's own id is to be left out of it (the party is a
+/// member and the exchange was `skip_self`). Four bytes stand for a whole
+/// committee of peers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct GroupRef(u32);
+
+impl GroupRef {
+    fn new(group: u32, skips_own: bool) -> Self {
+        GroupRef(group << 1 | u32::from(skips_own))
+    }
+
+    fn group(self) -> usize {
+        (self.0 >> 1) as usize
+    }
+
+    fn skips_own(self) -> bool {
+        self.0 & 1 == 1
+    }
+}
+
+/// Every distinct sorted, deduplicated id list a bulk exchange has named,
+/// stored once and addressed by position. Content-keyed, so a committee
+/// costs its ids once however many parties, tags and epochs exchange with
+/// it; indices are handed out in first-use order and never move.
+#[derive(Clone, Debug, Default)]
+struct GroupPool {
+    lists: Vec<Arc<[u64]>>,
+    index: HashMap<Arc<[u64]>, u32>,
+}
+
+impl GroupPool {
+    /// Index of the ids of `counts` (a [`seat_counts`] list), interning
+    /// them on first sight.
+    fn intern(&mut self, counts: &[(u64, u64)]) -> u32 {
+        let ids: Vec<u64> = counts.iter().map(|e| e.0).collect();
+        if let Some(&group) = self.index.get(ids.as_slice()) {
+            return group;
+        }
+        assert!(
+            self.lists.len() < 1 << 31,
+            "a GroupRef holds a 31-bit index"
+        );
+        let group = self.lists.len() as u32;
+        let list: Arc<[u64]> = ids.into();
+        self.lists.push(Arc::clone(&list));
+        self.index.insert(list, group);
+        group
+    }
 }
 
 fn insert_sorted(v: &mut Vec<u64>, x: u64) {
@@ -151,75 +238,9 @@ fn seats_of(counts: &[(u64, u64)], id: u64) -> u64 {
         .map_or(0, |i| counts[i].1)
 }
 
-/// Merges the ids of `add` (a [`seat_counts`] list; `skip` excluded) into
-/// the sorted, deduplicated `v` — the bulk form of one [`insert_sorted`]
-/// per id. One counting pass decides how many ids are missing; when none
-/// are (`v` is already a superset, the common case from a committee's
-/// second exchange on) `v` is left untouched, capacity included. Otherwise
-/// `v` grows once by `resize` and is merged backward in place, so growth
-/// follows `Vec`'s amortized doubling instead of an exact-size
-/// reallocation per exchange.
-fn merge_sorted(v: &mut Vec<u64>, add: &[(u64, u64)], skip: Option<u64>) {
-    let wanted = || add.iter().map(|e| e.0).filter(|&x| Some(x) != skip);
-    let (mut i, mut missing) = (0usize, 0usize);
-    for x in wanted() {
-        while i < v.len() && v[i] < x {
-            i += 1;
-        }
-        if i == v.len() || v[i] != x {
-            missing += 1;
-        }
-    }
-    if missing == 0 {
-        return;
-    }
-    let old = v.len();
-    v.resize(old + missing, 0);
-    // `v[..read]` is still to be placed, `v[write..]` is final.
-    let (mut read, mut write) = (old, old + missing);
-    for x in wanted().rev() {
-        while read > 0 && v[read - 1] > x {
-            write -= 1;
-            v[write] = v[read - 1];
-            read -= 1;
-        }
-        if read > 0 && v[read - 1] == x {
-            continue;
-        }
-        write -= 1;
-        v[write] = x;
-        if write == read {
-            break; // every missing id is placed; the rest of `v` is home
-        }
-    }
-    debug_assert_eq!(write, read, "length = old + missing");
-    debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "sorted and deduplicated");
-}
-
-/// Count of the union of two sorted, deduplicated slices.
-fn union_len(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-        n += 1;
-    }
-    n + (a.len() - i) + (b.len() - j)
-}
-
 impl PartyCell {
     fn bytes_total(&self) -> u64 {
         self.bytes_sent + self.bytes_received
-    }
-
-    fn locality(&self) -> usize {
-        union_len(&self.peers_out, &self.peers_in)
     }
 
     fn conserves(&self) -> bool {
@@ -227,48 +248,71 @@ impl PartyCell {
             && self.recv_by_tag.iter().map(|(_, b)| b).sum::<u64>() == self.bytes_received
     }
 
-    /// `links` sent envelopes of `bytes` each, to the ids of `peers`
-    /// (`skip` excluded), in one touch of the cell.
-    fn charge_sent(
-        &mut self,
-        links: u64,
-        bytes: u64,
-        tag: u8,
-        peers: &[(u64, u64)],
-        skip: Option<u64>,
-    ) {
+    /// `links` sent envelopes of `bytes` each, to the group `peers`, in
+    /// one touch of the cell. A cell holds a few dozen references, so the
+    /// membership test is a linear scan and not a set.
+    fn charge_sent(&mut self, links: u64, bytes: u64, tag: u8, peers: GroupRef) {
         self.bytes_sent += bytes * links;
         self.msgs_sent += links;
-        merge_sorted(&mut self.peers_out, peers, skip);
+        if !self.groups_out.contains(&peers) {
+            self.groups_out.push(peers);
+        }
         bump_tag(&mut self.sent_by_tag, tag, bytes * links);
     }
 
     /// Receive-side twin of [`PartyCell::charge_sent`].
-    fn charge_received(
-        &mut self,
-        links: u64,
-        bytes: u64,
-        tag: u8,
-        peers: &[(u64, u64)],
-        skip: Option<u64>,
-    ) {
+    fn charge_received(&mut self, links: u64, bytes: u64, tag: u8, peers: GroupRef) {
         self.bytes_received += bytes * links;
         self.msgs_received += links;
-        merge_sorted(&mut self.peers_in, peers, skip);
+        if !self.groups_in.contains(&peers) {
+            self.groups_in.push(peers);
+        }
         bump_tag(&mut self.recv_by_tag, tag, bytes * links);
     }
+}
 
-    /// Owned dense-shaped view of this cell.
-    fn snapshot(&self) -> PartyMetrics {
-        PartyMetrics {
-            bytes_sent: self.bytes_sent,
-            bytes_received: self.bytes_received,
-            msgs_sent: self.msgs_sent,
-            msgs_received: self.msgs_received,
-            peers_out: self.peers_out.iter().map(|&p| PartyId(p)).collect(),
-            peers_in: self.peers_in.iter().map(|&p| PartyId(p)).collect(),
-            sent_by_tag: self.sent_by_tag.iter().copied().collect(),
-            recv_by_tag: self.recv_by_tag.iter().copied().collect(),
+/// Scratch row for counting distinct peers without sorting them: one
+/// stamp per party position, holding the generation of the last cell that
+/// listed it. [`MetricsTable::report_for`] allocates one per call and
+/// advances the generation per visited party, so the row is never cleared.
+struct PeerStamps {
+    row: Vec<u32>,
+    generation: u32,
+    /// Peers of the current cell beyond the row. Per-link charges have
+    /// never range-checked the peer they name, so counting must not either.
+    stray: Vec<u64>,
+}
+
+impl PeerStamps {
+    fn new(n: usize) -> Self {
+        PeerStamps {
+            row: vec![0; n],
+            generation: 0,
+            stray: Vec::new(),
+        }
+    }
+
+    fn next_cell(&mut self) {
+        self.stray.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.row.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// True the first time `peer` is offered since [`Self::next_cell`].
+    fn first_visit(&mut self, peer: u64) -> bool {
+        let stamp = usize::try_from(peer).ok().and_then(|i| self.row.get_mut(i));
+        match stamp {
+            Some(stamp) => std::mem::replace(stamp, self.generation) != self.generation,
+            None => {
+                let fresh = !self.stray.contains(&peer);
+                if fresh {
+                    self.stray.push(peer);
+                }
+                fresh
+            }
         }
     }
 }
@@ -319,6 +363,8 @@ impl Totals {
 pub struct MetricsTable {
     /// One slot per party; `None` until the party's first charge.
     cells: Vec<Option<Box<PartyCell>>>,
+    /// The id lists the cells' [`GroupRef`]s point into.
+    groups: GroupPool,
     totals: Totals,
     rounds: u64,
     /// Dense differential oracle; every mutation is mirrored here first
@@ -334,6 +380,7 @@ impl MetricsTable {
     pub fn new(n: usize) -> Self {
         MetricsTable {
             cells: vec![None; n],
+            groups: GroupPool::default(),
             totals: Totals::default(),
             rounds: 0,
             shadow: None,
@@ -356,13 +403,65 @@ impl MetricsTable {
         self.cells.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Per-party metrics, as an owned snapshot. Parties never charged
-    /// report all-zero counters. Panics if `id` is out of range.
+    /// Number of distinct peer groups interned by
+    /// [`MetricsTable::charge_exchange`] — one per distinct set of senders
+    /// or receivers ever charged, so bounded by the committees of the tree
+    /// and not by how many exchanges or epochs ran.
+    pub fn peer_groups(&self) -> usize {
+        self.groups.lists.len()
+    }
+
+    /// The peers `group` stands for in the cell of party `own`.
+    fn members(&self, group: GroupRef, own: u64) -> impl Iterator<Item = u64> + '_ {
+        let skip = group.skips_own().then_some(own);
+        self.groups.lists[group.group()]
+            .iter()
+            .copied()
+            .filter(move |&p| Some(p) != skip)
+    }
+
+    /// Per-party metrics, as an owned snapshot with every group reference
+    /// expanded. Parties never charged report all-zero counters. Panics if
+    /// `id` is out of range.
     pub fn party(&self, id: PartyId) -> PartyMetrics {
-        match self.cells[id.index()].as_deref() {
-            Some(cell) => cell.snapshot(),
-            None => PartyMetrics::default(),
+        let Some(cell) = self.cells[id.index()].as_deref() else {
+            return PartyMetrics::default();
+        };
+        let peers = |ids: &[u64], groups: &[GroupRef]| -> BTreeSet<PartyId> {
+            let grouped = groups.iter().flat_map(|&g| self.members(g, id.0));
+            ids.iter().copied().chain(grouped).map(PartyId).collect()
+        };
+        PartyMetrics {
+            bytes_sent: cell.bytes_sent,
+            bytes_received: cell.bytes_received,
+            msgs_sent: cell.msgs_sent,
+            msgs_received: cell.msgs_received,
+            peers_out: peers(&cell.peers_out, &cell.groups_out),
+            peers_in: peers(&cell.peers_in, &cell.groups_in),
+            sent_by_tag: cell.sent_by_tag.iter().copied().collect(),
+            recv_by_tag: cell.recv_by_tag.iter().copied().collect(),
         }
+    }
+
+    /// Distinct peers of `own` in either direction, counted against
+    /// `seen`: O(Σ sizes of the groups the cell references), no sort.
+    fn locality(&self, own: u64, cell: &PartyCell, seen: &mut PeerStamps) -> u64 {
+        seen.next_cell();
+        let mut count = 0u64;
+        for &p in cell.peers_out.iter().chain(&cell.peers_in) {
+            count += u64::from(seen.first_visit(p));
+        }
+        // Most groups are met in both directions: walk those once.
+        let inbound = cell
+            .groups_in
+            .iter()
+            .filter(|g| !cell.groups_out.contains(g));
+        for &g in cell.groups_out.iter().chain(inbound) {
+            for p in self.members(g, own) {
+                count += u64::from(seen.first_visit(p));
+            }
+        }
+        count
     }
 
     /// Attaches the dense reference implementation as a differential
@@ -482,12 +581,14 @@ impl MetricsTable {
     ///
     /// and observationally identical to it — the attached dense shadow is
     /// fed exactly that expansion — but each party's cell is touched once:
-    /// counters move by `bytes · k` for the party's `k` links, the peer
-    /// vector takes one in-place merge, the tag marginal and the totals
-    /// row one bump. A party listed on several seats is charged once per
-    /// seat (multiplicity), and a party with `k = 0` links (e.g. the only
-    /// receiver of its own `skip_self` exchange) is not materialized, so
-    /// no `(tag, 0)` marginal appears that the expansion would not write.
+    /// counters move by `bytes · k` for the party's `k` links, the opposite
+    /// side is recorded as one reference to its interned id list, the tag
+    /// marginal and the totals row take one bump. A party listed on several
+    /// seats is charged once per seat (multiplicity), and a party with
+    /// `k = 0` links (e.g. the only receiver of its own `skip_self`
+    /// exchange) is not materialized, so no `(tag, 0)` marginal appears
+    /// that the expansion would not write; an exchange without a single
+    /// link interns nothing.
     ///
     /// Returns the number of links charged.
     pub fn charge_exchange(
@@ -509,60 +610,69 @@ impl MetricsTable {
         let bytes = bytes as u64;
         let from = seat_counts(senders);
         let to = seat_counts(receivers);
-        // Links of one seat of `id` toward the `total` seats opposite.
-        let per_seat = |id: u64, total: usize, opposite: &[(u64, u64)]| {
-            total as u64 - if skip_self { seats_of(opposite, id) } else { 0 }
+        // Seats of `id` on the opposite side that a `skip_self` exchange
+        // leaves out.
+        let own_seats = |id: u64, opposite: &[(u64, u64)]| {
+            if skip_self {
+                seats_of(opposite, id)
+            } else {
+                0
+            }
         };
-        let mut links = 0u64;
+        let skipped: u64 = from.iter().map(|&(s, k)| k * own_seats(s, &to)).sum();
+        let links = senders.len() as u64 * receivers.len() as u64 - skipped;
+        if links == 0 {
+            return 0;
+        }
+        // With a link to charge, each side has a party with `k > 0`: both
+        // lists end up referenced.
+        let (from_group, to_group) = (self.groups.intern(&from), self.groups.intern(&to));
         for &(s, seats) in &from {
-            let k = seats * per_seat(s, receivers.len(), &to);
+            let own = own_seats(s, &to);
+            let k = seats * (receivers.len() as u64 - own);
             if k > 0 {
-                links += k;
-                self.cell_mut(s as usize)
-                    .charge_sent(k, bytes, tag, &to, skip_self.then_some(s));
+                let peers = GroupRef::new(to_group, own > 0);
+                self.cell_mut(s as usize).charge_sent(k, bytes, tag, peers);
             }
         }
         for &(r, seats) in &to {
-            let k = seats * per_seat(r, senders.len(), &from);
+            let own = own_seats(r, &from);
+            let k = seats * (senders.len() as u64 - own);
             if k > 0 {
-                self.cell_mut(r as usize).charge_received(
-                    k,
-                    bytes,
-                    tag,
-                    &from,
-                    skip_self.then_some(r),
-                );
+                let peers = GroupRef::new(from_group, own > 0);
+                self.cell_mut(r as usize)
+                    .charge_received(k, bytes, tag, peers);
             }
         }
-        if links > 0 {
-            self.totals.sent(bytes * links, links, tag);
-            self.totals.received(bytes * links, links, tag);
-        }
+        self.totals.sent(bytes * links, links, tag);
+        self.totals.received(bytes * links, links, tag);
         links
     }
 
     /// The sender half of a fan-out: `from` sends `bytes` to every entry
     /// of `to` — **defined as** one [`MetricsTable::record_send_tagged`]
-    /// per entry, with the same single-touch bookkeeping as
-    /// [`MetricsTable::charge_exchange`]. For exchanges whose receive side
-    /// is decided per link (the step 7–8 spread: corrupt and offline
-    /// addressees never process their copy).
+    /// per entry; the counters move once, the peers go in id by id. For
+    /// exchanges whose receive side is decided per link (the step 7–8
+    /// spread: corrupt and offline addressees never process their copy) —
+    /// and whose targets are a fresh PRF-chosen subset per sender and
+    /// epoch, which interned as groups would grow the pool by `n` lists an
+    /// instance and never be referenced twice.
     pub fn record_sends_tagged(&mut self, from: PartyId, to: &[PartyId], bytes: usize, tag: u8) {
         if let Some(shadow) = self.shadow.as_deref_mut() {
             for &r in to {
                 shadow.record_send_tagged(from, r, bytes, tag);
             }
         }
-        let links = to.len() as u64;
+        let (links, bytes) = (to.len() as u64, bytes as u64);
         if links > 0 {
-            self.cell_mut(from.index()).charge_sent(
-                links,
-                bytes as u64,
-                tag,
-                &seat_counts(to),
-                None,
-            );
-            self.totals.sent(bytes as u64 * links, links, tag);
+            let m = self.cell_mut(from.index());
+            m.bytes_sent += bytes * links;
+            m.msgs_sent += links;
+            for peer in to {
+                insert_sorted(&mut m.peers_out, peer.0);
+            }
+            bump_tag(&mut m.sent_by_tag, tag, bytes * links);
+            self.totals.sent(bytes * links, links, tag);
         }
     }
 
@@ -610,6 +720,7 @@ impl MetricsTable {
             ..Report::default()
         };
         let mut count = 0u64;
+        let mut seen = PeerStamps::new(self.cells.len());
         for id in ids {
             count += 1;
             let Some(m) = self.cells[id.index()].as_deref() else {
@@ -622,7 +733,7 @@ impl MetricsTable {
             report.total_msgs += m.msgs_sent;
             report.max_msgs_per_party =
                 report.max_msgs_per_party.max(m.msgs_sent + m.msgs_received);
-            report.max_locality = report.max_locality.max(m.locality() as u64);
+            report.max_locality = report.max_locality.max(self.locality(id.0, m, &mut seen));
         }
         report.parties = count;
         report
@@ -636,7 +747,7 @@ impl MetricsTable {
     /// `(Σ bytes_sent, max bytes_total)` over a set of parties — the two
     /// [`Report`] columns (`total_bytes`, `max_bytes_per_party`) a per-step
     /// snapshot needs, in one pass that reads counters only: no snapshot
-    /// is cloned and no peer vectors are merged for locality.
+    /// is built and no group reference is expanded for locality.
     pub fn sent_and_max_total_for<I: IntoIterator<Item = PartyId>>(&self, ids: I) -> (u64, u64) {
         let (mut sent, mut max_total) = (0u64, 0u64);
         for cell in ids
@@ -1180,44 +1291,117 @@ mod tests {
         assert_eq!(t.shadow_divergence(), None);
     }
 
+    /// `(groups_out, groups_in)` reference counts of a charged cell.
+    fn references(t: &MetricsTable, party: usize) -> (usize, usize) {
+        let cell = t.cells[party].as_deref().expect("charged");
+        (cell.groups_out.len(), cell.groups_in.len())
+    }
+
     #[test]
-    fn superset_peers_leave_the_vector_untouched() {
-        let (members, outsiders) = (ids(&[1, 2, 3, 4, 5, 6, 7]), ids(&[2, 4, 6]));
+    fn repeat_exchange_adds_no_reference() {
+        let (committee, parent) = (ids(&[1, 2, 3, 4, 5]), ids(&[5, 6, 7]));
         let mut t = MetricsTable::new(8);
         t.enable_shadow();
-        t.charge_exchange(&members, &members, 10, 3, true);
-        let cell = |t: &MetricsTable| {
-            let c = t.cells[1].as_deref().expect("charged");
-            (
-                c.peers_out.clone(),
-                c.peers_out.capacity(),
-                c.peers_in.capacity(),
-            )
+        t.charge_exchange(&committee, &committee, 10, 3, true);
+        t.charge_exchange(&committee, &parent, 10, 3, true);
+        t.charge_exchange(&parent, &committee, 10, 3, true);
+        assert_eq!(t.peer_groups(), 2);
+        let state = |t: &MetricsTable| {
+            let counts: Vec<_> = (1..8).map(|p| references(t, p)).collect();
+            (t.peer_groups(), counts)
         };
-        let before = cell(&t);
-        // Same committee again, then a subset of it: nothing to merge.
-        t.charge_exchange(&members, &members, 99, 4, true);
-        t.charge_exchange(&ids(&[1]), &outsiders, 5, 4, true);
-        t.record_sends_tagged(PartyId(1), &outsiders, 5, 4);
-        assert_eq!(cell(&t), before);
-        assert_eq!(t.party(PartyId(1)).msgs_sent, 6 + 6 + 3 + 3);
+        let before = state(&t);
+        assert_eq!(before.1[0], (2, 2), "party 1: own committee and parent");
+        // The same three exchanges again under another tag and size.
+        t.charge_exchange(&committee, &committee, 99, 4, true);
+        t.charge_exchange(&committee, &parent, 0, 4, true);
+        t.charge_exchange(&parent, &committee, 7, 5, true);
+        assert_eq!(state(&t), before);
+        assert_eq!(t.party(PartyId(1)).msgs_sent, 2 * (4 + 3));
+
+        // A strict sub-committee of senders is one more group, once.
+        let honest = ids(&[1, 2, 4]);
+        for _ in 0..3 {
+            t.charge_exchange(&honest, &parent, 10, 3, true);
+        }
+        assert_eq!(t.peer_groups(), 3);
+        assert_eq!(references(&t, 1), before.1[0], "senders gain nothing");
+        assert_eq!(references(&t, 6), (before.1[5].0, before.1[5].1 + 1));
         assert_eq!(t.shadow_divergence(), None);
     }
 
     #[test]
-    fn merge_sorted_grows_in_place() {
-        let add = |ids: &[u64]| ids.iter().map(|&x| (x, 1)).collect::<Vec<_>>();
-        let mut v = vec![10, 20, 30];
-        merge_sorted(&mut v, &add(&[5, 20, 25, 40]), None);
-        assert_eq!(v, [5, 10, 20, 25, 30, 40]);
-        merge_sorted(&mut v, &add(&[1, 2, 3]), Some(2));
-        assert_eq!(v, [1, 3, 5, 10, 20, 25, 30, 40]);
-        let mut empty = Vec::new();
-        merge_sorted(&mut empty, &add(&[7, 8]), Some(7));
-        assert_eq!(empty, [8]);
-        merge_sorted(&mut empty, &add(&[8]), None);
-        merge_sorted(&mut empty, &[], None);
-        assert_eq!(empty, [8]);
+    fn same_members_intern_once() {
+        let mut t = MetricsTable::new(8);
+        t.enable_shadow();
+        t.charge_exchange(&ids(&[2, 4, 2]), &ids(&[6]), 1, 1, true);
+        assert_eq!(t.peer_groups(), 2);
+        t.charge_exchange(&ids(&[4, 2]), &ids(&[6]), 1, 1, true);
+        assert_eq!(
+            t.peer_groups(),
+            2,
+            "seat order and multiplicity are not content"
+        );
+        // A skipping and a plain reference point at the same list.
+        t.charge_exchange(&ids(&[2, 4]), &ids(&[2, 4]), 1, 1, true);
+        t.charge_exchange(&ids(&[2, 4]), &ids(&[2, 4]), 1, 1, false);
+        assert_eq!(t.peer_groups(), 2);
+        assert_eq!(references(&t, 2), (3, 2), "out: {{6}}, own∖self, own");
+        // Only a member has an own id to leave out: party 6 holds one
+        // reference to {2, 4} whatever `skip_self` said.
+        t.charge_exchange(&ids(&[4, 2]), &ids(&[6]), 1, 1, false);
+        assert_eq!(references(&t, 6), (0, 1));
+        assert_eq!(t.shadow_divergence(), None);
+    }
+
+    #[test]
+    fn skip_bit_is_per_reference() {
+        let committee = ids(&[1, 3, 5]);
+        let mut t = MetricsTable::new(8);
+        t.enable_shadow();
+        t.charge_exchange(&committee, &committee, 10, 3, true);
+        assert!(!t.party(PartyId(3)).peers_out.contains(&PartyId(3)));
+        assert_eq!(t.report().max_locality, 2);
+        // The same committee without `skip_self`: per link, 3 now sends to
+        // and receives from itself, and the first reference must not hide it.
+        t.charge_exchange(&committee, &committee, 10, 3, false);
+        let m = t.party(PartyId(3));
+        assert!(m.peers_out.contains(&PartyId(3)) && m.peers_in.contains(&PartyId(3)));
+        assert_eq!(m.locality(), 3);
+        assert_eq!(t.report().max_locality, 3);
+        assert_eq!(t.shadow_divergence(), None);
+    }
+
+    #[test]
+    fn out_of_range_peer_is_counted_not_indexed() {
+        // A peer position has never been range-checked; only the charged
+        // party's is (it indexes the cell).
+        let far = PartyId(1 << 40);
+        let mut t = MetricsTable::new(4);
+        t.enable_shadow();
+        t.record_send(PartyId(0), far, 1);
+        t.record_receive(PartyId(0), far, 1);
+        t.record_send(PartyId(0), PartyId(2), 1);
+        t.record_sends_tagged(PartyId(1), &[far, PartyId(4), far], 1, 2);
+        assert_eq!(t.party(PartyId(0)).locality(), 2);
+        assert_eq!(t.party(PartyId(1)).locality(), 2);
+        assert_eq!(t.report().max_locality, 2);
+        assert_eq!(t.shadow_divergence(), None);
+    }
+
+    #[test]
+    fn locality_is_per_party_across_one_report() {
+        // One stamped row serves every party of a report call: a peer
+        // counted for party 0 must count again for party 1.
+        let mut t = MetricsTable::new(6);
+        t.enable_shadow();
+        t.charge_exchange(&ids(&[0, 1]), &ids(&[2, 3, 4]), 1, 1, false);
+        t.record_send(PartyId(1), PartyId(5), 1);
+        t.record_receive(PartyId(1), PartyId(2), 1);
+        assert_eq!(t.report_for(ids(&[0, 1, 0])).max_locality, 4);
+        assert_eq!(t.report_for(ids(&[1, 0])).max_locality, 4);
+        assert_eq!(t.report_for(ids(&[0])).max_locality, 3);
+        assert_eq!(t.shadow_divergence(), None);
     }
 
     #[test]

@@ -63,8 +63,9 @@ enum Op {
 
 /// One random op over `n` parties, drawn from a seeded [`TestRng`] (the
 /// vendored proptest stand-in has no combinators, so the op shape is
-/// expanded here instead of via `prop_oneof`).
-fn random_op(rng: &mut TestRng, n: usize) -> Op {
+/// expanded here instead of via `prop_oneof`). `earlier` is the sequence
+/// so far: one draw in seven replays an exchange from it.
+fn random_op(rng: &mut TestRng, n: usize, earlier: &[Op]) -> Op {
     let n = n as u64;
     fn tag(rng: &mut TestRng) -> Option<u8> {
         if rng.below(2) == 0 {
@@ -73,12 +74,12 @@ fn random_op(rng: &mut TestRng, n: usize) -> Op {
             Some(rng.below(8) as u8)
         }
     }
-    // Up to eight seats drawn with replacement: duplicates, overlap between
-    // the two sides, and empty slices all occur.
+    // Up to 48 seats drawn with replacement: duplicates, overlap between
+    // the two sides, whole-table committees and empty slices all occur.
     fn seats(rng: &mut TestRng, n: u64) -> Vec<usize> {
-        (0..rng.below(9)).map(|_| rng.below(n) as usize).collect()
+        (0..rng.below(49)).map(|_| rng.below(n) as usize).collect()
     }
-    match rng.below(6) {
+    match rng.below(7) {
         0 => Op::Send {
             from: rng.below(n) as usize,
             to: rng.below(n) as usize,
@@ -110,7 +111,42 @@ fn random_op(rng: &mut TestRng, n: usize) -> Op {
             bytes: rng.below(3) as usize * 100,
             tag: rng.below(8) as u8,
         },
+        5 => replay(rng, earlier),
         _ => Op::BumpRound,
+    }
+}
+
+/// An earlier [`Op::Exchange`] again — the same two sides, as they were or
+/// mirrored, under a fresh size, tag and `skip_self`. Two random sides
+/// almost never repeat by chance, and a repeat is what takes the table's
+/// "this group is already referenced" branch; the protocol repeats every
+/// committee exchange per step, tag and epoch. A round bump while the
+/// sequence has no exchange yet.
+fn replay(rng: &mut TestRng, earlier: &[Op]) -> Op {
+    let exchanges: Vec<&Op> = earlier
+        .iter()
+        .filter(|op| matches!(op, Op::Exchange { .. }))
+        .collect();
+    if exchanges.is_empty() {
+        return Op::BumpRound;
+    }
+    let Op::Exchange {
+        senders, receivers, ..
+    } = exchanges[rng.below(exchanges.len() as u64) as usize]
+    else {
+        unreachable!("filtered to exchanges")
+    };
+    let (senders, receivers) = if rng.below(2) == 0 {
+        (senders.clone(), receivers.clone())
+    } else {
+        (receivers.clone(), senders.clone())
+    };
+    Op::Exchange {
+        senders,
+        receivers,
+        bytes: rng.below(3) as usize * 100,
+        tag: rng.below(8) as u8,
+        skip_self: rng.below(2) == 0,
     }
 }
 
@@ -253,7 +289,11 @@ proptest! {
         len in 0usize..160,
     ) {
         let mut rng = TestRng::new(ops_seed, "metrics-ops", 0);
-        let ops: Vec<Op> = (0..len).map(|_| random_op(&mut rng, n)).collect();
+        let mut ops: Vec<Op> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let op = random_op(&mut rng, n, &ops);
+            ops.push(op);
+        }
         let mut sparse = MetricsTable::new(n);
         sparse.enable_shadow();
         let mut dense = DenseMetricsTable::new(n);

@@ -293,3 +293,26 @@ fn multi_value_payloads_reach_agreement() {
         assert!(mv.certificate_len.is_some());
     }
 }
+
+/// The metrics table interns peer groups by content, so what it holds is
+/// bounded by the tree — one list per node's committee — and not by how
+/// many epochs exchanged over it. The spread's PRF-chosen targets are
+/// fresh individuals every epoch; were they interned, the pool would grow
+/// by n lists per instance and this fails.
+#[test]
+fn peer_groups_are_bounded_by_the_tree_not_the_epochs() {
+    let scheme = snark_deep();
+    let cfg = BaConfig::honest(256, b"service-stream");
+    let mut service = Service::try_establish(&scheme, &cfg).expect("establishment");
+    let mut run = |k: usize| {
+        let out = service.try_run_stream(&bit_instances(cfg.n, k), StreamMode::Sequential);
+        assert_eq!(out.decisions, k);
+        service.net.metrics().peer_groups()
+    };
+    let after_first = run(1);
+    let after_fourth = run(3);
+    assert_eq!(after_first, after_fourth, "the pool grew with the epochs");
+    let tree = service.tree();
+    let nodes: usize = (0..tree.height()).map(|l| tree.nodes_at_level(l)).sum();
+    assert_eq!(after_first, nodes, "one group per committee of the tree");
+}
