@@ -3,10 +3,12 @@
 //! Runs one full honest `π_ba` round (SNARK SRDS, charged establishment,
 //! lazy key instantiation) at party counts up to `n = 2^20` and records,
 //! per size: max/avg bits per party, wall time, the process peak RSS
-//! after the case, how many sparse metrics cells actually materialized
-//! and how many peer groups the metrics table interned (the number that
+//! after the case, how many sparse metrics cells actually materialized,
+//! how many peer groups the metrics table interned (the number that
 //! explains the RSS column: a party's peers are references into those
-//! groups, not a list of its own). A King–Saia'09-style `√n` column — the *measured*
+//! groups, not a list of its own) and how many bytes of public key residue
+//! the lazy signer keeps (the RSS that signing without a whole keygen
+//! costs). A King–Saia'09-style `√n` column — the *measured*
 //! bits/party of [`sqrt_sampling_boost`] at the anchor size `n₀ = 2^10`,
 //! extrapolated by `√(n/n₀)` — rides along so the polylog bend is visible
 //! against the barrier the paper breaks. The binary
@@ -15,8 +17,8 @@
 //!
 //! `--smoke` restricts the sweep to n ∈ {2^10, 2^16} and asserts a peak
 //! RSS budget at the top size — the memory regression gate of the CI
-//! `scale-smoke` job: a reintroduced dense per-party table or an eager
-//! keygen pass blows the budget long before it reaches 2^20.
+//! `scale-smoke` job: a reintroduced dense per-party table or held
+//! signing keys blow the budget long before they reach 2^20.
 //!
 //! The √n column is anchored by *measurement*, not by formula: the
 //! King–Saia boost actually runs at every power of two n ∈ {2^6 … 2^10}
@@ -50,8 +52,9 @@ impl ScaleConfig {
     }
 
     /// CI smoke variant: n ∈ {2^10, 2^16} with the memory regression
-    /// budget armed: ≈ 2× the 239 MiB measured peak on the reference
-    /// host. An O(n²) metrics table or eager keygen at 2^16 overshoots it
+    /// budget armed: ≈ 2× the 247 MiB measured peak on the reference
+    /// host (8 MiB of it the lazy signer's key residue, 128 B a party).
+    /// An O(n²) metrics table or held signing keys at 2^16 overshoot it
     /// by an order of magnitude, and so does a private peer list per
     /// party: the layout before peers were held by reference measured
     /// 1,236.5 MiB on the same host.
@@ -87,6 +90,10 @@ pub struct ScaleCase {
     /// ([`pba_net::MetricsTable::peer_groups`]): the committees of the
     /// tree, which every cell's peers are references into.
     pub peer_groups: usize,
+    /// Bytes of public key residue the lazy signer holds
+    /// ([`Service::key_residue_bytes`]): z = 2 slots a party × 2^1 one-time
+    /// verification keys × 32 B = 128 · n, in one flat vector.
+    pub key_residue_bytes: usize,
     /// King–Saia √n baseline bits/party: measured at the anchor size and
     /// extrapolated as `anchor · √(n/n₀)`.
     pub sqrt_baseline_bits: u64,
@@ -143,7 +150,7 @@ impl ScaleReport {
                         "\"avg_bits_per_party\":{},\"total_bytes\":{},",
                         "\"rounds\":{},\"wall_ms\":{:.1},\"peak_rss_mib\":{:.1},",
                         "\"metrics_cells\":{},\"peer_groups\":{},",
-                        "\"sqrt_baseline_bits\":{}}}"
+                        "\"key_residue_bytes\":{},\"sqrt_baseline_bits\":{}}}"
                     ),
                     c.n,
                     c.max_bits_per_party,
@@ -154,6 +161,7 @@ impl ScaleReport {
                     c.peak_rss_mib,
                     c.metrics_cells,
                     c.peer_groups,
+                    c.key_residue_bytes,
                     c.sqrt_baseline_bits,
                 )
             })
@@ -259,6 +267,7 @@ fn run_case(n: usize, anchor_sqrt_bits: u64) -> ScaleCase {
     let report = session.report();
     let metrics_cells = session.net.metrics().allocated_cells();
     let peer_groups = session.net.metrics().peer_groups();
+    let key_residue_bytes = session.key_residue_bytes();
     let parties = report.parties.max(1);
     ScaleCase {
         n,
@@ -270,6 +279,7 @@ fn run_case(n: usize, anchor_sqrt_bits: u64) -> ScaleCase {
         peak_rss_mib: peak_rss_mib(),
         metrics_cells,
         peer_groups,
+        key_residue_bytes,
         sqrt_baseline_bits: ((anchor_sqrt_bits as f64) * (n as f64 / SQRT_ANCHOR_N as f64).sqrt())
             as u64,
     }
@@ -299,7 +309,7 @@ pub fn run_scale(config: &ScaleConfig, smoke: bool) -> ScaleReport {
     for &n in &config.sizes {
         let case = run_case(n, anchor_sqrt_bits);
         eprintln!(
-            "scale: n=2^{:<2} max {:>9} bits/party (sqrt-baseline {:>10})  wall {:>9.0}ms  rss {:>7.1}MiB  cells {}/{}  groups {}",
+            "scale: n=2^{:<2} max {:>9} bits/party (sqrt-baseline {:>10})  wall {:>9.0}ms  rss {:>7.1}MiB  cells {}/{}  groups {}  key-residue {}B",
             n.trailing_zeros(),
             case.max_bits_per_party,
             case.sqrt_baseline_bits,
@@ -308,6 +318,7 @@ pub fn run_scale(config: &ScaleConfig, smoke: bool) -> ScaleReport {
             case.metrics_cells,
             n,
             case.peer_groups,
+            case.key_residue_bytes,
         );
         cases.push(case);
     }
@@ -359,6 +370,10 @@ mod tests {
         // Peers are held by reference to the tree's committees: fewer
         // groups than parties, however many exchanges ran over them.
         assert!((1..1 << 10).contains(&case.peer_groups));
+        // What Lazy keeps to sign without a whole keygen: one flat stride
+        // of 2^1 one-time verification keys for each of the z = 2 slots a
+        // party owns, and nothing per-slot beside it.
+        assert_eq!(case.key_residue_bytes, 128 << 10);
         assert_eq!(case.sqrt_baseline_bits, 1_000_000);
     }
 

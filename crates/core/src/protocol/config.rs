@@ -32,18 +32,27 @@ impl Establishment {
 /// Key *derivation* is a pure function of the session PRG — party `i`'s
 /// `j`-th key pair always comes from `prg.child("party-keys", i).child("slot", j)`
 /// — so both policies yield bit-identical verification keys, transcripts
-/// and outcomes; they differ only in *when* the signing half is
-/// materialized in memory.
+/// and outcomes; they differ only in *what* of the signing half stays in
+/// memory between establishment and signing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyPolicy {
-    /// Generate and hold all `n × (z + 2)` key pairs at establishment.
-    /// Simple, but the MSS signing material dominates memory at large `n`
+    /// Hold the signing key of every occupied slot (`n · z` of them, one
+    /// keygen each) from establishment on. Signing is then a lookup, which
+    /// is what a stream that signs with every key every instance wants —
+    /// but the held MSS preimages dominate memory at large `n`
     /// (EXPERIMENTS.md §E-scale: the reason the `scale` sweep runs Lazy).
     Eager,
-    /// Hold no signing keys: re-derive each from the session PRG at the
-    /// moment of signing. Verification keys are still derived once at
-    /// establishment (the keyboard needs all of them). Bit-identical to
-    /// [`KeyPolicy::Eager`] in every observable.
+    /// Hold no signing key and no secret. Establishment still runs each
+    /// slot's keygen once (the keyboard needs every verification key) and
+    /// keeps only the key's *public residue* ([`Srds::key_residue`]: for
+    /// the MSS-backed schemes the `2^h` one-time verification-key digests,
+    /// each of which some signature publishes) in one flat vector; at the
+    /// moment of signing the one one-time key the epoch spends is
+    /// re-derived from the session PRG ([`Srds::sign_epoch_rederived`]).
+    /// Bit-identical to [`KeyPolicy::Eager`] in every observable.
+    ///
+    /// [`Srds::key_residue`]: pba_srds::traits::Srds::key_residue
+    /// [`Srds::sign_epoch_rederived`]: pba_srds::traits::Srds::sign_epoch_rederived
     Lazy,
 }
 

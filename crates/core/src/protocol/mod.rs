@@ -42,7 +42,7 @@ pub use config::{
     AdversaryProfile, BaConfig, Establishment, KeyError, KeyPolicy, ProtocolError, ProtocolPhase,
 };
 pub use run::{run_ba, try_run_ba, try_run_ba_over, BaOutcome, RunOutcome, TransportRun};
-pub use service::{KeyHandle, StepReport};
+pub use service::StepReport;
 pub use steps::{BytesRoundOutcome, Certificate, MvInput, RoundOutcome, ValueSeed};
 pub use stream::{InstanceOutcome, InstanceReport, MultiValueOutcome, StreamMode, StreamOutcome};
 
@@ -51,16 +51,20 @@ use pba_aetree::params::TreeParams;
 use pba_aetree::tree::Tree;
 use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
+use pba_crypto::sha256::Digest;
 use pba_net::{Network, PartyId};
 use pba_srds::traits::Srds;
 use std::collections::BTreeSet;
 
-/// Per-party signing-key material, governed by [`KeyPolicy`].
+/// Per-slot signing material, governed by [`KeyPolicy`].
 enum KeyStore<S: Srds> {
-    /// `keys[party][j]` = the party's `j`-th key pair.
-    Eager(Vec<Vec<(S::VerificationKey, S::SigningKey)>>),
-    /// No stored signing keys; re-derived from the session PRG on demand.
-    Lazy,
+    /// The signing key of every slot, indexed by slot.
+    Eager(Vec<S::SigningKey>),
+    /// No signing key and no secret: each slot's [`Srds::key_residue`] —
+    /// public digests — at a fixed `stride` in one flat vector, which with
+    /// the slot's keygen PRG (a pure child of the session PRG) is what
+    /// [`Srds::sign_epoch_rederived`] signs from.
+    Lazy { residue: Vec<Digest>, stride: usize },
 }
 
 /// An established `π_ba` service: everything establishment builds once —

@@ -21,36 +21,6 @@ use pba_net::{Envelope, Network, PartyId, Report, TagBreakdown, Transport};
 use pba_srds::traits::Srds;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A signing key obtained from [`Service::signing_key`]: borrowed from the
-/// eager store, or freshly derived (owned) under a lazy policy.
-pub enum KeyHandle<'a, S: Srds> {
-    /// Borrowed from the eager key store.
-    Borrowed(&'a S::SigningKey),
-    /// Re-derived on demand from the session PRG.
-    Owned(S::SigningKey),
-}
-
-impl<S: Srds> KeyHandle<'_, S> {
-    /// The signing key.
-    pub fn key(&self) -> &S::SigningKey {
-        match self {
-            KeyHandle::Borrowed(sk) => sk,
-            KeyHandle::Owned(sk) => sk,
-        }
-    }
-}
-
-// Variant names only: `S::SigningKey` is secret material and need not
-// (and must not) be `Debug` itself.
-impl<S: Srds> std::fmt::Debug for KeyHandle<'_, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KeyHandle::Borrowed(_) => f.write_str("KeyHandle::Borrowed(..)"),
-            KeyHandle::Owned(_) => f.write_str("KeyHandle::Owned(..)"),
-        }
-    }
-}
-
 /// Per-step communication snapshot (honest parties only).
 #[derive(Clone, Debug)]
 pub struct StepReport {
@@ -111,6 +81,14 @@ impl Adversary for SilentCommittee {
     fn on_round(&mut self, _: u64, _: &BTreeMap<PartyId, Vec<Envelope>>, _: &mut AdvSender<'_>) {}
 }
 
+/// The PRG that generates `owner`'s `j`-th key: a pure child of the session
+/// PRG, so a slot's key is the same key whenever it is (re)generated.
+fn slot_keygen_prg(session_prg: &Prg, owner: usize, j: usize) -> Prg {
+    session_prg
+        .child("party-keys", owner as u64)
+        .child("slot", j as u64)
+}
+
 impl<'a, S> Service<'a, S>
 where
     S: Srds,
@@ -157,34 +135,16 @@ where
             net.attach_transport(transport);
         }
 
-        // Setup: SRDS public parameters and per-virtual-identity keys.
-        // Under a lazy policy nothing is generated here: verification keys
-        // are derived per slot in the idmap loop below (the same pure PRG
-        // children, so bit-identical to the eager loop), and signing keys
-        // are re-derived at the moment of signing.
+        // Setup: SRDS public parameters. Keys are generated per occupied
+        // slot in the idmap loop below, once the tree says who sits where.
         let pp = scheme.setup(total_slots, &mut prg.child("setup", 0));
-        let keys_per_party = config.z + 2;
-        #[allow(clippy::type_complexity)]
-        let eager_keys: Option<Vec<Vec<(S::VerificationKey, S::SigningKey)>>> =
-            match config.key_policy {
-                KeyPolicy::Eager => Some(
-                    (0..n)
-                        .map(|i| {
-                            let kprg = prg.child("party-keys", i as u64);
-                            (0..keys_per_party)
-                                .map(|j| {
-                                    let mut slot_prg = kprg.child("slot", j as u64);
-                                    scheme.keygen(&pp, &mut slot_prg)
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                ),
-                KeyPolicy::Lazy => None,
-            };
 
-        // Corruption: adaptive during setup (sees all public keys) — or,
-        // for [`CorruptionPlan::Adaptive`], adaptive *post-setup*: the
+        // Corruption: adaptive during setup — the model shows the adversary
+        // every public key first. Here the keys are only materialized in
+        // the idmap loop below, which no run can observe: no plan reads a
+        // key, and each key is a pure function of its own PRG child, the
+        // same key whenever it is generated. Or, for
+        // [`CorruptionPlan::Adaptive`], adaptive *post-setup*: the
         // adversary watches the tree being established and only then
         // spends its budget on the highest-takeover-value committees
         // ([`pba_aetree::analysis::adaptive_targets`]).
@@ -271,34 +231,40 @@ where
             }
         }
 
-        // idmap: slot s ↔ owner's j-th key.
+        // idmap: slot s ↔ owner's j-th key, generated here — one keygen per
+        // occupied slot. The board keeps the verification key; the policy
+        // decides what stays of the signing half.
+        let stride = scheme.key_residue_len(&pp);
         let mut occurrence: Vec<usize> = vec![0; n];
         let mut vks: Vec<S::VerificationKey> = Vec::with_capacity(total_slots);
         let mut slot_sk: Vec<(usize, usize)> = Vec::with_capacity(total_slots);
+        let mut keys = match config.key_policy {
+            KeyPolicy::Eager => KeyStore::Eager(Vec::with_capacity(total_slots)),
+            KeyPolicy::Lazy => KeyStore::Lazy {
+                residue: Vec::with_capacity(total_slots * stride),
+                stride,
+            },
+        };
         for s in 0..total_slots as u64 {
-            let owner = tree.slot_party(s);
-            let j = occurrence[owner.index()];
-            occurrence[owner.index()] += 1;
-            assert!(
-                j < keys_per_party,
-                "party {owner} needs more than {keys_per_party} keys"
-            );
-            let vk = match &eager_keys {
-                Some(keys) => keys[owner.index()][j].0.clone(),
-                None => {
-                    let mut slot_prg = prg.child("party-keys", owner.0).child("slot", j as u64);
-                    scheme.keygen(&pp, &mut slot_prg).0
+            let owner = tree.slot_party(s).index();
+            let j = occurrence[owner];
+            occurrence[owner] += 1;
+            let (vk, sk) = scheme.keygen(&pp, &mut slot_keygen_prg(&prg, owner, j));
+            match &mut keys {
+                KeyStore::Eager(sks) => sks.push(sk),
+                KeyStore::Lazy { residue, stride } => {
+                    scheme.key_residue(&pp, &sk, residue);
+                    assert_eq!(
+                        residue.len(),
+                        (s as usize + 1) * *stride,
+                        "key residue is one fixed stride per slot"
+                    );
                 }
-            };
+            }
             vks.push(vk);
-            slot_sk.push((owner.index(), j));
+            slot_sk.push((owner, j));
         }
         let keyboard = scheme.prepare(&pp, &vks);
-
-        let keys = match eager_keys {
-            Some(keys) => KeyStore::Eager(keys),
-            None => KeyStore::Lazy,
-        };
 
         let budget = scheme.epoch_capacity(&pp).map(LeafBudget::new);
         let mut session = Service {
@@ -379,21 +345,38 @@ where
         self.net.metrics().tags_conserve_totals()
     }
 
-    /// The signing key for `party`'s `j`-th virtual identity, resolved
-    /// under the session's [`KeyPolicy`]: borrowed from the eager store, or
-    /// re-derived from the session PRG (Lazy).
-    ///
-    /// Derivation is the same pure PRG child used at establishment, so a
-    /// re-derived key is bit-identical to its eager counterpart.
-    pub fn signing_key(&self, party: PartyId, j: usize) -> KeyHandle<'_, S> {
+    /// Bytes of public key residue the service holds for
+    /// [`KeyPolicy::Lazy`] signing (one-time verification-key digests, one
+    /// fixed stride per slot); 0 under [`KeyPolicy::Eager`], which holds
+    /// the signing keys themselves.
+    pub fn key_residue_bytes(&self) -> usize {
         match &self.keys {
-            KeyStore::Eager(keys) => KeyHandle::Borrowed(&keys[party.index()][j].1),
-            KeyStore::Lazy => {
-                let mut slot_prg = self
-                    .prg
-                    .child("party-keys", party.0)
-                    .child("slot", j as u64);
-                KeyHandle::Owned(self.scheme.keygen(&self.pp, &mut slot_prg).1)
+            KeyStore::Eager(_) => 0,
+            KeyStore::Lazy { residue, .. } => std::mem::size_of_val(residue.as_slice()),
+        }
+    }
+
+    /// Signs `message` as virtual identity `slot` in execution `epoch`,
+    /// under the session's [`KeyPolicy`]: with the held key, or from the
+    /// slot's keygen PRG and kept residue. Bit-identical either way; `None`
+    /// is the scheme's `⊥` (sortition loser, epoch past capacity).
+    pub(super) fn sign_slot(&self, slot: u64, epoch: u64, message: &[u8]) -> Option<S::Signature> {
+        match &self.keys {
+            KeyStore::Eager(sks) => {
+                self.scheme
+                    .sign_epoch(&self.pp, slot, &sks[slot as usize], epoch, message)
+            }
+            KeyStore::Lazy { residue, stride } => {
+                let (owner, j) = self.slot_sk[slot as usize];
+                let at = slot as usize * stride;
+                self.scheme.sign_epoch_rederived(
+                    &self.pp,
+                    slot,
+                    &slot_keygen_prg(&self.prg, owner, j),
+                    &residue[at..at + stride],
+                    epoch,
+                    message,
+                )
             }
         }
     }

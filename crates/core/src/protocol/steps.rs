@@ -375,18 +375,11 @@ where
             // signature): each group is one signer-set → committee exchange.
             let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
             for &(is_corrupt, owner, slot) in &seats {
-                let (owner_ck, j) = self.slot_sk[slot as usize];
-                debug_assert_eq!(owner_ck, owner);
-                let p = PartyId(owner as u64);
                 if is_corrupt {
                     if !byzantine {
                         continue;
                     }
-                    let handle = self.signing_key(p, j);
-                    if let Some(sig) =
-                        self.scheme
-                            .sign_epoch(&self.pp, slot, handle.key(), epoch, &evil_payload)
-                    {
+                    if let Some(sig) = self.sign_slot(slot, epoch, &evil_payload) {
                         evil_entries.push((owner, slot, sig.clone()));
                         sigs.push(sig);
                     }
@@ -396,16 +389,13 @@ where
                     continue; // isolated or malformed payload: signs nothing
                 }
                 let my_payload = ys_result.per_party[owner]
-                    .clone()
+                    .as_ref()
                     .expect("signable implies payload");
-                let handle = self.signing_key(p, j);
-                let Some(sig) =
-                    self.scheme
-                        .sign_epoch(&self.pp, slot, handle.key(), epoch, &my_payload)
-                else {
+                let Some(sig) = self.sign_slot(slot, epoch, my_payload) else {
                     continue; // sortition loser (OWF scheme)
                 };
                 let len = self.scheme.signature_len(&sig);
+                let p = PartyId(owner as u64);
                 match submits.iter_mut().find(|(l, _)| *l == len) {
                     Some((_, signers)) => signers.push(p),
                     None => submits.push((len, vec![p])),

@@ -225,10 +225,25 @@ impl LamportKeyPair {
     /// Signs a message. **One-time**: signing two distinct messages with the
     /// same key reveals enough preimages to forge.
     pub fn sign(&self, message: &[u8]) -> LamportSignature {
-        let bits = self.params.message_bits(message);
+        self.params
+            .sign_with_preimages(self.preimages.iter().map(|(x0, x1)| (x0, x1)), message)
+    }
+}
+
+impl LamportParams {
+    /// [`LamportKeyPair::sign`] over bare preimage pairs `(x_{i,0}, x_{i,1})`
+    /// in key order: what a signer that re-derives its preimages from the
+    /// keygen stream ([`crate::mss::MssParams::sign_rederived`]) calls
+    /// without first hashing them into a verification key.
+    pub(crate) fn sign_with_preimages<'a>(
+        &self,
+        preimages: impl Iterator<Item = (&'a [u8; DIGEST_LEN], &'a [u8; DIGEST_LEN])>,
+        message: &[u8],
+    ) -> LamportSignature {
+        let bits = self.message_bits(message);
         let (revealed, complements): (Vec<[u8; DIGEST_LEN]>, Vec<&[u8]>) = bits
             .iter()
-            .zip(&self.preimages)
+            .zip(preimages)
             .map(|(&bit, (x0, x1))| if bit { (*x1, &x0[..]) } else { (*x0, &x1[..]) })
             .unzip();
         // Independent 32-byte messages: one batch through the hash engine.

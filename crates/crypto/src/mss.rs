@@ -23,7 +23,7 @@
 use crate::lamport::{LamportKeyPair, LamportParams, LamportSignature};
 use crate::merkle::{MerkleProof, MerkleTree};
 use crate::prg::Prg;
-use crate::sha256::Digest;
+use crate::sha256::{Digest, DIGEST_LEN};
 use std::fmt;
 
 /// Parameters: Lamport digest bits and Merkle tree height.
@@ -40,16 +40,20 @@ impl Default for MssParams {
 }
 
 impl MssParams {
+    /// The tallest tree [`MssParams::new`] accepts: a simulator guard
+    /// against huge keygen, for callers that size a key from outside input.
+    pub const MAX_HEIGHT: usize = 16;
+
     /// Creates parameters for `2^height` one-time keys with `bits`-bit Lamport
     /// signatures.
     ///
     /// # Panics
     ///
-    /// Panics if `height > 16` (a simulator guard against huge keygen) or if
-    /// the Lamport parameters are invalid.
+    /// Panics if `height > MAX_HEIGHT` or if the Lamport parameters are
+    /// invalid.
     pub fn new(bits: usize, height: usize) -> Self {
         assert!(
-            height <= 16,
+            height <= Self::MAX_HEIGHT,
             "height {height} unreasonably large for simulation"
         );
         MssParams {
@@ -79,6 +83,63 @@ impl MssParams {
         sig.auth_path
             .verify_leaf_digest(&vk.0, &crate::merkle::hash_leaf(sig.one_time_vk.as_bytes()))
             && sig.auth_path.leaf_index() == sig.key_index
+    }
+
+    /// Signs with one-time key `index` of the key pair
+    /// [`MssKeyPair::generate`] builds from `keygen_prg`, deriving that one
+    /// key alone: byte-identical to
+    /// `MssKeyPair::generate(self, &mut keygen_prg.clone()).sign_with_index(message, index)`
+    /// at the cost of one Lamport key's preimages instead of all `2^height`
+    /// key pairs (the XMSS arrangement: a seed plus the kept bottom row).
+    ///
+    /// `one_time_vks` is that key pair's [`MssKeyPair::one_time_vks`] — public
+    /// material, every entry of which some signature publishes. The keygen
+    /// stream is position-based, so [`Prg::skip`] seeks to the key's
+    /// `2·bits` preimages; its verification key and the authentication path
+    /// come from `one_time_vks`. `keygen_prg` is left untouched.
+    ///
+    /// Returns `None` when `index` is past the `2^height` capacity — never a
+    /// wrap onto another key's preimages.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `one_time_vks` holds exactly `2^height` digests.
+    pub fn sign_rederived(
+        &self,
+        keygen_prg: &Prg,
+        one_time_vks: &[Digest],
+        message: &[u8],
+        index: u64,
+    ) -> Option<MssSignature> {
+        assert_eq!(
+            one_time_vks.len(),
+            self.capacity(),
+            "one verification key per one-time slot"
+        );
+        let slot = usize::try_from(index)
+            .ok()
+            .filter(|&i| i < self.capacity())?;
+        let bits = self.lamport.bits();
+        let mut prg = keygen_prg.clone();
+        prg.skip(index * (2 * bits * DIGEST_LEN) as u64);
+        debug_assert_eq!(
+            LamportKeyPair::generate(&self.lamport, &mut prg.clone())
+                .verification_key()
+                .digest(),
+            one_time_vks[slot],
+            "one_time_vks do not belong to this keygen stream"
+        );
+        let mut preimages = vec![[0u8; DIGEST_LEN]; 2 * bits];
+        rand::RngCore::fill_bytes(&mut prg, preimages.as_flattened_mut());
+        let tree = MerkleTree::from_leaves(one_time_vks.iter().map(Digest::as_bytes));
+        Some(MssSignature {
+            key_index: index,
+            one_time_vk: one_time_vks[slot],
+            lamport_sig: self
+                .lamport
+                .sign_with_preimages(preimages.chunks_exact(2).map(|x| (&x[0], &x[1])), message),
+            auth_path: tree.prove(slot),
+        })
     }
 }
 
@@ -145,6 +206,16 @@ impl MssKeyPair {
     /// The public verification key (Merkle root).
     pub fn verification_key(&self) -> MssVerificationKey {
         MssVerificationKey(self.tree.root())
+    }
+
+    /// The verification keys of the `2^height` one-time keys, in leaf
+    /// order — the bottom row under the Merkle root. Public: each appears
+    /// in the signature its key produces. What
+    /// [`MssParams::sign_rederived`] needs in place of this key pair.
+    pub fn one_time_vks(&self) -> impl Iterator<Item = Digest> + '_ {
+        self.one_time
+            .iter()
+            .map(|kp| kp.verification_key().digest())
     }
 
     /// Signs with the next unused one-time key.

@@ -120,6 +120,26 @@ impl Prg {
         }
     }
 
+    /// Advances the stream by `count` bytes without producing them:
+    /// equivalent to drawing `count` bytes and discarding them, at the cost
+    /// of at most one block. The stream is `SHA256(key ‖ ctr)`, so seeking
+    /// is counter arithmetic — whole skipped blocks are never hashed.
+    pub fn skip(&mut self, count: u64) {
+        let buffered = (DIGEST_LEN - self.buf_pos) as u64;
+        if count <= buffered {
+            self.buf_pos += count as usize;
+            return;
+        }
+        let past_buffer = count - buffered;
+        self.counter += past_buffer / DIGEST_LEN as u64;
+        self.buf_pos = DIGEST_LEN;
+        let into_block = (past_buffer % DIGEST_LEN as u64) as usize;
+        if into_block > 0 {
+            self.refill();
+            self.buf_pos = into_block;
+        }
+    }
+
     /// Returns a uniformly random value in `[0, bound)`.
     ///
     /// Uses rejection sampling to avoid modulo bias.

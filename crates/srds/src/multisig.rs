@@ -305,6 +305,33 @@ impl Srds for MultisigSrds {
         })
     }
 
+    fn key_residue_len(&self, pp: &MultisigPublicParams) -> usize {
+        pp.mss.capacity()
+    }
+
+    fn key_residue(&self, _pp: &MultisigPublicParams, sk: &MssKeyPair, out: &mut Vec<Digest>) {
+        out.extend(sk.one_time_vks());
+    }
+
+    fn sign_epoch_rederived(
+        &self,
+        pp: &MultisigPublicParams,
+        index: u64,
+        keygen_prg: &Prg,
+        residue: &[Digest],
+        epoch: u64,
+        message: &[u8],
+    ) -> Option<MultisigSignature> {
+        // `keygen` hands its PRG straight to `MssKeyPair::generate`, so the
+        // key's generation stream starts where `keygen_prg` stands; ⊥ past
+        // capacity as in `sign_epoch`.
+        let m_digest = Self::message_digest(message);
+        let mss = pp
+            .mss
+            .sign_rederived(keygen_prg, residue, m_digest.as_bytes(), epoch)?;
+        Some(MultisigSignature::Base { id: index, mss })
+    }
+
     fn epoch_capacity(&self, pp: &MultisigPublicParams) -> Option<u64> {
         Some(pp.mss.capacity() as u64)
     }

@@ -622,6 +622,33 @@ impl Srds for SnarkSrds {
         })
     }
 
+    fn key_residue_len(&self, pp: &SnarkPublicParams) -> usize {
+        pp.mss.capacity()
+    }
+
+    fn key_residue(&self, _pp: &SnarkPublicParams, sk: &MssKeyPair, out: &mut Vec<Digest>) {
+        out.extend(sk.one_time_vks());
+    }
+
+    fn sign_epoch_rederived(
+        &self,
+        pp: &SnarkPublicParams,
+        index: u64,
+        keygen_prg: &Prg,
+        residue: &[Digest],
+        epoch: u64,
+        message: &[u8],
+    ) -> Option<SnarkSignature> {
+        // `keygen` hands its PRG straight to `MssKeyPair::generate`, so the
+        // key's generation stream starts where `keygen_prg` stands; ⊥ past
+        // capacity as in `sign_epoch`.
+        let m_digest = Self::message_digest(message);
+        let mss = pp
+            .mss
+            .sign_rederived(keygen_prg, residue, m_digest.as_bytes(), epoch)?;
+        Some(SnarkSignature::Base { id: index, mss })
+    }
+
     fn epoch_capacity(&self, pp: &SnarkPublicParams) -> Option<u64> {
         Some(pp.mss.capacity() as u64)
     }

@@ -16,6 +16,7 @@
 //! * the final signature plus everything needed to verify it is `Õ(1)`.
 
 use pba_crypto::prg::Prg;
+use pba_crypto::sha256::Digest;
 use std::fmt;
 
 /// The PKI flavour a scheme is secure under (§1.2 "On the different PKI
@@ -105,6 +106,41 @@ pub trait Srds {
     ) -> Option<Self::Signature> {
         let _ = epoch;
         self.sign(pp, index, sk, message)
+    }
+
+    /// How many digests of *public residue* [`Srds::key_residue`] keeps per
+    /// key; `0` (the default) for schemes with nothing worth keeping.
+    fn key_residue_len(&self, pp: &Self::PublicParams) -> usize {
+        let _ = pp;
+        0
+    }
+
+    /// Appends to `out` the [`Srds::key_residue_len`] digests of `sk` that a
+    /// signer holding only the key's generation seed wants back at signing
+    /// time. The residue is public — derivable from signatures the key
+    /// issues — so a caller that keeps it still holds no secret.
+    fn key_residue(&self, pp: &Self::PublicParams, sk: &Self::SigningKey, out: &mut Vec<Digest>) {
+        let _ = (pp, sk, out);
+    }
+
+    /// [`Srds::sign_epoch`] for a signer that kept no signing key: signs as
+    /// the key `keygen(pp, &mut keygen_prg.clone())` generates would, given
+    /// that key's [`Srds::key_residue`]. The default regenerates the whole
+    /// key; schemes whose keys hold many one-time slots override it to
+    /// derive only the slot `epoch` spends. Either way the signature is
+    /// bit-identical to the held key's and `keygen_prg` is left untouched.
+    fn sign_epoch_rederived(
+        &self,
+        pp: &Self::PublicParams,
+        index: u64,
+        keygen_prg: &Prg,
+        residue: &[Digest],
+        epoch: u64,
+        message: &[u8],
+    ) -> Option<Self::Signature> {
+        let _ = residue;
+        let (_, sk) = self.keygen(pp, &mut keygen_prg.clone());
+        self.sign_epoch(pp, index, &sk, epoch, message)
     }
 
     /// How many numbered executions (epochs) one key generation supports

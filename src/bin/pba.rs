@@ -215,6 +215,19 @@ fn cmd_ba(args: &Args) -> Result<(), String> {
 fn cmd_broadcast(args: &Args) -> Result<(), String> {
     let config = config_from(args)?;
     let ell = args.usize_or("ell", 4)?;
+    if ell == 0 {
+        return Err("--ell 0: need at least one broadcast execution".into());
+    }
+    // One one-time key per execution, with a spare level of headroom.
+    let mss_height = (usize::BITS - (ell - 1).leading_zeros()) as usize + 1;
+    let max_height = pba_crypto::mss::MssParams::MAX_HEIGHT;
+    if mss_height > max_height {
+        return Err(format!(
+            "--ell {ell}: needs an MSS tree of height {mss_height}, above the \
+             simulator's limit of {max_height} (at most {} executions)",
+            1usize << (max_height - 1)
+        ));
+    }
     let sender_idx = args.usize_or("sender", 0)?;
     if sender_idx >= config.n {
         return Err(format!(
@@ -225,7 +238,7 @@ fn cmd_broadcast(args: &Args) -> Result<(), String> {
     let sender = PartyId(sender_idx as u64);
     let scheme = pba_srds::snark::SnarkSrds::new(pba_srds::snark::SnarkSrdsConfig {
         mss_bits: 32,
-        mss_height: (usize::BITS - ell.saturating_sub(1).leading_zeros()) as usize + 1,
+        mss_height,
     });
     println!(
         "broadcast: n = {}, sender = {sender}, ell = {ell} executions",

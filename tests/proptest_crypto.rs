@@ -4,12 +4,14 @@ use pba_crypto::codec::{decode_from_slice, encode_to_vec};
 use pba_crypto::field::{Fp, MODULUS};
 use pba_crypto::lamport::{LamportKeyPair, LamportParams};
 use pba_crypto::merkle::MerkleTree;
+use pba_crypto::mss::{MssKeyPair, MssParams};
 use pba_crypto::poly::{interpolate_at_zero, Polynomial};
 use pba_crypto::prg::Prg;
 use pba_crypto::reed_solomon::{self, Decoder, RsError};
-use pba_crypto::sha256::{Digest, Sha256};
+use pba_crypto::sha256::{Digest, Sha256, LANES};
 use pba_crypto::shamir::{reconstruct, share};
 use proptest::prelude::*;
+use rand::RngCore;
 
 #[path = "oracle/berlekamp_welch.rs"]
 mod berlekamp_welch;
@@ -253,5 +255,78 @@ proptest! {
         let set: std::collections::HashSet<_> = sample.iter().collect();
         prop_assert_eq!(set.len(), k);
         prop_assert!(sample.iter().all(|&v| v < n));
+    }
+
+    /// `Prg::skip(k)` is drawing `k` bytes and discarding them — from a
+    /// block-aligned position and from inside a block, across the bulk
+    /// path's group width, and whichever reader continues the stream.
+    #[test]
+    fn prg_skip_is_draw_and_discard(seed in any::<[u8; 8]>(), drawn_first in 0usize..=70) {
+        let group = 32 * LANES as u64;
+        for k in [0, 1, 31, 32, 33, group - 1, group + 1, 4096] {
+            for scalar_reader in [false, true] {
+                let mut skipped = Prg::from_seed_bytes(&seed);
+                skipped.fill_bytes(&mut vec![0u8; drawn_first]);
+                let mut drawn = skipped.clone();
+                skipped.skip(k);
+                drawn.fill_bytes(&mut vec![0u8; k as usize]);
+                let (mut a, mut b) = ([0u8; 100], [0u8; 100]);
+                if scalar_reader {
+                    skipped.fill_bytes_scalar(&mut a);
+                    drawn.fill_bytes_scalar(&mut b);
+                } else {
+                    skipped.fill_bytes(&mut a);
+                    drawn.fill_bytes(&mut b);
+                }
+                prop_assert_eq!(a, b, "k={} scalar_reader={}", k, scalar_reader);
+                prop_assert_eq!(skipped.next_u64(), drawn.next_u64());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The signer that re-derives one one-time key from the keygen stream
+    /// emits, for every index of every key shape, exactly the signature of
+    /// the fully generated key pair — wherever in its stream the keygen PRG
+    /// stands — and refuses an index past capacity instead of wrapping.
+    #[test]
+    fn mss_rederived_signature_is_the_generated_keys(
+        seed in any::<[u8; 8]>(),
+        drawn_first in 0usize..=70,
+        message in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        for bits in [1usize, 7, 32, 128] {
+            for height in 0usize..=4 {
+                let params = MssParams::new(bits, height);
+                let mut keygen_prg = Prg::from_seed_bytes(&seed);
+                keygen_prg.fill_bytes(&mut vec![0u8; drawn_first]);
+                let kp = MssKeyPair::generate(&params, &mut keygen_prg.clone());
+                let one_time_vks: Vec<Digest> = kp.one_time_vks().collect();
+                prop_assert_eq!(one_time_vks.len(), params.capacity());
+                for index in 0..params.capacity() {
+                    let sig = params
+                        .sign_rederived(&keygen_prg, &one_time_vks, &message, index as u64)
+                        .expect("index within capacity");
+                    prop_assert_eq!(
+                        &sig,
+                        &kp.sign_with_index(&message, index),
+                        "bits={} height={} index={}", bits, height, index
+                    );
+                    prop_assert!(params.verify(&kp.verification_key(), &message, &sig));
+                }
+                for past in [params.capacity() as u64, u64::MAX] {
+                    prop_assert!(params
+                        .sign_rederived(&keygen_prg, &one_time_vks, &message, past)
+                        .is_none());
+                }
+                // The caller's PRG was only ever read.
+                let mut untouched = Prg::from_seed_bytes(&seed);
+                untouched.fill_bytes(&mut vec![0u8; drawn_first]);
+                prop_assert_eq!(keygen_prg.next_digest(), untouched.next_digest());
+            }
+        }
     }
 }
