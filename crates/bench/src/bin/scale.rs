@@ -11,17 +11,19 @@
 //! budget assertion (the CI memory regression gate).
 #![forbid(unsafe_code)]
 
-use pba_bench::scale::{run_scale, ScaleConfig};
+use pba_bench::scale::{parse_args, run_scale, ScaleConfig};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_8.json".to_string());
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (smoke, out_path) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!("usage: scale [--smoke] [--out <path>]");
+            return ExitCode::from(64);
+        }
+    };
     let config = if smoke {
         ScaleConfig::smoke()
     } else {
@@ -45,4 +47,5 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_8.json");
     eprintln!("scale: wrote {out_path}");
     println!("{json}");
+    ExitCode::SUCCESS
 }

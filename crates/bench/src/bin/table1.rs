@@ -13,19 +13,41 @@ use pba_bench::{
 };
 use pba_srds::multisig::MultisigSrds;
 use pba_srds::snark::SnarkSrds;
+use std::process::ExitCode;
 
-fn main() {
-    let max_n: usize = std::env::args()
-        .skip_while(|a| a != "--max-n")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2048);
-    let sizes: Vec<usize> = [
-        64usize, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096,
-    ]
-    .into_iter()
-    .filter(|&n| n <= max_n)
-    .collect();
+const SIZES: [usize; 13] = [
+    64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096,
+];
+
+/// `--max-n <n>` (default 2048), refused unless it is a number that leaves
+/// the fits the two sizes they need.
+fn max_n_from(args: &[String]) -> Result<usize, String> {
+    let Some(at) = args.iter().position(|a| a == "--max-n") else {
+        return Ok(2048);
+    };
+    let value = args.get(at + 1).ok_or("--max-n needs a value")?;
+    let max_n: usize = value
+        .parse()
+        .map_err(|_| format!("--max-n: not a number: {value}"))?;
+    if max_n < SIZES[1] {
+        return Err(format!(
+            "--max-n {max_n}: the fits need two sizes, so at least {}",
+            SIZES[1]
+        ));
+    }
+    Ok(max_n)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let max_n = match max_n_from(&args) {
+        Ok(max_n) => max_n,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(64);
+        }
+    };
+    let sizes: Vec<usize> = SIZES.into_iter().filter(|&n| n <= max_n).collect();
 
     println!("== Table 1 (measured): almost-everywhere -> everywhere agreement ==");
     println!("   corruption: beta = {BETA} random; honest inputs unanimous\n");
@@ -89,6 +111,7 @@ fn main() {
          \nexpected shape: the two SRDS rows stay near-flat (polylog), the\n\
          sqrt-sampling row grows ~n^0.5, multisig boost and all-to-all grow ~n."
     );
+    ExitCode::SUCCESS
 }
 
 /// Where the bytes of the Table 1 totals go: the per-(Fig. 3 step) wire
@@ -148,4 +171,22 @@ fn certificate_table(max_n: usize) {
         growth_exponent(&snark_points),
         growth_exponent(&multi_points)
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn max_n_is_a_number_that_leaves_two_sizes() {
+        let parse =
+            |args: &[&str]| max_n_from(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert_eq!(parse(&[]), Ok(2048));
+        assert_eq!(parse(&["--max-n", "96"]), Ok(96));
+        // `abc` used to run at 2048 without a word; `0` used to panic in
+        // `power_fit` ("need at least two points").
+        for bad in [&["--max-n", "abc"][..], &["--max-n"], &["--max-n", "0"]] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
 }

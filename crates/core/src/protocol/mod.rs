@@ -21,8 +21,7 @@
 //! measures. The execution is factored into a long-lived [`Service`]
 //! (establishment happens once: tree, keys, CRS, peer state) and the
 //! agreement instances it runs — each instance draws one slot of the
-//! establishment's one-time signing budget and the certificate cache stays
-//! warm across instances. Every decision takes one path:
+//! establishment's one-time signing budget. Every decision takes one path:
 //! [`Service::try_run_stream`] runs many instances over one establishment
 //! (sequentially, or pipelined in the Fast-HotStuff chaining shape), and
 //! the single-shot [`try_run_ba`] is a one-instance sequential stream.
@@ -99,9 +98,6 @@ pub struct Service<'a, S: Srds> {
     epoch: u64,
     /// One-time signing capacity, when the scheme's is bounded (MSS).
     budget: Option<LeafBudget>,
-    /// The most recent instance's encoded [`Certificate`], kept for
-    /// Fast-HotStuff-style chained validation by the next instance.
-    last_certificate: Option<Vec<u8>>,
     /// Per-instance accounting slices, aggregated at the service level.
     instance_reports: Vec<InstanceReport>,
 }

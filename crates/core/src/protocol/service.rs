@@ -284,7 +284,6 @@ where
             steps: Vec::new(),
             epoch: 0,
             budget,
-            last_certificate: None,
             instance_reports: Vec::new(),
         };
         session.snap("1:ae-comm-establish");

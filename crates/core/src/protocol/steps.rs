@@ -572,7 +572,7 @@ where
         let scheme = self.scheme;
         let pp = &self.pp;
         let keyboard = &self.keyboard;
-        let verify_triple = |bytes: &[u8]| -> Option<Vec<u8>> {
+        let decode_and_verify = |bytes: &[u8]| -> Option<Vec<u8>> {
             let cert = wire::decode_msg::<Certificate>(bytes).ok()?;
             if cert.epoch != epoch {
                 return None; // cross-epoch replay
@@ -586,6 +586,17 @@ where
             scheme
                 .verify(pp, keyboard, &signed, &sig)
                 .then_some(cert.value)
+        };
+        // Step 6 hands every honest holder the same bytes, so the verdict
+        // on that one payload is computed once and a holder of identical
+        // bytes takes it; any other bytes (relayed garbage, a spliced
+        // certificate) get the full decode-and-verify.
+        let disseminated = triple_payload
+            .as_deref()
+            .map(|payload| (payload, decode_and_verify(payload)));
+        let verify_triple = |bytes: &[u8]| match &disseminated {
+            Some((payload, verdict)) if *payload == bytes => verdict.clone(),
+            _ => decode_and_verify(bytes),
         };
 
         if let Some(result) = &triple_result {
@@ -639,9 +650,6 @@ where
             self.net.bump_round();
         }
         self.snap("7-8:prf-spread+output");
-        // Retain the encoded certificate for the next instance's chained
-        // validation (None when σ_root never formed — nothing to chain).
-        self.last_certificate = triple_payload;
 
         BytesRoundOutcome {
             value,

@@ -2,13 +2,9 @@
 //! instances — open, agree, certify, judge, settle — sequentially or with
 //! certification pipelined into the successor's committee phase.
 
-use super::{
-    BytesRoundOutcome, Certificate, ProtocolError, ProtocolPhase, Service, StepReport, ValueSeed,
-};
-use pba_crypto::codec::{decode_from_slice, Decode, Encode};
+use super::{BytesRoundOutcome, ProtocolError, ProtocolPhase, Service, StepReport};
+use pba_crypto::codec::{Decode, Encode};
 use pba_crypto::sha256::Digest;
-use pba_net::wire;
-use pba_srds::cache::CacheStats;
 use pba_srds::traits::Srds;
 use std::collections::BTreeSet;
 
@@ -29,9 +25,8 @@ pub enum StreamMode {
 }
 
 /// Per-instance slice of a [`Service`]'s cumulative accounting: deltas of
-/// the honest byte totals, the round clock, the step snapshots, and the
-/// scheme's certificate-cache counters, taken between the instance's
-/// open and its settlement.
+/// the honest byte totals, the round clock and the step snapshots, taken
+/// between the instance's open and its settlement.
 #[derive(Clone, Debug)]
 pub struct InstanceReport {
     /// The instance's index (the service epoch it ran as).
@@ -47,8 +42,6 @@ pub struct InstanceReport {
     pub overlapped_rounds: u64,
     /// Step snapshots recorded during the instance.
     pub steps: Vec<StepReport>,
-    /// Certificate-cache counter deltas, when the scheme exposes them.
-    pub cache: Option<CacheStats>,
     /// The delivery-transcript digest after the instance settled (only
     /// when a transport is attached): chained, so instance `k`'s digest
     /// commits the whole stream through instance `k`.
@@ -104,7 +97,6 @@ struct InstanceBaseline {
     bytes: u64,
     rounds: u64,
     steps_len: usize,
-    cache: Option<CacheStats>,
 }
 
 /// An instance past step 2: the agreed `(value, seed)` awaiting
@@ -128,9 +120,9 @@ where
     /// `instances[i][p]` is party `p`'s input value for instance `i`
     /// (width 1 = bit agreement; wider values run multi-value BA).
     ///
-    /// Both modes run one loop: open the instance (budget slot, cache
-    /// generation, chained validation of the predecessor's certificate),
-    /// fan in and agree (step 2), certify and spread (steps 3–8).
+    /// Both modes run one loop: open the instance (accounting baseline,
+    /// budget slot), fan in and agree (step 2), certify and spread
+    /// (steps 3–8).
     /// Sequential mode certifies at once. Pipelined mode defers instance
     /// `i`'s certification into instance `i+1`'s committee phase: its
     /// rounds run under an overlap window and only the remainder the
@@ -242,22 +234,15 @@ where
     /// Opens the next agreement instance: captures its accounting
     /// baseline, reserves one slot of the establishment's one-time signing
     /// budget (structured [`ProtocolError::KeyBudget`] when spent — never a
-    /// panic, and the service stays usable for inspection), and, from the
-    /// second instance on, advances the scheme's certificate-cache
-    /// generation and chain-validates the predecessor's certificate.
+    /// panic, and the service stays usable for inspection).
     fn open_instance(&mut self) -> Result<InstanceBaseline, ProtocolError> {
         let baseline = InstanceBaseline {
             index: self.epoch,
             bytes: self.honest_bytes_sent(),
             rounds: self.net.metrics().rounds(),
             steps_len: self.steps.len(),
-            cache: self.scheme.cache_stats(),
         };
         self.reserve_epoch()?;
-        if self.epoch > 0 {
-            self.scheme.advance_cache_generation();
-            self.validate_chained_certificate();
-        }
         Ok(baseline)
     }
 
@@ -301,36 +286,6 @@ where
             index: agreed.index,
             result,
             report,
-        }
-    }
-
-    /// Chained validation of the previous instance's certificate: every
-    /// honest supreme-committee member re-verifies it, and the scheme's
-    /// certificate cache collapses the repeats into warm hits — the
-    /// Fast-HotStuff shape, where validators check the parent quorum
-    /// certificate before voting on the child. Compute-only: no envelopes,
-    /// no charges.
-    fn validate_chained_certificate(&self) {
-        let Some(bytes) = &self.last_certificate else {
-            return;
-        };
-        let Ok(cert) = wire::decode_msg::<Certificate>(bytes) else {
-            return;
-        };
-        let Ok(sig) = decode_from_slice::<S::Signature>(&cert.sig) else {
-            return;
-        };
-        let signed = wire::encode_msg(&ValueSeed {
-            epoch: cert.epoch,
-            value: cert.value,
-            seed: cert.seed,
-        });
-        for _member in self
-            .supreme_committee()
-            .iter()
-            .filter(|p| !self.corrupt.contains(p))
-        {
-            let _ = self.scheme.verify(&self.pp, &self.keyboard, &signed, &sig);
         }
     }
 
@@ -394,21 +349,12 @@ where
         baseline: InstanceBaseline,
         overlapped_rounds: u64,
     ) -> InstanceReport {
-        let cache = match (self.scheme.cache_stats(), baseline.cache) {
-            (Some(now), Some(then)) => Some(CacheStats {
-                hits: now.hits - then.hits,
-                misses: now.misses - then.misses,
-                warm_hits: now.warm_hits - then.warm_hits,
-            }),
-            _ => None,
-        };
         let report = InstanceReport {
             index: baseline.index,
             total_bytes: self.honest_bytes_sent() - baseline.bytes,
             rounds: self.net.metrics().rounds() - baseline.rounds,
             overlapped_rounds,
             steps: self.steps[baseline.steps_len..].to_vec(),
-            cache,
             transcript_digest: self.net.transcript().and_then(|t| t.last().copied()),
         };
         self.instance_reports.push(report.clone());
@@ -426,7 +372,6 @@ where
                 rounds: 0,
                 overlapped_rounds: 0,
                 steps: Vec::new(),
-                cache: None,
                 transcript_digest: self.net.transcript().and_then(|t| t.last().copied()),
             },
         }

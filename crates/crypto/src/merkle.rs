@@ -20,42 +20,16 @@
 //! ```
 
 use crate::sha256::{batch_digest_pairs, batch_digest_prefixed, Digest, Sha256};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 const LEAF_PREFIX: u8 = 0x00;
 const NODE_PREFIX: u8 = 0x01;
 
-/// Process-wide proof-cache counters, exposed so benchmarks and property
-/// tests can observe hit rates.
-///
-/// # Memory-ordering contract
-///
-/// All accesses use [`Ordering::Relaxed`]: each counter is an independent
-/// monotone event count, never used to synchronise other memory, so no
-/// acquire/release pairing is needed. The guarantees callers may rely on:
-///
-/// * **Per-counter monotonicity.** Between two calls to
-///   [`proof_cache_stats`] on *any* thread, each counter is non-decreasing
-///   — relaxed RMWs still hit a single modification order per atomic, and
-///   nothing ever resets one.
-/// * **No cross-counter snapshot.** A `(hits, misses)` pair is two
-///   independent loads, not an atomic snapshot; concurrent `prove` calls
-///   may land between them. Derived quantities (hit rates, totals) are
-///   therefore only exact while the threaded round engine is quiescent.
-static PROOF_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static PROOF_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// `(hits, misses)` of the process-wide Merkle proof cache.
-///
-/// See the module's memory-ordering contract: monotone per counter, not an
-/// atomic pair snapshot.
+// Residue of the deleted proof memo: `benchmark/src/trace.rs` — a frozen
+// consumer, the one caller — still reads this signature. Removal is
+// ROADMAP item 7.
+#[doc(hidden)]
 pub fn proof_cache_stats() -> (u64, u64) {
-    (
-        PROOF_CACHE_HITS.load(Ordering::Relaxed),
-        PROOF_CACHE_MISSES.load(Ordering::Relaxed),
-    )
+    (0, 0)
 }
 
 /// Hashes a leaf payload with the leaf domain prefix.
@@ -96,19 +70,10 @@ pub fn hash_node_batch(pairs: &[(Digest, Digest)]) -> Vec<Digest> {
 ///
 /// Odd levels are padded by duplicating the last digest, so any positive
 /// number of leaves is supported.
-///
-/// Proof assembly is memoized: repeated [`MerkleTree::prove`] calls for
-/// the same leaf (the hot path of MSS epoch signing, which cycles through
-/// a tiny slot set, and of SRDS key-board attestation) return a cached
-/// sibling path. The cache is shared across clones (the node levels are
-/// immutable once built) and its hit/miss counters are process-wide, via
-/// [`proof_cache_stats`].
 #[derive(Clone, Debug)]
 pub struct MerkleTree {
     // levels[0] = leaf digests, levels.last() = [root]
     levels: Vec<Vec<Digest>>,
-    // index → assembled sibling path; shared by clones of this tree.
-    proofs: Arc<Mutex<HashMap<usize, MerkleProof>>>,
 }
 
 impl MerkleTree {
@@ -152,10 +117,7 @@ impl MerkleTree {
                 .collect();
             levels.push(hash_node_batch(&pairs));
         }
-        MerkleTree {
-            levels,
-            proofs: Arc::new(Mutex::new(HashMap::new())),
-        }
+        MerkleTree { levels }
     }
 
     /// The scalar reference build: one streaming [`hash_node`] per parent.
@@ -177,10 +139,7 @@ impl MerkleTree {
             }
             levels.push(next);
         }
-        MerkleTree {
-            levels,
-            proofs: Arc::new(Mutex::new(HashMap::new())),
-        }
+        MerkleTree { levels }
     }
 
     /// The Merkle root.
@@ -207,19 +166,13 @@ impl MerkleTree {
         self.levels[0][index]
     }
 
-    /// Produces an inclusion proof for the `index`-th leaf, memoized per
-    /// index (the internal sibling nodes never change after construction).
+    /// Produces an inclusion proof for the `index`-th leaf.
     ///
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
     pub fn prove(&self, index: usize) -> MerkleProof {
         assert!(index < self.len(), "leaf index {index} out of bounds");
-        if let Some(proof) = self.proofs.lock().expect("cache poisoned").get(&index) {
-            PROOF_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return proof.clone();
-        }
-        PROOF_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
         let mut path = Vec::with_capacity(self.levels.len().saturating_sub(1));
         let mut idx = index;
         for level in &self.levels[..self.levels.len() - 1] {
@@ -228,15 +181,10 @@ impl MerkleTree {
             path.push(sibling);
             idx >>= 1;
         }
-        let proof = MerkleProof {
+        MerkleProof {
             leaf_index: index as u64,
             path,
-        };
-        self.proofs
-            .lock()
-            .expect("cache poisoned")
-            .insert(index, proof.clone());
-        proof
+        }
     }
 }
 
@@ -414,24 +362,15 @@ mod tests {
     }
 
     #[test]
-    fn repeated_proofs_hit_the_cache() {
-        let tree = MerkleTree::from_leaves(leaves(16).iter());
-        // Counters are process-wide and other tests may run concurrently,
-        // so assert only monotone lower bounds attributable to this tree.
-        let (h0, m0) = proof_cache_stats();
-        let first = tree.prove(5);
-        let (_, m1) = proof_cache_stats();
-        assert!(m1 > m0, "first proof is a miss");
-        let second = tree.prove(5);
-        let (h2, _) = proof_cache_stats();
-        assert_eq!(first, second);
-        assert!(h2 > h0, "second identical proof hits");
-
-        // Clones share the cache: the clone's first proof for 5 also hits.
+    fn clone_proves_what_the_tree_proves() {
+        let ls = leaves(13);
+        let tree = MerkleTree::from_leaves(ls.iter());
         let clone = tree.clone();
-        let third = clone.prove(5);
-        let (h3, _) = proof_cache_stats();
-        assert_eq!(first, third);
-        assert!(h3 > h2);
+        for (i, l) in ls.iter().enumerate() {
+            let proof = tree.prove(i);
+            assert_eq!(proof, clone.prove(i), "i={i}");
+            assert_eq!(proof, tree.prove(i), "i={i}");
+            assert!(proof.verify(&clone.root(), l), "i={i}");
+        }
     }
 }

@@ -455,11 +455,13 @@ static SCALAR_DIGESTS: AtomicU64 = AtomicU64::new(0);
 /// batch APIs computed in full groups of [`LANES`] versus one at a time. The
 /// split depends on batch shapes only, not on the [`Backend`] that ran.
 ///
-/// Counters are process-wide and monotone (`Relaxed` atomics — the same
-/// idiom as the Merkle proof-cache counters), so concurrent hashing from
-/// worker threads is counted without synchronization. Measure a workload by
-/// diffing two snapshots with [`EngineStats::since`]; *lane occupancy* is
-/// the fraction of batched digests that took the group path.
+/// Counters are process-wide and monotone (`Relaxed` atomics: each is an
+/// independent event count that publishes no other memory), so concurrent
+/// hashing from worker threads is counted without synchronization; a
+/// snapshot is two independent loads, exact only while no worker is
+/// hashing. Measure a workload by diffing two snapshots with
+/// [`EngineStats::since`]; *lane occupancy* is the fraction of batched
+/// digests that took the group path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Digests computed through [`Backend::compress_group`] (counted in

@@ -13,18 +13,13 @@
 //! * [`snark`] — SRDS from CRH + SNARKs in the bare-PKI + CRS model
 //!   (Theorem 2.8): Merkle-indexed keys + proof-carrying-data counting;
 //! * [`experiments`] — executable robustness (Fig. 1) and forgery (Fig. 2)
-//!   games against pluggable adversaries;
-//! * [`cache`] — the per-session verified-certificate cache that stops
-//!   identical aggregation certificates from being re-verified at every
-//!   tree level.
-pub mod cache;
+//!   games against pluggable adversaries.
 pub mod experiments;
 pub mod multisig;
 pub mod owf;
 pub mod snark;
 pub mod traits;
 
-pub use cache::CertCache;
 pub use multisig::MultisigSrds;
 pub use owf::OwfSrds;
 pub use snark::SnarkSrds;

@@ -43,25 +43,15 @@ impl Default for MultisigConfig {
 }
 
 /// The multi-signature baseline scheme (bare PKI).
-///
-/// Like [`crate::snark::SnarkSrds`], the scheme value carries a
-/// verified-certificate cache: the combined tag is a deterministic MAC of
-/// `(m, bitmap)` under a fixed CRS, and the same `Combined` signature is
-/// re-checked at every tree level and by every receiving party during the
-/// spread, so the verdict is memoized. Clones share the cache.
 #[derive(Clone, Debug, Default)]
 pub struct MultisigSrds {
     config: MultisigConfig,
-    cert_cache: std::sync::Arc<crate::cache::CertCache>,
 }
 
 impl MultisigSrds {
     /// Creates the scheme with explicit tunables.
     pub fn new(config: MultisigConfig) -> Self {
-        MultisigSrds {
-            config,
-            cert_cache: Default::default(),
-        }
+        MultisigSrds { config }
     }
 
     /// Creates the scheme with default tunables.
@@ -82,27 +72,6 @@ impl MultisigSrds {
         payload.extend_from_slice(bitmap);
         let d = Sha256::digest(&payload);
         Attestor::new(pp.crs.clone(), "multisig-combine").attest(&d)
-    }
-
-    /// Tag verification through the per-scheme verdict cache. The key
-    /// covers everything the deterministic verdict depends on: the CRS
-    /// public id, the message digest, the bitmap, and the claimed tag.
-    fn cached_tag_verify(
-        &self,
-        pp: &MultisigPublicParams,
-        message: &[u8],
-        bitmap: &[u8],
-        tag: &Digest,
-    ) -> bool {
-        let mut h = Sha256::new();
-        h.update(b"multisig-cert-cache");
-        h.update(pp.crs.public_id().as_bytes());
-        h.update(Self::message_digest(message).as_bytes());
-        h.update(&(bitmap.len() as u64).to_le_bytes());
-        h.update(bitmap);
-        h.update(tag.as_bytes());
-        self.cert_cache
-            .get_or_verify(h.finalize(), || Self::tag(pp, message, bitmap) == *tag)
     }
 }
 
@@ -336,14 +305,6 @@ impl Srds for MultisigSrds {
         Some(pp.mss.capacity() as u64)
     }
 
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        Some(self.cert_cache.stats())
-    }
-
-    fn advance_cache_generation(&self) {
-        self.cert_cache.advance_generation();
-    }
-
     fn aggregate1(
         &self,
         pp: &MultisigPublicParams,
@@ -368,9 +329,7 @@ impl Srds for MultisigSrds {
                     }
                 }
                 MultisigSignature::Combined { bitmap, tag } => {
-                    if bitmap.len() == pp.n.div_ceil(8)
-                        && self.cached_tag_verify(pp, message, bitmap, tag)
-                    {
+                    if bitmap.len() == pp.n.div_ceil(8) && Self::tag(pp, message, bitmap) == *tag {
                         out.push(sig.clone());
                     }
                 }
@@ -407,9 +366,7 @@ impl Srds for MultisigSrds {
                     }
                 }
                 MultisigSignature::Combined { bitmap: other, tag } => {
-                    if other.len() != bitmap.len()
-                        || !self.cached_tag_verify(pp, message, other, tag)
-                    {
+                    if other.len() != bitmap.len() || Self::tag(pp, message, other) != *tag {
                         return None;
                     }
                     for (b, o) in bitmap.iter_mut().zip(other) {
@@ -433,7 +390,7 @@ impl Srds for MultisigSrds {
             MultisigSignature::Base { .. } | MultisigSignature::Attested { .. } => false,
             MultisigSignature::Combined { bitmap, tag } => {
                 bitmap.len() == pp.n.div_ceil(8)
-                    && self.cached_tag_verify(pp, message, bitmap, tag)
+                    && Self::tag(pp, message, bitmap) == *tag
                     && MultisigSignature::popcount(bitmap) >= pp.threshold
             }
         }

@@ -65,25 +65,15 @@ impl Default for SnarkSrdsConfig {
 }
 
 /// The CRH + SNARK / bare-PKI SRDS scheme.
-///
-/// Carries a per-scheme (in practice: per-session) verified-certificate
-/// cache — PCD verification is deterministic for a fixed CRS, and the same
-/// certificate reaches `Aggregate₁` at every tree level and `Verify` at
-/// every receiving party, so verdicts are memoized. Clones share the
-/// cache.
 #[derive(Clone, Debug, Default)]
 pub struct SnarkSrds {
     config: SnarkSrdsConfig,
-    cert_cache: std::sync::Arc<crate::cache::CertCache>,
 }
 
 impl SnarkSrds {
     /// Creates the scheme with explicit tunables.
     pub fn new(config: SnarkSrdsConfig) -> Self {
-        SnarkSrds {
-            config,
-            cert_cache: Default::default(),
-        }
+        SnarkSrds { config }
     }
 
     /// Creates the scheme with default tunables.
@@ -419,30 +409,6 @@ impl SnarkSrds {
         PcdSystem::new(pp.crs.clone(), SrdsPredicate { mss: pp.mss })
     }
 
-    /// PCD verification through the per-session verdict cache. The key
-    /// covers everything the (deterministic) verdict depends on: the CRS
-    /// public id, the full statement, and the proof bytes.
-    fn cached_cert_verify(
-        &self,
-        pp: &SnarkPublicParams,
-        pcd: &PcdSystem<SrdsPredicate>,
-        statement: &AggStatement,
-        proof: &PcdProof,
-    ) -> bool {
-        let mut h = Sha256::new();
-        h.update(b"srds-cert-cache");
-        h.update(pp.crs.public_id().as_bytes());
-        h.update(statement.m_digest.as_bytes());
-        h.update(statement.vk_root.as_bytes());
-        h.update(&statement.count.to_le_bytes());
-        h.update(&statement.lo.to_le_bytes());
-        h.update(&statement.hi.to_le_bytes());
-        h.update(statement.acc.as_bytes());
-        h.update(proof.as_bytes());
-        self.cert_cache
-            .get_or_verify(h.finalize(), || pcd.verify(statement, proof))
-    }
-
     fn message_digest(message: &[u8]) -> Digest {
         let mut h = Sha256::new();
         h.update(b"srds-message");
@@ -653,14 +619,6 @@ impl Srds for SnarkSrds {
         Some(pp.mss.capacity() as u64)
     }
 
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        Some(self.cert_cache.stats())
-    }
-
-    fn advance_cache_generation(&self) {
-        self.cert_cache.advance_generation();
-    }
-
     fn aggregate1(
         &self,
         pp: &SnarkPublicParams,
@@ -737,7 +695,7 @@ impl Srds for SnarkSrds {
                         hi: cert.hi,
                         acc: cert.acc,
                     };
-                    if self.cached_cert_verify(pp, &pcd, &statement, &cert.proof) {
+                    if pcd.verify(&statement, &cert.proof) {
                         certs.push(cert.clone());
                     }
                 }
@@ -861,7 +819,7 @@ impl Srds for SnarkSrds {
             hi: cert.hi,
             acc: cert.acc,
         };
-        self.cached_cert_verify(pp, &self.pcd(pp), &statement, &cert.proof)
+        self.pcd(pp).verify(&statement, &cert.proof)
     }
 
     fn min_index(&self, sig: &SnarkSignature) -> u64 {

@@ -39,6 +39,15 @@ impl fmt::Display for PkiMode {
     }
 }
 
+// The return type of [`Srds::cache_stats`], kept with it for its one caller.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
+    pub warm_hits: u64,
+}
+
 /// A succinctly reconstructed distributed signature scheme
 /// (Setup, KeyGen, Sign, Aggregate, Verify).
 ///
@@ -154,17 +163,13 @@ pub trait Srds {
         None
     }
 
-    /// Counters of the scheme's verified-certificate cache, when it keeps
-    /// one ([`crate::cache::CacheStats`]); `None` for cache-less schemes.
-    fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
+    // Residue of the deleted certificate cache: `benchmark/src/workloads.rs`
+    // — a frozen consumer, the one caller — still reads this signature. No
+    // scheme overrides it. Removal is ROADMAP item 7.
+    #[doc(hidden)]
+    fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
-
-    /// Marks an instance boundary on the scheme's certificate cache (see
-    /// [`crate::cache::CertCache::advance_generation`]): verdicts cached
-    /// before this point count as *warm* when hit again afterwards.
-    /// No-op for cache-less schemes.
-    fn advance_cache_generation(&self) {}
 
     /// `Aggregate₁(pp, {vk}, m, {σ}) → S_sig` — the deterministic,
     /// key-dependent filter. Output is the polylog-size subset of

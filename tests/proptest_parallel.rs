@@ -2,18 +2,14 @@
 //! seeds, thread counts, committee sizes, and fault-injection strategies,
 //! [`pba_net::run_phase_threaded`] must be observationally identical to
 //! the sequential engine (same outputs, same staged-envelope transcript,
-//! same metrics report), the process-wide Merkle proof-cache counters
-//! must be monotone non-decreasing under any operation sequence, and a
-//! certificate cache must count every lookup exactly once.
+//! same metrics report).
 
 use pba_core::phase_king::{rounds_for, PhaseKing};
-use pba_crypto::merkle::{proof_cache_stats, MerkleTree};
 use pba_crypto::prg::Prg;
-use pba_crypto::sha256::{Digest, Sha256};
+use pba_crypto::sha256::Digest;
 use pba_net::faults::StrategySpec;
 use pba_net::runner::run_phase_threaded;
 use pba_net::{Machine, Network, PartyId};
-use pba_srds::CertCache;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -106,74 +102,5 @@ proptest! {
         );
         prop_assert_eq!(seq_out, par_out);
         prop_assert_eq!(seq_rep, par_rep);
-    }
-
-    /// The engine never makes the process-wide Merkle cache counters
-    /// move backwards, whatever it executes.
-    #[test]
-    fn engine_keeps_cache_counters_monotone(
-        n in 6usize..16,
-        threads in 1usize..5,
-        seed in any::<[u8; 8]>(),
-    ) {
-        let before = proof_cache_stats();
-        let _ = run_once(n, 1, &StrategySpec::Equivocate, &seed, threads);
-        let after = proof_cache_stats();
-        prop_assert!(after.0 >= before.0);
-        prop_assert!(after.1 >= before.1);
-    }
-
-    /// Arbitrary Merkle proof sequences: hit/miss counters are monotone
-    /// after every single operation, and cached proofs stay correct.
-    #[test]
-    fn merkle_cache_counters_monotone_per_op(
-        leaves in 1usize..40,
-        indices in proptest::collection::vec(0usize..64, 1..30),
-    ) {
-        let payloads: Vec<Vec<u8>> =
-            (0..leaves as u64).map(|i| i.to_le_bytes().to_vec()).collect();
-        let tree = MerkleTree::from_leaves(payloads.iter());
-        let mut prev = proof_cache_stats();
-        for raw in indices {
-            let idx = raw % leaves;
-            let proof = tree.prove(idx);
-            prop_assert!(proof.verify(&tree.root(), &payloads[idx]));
-            let cur = proof_cache_stats();
-            prop_assert!(cur.0 >= prev.0, "hits went backwards");
-            prop_assert!(cur.1 >= prev.1, "misses went backwards");
-            prop_assert!(
-                cur.0 + cur.1 > prev.0 + prev.1,
-                "a prove() must count as a hit or a miss"
-            );
-            prev = cur;
-        }
-    }
-
-    /// Arbitrary certificate-cache lookup sequences: the cache's own
-    /// counters are monotone, `hits + misses` grows by exactly one per
-    /// lookup, and the cached verdict always matches the first one.
-    #[test]
-    fn cert_cache_counters_monotone_per_op(
-        keys in proptest::collection::vec(any::<[u8; 4]>(), 1..30),
-    ) {
-        let cache = CertCache::new();
-        let mut expected: BTreeMap<Digest, bool> = BTreeMap::new();
-        let mut prev = cache.stats();
-        for raw in keys {
-            let key = Sha256::digest(&raw);
-            let verdict = raw[0] % 2 == 0;
-            let got = cache.get_or_verify(key, || verdict);
-            let want = *expected.entry(key).or_insert(verdict);
-            prop_assert_eq!(got, want, "cached verdict changed");
-            let cur = cache.stats();
-            prop_assert!(cur.hits >= prev.hits, "hits went backwards");
-            prop_assert!(cur.misses >= prev.misses, "misses went backwards");
-            prop_assert_eq!(
-                cur.hits + cur.misses,
-                prev.hits + prev.misses + 1,
-                "a lookup must count as exactly one hit or one miss"
-            );
-            prev = cur;
-        }
     }
 }

@@ -8,10 +8,6 @@
 //! * **Mode equivalence** — pipelined and sequential streams reach the
 //!   same verdicts with the same deliveries; pipelining only hides round
 //!   latency (`overlapped_rounds > 0`, strictly fewer clock rounds).
-//! * **Cross-instance cache reuse** — certificate-cache hits on entries
-//!   born in an earlier instance are strictly positive from instance 2
-//!   onward (SNARK and multisig schemes) and exactly zero for a cold
-//!   single-shot run.
 //! * **Leaf budgeting** — a stream outliving the establishment's MSS
 //!   capacity ends with a structured [`ProtocolError::KeyBudget`] naming
 //!   the failing instance; it never panics.
@@ -23,7 +19,6 @@ use pba_core::protocol::{
 use pba_crypto::codec::{Decode, Encode};
 use pba_net::corruption::CorruptionPlan;
 use pba_net::LocalTransport;
-use pba_srds::multisig::{MultisigConfig, MultisigSrds};
 use pba_srds::snark::{SnarkSrds, SnarkSrdsConfig};
 use pba_srds::traits::Srds;
 
@@ -128,9 +123,7 @@ fn pipelined_stream_matches_sequential_and_hides_rounds() {
             "instance {} transcripts diverge",
             a.index
         );
-        // Chain validation runs inline at instance open in both modes, so
-        // the cache counters, bytes and step snapshots agree per instance.
-        assert_eq!(a.report.cache, b.report.cache, "instance {} cache", a.index);
+        // Bytes and step snapshots agree per instance.
         assert_eq!(
             a.report.total_bytes, b.report.total_bytes,
             "instance {} bytes",
@@ -158,83 +151,6 @@ fn pipelined_stream_matches_sequential_and_hides_rounds() {
         pipe.total_rounds + pipe.overlapped_rounds,
         seq.total_rounds,
         "every hidden round must be accounted for"
-    );
-}
-
-/// Warm hits — cache hits on entries born in an earlier instance — are
-/// the cross-instance reuse the Service keeps and independent runs lose.
-fn assert_warm_reuse<S>(scheme: &S, label: &str)
-where
-    S: Srds,
-    S::Signature: Encode + Decode,
-{
-    let cfg = config(64, Establishment::Charged);
-    let mut service = Service::try_establish(scheme, &cfg).expect("establishment");
-    let out = service.try_run_stream(&bit_instances(cfg.n, 3), StreamMode::Sequential);
-    assert_eq!(out.decisions, 3, "{label}");
-    for inst in &out.instances {
-        let cache = inst
-            .report
-            .cache
-            .as_ref()
-            .unwrap_or_else(|| panic!("{label}: scheme exposes no cache stats"));
-        if inst.index == 0 {
-            assert_eq!(
-                cache.warm_hits, 0,
-                "{label}: instance 1 has no predecessor to reuse"
-            );
-        } else {
-            assert!(
-                cache.warm_hits > 0,
-                "{label}: instance {} saw no cross-instance cache reuse",
-                inst.index + 1
-            );
-        }
-    }
-}
-
-#[test]
-fn cert_cache_reuse_is_warm_across_instances_snark() {
-    assert_warm_reuse(&snark_deep(), "snark");
-}
-
-#[test]
-fn cert_cache_reuse_is_warm_across_instances_multisig() {
-    assert_warm_reuse(
-        &MultisigSrds::new(MultisigConfig {
-            mss_bits: 32,
-            mss_height: 3,
-        }),
-        "multisig",
-    );
-}
-
-fn cold_warm_hits<S>(scheme: &S, label: &str) -> u64
-where
-    S: Srds,
-    S::Signature: Encode + Decode,
-{
-    let cfg = config(64, Establishment::Charged);
-    let mut service = Service::try_establish(scheme, &cfg).expect("establishment");
-    let out = service.try_run_stream(&bit_instances(cfg.n, 1), StreamMode::Sequential);
-    assert_eq!(out.decisions, 1, "{label}");
-    scheme
-        .cache_stats()
-        .unwrap_or_else(|| panic!("{label}: scheme exposes no cache stats"))
-        .warm_hits
-}
-
-#[test]
-fn cold_single_shot_run_has_zero_warm_hits() {
-    assert_eq!(
-        cold_warm_hits(&SnarkSrds::with_defaults(), "snark"),
-        0,
-        "snark: cold run showed warm hits"
-    );
-    assert_eq!(
-        cold_warm_hits(&MultisigSrds::with_defaults(), "multisig"),
-        0,
-        "multisig: cold run showed warm hits"
     );
 }
 
