@@ -52,9 +52,9 @@ impl ScaleConfig {
     }
 
     /// CI smoke variant: n ∈ {2^10, 2^16} with the memory regression
-    /// budget armed: 224 MiB against the 164 MiB measured peak on the
+    /// budget armed: 224 MiB against the 171 MiB measured peak on the
     /// reference host (8 MiB of it the lazy signer's key residue, 128 B a
-    /// party), i.e. ≈ 36 % headroom. The gate is tight enough to catch a
+    /// party), i.e. ≈ 31 % headroom. The gate is tight enough to catch a
     /// per-key heap object: the memoised proof map every `MerkleTree`
     /// used to carry measured 247 MiB on the same host. An O(n²) metrics
     /// table, held signing keys or a private peer list per party (1,236.5

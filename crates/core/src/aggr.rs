@@ -10,14 +10,112 @@
 //! signatures received from a majority of the parties"), aggregates them
 //! with `Aggregate₁`/`Aggregate₂`, and hands the same output to everyone.
 //!
-//! [`charge_aggr_round`] meters the communication the realizing protocol
-//! costs: the intra-committee exchange of the input sets plus the
-//! constant-round MPC traffic, all `polylog(n) · poly(κ)` per member.
+//! The input exchange that realizes it (Fig. 3 step 5b) is digest-first:
+//!
+//! 1. every member multicasts an [`AggrDigests`] list — the SHA-256 of the
+//!    canonical encoding of each signature it holds;
+//! 2. every member keeps the digests a strict majority (`|C|/2 + 1`) of
+//!    the lists attest, and pushes the body of each one it holds, as an
+//!    [`AggrBody`], to every member whose list lacked it;
+//! 3. a receiver keeps a pushed body only if it hashes to an attested
+//!    digest it lacks.
+//!
+//! A majority-attested digest has an honest attester whenever corrupted
+//! members are a strict minority, so the body reaches everyone who lacks
+//! it. Every call in π_ba is the uniform case — step 4 sent each leaf
+//! signature to every leaf member and `robust::ascend` sends each child
+//! aggregate to every parent member — so nobody lacks a body and the push
+//! round is empty. [`charge_aggr_round`] meters exactly that: one digest
+//! list per member pair plus the constant-round MPC output. The exchange
+//! is executed, adversaries included, by the `Machine` under
+//! `tests/oracle/aggr_exchange.rs`, whose fault-free bytes equal this
+//! closed form per (party, tag).
 
-use pba_net::wire::tag;
-use pba_net::{Network, PartyId};
+use pba_crypto::codec::{varint_len, CodecError, Decode, Encode, Reader};
+use pba_crypto::sha256::{Digest, DIGEST_LEN};
+use pba_net::wire::{self, step, tag};
+use pba_net::{Network, PartyId, WireMsg};
 use pba_srds::traits::Srds;
 use std::collections::BTreeMap;
+
+/// Step 5b, first round: the digests of the signatures one committee
+/// member holds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AggrDigests {
+    /// Service epoch (certified-round counter) the exchange belongs to.
+    pub epoch: u64,
+    /// The tree node whose committee runs the exchange.
+    pub node: u64,
+    /// SHA-256 of each held signature's canonical encoding.
+    pub digests: Vec<Digest>,
+}
+
+impl AggrDigests {
+    /// Wire length (header included) of a list of `k` digests, whatever
+    /// its epoch and node: the closed form [`charge_aggr_round`] charges
+    /// per member pair.
+    pub fn wire_len(k: usize) -> usize {
+        wire::HEADER_LEN + 8 + 8 + varint_len(k as u64) + DIGEST_LEN * k
+    }
+}
+
+impl Encode for AggrDigests {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.epoch.encode(buf);
+        self.node.encode(buf);
+        self.digests.encode(buf);
+    }
+}
+
+impl Decode for AggrDigests {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(AggrDigests {
+            epoch: u64::decode(r)?,
+            node: u64::decode(r)?,
+            digests: Vec::<Digest>::decode(r)?,
+        })
+    }
+}
+
+impl WireMsg for AggrDigests {
+    const TAG: u8 = tag::AGGR_DIGESTS;
+    const STEP: u8 = step::AGGREGATE;
+}
+
+/// Step 5b, second round: one majority-attested signature, pushed by a
+/// holder to a member whose digest list lacked it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AggrBody {
+    /// Service epoch the exchange belongs to.
+    pub epoch: u64,
+    /// The tree node whose committee runs the exchange.
+    pub node: u64,
+    /// The signature's canonical encoding.
+    pub sig: Vec<u8>,
+}
+
+impl Encode for AggrBody {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.epoch.encode(buf);
+        self.node.encode(buf);
+        self.sig.encode(buf);
+    }
+}
+
+impl Decode for AggrBody {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(AggrBody {
+            epoch: u64::decode(r)?,
+            node: u64::decode(r)?,
+            sig: Vec::<u8>::decode(r)?,
+        })
+    }
+}
+
+impl WireMsg for AggrBody {
+    const TAG: u8 = tag::AGGR_BODY;
+    const STEP: u8 = step::AGGREGATE;
+}
 
 /// Computes `f_aggr-sig` over the members' submitted signature sets.
 ///
@@ -85,22 +183,24 @@ pub fn f_aggr_sig_uniform<S: Srds>(
     scheme.aggregate(pp, keys, message, inputs)
 }
 
-/// Meters the communication of one `f_aggr-sig` invocation for a committee:
-/// each member broadcasts its input set to every other member (Fig. 3 step
-/// 5b) and participates in the constant-round aggregation protocol.
+/// Meters the communication of one uniform `f_aggr-sig` invocation for a
+/// committee: each member multicasts its [`AggrDigests`] list of `digests`
+/// entries to every other member (Fig. 3 step 5b; nobody lacks a body, so
+/// nothing is pushed) and participates in the constant-round aggregation
+/// protocol.
 ///
-/// `input_bytes` is each member's total submitted signature bytes (the
-/// members hold the same majority-exchanged set); `output_bytes` the size
-/// of the aggregate (exchanged during the MPC output phase).
+/// `digests` is the number of signatures each member holds (the members
+/// hold the same set); `output_bytes` the size of the aggregate (exchanged
+/// during the MPC output phase).
 pub fn charge_aggr_round(
     net: &mut Network,
     committee: &[PartyId],
-    input_bytes: usize,
+    digests: usize,
     output_bytes: usize,
 ) {
     let metrics = net.metrics_mut();
-    // Step 5b exchange: signature-share sets between members.
-    metrics.charge_exchange(committee, committee, input_bytes, tag::AGGR_SHARE, true);
+    let list_len = AggrDigests::wire_len(digests);
+    metrics.charge_exchange(committee, committee, list_len, tag::AGGR_DIGESTS, true);
     // Constant-round MPC output delivery, charged over the concrete links
     // so the aggregate's fan-out is visible in locality and in the
     // receivers' totals (an addressee-less synthetic charge would keep
@@ -117,19 +217,16 @@ mod tests {
     use pba_srds::owf::OwfSrds;
     use pba_srds::traits::PkiBoard;
 
-    fn setup(n: usize) -> (OwfSrds, PkiBoard<OwfSrds>, Vec<LamportKeys>) {
+    fn setup(n: usize) -> (OwfSrds, PkiBoard<OwfSrds>) {
         let scheme = OwfSrds::with_defaults();
         let mut prg = Prg::from_seed_bytes(b"aggr");
         let board = PkiBoard::establish(&scheme, n, &mut prg);
-        (scheme, board, Vec::new())
+        (scheme, board)
     }
-
-    // Alias to keep the helper signature readable.
-    type LamportKeys = ();
 
     #[test]
     fn unanimous_submission_aggregates_everything() {
-        let (scheme, board, _) = setup(256);
+        let (scheme, board) = setup(256);
         let keys = board.prepare(&scheme);
         let sigs: Vec<_> = (0..256u64)
             .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"m"))
@@ -143,7 +240,7 @@ mod tests {
 
     #[test]
     fn minority_submissions_filtered() {
-        let (scheme, board, _) = setup(256);
+        let (scheme, board) = setup(256);
         let keys = board.prepare(&scheme);
         let sigs: Vec<_> = (0..256u64)
             .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"m"))
@@ -166,7 +263,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_yield_none() {
-        let (scheme, board, _) = setup(64);
+        let (scheme, board) = setup(64);
         let keys = board.prepare(&scheme);
         let committee: Vec<PartyId> = (0..5u64).map(PartyId).collect();
         let inputs = BTreeMap::new();
@@ -175,7 +272,7 @@ mod tests {
 
     #[test]
     fn duplicate_submission_by_one_member_counts_once() {
-        let (scheme, board, _) = setup(256);
+        let (scheme, board) = setup(256);
         let keys = board.prepare(&scheme);
         let sigs: Vec<_> = (0..256u64)
             .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"m"))
@@ -192,7 +289,7 @@ mod tests {
 
     #[test]
     fn uniform_matches_general() {
-        let (scheme, board, _) = setup(256);
+        let (scheme, board) = setup(256);
         let keys = board.prepare(&scheme);
         let sigs: Vec<_> = (0..256u64)
             .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"m"))
@@ -223,7 +320,7 @@ mod tests {
     fn charge_aggr_round_meters_members_only() {
         let mut net = Network::new(20);
         let committee: Vec<PartyId> = (0..5u64).map(PartyId).collect();
-        charge_aggr_round(&mut net, &committee, 100, 64);
+        charge_aggr_round(&mut net, &committee, 3, 64);
         for i in 0..5u64 {
             assert!(net.metrics().party(PartyId(i)).bytes_sent >= 400);
         }
@@ -232,5 +329,33 @@ mod tests {
         }
         // Rounds are bumped by the caller (per level), not per invocation.
         assert_eq!(net.report().rounds, 0);
+    }
+
+    /// The closed form is one encoded digest list per member pair: each of
+    /// `c` members sends and receives `c - 1` of them, and nothing else
+    /// under the exchange's tags.
+    #[test]
+    fn closed_form_is_one_encoded_list_per_link() {
+        let c = 7u64;
+        let committee: Vec<PartyId> = (0..c).map(PartyId).collect();
+        for k in [0usize, 1, 32] {
+            let list = AggrDigests {
+                epoch: u64::MAX,
+                node: 3,
+                digests: vec![Digest::ZERO; k],
+            };
+            let len = wire::encoded_msg_len(&list) as u64;
+            assert_eq!(len, AggrDigests::wire_len(k) as u64, "k = {k}");
+            let per_member = Some(len * (c - 1));
+            let mut net = Network::new(c as usize);
+            charge_aggr_round(&mut net, &committee, k, 0);
+            for &p in &committee {
+                let m = net.metrics().party(p);
+                assert_eq!(m.sent_by_tag.get(&tag::AGGR_DIGESTS).copied(), per_member);
+                assert_eq!(m.recv_by_tag.get(&tag::AGGR_DIGESTS).copied(), per_member);
+                assert_eq!(m.sent_by_tag.get(&tag::AGGR_BODY), None);
+                assert_eq!(m.sent_by_tag.get(&tag::AGGR_SHARE), None);
+            }
+        }
     }
 }

@@ -350,9 +350,9 @@ where
             .collect();
         let mut evil_entries: Vec<(usize, u64, S::Signature)> = Vec::new();
         let mut leaf_honest: Vec<Option<S::Signature>> = Vec::with_capacity(params.leaf_count);
-        // (input_bytes, out_len) per leaf: the step-5 aggregation charges,
-        // deferred so they land after the step-4 snapshot boundary exactly
-        // as in the two-pass formulation.
+        // (signatures held, out_len) per leaf: the step-5 aggregation
+        // charges, deferred so they land after the step-4 snapshot boundary
+        // exactly as in the two-pass formulation.
         let mut leaf_charges: Vec<(usize, usize)> = Vec::with_capacity(params.leaf_count);
         for leaf in 0..params.leaf_count {
             let range = self.tree.leaf_range(leaf);
@@ -411,9 +411,11 @@ where
                     true,
                 );
             }
-            // Step 5a for this leaf: all honest leaf members hold the same
-            // majority-exchanged signature set, aggregated iff the honest
-            // members form the f_aggr-sig quorum.
+            // Step 5a for this leaf: step 4 handed every submitted signature
+            // to every leaf member, so all honest members hold the same set
+            // (their digest lists agree and nothing is pushed in step 5b);
+            // it is aggregated iff the honest members form the f_aggr-sig
+            // quorum.
             let filtered: Vec<S::Signature> = sigs
                 .into_iter()
                 .filter(|sig| {
@@ -421,7 +423,6 @@ where
                         && range.contains(&self.scheme.min_index(sig))
                 })
                 .collect();
-            let input_bytes: usize = filtered.iter().map(|s| self.scheme.signature_len(s)).sum();
             let agg = f_aggr_sig_uniform(
                 self.scheme,
                 &self.pp,
@@ -435,7 +436,7 @@ where
                 .as_ref()
                 .map(|a| self.scheme.signature_len(a))
                 .unwrap_or(0);
-            leaf_charges.push((input_bytes, out_len));
+            leaf_charges.push((filtered.len(), out_len));
             leaf_honest.push(agg);
         }
         // Restore the party-major order the corrupt signing loop used to
@@ -452,16 +453,17 @@ where
         // node contributes as long as corrupted members stay a strict
         // minority of its distinct committee — the 1/3 goodness threshold
         // only matters for the classical analysis now.
-        for (leaf, &(input_bytes, out_len)) in leaf_charges.iter().enumerate() {
+        for (leaf, &(held, out_len)) in leaf_charges.iter().enumerate() {
             let committee = dedup_committee(self.tree.committee(0, leaf));
             let honest_members: Vec<PartyId> = committee
                 .iter()
                 .filter(|p| !corrupt.contains(p))
                 .copied()
                 .collect();
-            charge_aggr_round(&mut self.net, &honest_members, input_bytes, out_len);
+            charge_aggr_round(&mut self.net, &honest_members, held, out_len);
         }
-        // All leaves aggregated in parallel: one exchange + MPC round pair.
+        // All leaves aggregated in parallel: one digest-exchange + MPC round
+        // pair (the body-push round is empty when nobody lacks a body).
         self.net.bump_round();
         self.net.bump_round();
 
@@ -506,8 +508,6 @@ where
                         children_sigs.push(sig);
                     }
                 }
-                let input_bytes: usize =
-                    children_sigs.iter().map(|s| scheme.signature_len(s)).sum();
                 let agg = f_aggr_sig_uniform(
                     scheme,
                     pp,
@@ -518,7 +518,7 @@ where
                     &children_sigs,
                 );
                 let out_len = agg.as_ref().map(|a| scheme.signature_len(a)).unwrap_or(0);
-                charge_aggr_round(net, &honest_members, input_bytes, out_len);
+                charge_aggr_round(net, &honest_members, children_sigs.len(), out_len);
                 agg
             },
             |_, _, _| evil_copy.clone(),

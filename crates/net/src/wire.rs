@@ -55,7 +55,8 @@ pub mod tag {
     pub const CERTIFICATE: u8 = 0x07;
     /// Attribution-only: Fig. 3 step 4 signature submission.
     pub const SIG_SUBMIT: u8 = 0x08;
-    /// Attribution-only: Fig. 3 step 5b intra-committee signature-set exchange.
+    /// Attribution-only: Fig. 3 step 5 `robust::ascend` child → parent
+    /// copies of each node's aggregate.
     pub const AGGR_SHARE: u8 = 0x09;
     /// Attribution-only: Fig. 3 step 5 constant-round MPC output delivery.
     pub const AGGR_MPC: u8 = 0x0a;
@@ -74,6 +75,12 @@ pub mod tag {
     pub const BCAST_INPUT: u8 = 0x10;
     /// `MvInput` — multi-value (ℓ-byte) input fan-in up the tree.
     pub const MV_INPUT: u8 = 0x11;
+    /// `AggrDigests` — Fig. 3 step 5b: a committee member's digests of the
+    /// signatures it holds, multicast to the other members.
+    pub const AGGR_DIGESTS: u8 = 0x12;
+    /// `AggrBody` — Fig. 3 step 5b: one majority-attested signature pushed
+    /// to a member whose digest list lacked it.
+    pub const AGGR_BODY: u8 = 0x13;
 }
 
 /// Nominal Figure 3 step numbers carried in the header's second byte.
@@ -178,6 +185,8 @@ const SAMPLE_QUERY_FIELDS: &[FieldSpec] = &[F::U64];
 const SAMPLE_RESPONSE_FIELDS: &[FieldSpec] = &[F::Byte];
 const BCAST_INPUT_FIELDS: &[FieldSpec] = &[F::Byte];
 const MV_INPUT_FIELDS: &[FieldSpec] = &[F::U64, F::VarBytes];
+const AGGR_DIGESTS_FIELDS: &[FieldSpec] = &[F::U64, F::U64, F::Seq(&[F::Bytes(32)])];
+const AGGR_BODY_FIELDS: &[FieldSpec] = &[F::U64, F::U64, F::VarBytes];
 
 /// The full tag registry, ordered by tag. The golden snapshot test in
 /// `tests/wire.rs` pins every row; append new tags at the end.
@@ -317,6 +326,22 @@ pub const REGISTRY: &[TagInfo] = &[
         step_label: "mv-input",
         crate_name: "pba-core",
         schema: BodySchema::Struct(MV_INPUT_FIELDS),
+    },
+    TagInfo {
+        tag: tag::AGGR_DIGESTS,
+        name: "AggrDigests",
+        step: step::AGGREGATE,
+        step_label: "5:aggregate",
+        crate_name: "pba-core",
+        schema: BodySchema::Struct(AGGR_DIGESTS_FIELDS),
+    },
+    TagInfo {
+        tag: tag::AGGR_BODY,
+        name: "AggrBody",
+        step: step::AGGREGATE,
+        step_label: "5:aggregate",
+        crate_name: "pba-core",
+        schema: BodySchema::Struct(AGGR_BODY_FIELDS),
     },
 ];
 

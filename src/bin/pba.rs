@@ -178,7 +178,11 @@ fn run_ba_with(scheme_name: &str, config: &BaConfig, inputs: &[u8]) -> Result<Ba
 
 fn cmd_ba(args: &Args) -> Result<(), String> {
     let config = config_from(args)?;
-    let input = args.usize_or("input", 1)? as u8;
+    let input = match args.str_or("input", "1").as_str() {
+        "0" => 0,
+        "1" => 1,
+        other => return Err(format!("--input {other}: must be a bit, 0 or 1")),
+    };
     let scheme = args.str_or("scheme", "snark");
     println!(
         "pi_ba: n = {}, corruption = {:?}, profile = {:?}, scheme = {scheme}, \

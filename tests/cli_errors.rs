@@ -11,6 +11,9 @@ const PROBES: &[&[&str]] = &[
     &["ba", "--n", "3"],
     &["ba", "--n", "30", "--t", "10"],
     &["ba", "--n", "16", "--scheme", "rsa"],
+    &["ba", "--n", "16", "--input", "2"],
+    &["ba", "--n", "16", "--input", "256"],
+    &["ba", "--n", "16", "--input", "abc"],
     &["srds", "--n", "30", "--scheme", "multisig"],
     &["broadcast", "--n", "16", "--sender", "16"],
     &["broadcast", "--n", "16", "--ell", "0"],

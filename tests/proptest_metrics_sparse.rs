@@ -369,7 +369,13 @@ where
 /// The committee-granular metering is a pure re-expression of the
 /// per-link charges: the reports of an honest SNARK run and a Byzantine
 /// OWF run are pinned to the values the per-link loops produced (commit
-/// 90f367a, the parent of the bulk primitive).
+/// 90f367a, the parent of the bulk primitive), restated once where the
+/// bytes were meant to move — by the PR 25 commit (digest-first
+/// `f_aggr-sig`, child of 5cee048), which printed the rows below. It moved
+/// only step 5's member exchange: tag 9 (`AGGR_SHARE`) shrank to the
+/// `robust::ascend` copies, tag 18 (0x12, `AggrDigests`) is new, and the
+/// byte totals, maxima and `max_after` of steps 5–8 follow; every message
+/// count, locality, round and other tag is 5cee048's.
 #[test]
 fn golden_reports_match_per_link_metering() {
     let snark = run_fingerprint(
@@ -387,29 +393,29 @@ fn golden_reports_match_per_link_metering() {
 }
 
 const GOLDEN_SNARK_128: &[&str] = &[
-    r#"{"parties":128,"max_bytes_per_party":2417218,"max_bytes_sent":1213690,"total_bytes":143691302,"total_msgs":98658,"max_msgs_per_party":3769,"max_locality":127,"rounds":72}"#,
-    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 8080640, 9: 130272807, 10: 1212420, 11: 446208, 12: 860160, 13: 11367}",
-    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 8080640, 9: 130272807, 10: 1212420, 11: 446208, 13: 11367}",
+    r#"{"parties":128,"max_bytes_per_party":408088,"max_bytes_sent":209824,"total_bytes":17292122,"total_msgs":98658,"max_msgs_per_party":3769,"max_locality":127,"rounds":72}"#,
+    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 8080640, 9: 1375407, 10: 1212420, 11: 446208, 12: 860160, 13: 11367, 18: 2498220}",
+    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 8080640, 9: 1375407, 10: 1212420, 11: 446208, 13: 11367, 18: 2498220}",
     "1:ae-comm-establish 860160 6720",
     "2:committee-ba+coin 393567 44018",
     "3:disseminate-(y,s) 508200 62146",
     "4:sign-and-submit 8080640 188406",
-    "5:tree-aggregation 131485227 2346492",
-    "6:disseminate-certificate 1917300 2409572",
-    "7-8:prf-spread+output 446208 2417218",
+    "5:tree-aggregation 5086047 332226",
+    "6:disseminate-certificate 1917300 400618",
+    "7-8:prf-spread+output 446208 408088",
 ];
 
 const GOLDEN_OWF_BYZ_128: &[&str] = &[
-    r#"{"parties":116,"max_bytes_per_party":91391480,"max_bytes_sent":50736940,"total_bytes":2547988100,"total_msgs":88418,"max_msgs_per_party":3120,"max_locality":127,"rounds":72}"#,
-    "sent {1: 24080, 2: 210700, 4: 147420, 6: 476168, 7: 1514993424, 8: 2087826, 9: 451374098, 10: 236863848, 11: 341020512, 12: 779520, 13: 10504}",
-    "received {0: 94634592, 1: 24080, 2: 210700, 4: 147420, 6: 468468, 7: 1395860232, 8: 1900457, 9: 438650871, 10: 236863848, 11: 307142448, 13: 9833}",
+    r#"{"parties":116,"max_bytes_per_party":81712128,"max_bytes_sent":45897264,"total_bytes":2309952324,"total_msgs":88418,"max_msgs_per_party":3120,"max_locality":127,"rounds":72}"#,
+    "sent {1: 24080, 2: 210700, 4: 147420, 6: 476168, 7: 1514993424, 8: 2087826, 9: 212352886, 10: 236863848, 11: 341020512, 12: 779520, 13: 10504, 18: 985436}",
+    "received {0: 94634592, 1: 24080, 2: 210700, 4: 147420, 6: 468468, 7: 1395860232, 8: 1900457, 9: 199629659, 10: 236863848, 11: 307142448, 13: 9833, 18: 985436}",
     "1:ae-comm-establish 779520 6720",
     "2:committee-ba+coin 392704 43909",
     "3:disseminate-(y,s) 476168 57813",
     "4:sign-and-submit 2087826 124245",
-    "5:tree-aggregation 688237946 29795000",
-    "6:disseminate-certificate 1514993424 85791800",
-    "7-8:prf-spread+output 341020512 91391480",
+    "5:tree-aggregation 450202170 20115648",
+    "6:disseminate-certificate 1514993424 76112448",
+    "7-8:prf-spread+output 341020512 81712128",
 ];
 
 /// Full `π_ba` runs over the whole chaos catalogue with the in-session

@@ -6,6 +6,7 @@
 
 use polylog_ba::prelude::*;
 
+use pba_core::aggr::{AggrBody, AggrDigests};
 use pba_core::baselines::{SampleQuery, SampleResponse};
 use pba_core::broadcast::BroadcastInput;
 use pba_core::dolev_strong::DsMessage;
@@ -62,6 +63,16 @@ fn every_registered_message_type_roundtrips() {
     roundtrip(MvInput {
         epoch: 2,
         value: vec![0xde, 0xad, 0xbe, 0xef],
+    });
+    roundtrip(AggrDigests {
+        epoch: 4,
+        node: 17,
+        digests: vec![Digest([3; 32]), Digest::ZERO],
+    });
+    roundtrip(AggrBody {
+        epoch: 4,
+        node: 17,
+        sig: vec![0x5a; 300],
     });
 }
 
@@ -174,6 +185,8 @@ fn tag_registry_golden_snapshot() {
         "0x0f SampleResponse step=0 baseline pba-core",
         "0x10 BroadcastInput step=0 bcast-input pba-core",
         "0x11 MvInput step=0 mv-input pba-core",
+        "0x12 AggrDigests step=5 5:aggregate pba-core",
+        "0x13 AggrBody step=5 5:aggregate pba-core",
     ];
     assert_eq!(
         rendered, expected,
@@ -192,6 +205,8 @@ fn tag_registry_golden_snapshot() {
         (SampleResponse::TAG, SampleResponse::STEP),
         (BroadcastInput::TAG, BroadcastInput::STEP),
         (MvInput::TAG, MvInput::STEP),
+        (AggrDigests::TAG, AggrDigests::STEP),
+        (AggrBody::TAG, AggrBody::STEP),
     ] {
         let info = wire::lookup(t).expect("WireMsg tag not in registry");
         assert_eq!(info.step, s, "WireMsg STEP disagrees with registry");
@@ -314,6 +329,7 @@ fn pi_ba_attribution_conserves_totals() {
             tag::ESTABLISH,
             tag::VALUE_SEED,
             tag::SIG_SUBMIT,
+            tag::AGGR_DIGESTS,
             tag::AGGR_SHARE,
             tag::CERTIFICATE,
             tag::SPREAD,
@@ -405,6 +421,25 @@ proptest! {
         prop_assert_ne!(back, msg, "mutant must carry a different value");
     }
 
+    /// The step-5b digest list is typed too, so `garble-field` and
+    /// `equivocate-typed` lie inside it instead of falling back to bytes.
+    #[test]
+    fn mutate_field_reaches_aggr_digests(
+        epoch in any::<u64>(),
+        count in 0usize..8,
+        fill in any::<u8>(),
+        prg_seed in any::<[u8; 8]>(),
+    ) {
+        let msg = AggrDigests { epoch, node: 3, digests: vec![Digest([fill; 32]); count] };
+        let bytes = wire::encode_msg(&msg);
+        let mut prg = Prg::from_seed_bytes(&prg_seed);
+        let mutant = wire::mutate_field(&bytes, &mut prg)
+            .expect("typed payload must be mutable");
+        let back = wire::decode_msg::<AggrDigests>(&mutant)
+            .expect("mutant must stay wire-valid");
+        prop_assert_ne!(back, msg, "mutant must carry a different value");
+    }
+
     /// Mutation of untyped or attribution-only payloads is refused —
     /// there is no schema to aim at.
     #[test]
@@ -441,6 +476,8 @@ proptest! {
         let _ = wire::decode_msg::<SampleResponse>(&payload);
         let _ = wire::decode_msg::<BroadcastInput>(&payload);
         let _ = wire::decode_msg::<MvInput>(&payload);
+        let _ = wire::decode_msg::<AggrDigests>(&payload);
+        let _ = wire::decode_msg::<AggrBody>(&payload);
         let _ = wire::peek_tag(&payload);
         let mut prg = Prg::from_seed_bytes(b"fuzz");
         let _ = wire::mutate_field(&payload, &mut prg);
