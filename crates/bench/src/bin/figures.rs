@@ -230,7 +230,8 @@ fn e9() {
                 }
             }
             acc
-        });
+        })
+        .expect("mpc below the fault bound");
         println!(
             "{:<12} {:>16} {:>16} {:>9}/{n}",
             len, out.report.total_bytes, out.report.max_bytes_per_party, out.inputs_included

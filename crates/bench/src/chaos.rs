@@ -160,7 +160,6 @@ pub fn run_case(case: &ChaosCase) -> ChaosVerdict {
         chaos: Some(case.spec.clone()),
         threads: 1,
         key_policy: KeyPolicy::Eager,
-        dense_shadow: false,
     };
     let inputs = vec![1u8; case.n];
     let scheme = SnarkSrds::with_defaults();
@@ -535,7 +534,6 @@ pub fn run_stream_case(case: &StreamChaosCase) -> StreamChaosReport {
         chaos: None,
         threads: 1,
         key_policy: KeyPolicy::Eager,
-        dense_shadow: false,
     };
     let mss_height = usize::max(1, case.k.next_power_of_two().trailing_zeros() as usize);
     let scheme = SnarkSrds::new(SnarkSrdsConfig {

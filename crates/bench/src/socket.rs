@@ -176,41 +176,64 @@ pub fn reserve_loopback_addrs(k: usize) -> Vec<String> {
 /// reuse race), and the peer map is built from the OS-assigned ports.
 /// Returns one [`TransportRun`] per endpoint, in endpoint order.
 pub fn run_loopback_fleet(spec: &SocketSpec) -> Vec<TransportRun> {
-    let listeners: Vec<TcpListener> = (0..spec.k)
+    loopback_fleet(
+        spec.n,
+        spec.k,
+        spec.tick_base,
+        |map| spec.genesis(map),
+        |transport| spec.run_over(transport),
+    )
+}
+
+/// The loopback fleet behind [`run_loopback_fleet`], for any run: `k`
+/// endpoints of an `n`-party deployment, each meshing over TCP under the
+/// genesis digest `genesis` gives its peer map and agreeing on
+/// `tick_base`, then handing its transport to `run`. Returns what `run`
+/// returned on each endpoint, in endpoint order.
+pub fn loopback_fleet<T: Send>(
+    n: usize,
+    k: usize,
+    tick_base: u64,
+    genesis: impl Fn(&PeerMap) -> Digest + Sync,
+    run: impl Fn(Box<dyn Transport>) -> T + Sync,
+) -> Vec<T> {
+    let listeners: Vec<TcpListener> = (0..k)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
         .collect();
     let addrs: Vec<String> = listeners
         .iter()
         .map(|l| l.local_addr().expect("local addr").to_string())
         .collect();
-    let handles: Vec<std::thread::JoinHandle<TransportRun>> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(e, listener)| {
-            let spec = spec.clone();
-            let addrs = addrs.clone();
-            std::thread::Builder::new()
-                .name(format!("pba-endpoint-{e}"))
-                .spawn(move || {
-                    let map = PeerMap::contiguous(spec.n, addrs, e);
-                    let genesis = spec.genesis(&map);
-                    let transport = TcpTransport::with_listener(
-                        map,
-                        genesis,
-                        spec.tick_base,
-                        TransportOpts::default(),
-                        listener,
-                    )
-                    .expect("loopback mesh");
-                    spec.run_over(Box::new(transport))
-                })
-                .expect("spawn endpoint thread")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("endpoint thread"))
-        .collect()
+    let (genesis, run) = (&genesis, &run);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(e, listener)| {
+                let addrs = addrs.clone();
+                std::thread::Builder::new()
+                    .name(format!("pba-endpoint-{e}"))
+                    .spawn_scoped(scope, move || {
+                        let map = PeerMap::contiguous(n, addrs, e);
+                        let genesis = genesis(&map);
+                        let transport = TcpTransport::with_listener(
+                            map,
+                            genesis,
+                            tick_base,
+                            TransportOpts::default(),
+                            listener,
+                        )
+                        .expect("loopback mesh");
+                        run(Box::new(transport))
+                    })
+                    .expect("spawn endpoint thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("endpoint thread"))
+            .collect()
+    })
 }
 
 /// Renders one endpoint's run as a single JSON line (the `node run`

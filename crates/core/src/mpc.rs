@@ -27,7 +27,7 @@
 //! corollary's bound. (Parties near the root carry more than `Õ(ℓin)` —
 //! the corollary bounds *total*, not per-party, communication.)
 
-use crate::protocol::{AdversaryProfile, BaConfig, Service};
+use crate::protocol::{AdversaryProfile, BaConfig, ProtocolError, ProtocolPhase, Service};
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use pba_net::{PartyId, Report};
 use pba_snark::fhe::{Ciphertext, FheSystem};
@@ -69,19 +69,38 @@ fn merge_maps(maps: &[Vec<u8>]) -> Vec<u8> {
 /// `inputs[i]` is party `i`'s private input; `f` receives the map of
 /// included inputs (missing parties = `⊥`) and returns the public output.
 ///
+/// # Errors
+///
+/// [`ProtocolError::CorruptionBound`] (or an interactive establishment's
+/// failure) when establishment refuses the configuration; a
+/// [`ProtocolError::Stalled`] certification with `delivered: 0` when no
+/// output can form — the merge reaches no root ciphertext (a supreme
+/// committee that is not good drops it) or the honest members hold fewer
+/// decryption shares than the threshold; the coin's error when the
+/// supreme committee cannot toss it.
+///
 /// # Panics
 ///
-/// Panics if `inputs.len() != config.n`, if the corruption plan reaches
-/// `n/3`, or if the supreme committee cannot reach its decryption
-/// threshold or agree on the coin (impossible below the fault bound).
-pub fn run_mpc<S, F>(scheme: &S, config: &BaConfig, inputs: &[Vec<u8>], f: F) -> MpcOutcome
+/// Panics if `inputs.len() != config.n`.
+pub fn run_mpc<S, F>(
+    scheme: &S,
+    config: &BaConfig,
+    inputs: &[Vec<u8>],
+    f: F,
+) -> Result<MpcOutcome, ProtocolError>
 where
     S: Srds,
     S::Signature: Encode + Decode,
     F: Fn(&BTreeMap<u64, Vec<u8>>) -> Vec<u8>,
 {
     assert_eq!(inputs.len(), config.n, "one input per party");
-    let mut session = Service::try_establish(scheme, config).unwrap_or_else(|e| panic!("{e}"));
+    let mut session = Service::try_establish(scheme, config)?;
+    // Nothing to deliver: every honest party ends without output.
+    let no_output = ProtocolError::Stalled {
+        phase: ProtocolPhase::Certification,
+        delivered: 0,
+        honest: session.honest().len(),
+    };
     let supreme = session.supreme_committee();
     let corrupt = session.corrupt().clone();
     let tree = session.tree().clone();
@@ -190,7 +209,9 @@ where
         session.net.bump_round();
         current = next;
     }
-    let ct_root = current.pop().flatten().expect("root ciphertext");
+    let Some(ct_root) = current.pop().flatten() else {
+        return Err(no_output);
+    };
 
     // 4. The supreme committee evaluates f under encryption and threshold-
     //    decrypts the output.
@@ -237,27 +258,25 @@ where
         shares.push(share);
     }
     session.net.bump_round();
-    let framed = fhe
-        .combine(&ct_out, &shares)
-        .expect("threshold met by honest majority");
+    let Ok(framed) = fhe.combine(&ct_out, &shares) else {
+        return Err(no_output);
+    };
     let (inputs_included, output): (u64, Vec<u8>) = {
         let count: u64 = decode_from_slice(&framed[..8]).expect("count frame");
         (count, framed[8..].to_vec())
     };
 
     // 5. Certified delivery of the public output to everyone.
-    let s = session
-        .try_committee_coin()
-        .unwrap_or_else(|e| panic!("coin tossing failed: {e}"));
+    let s = session.try_committee_coin()?;
     let delivered = session.certify_bytes(output.clone(), s);
 
-    MpcOutcome {
+    Ok(MpcOutcome {
         output,
         outputs: delivered.outputs,
         inputs_included: inputs_included as usize,
         report: session.report(),
         certificate_len: delivered.certificate_len,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -290,7 +309,7 @@ mod tests {
                 .collect();
             xor_all(&map)
         };
-        let out = run_mpc(&scheme, &config, &inputs, xor_all);
+        let out = run_mpc(&scheme, &config, &inputs, xor_all).expect("honest run");
         assert_eq!(out.inputs_included, n);
         assert_eq!(out.output, expected);
         // Every party received the certified output.
@@ -305,7 +324,7 @@ mod tests {
         let scheme = SnarkSrds::with_defaults();
         let config = BaConfig::byzantine(n, 9, b"mpc-2");
         let inputs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 4]).collect();
-        let out = run_mpc(&scheme, &config, &inputs, xor_all);
+        let out = run_mpc(&scheme, &config, &inputs, xor_all).expect("under the bound");
         // All honest parties get the same output...
         let corrupt = {
             // recompute corruption from the outcome's delivered slots
@@ -330,7 +349,7 @@ mod tests {
             total.to_le_bytes().to_vec()
         };
         let expected: u64 = (0..n as u64).sum();
-        let out = run_mpc(&scheme, &config, &inputs, sum_fn);
+        let out = run_mpc(&scheme, &config, &inputs, sum_fn).expect("honest run");
         assert_eq!(out.output, expected.to_le_bytes().to_vec());
     }
 
@@ -344,6 +363,7 @@ mod tests {
             run_mpc(&scheme, &config, &inputs, |m| {
                 m.values().next().cloned().unwrap_or_default()
             })
+            .expect("honest run")
             .report
             .total_bytes
         };
@@ -353,5 +373,28 @@ mod tests {
         // polylog machinery dominates at small n).
         assert!(large > small);
         assert!(large < small * 64);
+    }
+
+    #[test]
+    fn failures_are_structured_errors_not_panics() {
+        let scheme = SnarkSrds::with_defaults();
+        let inputs: Vec<Vec<u8>> = vec![vec![1u8]; 48];
+        let over_bound = BaConfig::byzantine(48, 16, b"mpc-over-bound");
+        assert_eq!(
+            run_mpc(&scheme, &over_bound, &inputs, xor_all).unwrap_err(),
+            ProtocolError::CorruptionBound { corrupt: 16, n: 48 }
+        );
+        // Near the fault bound the supreme committee is not good, the
+        // merge yields no root ciphertext, and nothing can be delivered.
+        let inputs: Vec<Vec<u8>> = vec![vec![1u8]; 16];
+        let config = BaConfig::byzantine(16, 5, b"pba-cli");
+        match run_mpc(&scheme, &config, &inputs, xor_all) {
+            Err(ProtocolError::Stalled {
+                phase: ProtocolPhase::Certification,
+                delivered: 0,
+                honest: 11,
+            }) => {}
+            other => panic!("expected a stall with nothing delivered, got {other:?}"),
+        }
     }
 }

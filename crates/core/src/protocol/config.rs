@@ -125,11 +125,6 @@ pub struct BaConfig {
     pub threads: usize,
     /// When signing-key material is instantiated (see [`KeyPolicy`]).
     pub key_policy: KeyPolicy,
-    /// Attach the dense metrics reference as a differential shadow behind
-    /// the sparse table ([`pba_net::Network::enable_metrics_shadow`]).
-    /// Test-only knob: doubles metering cost and restores the dense
-    /// table's O(n) memory.
-    pub dense_shadow: bool,
 }
 
 impl BaConfig {
@@ -145,7 +140,6 @@ impl BaConfig {
             chaos: None,
             threads: 1,
             key_policy: KeyPolicy::Eager,
-            dense_shadow: false,
         }
     }
 
@@ -161,7 +155,6 @@ impl BaConfig {
             chaos: None,
             threads: 1,
             key_policy: KeyPolicy::Eager,
-            dense_shadow: false,
         }
     }
 

@@ -98,8 +98,6 @@ pub struct Service<'a, S: Srds> {
     epoch: u64,
     /// One-time signing capacity, when the scheme's is bounded (MSS).
     budget: Option<LeafBudget>,
-    /// Per-instance accounting slices, aggregated at the service level.
-    instance_reports: Vec<InstanceReport>,
 }
 
 #[cfg(test)]

@@ -128,9 +128,6 @@ where
         let total_slots = params.total_slots();
         let prg = Prg::from_seed_label(&config.seed, "pi-ba");
         let mut net = Network::new(n);
-        if config.dense_shadow {
-            net.enable_metrics_shadow();
-        }
         if let Some(transport) = transport {
             net.attach_transport(transport);
         }
@@ -284,7 +281,6 @@ where
             steps: Vec::new(),
             epoch: 0,
             budget,
-            instance_reports: Vec::new(),
         };
         session.snap("1:ae-comm-establish");
         Ok(session)

@@ -284,7 +284,12 @@ where
     /// epoch has already moved on to instance `i+1`. Everything in here
     /// keys off the `epoch` argument (dissemination payloads, signatures,
     /// replay filters), never off `self.epoch`.
-    pub fn certify_bytes_at(&mut self, epoch: u64, value: Vec<u8>, s: Digest) -> BytesRoundOutcome {
+    pub(super) fn certify_bytes_at(
+        &mut self,
+        epoch: u64,
+        value: Vec<u8>,
+        s: Digest,
+    ) -> BytesRoundOutcome {
         let n = self.config.n;
         let params = self.params;
 

@@ -343,22 +343,20 @@ where
     }
 
     /// Settles an instance: computes its accounting slice against the
-    /// baseline and records it at the service level.
+    /// baseline.
     fn finish_instance(
-        &mut self,
+        &self,
         baseline: InstanceBaseline,
         overlapped_rounds: u64,
     ) -> InstanceReport {
-        let report = InstanceReport {
+        InstanceReport {
             index: baseline.index,
             total_bytes: self.honest_bytes_sent() - baseline.bytes,
             rounds: self.net.metrics().rounds() - baseline.rounds,
             overlapped_rounds,
             steps: self.steps[baseline.steps_len..].to_vec(),
             transcript_digest: self.net.transcript().and_then(|t| t.last().copied()),
-        };
-        self.instance_reports.push(report.clone());
-        report
+        }
     }
 
     /// The zero-work outcome of an instance the signing budget refused.
@@ -375,11 +373,5 @@ where
                 transcript_digest: self.net.transcript().and_then(|t| t.last().copied()),
             },
         }
-    }
-
-    /// Per-instance accounting slices recorded so far (the service-level
-    /// aggregation of every settled instance's metrics).
-    pub fn instance_reports(&self) -> &[InstanceReport] {
-        &self.instance_reports
     }
 }

@@ -71,13 +71,22 @@
 //!
 //! The previous dense implementation is kept verbatim as
 //! [`DenseMetricsTable`]. [`MetricsTable::enable_shadow`] attaches a dense
-//! shadow that receives every charge first — a bulk charge as its
-//! link-by-link expansion, so the shadow checks the bulk arithmetic
-//! instead of repeating it; [`MetricsTable::shadow_divergence`]
-//! then asserts exact equality on every counter, peer set, tag marginal,
-//! report column and conservation check. The chaos catalogue runs under
-//! this shadow in `tests/proptest_metrics_sparse.rs` — the acceptance gate
-//! for this rewrite.
+//! shadow seeded from the table's current state, which then receives
+//! every charge first — a bulk charge as its link-by-link expansion, so
+//! the shadow checks the bulk arithmetic instead of repeating it;
+//! [`MetricsTable::shadow_divergence`] then asserts exact equality on
+//! every counter, peer set, tag marginal, report column and conservation
+//! check.
+//!
+//! Two suites arm it. `tests/proptest_metrics_sparse.rs` applies random
+//! charge sequences from an empty table, so every path, establishment's
+//! included, is checked from its first charge. The `differential`
+//! harness (`tests/support/differential.rs`) arms the shadow on a running
+//! service right after establishment, as one more variant that must be
+//! invisible, across the chaos catalogue. There establishment's own
+//! charges — the per-link KSSV election (Interactive) and the synthetic
+//! charge (Charged) — are copied into the shadow, not re-derived; the
+//! committee phases after arming take the per-link path again.
 
 use crate::envelope::PartyId;
 use crate::wire;
@@ -330,15 +339,6 @@ struct Totals {
 }
 
 impl Totals {
-    fn is_zero(&self) -> bool {
-        self.bytes_sent == 0
-            && self.bytes_received == 0
-            && self.msgs_sent == 0
-            && self.msgs_received == 0
-            && self.sent_by_tag.is_empty()
-            && self.recv_by_tag.is_empty()
-    }
-
     fn conserves(&self) -> bool {
         self.sent_by_tag.values().sum::<u64>() == self.bytes_sent
             && self.recv_by_tag.values().sum::<u64>() == self.bytes_received
@@ -465,19 +465,17 @@ impl MetricsTable {
     }
 
     /// Attaches the dense reference implementation as a differential
-    /// shadow. Must be called before any charge lands (the shadow cannot
-    /// replay history); panics otherwise.
+    /// shadow, seeded with the table's current state: every party's
+    /// [`MetricsTable::party`] snapshot and the round count. Charges that
+    /// landed before arming are copied, not re-derived; every later one
+    /// reaches the shadow through its own dense path.
     pub fn enable_shadow(&mut self) {
-        assert!(
-            self.totals.is_zero() && self.rounds == 0,
-            "metrics shadow must be enabled before any charge"
-        );
-        self.shadow = Some(Box::new(DenseMetricsTable::new(self.cells.len())));
-    }
-
-    /// True if a dense shadow is attached.
-    pub fn shadow_enabled(&self) -> bool {
-        self.shadow.is_some()
+        self.shadow = Some(Box::new(DenseMetricsTable {
+            parties: (0..self.len())
+                .map(|i| self.party(PartyId::from(i)))
+                .collect(),
+            rounds: self.rounds,
+        }));
     }
 
     /// Differential check against the dense shadow: `None` when no shadow
@@ -1159,11 +1157,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_shadow_agrees_on_mixed_charge_sequence() {
+    fn shadow_agrees_on_mixed_charge_sequence() {
         use crate::wire::tag;
         let mut t = MetricsTable::new(8);
         t.enable_shadow();
-        assert!(t.shadow_enabled());
         t.record_send_tagged(PartyId(0), PartyId(1), 10, tag::VALUE_SEED);
         t.record_receive_tagged(PartyId(1), PartyId(0), 10, tag::VALUE_SEED);
         t.record_send(PartyId(3), PartyId(2), 17);
@@ -1438,10 +1435,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before any charge")]
-    fn shadow_after_charges_panics() {
-        let mut t = MetricsTable::new(2);
-        t.record_send(PartyId(0), PartyId(1), 5);
+    fn shadow_armed_mid_run_starts_from_the_current_state() {
+        use crate::wire::tag;
+        let mut t = MetricsTable::new(6);
+        t.charge_exchange(&ids(&[0, 1]), &ids(&[2, 3]), 10, tag::ESTABLISH, true);
+        t.charge_synthetic_tagged(PartyId(4), 7, 1, tag::ESTABLISH);
+        t.bump_round();
         t.enable_shadow();
+        assert_eq!(t.shadow_divergence(), None, "seeded equal");
+        t.charge_exchange(&ids(&[2, 3]), &ids(&[0, 5]), 3, tag::AGGR_SHARE, false);
+        t.record_sends_tagged(PartyId(1), &ids(&[4, 5]), 2, tag::SPREAD);
+        t.bump_round();
+        assert_eq!(t.shadow_divergence(), None, "tracks every later charge");
+        assert_eq!(t.party(PartyId(0)).bytes_total(), 20 + 6);
+        // Arming again re-seeds from the state as it is now.
+        t.enable_shadow();
+        assert_eq!(t.shadow_divergence(), None);
     }
 }

@@ -207,14 +207,6 @@ impl Network {
         &mut self.metrics
     }
 
-    /// Attaches the dense reference table as a differential shadow behind
-    /// the sparse metrics (see [`MetricsTable::enable_shadow`]); must be
-    /// called before any traffic is metered. Check divergence afterwards
-    /// with `net.metrics().shadow_divergence()`.
-    pub fn enable_metrics_shadow(&mut self) {
-        self.metrics.enable_shadow();
-    }
-
     /// Aggregate report over all parties.
     pub fn report(&self) -> Report {
         self.metrics.report()

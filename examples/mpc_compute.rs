@@ -41,7 +41,7 @@ fn main() {
 
     let scheme = SnarkSrds::with_defaults();
     let config = BaConfig::byzantine(n, t, b"mpc-example");
-    let outcome = run_mpc(&scheme, &config, &inputs, stats);
+    let outcome = run_mpc(&scheme, &config, &inputs, stats).expect("mpc below the fault bound");
 
     let sum = u64::from_le_bytes(outcome.output[..8].try_into().unwrap());
     let max = u16::from_le_bytes(outcome.output[8..10].try_into().unwrap());

@@ -274,7 +274,8 @@ fn cmd_mpc(args: &Args) -> Result<(), String> {
             }
         }
         acc
-    });
+    })
+    .map_err(|e| format!("mpc failed in {}: {e}", e.phase()))?;
     println!("  inputs included:   {}/{}", out.inputs_included, config.n);
     println!("  output:            {:02x?}", out.output);
     println!(

@@ -19,6 +19,7 @@ const PROBES: &[&[&str]] = &[
     &["broadcast", "--n", "16", "--ell", "0"],
     &["broadcast", "--n", "16", "--ell", "70000"],
     &["isolation", "--n", "30", "--t", "3", "--k", "30"],
+    &["mpc", "--n", "16", "--t", "5", "--byzantine"],
 ];
 
 #[test]

@@ -37,7 +37,7 @@ fn mpc_majority_function() {
         let ones = map.values().filter(|v| v == &&vec![1u8]).count();
         vec![u8::from(2 * ones > map.len())]
     };
-    let out = run_mpc(&scheme, &config, &inputs, majority);
+    let out = run_mpc(&scheme, &config, &inputs, majority).expect("mpc below the fault bound");
     assert_eq!(out.output, vec![1], "two thirds voted 1");
     assert!(out.outputs.iter().all(|o| o.as_deref() == Some(&[1u8][..])));
 }
@@ -97,7 +97,8 @@ proptest! {
                 }
             }
             acc
-        });
+        })
+        .expect("mpc below the fault bound");
         prop_assert_eq!(out.inputs_included, n);
         prop_assert_eq!(out.output, expected);
     }

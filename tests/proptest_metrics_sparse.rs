@@ -1,17 +1,21 @@
 // The vendored proptest macro expands deeply for multi-assert blocks.
 #![recursion_limit = "512"]
-//! ISSUE 8 differential gate: the sparse [`MetricsTable`] is
-//! observationally identical to the dense reference implementation
-//! ([`DenseMetricsTable`], the pre-sparse table kept verbatim) — every
-//! per-party counter, peer set, tag marginal, report, breakdown, and
-//! conservation verdict — over (a) random charge sequences, the bulk
-//! committee charges interleaved with the per-link ones they are defined
-//! by, and (b) full `π_ba` runs across the whole chaos catalogue with the
-//! in-session dense shadow armed. A golden test pins the reports of two
-//! small runs to the values the per-link metering produced.
+//! The sparse [`MetricsTable`] is observationally identical to the dense
+//! reference implementation ([`DenseMetricsTable`], the pre-sparse table
+//! kept verbatim) — every per-party counter, peer set, tag marginal,
+//! report, breakdown, and conservation verdict — over random charge
+//! sequences, the bulk committee charges interleaved with the per-link
+//! ones they are defined by — and over full `π_ba` runs across the whole
+//! chaos catalogue with the dense shadow armed, the shadow variant of the
+//! differential oracle (`support/differential.rs`). A golden test pins the
+//! reports of two small runs to the values the per-link metering produced.
 
+#[path = "support/differential.rs"]
+mod differential;
+
+use differential::{observe, Context, Variant};
 use pba_bench::chaos::default_cases;
-use pba_core::protocol::{AdversaryProfile, BaConfig, KeyPolicy, Service};
+use pba_core::protocol::{BaConfig, Service};
 use pba_net::metrics::DenseMetricsTable;
 use pba_net::{MetricsTable, PartyId};
 use pba_srds::owf::OwfSrds;
@@ -20,7 +24,6 @@ use pba_srds::traits::Srds;
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One metrics mutation, mirroring the table's full mutating surface.
 #[derive(Clone, Debug)]
@@ -418,52 +421,25 @@ const GOLDEN_OWF_BYZ_128: &[&str] = &[
     "7-8:prf-spread+output 341020512 81712128",
 ];
 
-/// Full `π_ba` runs over the whole chaos catalogue with the in-session
-/// dense shadow armed: every mutation the protocol performs is mirrored
-/// into the dense reference, and the tables must be indistinguishable at
-/// the end — the ISSUE 8 acceptance gate.
+/// Full `π_ba` runs over the whole chaos catalogue with the dense shadow
+/// armed right after establishment: every mutation the protocol performs
+/// is mirrored into the dense reference, and the tables must be
+/// indistinguishable at the end, whether the round delivered or failed
+/// structurally. A failed establishment leaves nothing to diff; a panic is
+/// `chaos_sweep`'s invariant to flag.
 #[test]
 fn chaos_catalogue_runs_without_sparse_dense_divergence() {
     let mut checked = 0usize;
     for case in default_cases(b"chaos-ci") {
-        let config = BaConfig {
-            n: case.n,
-            z: 2,
-            corruption: case.plan.clone(),
-            profile: AdversaryProfile::Byzantine,
-            seed: case.seed.clone(),
-            establishment: case.establishment,
-            chaos: Some(case.spec.clone()),
-            threads: 1,
-            key_policy: KeyPolicy::Eager,
-            dense_shadow: true,
-        };
-        let scheme = SnarkSrds::with_defaults();
-        let inputs = vec![1u8; case.n];
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut session = match Service::try_establish(&scheme, &config) {
-                Ok(session) => session,
-                // Structured establishment failure (corruption bound,
-                // timing): no session, nothing to diff.
-                Err(_) => return None,
-            };
-            let committee_inputs = session.robust_committee_inputs(&inputs);
-            // The round may fail structurally under chaos; the metrics
-            // tables must agree either way.
-            let _ = session.try_certified_round(&committee_inputs);
-            Some(session.net.metrics().shadow_divergence())
-        }));
-        match run {
-            Ok(Some(None)) => checked += 1,
-            Ok(Some(Some(divergence))) => {
-                panic!(
-                    "case `{}`: sparse/dense divergence: {divergence}",
-                    case.key()
-                )
-            }
-            Ok(None) => {}
-            // Honest-side panics are chaos_sweep's invariant to flag.
-            Err(_) => {}
+        let shadowed = Variant::REFERENCE.with(|v| v.shadow = true);
+        let run = observe(&Context::chaos(&case), shadowed).remove(0);
+        match run.shadow {
+            Some(None) => checked += 1,
+            Some(Some(divergence)) => panic!(
+                "case `{}`: sparse/dense divergence: {divergence}",
+                case.key()
+            ),
+            None => {}
         }
     }
     assert!(

@@ -30,7 +30,6 @@ proptest! {
             chaos: None,
             threads: 1,
             key_policy: KeyPolicy::Eager,
-            dense_shadow: false,
         };
         let inputs: Vec<u8> = if unanimous {
             vec![bit; n]
@@ -64,7 +63,6 @@ proptest! {
             chaos: None,
             threads: 1,
             key_policy: KeyPolicy::Eager,
-            dense_shadow: false,
         };
         let out = run_ba(&scheme, &config, &vec![bit; n]);
         prop_assert!(out.agreement, "outputs: {:?}", out.outputs);

@@ -1,41 +1,28 @@
-//! ISSUE 9: the establish-once `Service` and the pipelined decision
-//! stream.
+//! The establish-once `Service` and the pipelined decision stream.
 //!
-//! * **Transcript identity** — the first instance of a stream is
-//!   byte-identical (chained delivery-transcript digest) to a single-shot
-//!   [`try_run_ba_over`] at the same `(seed, config)`, for both Charged
-//!   and Interactive establishment.
-//! * **Mode equivalence** — pipelined and sequential streams reach the
-//!   same verdicts with the same deliveries; pipelining only hides round
-//!   latency (`overlapped_rounds > 0`, strictly fewer clock rounds).
+//! * **Entry points** — the first instance of a stream is the
+//!   single-shot [`pba_core::protocol::try_run_ba_over`] run at the same
+//!   `(seed, config)`, for both Charged and Interactive establishment.
+//! * **Mode equivalence** — pipelined and sequential streams agree on
+//!   every observable but the rounds; pipelining only hides round latency
+//!   (`overlapped_rounds > 0`, strictly fewer clock rounds).
 //! * **Leaf budgeting** — a stream outliving the establishment's MSS
 //!   capacity ends with a structured [`ProtocolError::KeyBudget`] naming
 //!   the failing instance; it never panics.
+//!
+//! The two equivalences are rows of the differential oracle
+//! (`support/differential.rs`).
 
-use pba_core::protocol::{
-    try_run_ba_over, AdversaryProfile, BaConfig, Establishment, KeyError, ProtocolError, Service,
-    StreamMode, StreamOutcome,
+#[path = "support/differential.rs"]
+mod differential;
+
+use differential::{
+    differential, matches, observe, ones, reference, Context, Entry, Scheme, Variant,
 };
-use pba_crypto::codec::{Decode, Encode};
-use pba_net::corruption::CorruptionPlan;
-use pba_net::LocalTransport;
+use pba_core::protocol::{BaConfig, Establishment, KeyError, ProtocolError, Service, StreamMode};
 use pba_srds::snark::{SnarkSrds, SnarkSrdsConfig};
-use pba_srds::traits::Srds;
 
-fn config(n: usize, establishment: Establishment) -> BaConfig {
-    BaConfig {
-        n,
-        z: 2,
-        corruption: CorruptionPlan::Random { t: n / 8 },
-        profile: AdversaryProfile::Byzantine,
-        seed: b"service-stream".to_vec(),
-        establishment,
-        chaos: None,
-        threads: 1,
-        key_policy: pba_core::protocol::KeyPolicy::Eager,
-        dense_shadow: false,
-    }
-}
+const SEED: &[u8] = b"service-stream";
 
 /// A SNARK scheme with 2^3 = 8 one-time epoch slots.
 fn snark_deep() -> SnarkSrds {
@@ -45,112 +32,57 @@ fn snark_deep() -> SnarkSrds {
     })
 }
 
-fn bit_instances(n: usize, k: usize) -> Vec<Vec<Vec<u8>>> {
-    vec![vec![vec![1u8]; n]; k]
+/// `k` instances over [`snark_deep`], `n / 8` random Byzantine parties.
+fn context(establishment: Establishment, k: usize) -> Context {
+    let mut ctx = Context::byzantine(64, SEED);
+    (ctx.scheme, ctx.instances) = (Scheme::Snark(3), ones(64, k));
+    ctx.config.establishment = establishment;
+    ctx
 }
 
-fn stream<'a, S>(
-    scheme: &'a S,
-    cfg: &BaConfig,
-    k: usize,
-    mode: StreamMode,
-) -> (StreamOutcome, Service<'a, S>)
-where
-    S: Srds,
-    S::Signature: Encode + Decode,
-{
-    let mut service =
-        Service::try_establish_over(scheme, cfg, Some(Box::new(LocalTransport::new())))
-            .expect("establishment");
-    let out = service.try_run_stream(&bit_instances(cfg.n, k), mode);
-    (out, service)
-}
-
+/// A one-instance stream matches the single shot on every observable
+/// both expose; a three-instance stream's instance 1 has the single
+/// shot's final transcript digest, which commits every delivery so far.
 #[test]
 fn streamed_first_instance_is_transcript_identical_to_single_shot() {
     for establishment in [Establishment::Charged, Establishment::Interactive] {
-        let cfg = config(64, establishment);
-        let scheme = snark_deep();
-
-        let single = try_run_ba_over(
-            &scheme,
-            &cfg,
-            &vec![1u8; cfg.n],
-            Box::new(LocalTransport::new()),
-        );
-        let single_digest = single
-            .final_digest()
-            .expect("single-shot run has a transcript");
-
+        let single = Variant::REFERENCE.with(|v| v.entry = Entry::Single);
+        let single_shot = observe(&context(establishment, 1), single).remove(0);
+        let digest = single_shot.transcript.last().copied();
+        assert!(digest.is_some(), "single-shot run has a transcript");
         for mode in [StreamMode::Sequential, StreamMode::Pipelined] {
-            let (out, _service) = stream(&snark_deep(), &cfg, 3, mode);
-            assert_eq!(out.decisions, 3, "{establishment:?} {mode:?}");
-            let first = out.instances[0]
-                .report
-                .transcript_digest
-                .expect("transport attached");
+            let stream = Variant::REFERENCE.with(|v| v.entry = Entry::Stream(mode));
+            if let Err(d) = matches(&single_shot, &context(establishment, 1), stream) {
+                panic!("{establishment:?} {mode:?}: {d}");
+            }
+            let out = observe(&context(establishment, 3), stream).remove(0);
+            assert_eq!(out.decisions, Some(3), "{establishment:?} {mode:?}");
+            let first = out.instances.expect("a stream reports instances")[0].transcript_digest;
             assert_eq!(
-                first, single_digest,
-                "{establishment:?} {mode:?}: streamed instance 1 diverged from single-shot"
+                first, digest,
+                "{establishment:?} {mode:?}: instance 1 diverged"
             );
         }
     }
 }
 
+/// Pipelining re-books rounds and reorders nothing: every other
+/// observable agrees, and `pipelined total + overlapped = sequential
+/// total` while strictly fewer clock rounds pass.
 #[test]
 fn pipelined_stream_matches_sequential_and_hides_rounds() {
-    let cfg = config(64, Establishment::Charged);
-    let (seq, _s1) = stream(&snark_deep(), &cfg, 4, StreamMode::Sequential);
-    let (pipe, _s2) = stream(&snark_deep(), &cfg, 4, StreamMode::Pipelined);
-
-    assert_eq!(seq.decisions, 4);
-    assert_eq!(pipe.decisions, 4);
-    for (a, b) in seq.instances.iter().zip(&pipe.instances) {
-        let (va, vb) = (
-            a.result.as_ref().expect("sequential instance decided"),
-            b.result.as_ref().expect("pipelined instance decided"),
-        );
-        assert_eq!(va.value, vb.value, "instance {} values diverge", a.index);
-        assert_eq!(
-            va.outputs, vb.outputs,
-            "instance {} outputs diverge",
-            a.index
-        );
-        // Deliveries are identical — pipelining reorders nothing, it only
-        // re-books the rounds — so the chained digests must agree too.
-        assert_eq!(
-            a.report.transcript_digest, b.report.transcript_digest,
-            "instance {} transcripts diverge",
-            a.index
-        );
-        // Bytes and step snapshots agree per instance.
-        assert_eq!(
-            a.report.total_bytes, b.report.total_bytes,
-            "instance {} bytes",
-            a.index
-        );
-        assert_eq!(
-            a.report.steps.len(),
-            b.report.steps.len(),
-            "instance {} steps",
-            a.index
-        );
-    }
-    assert_eq!(seq.overlapped_rounds, 0);
+    let ctx = context(Establishment::Charged, 4);
+    let pipelined = Variant::REFERENCE.with(|v| v.entry = Entry::Stream(StreamMode::Pipelined));
+    let (sequential, pipe) = (reference(&ctx), observe(&ctx, pipelined).remove(0));
+    differential(&sequential, &pipe).unwrap_or_else(|d| panic!("{d}"));
+    assert_eq!(sequential.decisions, Some(4));
+    let ((total, seq_hidden), (pipe_total, hidden)) =
+        (sequential.rounds.unwrap(), pipe.rounds.unwrap());
+    assert_eq!(seq_hidden, 0);
+    assert!(hidden > 0, "pipelining hid no certification rounds");
     assert!(
-        pipe.overlapped_rounds > 0,
-        "pipelining hid no certification rounds"
-    );
-    assert!(
-        pipe.total_rounds < seq.total_rounds,
-        "pipelined stream not faster in rounds: {} vs {}",
-        pipe.total_rounds,
-        seq.total_rounds
-    );
-    assert_eq!(
-        pipe.total_rounds + pipe.overlapped_rounds,
-        seq.total_rounds,
-        "every hidden round must be accounted for"
+        pipe_total < total,
+        "pipelined stream not faster in rounds: {pipe_total} vs {total}"
     );
 }
 
@@ -160,9 +92,9 @@ fn budget_exhaustion_names_the_failing_instance() {
     // instance must be refused, structurally, in both modes.
     for mode in [StreamMode::Sequential, StreamMode::Pipelined] {
         let scheme = SnarkSrds::with_defaults();
-        let cfg = config(64, Establishment::Charged);
+        let cfg = BaConfig::byzantine(64, 8, SEED);
         let mut service = Service::try_establish(&scheme, &cfg).expect("establishment");
-        let out = service.try_run_stream(&bit_instances(cfg.n, 4), mode);
+        let out = service.try_run_stream(&ones(cfg.n, 4), mode);
         assert_eq!(
             out.decisions, 2,
             "{mode:?}: capacity-2 scheme decides twice"
@@ -195,7 +127,7 @@ fn budget_exhaustion_names_the_failing_instance() {
 #[test]
 fn multi_value_payloads_reach_agreement() {
     let scheme = snark_deep();
-    let cfg = config(64, Establishment::Charged);
+    let cfg = BaConfig::byzantine(64, 8, SEED);
     let mut service = Service::try_establish(&scheme, &cfg).expect("establishment");
     // Unanimous 5-byte honest input: validity must force it through.
     let value = b"hello".to_vec();
@@ -218,10 +150,10 @@ fn multi_value_payloads_reach_agreement() {
 #[test]
 fn peer_groups_are_bounded_by_the_tree_not_the_epochs() {
     let scheme = snark_deep();
-    let cfg = BaConfig::honest(256, b"service-stream");
+    let cfg = BaConfig::honest(256, SEED);
     let mut service = Service::try_establish(&scheme, &cfg).expect("establishment");
     let mut run = |k: usize| {
-        let out = service.try_run_stream(&bit_instances(cfg.n, k), StreamMode::Sequential);
+        let out = service.try_run_stream(&ones(cfg.n, k), StreamMode::Sequential);
         assert_eq!(out.decisions, k);
         service.net.metrics().peer_groups()
     };

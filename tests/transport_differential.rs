@@ -3,11 +3,11 @@
 //! Every socket endpoint runs the full deterministic simulation and
 //! substitutes authoritative socket bytes at each exchange, so the
 //! in-process run over [`pba_net::LocalTransport`] is a golden oracle:
-//! a correct deployment reproduces the oracle's chained delivery
-//! transcript digest **exactly**, along with the full `BaOutcome` byte
-//! accounting. This tier runs `k`-endpoint fleets as loopback-TCP
-//! threads; `crates/bench/tests/transport_full.rs` repeats the diff with
-//! real `node` processes.
+//! a correct deployment reproduces it **exactly** — the chained delivery
+//! transcript and every other observable the differential oracle
+//! (`support/differential.rs`) compares. This tier runs `k`-endpoint
+//! fleets as loopback-TCP threads; `crates/bench/tests/transport_full.rs`
+//! repeats the diff with real `node` processes.
 //!
 //! The negative half checks the never-hang/never-panic contract: peer
 //! drop mid-round, connect timeout, wrong-genesis hello, and tick-base
@@ -15,57 +15,62 @@
 //! [`ProtocolError::Transport`] once the protocol is running), bounded
 //! by the transport watchdog timeouts.
 
-use pba_bench::socket::{run_loopback_fleet, SocketSpec};
-use pba_core::protocol::{Establishment, ProtocolError, RunOutcome, TransportRun};
+#[path = "support/differential.rs"]
+mod differential;
+
+use differential::{differential, observe, Backend, Context, Entry, Variant, Verdict};
+use pba_bench::socket::SocketSpec;
+use pba_core::protocol::{Establishment, ProtocolError, RunOutcome};
 use pba_net::{HelloField, PeerMap, TcpTransport, Transport, TransportError, TransportOpts};
 use std::net::TcpListener;
 use std::time::Duration;
 
-/// Asserts a fleet run is byte-identical to the oracle: same transcript
-/// digests, same outcome, same per-tag byte attribution.
-fn assert_matches_oracle(spec: &SocketSpec, sim: &TransportRun, fleet: &[TransportRun]) {
-    let sim_out = match &sim.outcome {
-        RunOutcome::Completed(out) => out,
-        RunOutcome::Failed { phase, reason } => {
-            panic!("oracle failed (n={}) in {phase}: {reason}", spec.n)
-        }
+/// The honest single shot of `(n, seed)` over a `k`-endpoint loopback
+/// fleet agreeing on `tick_base` matches the in-process oracle on every
+/// observable, and the oracle agrees and conserves its tag bytes.
+/// Returns the bytes each endpoint wrote to its sockets.
+fn fleet_matches_oracle(
+    n: usize,
+    k: usize,
+    est: Establishment,
+    seed: &str,
+    tick_base: u64,
+) -> Vec<u64> {
+    let mut ctx = Context::honest(n, seed.as_bytes());
+    ctx.config.establishment = est;
+    let single = Variant::REFERENCE.with(|v| v.entry = Entry::Single);
+    let oracle = observe(&ctx, single).remove(0);
+    let [Verdict::Delivered(outputs, _)] = &oracle.results[..] else {
+        panic!("oracle failed: {:?}", oracle.results);
     };
-    assert!(sim.final_digest().is_some(), "oracle records a transcript");
-    assert!(sim_out.agreement && sim_out.validity && sim_out.tags_conserved);
-
-    for (e, run) in fleet.iter().enumerate() {
-        assert_eq!(run.kind, "tcp");
-        // Digest equality is per-entry, so a mismatch would name the
-        // first diverging exchange — compare the full chains.
-        assert_eq!(
-            run.transcript, sim.transcript,
-            "endpoint {e} transcript diverged from oracle (n={}, {:?})",
-            spec.n, spec.establishment
-        );
-        let out = match &run.outcome {
-            RunOutcome::Completed(out) => out,
-            RunOutcome::Failed { phase, reason } => {
-                panic!("endpoint {e} failed in {phase}: {reason}")
+    assert!(
+        outputs.iter().all(|o| o.is_some() && *o == outputs[0]),
+        "{outputs:?}"
+    );
+    assert!(!oracle.transcript.is_empty(), "oracle records a transcript");
+    assert_eq!(oracle.tags_conserve, Some(true));
+    let runs = observe(
+        &ctx,
+        single.with(|v| {
+            v.backend = Backend::Fleet {
+                endpoints: k,
+                tick_base,
             }
-        };
-        assert_eq!(out.output, sim_out.output);
-        assert_eq!(out.outputs, sim_out.outputs);
-        assert_eq!(out.report, sim_out.report, "metered report diverged");
-        assert_eq!(out.breakdown, sim_out.breakdown, "per-tag bytes diverged");
-        assert!(out.tags_conserved, "endpoint {e} tag conservation");
-        if spec.k > 1 {
-            assert!(run.stats.bytes_sent > 0, "endpoint {e} sent real bytes");
-        }
+        }),
+    );
+    for (e, run) in runs.iter().enumerate() {
+        differential(&oracle, run).unwrap_or_else(|d| panic!("n={n} {est:?} endpoint {e}: {d}"));
     }
+    runs.iter().map(|run| run.socket_bytes).collect()
 }
 
-fn diff_cell(n: usize, k: usize, establishment: Establishment) {
-    let mut spec = SocketSpec::new(n, k, &format!("diff/{n}/{k}/{}", establishment.label()));
-    spec.establishment = establishment;
-    let sim = spec.run_sim();
-    let fleet = run_loopback_fleet(&spec);
-    assert_eq!(fleet.len(), k);
-    assert_matches_oracle(&spec, &sim, &fleet);
+fn diff_cell(n: usize, k: usize, est: Establishment) {
+    let seed = format!("diff/{n}/{k}/{}", est.label());
+    let bytes = fleet_matches_oracle(n, k, est, &seed, 0);
+    assert!(
+        bytes.iter().all(|&b| b > 0),
+        "every endpoint sent real bytes: {bytes:?}"
+    );
 }
 
 #[test]
@@ -89,14 +94,11 @@ fn diff_n64_interactive_two_endpoints() {
 }
 
 /// A single-endpoint "deployment" degenerates to the oracle: no sockets,
-/// same digest — the base case of the substitution argument.
+/// same observables — the base case of the substitution argument.
 #[test]
 fn single_endpoint_fleet_equals_oracle() {
-    let spec = SocketSpec::new(16, 1, "diff/single");
-    let sim = spec.run_sim();
-    let fleet = run_loopback_fleet(&spec);
-    assert_eq!(fleet[0].transcript, sim.transcript);
-    assert_eq!(fleet[0].stats.bytes_sent, 0, "no cross-endpoint traffic");
+    let bytes = fleet_matches_oracle(16, 1, Establishment::Charged, "diff/single", 0);
+    assert_eq!(bytes, [0], "no cross-endpoint traffic");
 }
 
 /// Binds `k` loopback listeners and returns (addrs, listeners) — the
@@ -307,17 +309,9 @@ fn tick_base_skew_rejected_at_hello() {
     }
 }
 
-/// Agreeing tick bases pass the handshake and leave the transcript
-/// untouched: the tick base feeds round numbering, not delivery bytes.
+/// Agreeing tick bases pass the handshake and leave the run untouched:
+/// the tick base feeds round numbering, not delivery bytes.
 #[test]
 fn agreed_tick_base_preserves_transcript() {
-    let mut spec = SocketSpec::new(16, 2, "diff/tickbase-ok");
-    let baseline = spec.run_sim();
-    spec.tick_base = 7;
-    let sim = spec.run_sim();
-    let fleet = run_loopback_fleet(&spec);
-    assert_eq!(sim.transcript, baseline.transcript);
-    for run in &fleet {
-        assert_eq!(run.transcript, baseline.transcript);
-    }
+    fleet_matches_oracle(16, 2, Establishment::Charged, "diff/tickbase-ok", 7);
 }
