@@ -7,7 +7,8 @@
 //!
 //! * a `branching`-ary rooted tree of `height` levels; level 0 holds the
 //!   leaf nodes, the top level the root;
-//! * every internal node is assigned a committee of parties;
+//! * every internal node is assigned a committee of distinct parties,
+//!   dealt so that the seat counts of any two parties differ by at most 1;
 //! * every leaf is assigned `leaf_slots` **virtual slots**; virtual IDs are
 //!   laid out contiguously left-to-right, so the virtual IDs under any node
 //!   form one contiguous range (the planar/increasing-ID property the
@@ -82,11 +83,20 @@ impl Tree {
     /// Builds the tree from setup randomness.
     ///
     /// The slot assignment is a PRG shuffle of each party repeated `z`
-    /// times (padded round-robin up to `total_slots`); internal committees
-    /// are PRG-sampled. Crucially — matching the paper's corruption model —
-    /// callers must derive `seed` from randomness fixed *after* the
-    /// adversary commits to its corruption set (the tree is built online by
-    /// the KSSV protocol, not by the trusted setup).
+    /// times (padded round-robin up to `total_slots`). Internal committees
+    /// are *dealt*, level 1 to the root, from one child stream: each seat
+    /// draws a party without replacement from a deck of all `n` parties
+    /// (refilled when empty), and a party that already sits in the
+    /// committee being filled is held over to the next committee. Members
+    /// stay distinct and every party holds ⌊S/n⌋ or ⌈S/n⌉ of the `S`
+    /// internal seats, where an independent sample per committee would
+    /// give the busiest party a balls-into-bins surplus. Each committee is
+    /// still a uniform draw from what is left of a random permutation, so
+    /// its corrupt count is hypergeometric as before. Crucially — matching
+    /// the paper's corruption model — callers must derive `seed` from
+    /// randomness fixed *after* the adversary commits to its corruption set
+    /// (the tree is built online by the KSSV protocol, not by the trusted
+    /// setup).
     ///
     /// # Panics
     ///
@@ -98,11 +108,8 @@ impl Tree {
         // Virtual slot assignment: each party z times, padding round-robin.
         let total = params.total_slots();
         let mut slot_party: Vec<PartyId> = Vec::with_capacity(total);
-        for rep in 0..params.z {
-            let _ = rep;
-            for i in 0..params.n {
-                slot_party.push(PartyId::from(i));
-            }
+        for _ in 0..params.z {
+            slot_party.extend((0..params.n).map(PartyId::from));
         }
         let mut pad = 0usize;
         while slot_party.len() < total {
@@ -123,18 +130,42 @@ impl Tree {
         }
         committees.push(leaves);
 
-        // Internal committees sampled from all parties.
+        // Internal committees dealt from all parties. A draw can repeat a
+        // member only across a deck refill, so every held party came from
+        // the newest deck, is held once, and fewer than `size` are held:
+        // the next committee seats all of them first. A party still held
+        // after the root counts as undrawn by the last deck, so every party
+        // has one seat per full deck plus one if the last deck seated it:
+        // ⌊S/n⌋ or ⌈S/n⌉.
+        let size = params.committee_size.min(params.n);
+        let mut dealer = prg.child("committees", 0);
+        let mut deck: Vec<PartyId> = Vec::with_capacity(params.n);
+        let mut held: Vec<PartyId> = Vec::new();
+        // `seated_in[p]` is the serial of the last committee `p` sits in.
+        let mut seated_in = vec![0usize; params.n];
+        let mut serial = 0usize;
         for level in 1..params.height {
             let count = params.nodes_at_level(level);
             let mut level_committees = Vec::with_capacity(count);
-            for node in 0..count {
-                let mut node_prg =
-                    prg.child("committee", (level * params.leaf_count + node) as u64);
-                let members: Vec<PartyId> = node_prg
-                    .sample_distinct(params.n as u64, params.committee_size.min(params.n))
-                    .into_iter()
-                    .map(PartyId)
-                    .collect();
+            for _ in 0..count {
+                serial += 1;
+                let mut members = Vec::with_capacity(size);
+                for p in held.drain(..) {
+                    seated_in[p.index()] = serial;
+                    members.push(p);
+                }
+                while members.len() < size {
+                    if deck.is_empty() {
+                        deck.extend((0..params.n).map(PartyId::from));
+                    }
+                    let p = deck.swap_remove(dealer.gen_range(deck.len() as u64) as usize);
+                    if seated_in[p.index()] == serial {
+                        held.push(p);
+                    } else {
+                        seated_in[p.index()] = serial;
+                        members.push(p);
+                    }
+                }
                 level_committees.push(members);
             }
             committees.push(level_committees);
@@ -153,7 +184,7 @@ impl Tree {
     /// party `i`. This is the layout of the SRDS security experiments
     /// (Figures 1–2), where "level-0 nodes are indexed and ordered by the
     /// parties … in increasing order". Internal committees are still
-    /// PRG-sampled from `seed`.
+    /// dealt from `seed` exactly as [`Tree::build`] deals them.
     ///
     /// # Panics
     ///

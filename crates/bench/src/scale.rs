@@ -2,8 +2,10 @@
 //!
 //! Runs one full honest `π_ba` round (SNARK SRDS, charged establishment,
 //! lazy key instantiation) at party counts up to `n = 2^20` and records,
-//! per size: max/avg bits per party, wall time, the process peak RSS
-//! after the case, how many sparse metrics cells actually materialized,
+//! per size: max/avg bits per party (both over sent + received), the
+//! spread of internal-committee seats and the busiest party's seat count,
+//! wall time, the process peak RSS after the case, how many sparse
+//! metrics cells actually materialized,
 //! how many peer groups the metrics table interned (the number that
 //! explains the RSS column: a party's peers are references into those
 //! groups, not a list of its own) and how many bytes of public key residue
@@ -27,8 +29,10 @@
 //! itself a measured quantity; only sizes above the largest anchor are
 //! extrapolated by `√(n/n₀)`.
 
+use pba_aetree::tree::Tree;
 use pba_core::baselines::sqrt_sampling_boost;
 use pba_core::protocol::{BaConfig, KeyPolicy, Service};
+use pba_net::PartyId;
 use pba_srds::snark::SnarkSrds;
 use std::time::Instant;
 
@@ -95,7 +99,9 @@ pub struct ScaleCase {
     pub n: usize,
     /// Max honest bits sent+received per party.
     pub max_bits_per_party: u64,
-    /// Average honest bits per party.
+    /// Average honest bits sent+received per party: the same per-party
+    /// quantity [`Self::max_bits_per_party`] maximises, so their ratio is
+    /// the run's max/avg.
     pub avg_bits_per_party: u64,
     /// Total honest bytes on the wire.
     pub total_bytes: u64,
@@ -119,6 +125,14 @@ pub struct ScaleCase {
     /// King–Saia √n baseline bits/party: measured at the anchor size and
     /// extrapolated as `anchor · √(n/n₀)`.
     pub sqrt_baseline_bits: u64,
+    /// Fewest internal-committee seats any party holds.
+    pub min_internal_seats: usize,
+    /// Most internal-committee seats any party holds (at most one more
+    /// than [`Self::min_internal_seats`]: the tree deals seats evenly).
+    pub max_internal_seats: usize,
+    /// Internal-committee seats of the party that sets
+    /// [`Self::max_bits_per_party`]: a party's bytes follow its seats.
+    pub max_party_internal_seats: usize,
 }
 
 /// One *measured* King–Saia √n-sampling anchor: the boost protocol
@@ -172,7 +186,9 @@ impl ScaleReport {
                         "\"avg_bits_per_party\":{},\"total_bytes\":{},",
                         "\"rounds\":{},\"wall_ms\":{:.1},\"peak_rss_mib\":{:.1},",
                         "\"metrics_cells\":{},\"peer_groups\":{},",
-                        "\"key_residue_bytes\":{},\"sqrt_baseline_bits\":{}}}"
+                        "\"key_residue_bytes\":{},\"sqrt_baseline_bits\":{},",
+                        "\"min_internal_seats\":{},\"max_internal_seats\":{},",
+                        "\"max_party_internal_seats\":{}}}"
                     ),
                     c.n,
                     c.max_bits_per_party,
@@ -185,6 +201,9 @@ impl ScaleReport {
                     c.peer_groups,
                     c.key_residue_bytes,
                     c.sqrt_baseline_bits,
+                    c.min_internal_seats,
+                    c.max_internal_seats,
+                    c.max_party_internal_seats,
                 )
             })
             .collect();
@@ -287,14 +306,28 @@ fn run_case(n: usize, anchor_sqrt_bits: u64) -> ScaleCase {
         "honest run at n={n} failed to deliver the unanimous input to everyone"
     );
     let report = session.report();
-    let metrics_cells = session.net.metrics().allocated_cells();
-    let peer_groups = session.net.metrics().peer_groups();
+    let metrics = session.net.metrics();
+    let metrics_cells = metrics.allocated_cells();
+    let peer_groups = metrics.peer_groups();
     let key_residue_bytes = session.key_residue_bytes();
-    let parties = report.parties.max(1);
+    // Each honest party's sent + received bytes, read from its cell.
+    let honest_totals: Vec<(PartyId, u64)> = session
+        .honest()
+        .iter()
+        .map(|&p| (p, metrics.sent_and_max_total_for([p]).1))
+        .collect();
+    let (max_party, max_bytes) = honest_totals
+        .iter()
+        .copied()
+        .max_by_key(|&(_, bytes)| bytes)
+        .expect("an honest party");
+    assert_eq!(max_bytes, report.max_bytes_per_party);
+    let total_bytes: u64 = honest_totals.iter().map(|&(_, bytes)| bytes).sum();
+    let seats = internal_seats(session.tree());
     ScaleCase {
         n,
         max_bits_per_party: report.max_bytes_per_party * 8,
-        avg_bits_per_party: report.total_bytes / parties * 8,
+        avg_bits_per_party: total_bytes * 8 / honest_totals.len() as u64,
         total_bytes: report.total_bytes,
         rounds: report.rounds,
         wall_ms,
@@ -304,7 +337,24 @@ fn run_case(n: usize, anchor_sqrt_bits: u64) -> ScaleCase {
         key_residue_bytes,
         sqrt_baseline_bits: ((anchor_sqrt_bits as f64) * (n as f64 / SQRT_ANCHOR_N as f64).sqrt())
             as u64,
+        min_internal_seats: seats.iter().copied().min().unwrap_or(0),
+        max_internal_seats: seats.iter().copied().max().unwrap_or(0),
+        max_party_internal_seats: seats[max_party.index()],
     }
+}
+
+/// Internal-committee seats per party (leaf slots excluded), counted over
+/// every committee above the leaves.
+fn internal_seats(tree: &Tree) -> Vec<usize> {
+    let mut seats = vec![0usize; tree.params().n];
+    for level in 1..tree.height() {
+        for node in 0..tree.nodes_at_level(level) {
+            for p in tree.committee(level, node) {
+                seats[p.index()] += 1;
+            }
+        }
+    }
+    seats
 }
 
 /// Runs the sweep.
@@ -331,10 +381,14 @@ pub fn run_scale(config: &ScaleConfig, smoke: bool) -> ScaleReport {
     for &n in &config.sizes {
         let case = run_case(n, anchor_sqrt_bits);
         eprintln!(
-            "scale: n=2^{:<2} max {:>9} bits/party (sqrt-baseline {:>10})  wall {:>9.0}ms  rss {:>7.1}MiB  cells {}/{}  groups {}  key-residue {}B",
+            "scale: n=2^{:<2} max {:>9} avg {:>9} bits/party (sqrt-baseline {:>10})  seats {}-{} (max party {})  wall {:>9.0}ms  rss {:>7.1}MiB  cells {}/{}  groups {}  key-residue {}B",
             n.trailing_zeros(),
             case.max_bits_per_party,
+            case.avg_bits_per_party,
             case.sqrt_baseline_bits,
+            case.min_internal_seats,
+            case.max_internal_seats,
+            case.max_party_internal_seats,
             case.wall_ms,
             case.peak_rss_mib,
             case.metrics_cells,
@@ -411,6 +465,13 @@ mod tests {
         // party owns, and nothing per-slot beside it.
         assert_eq!(case.key_residue_bytes, 128 << 10);
         assert_eq!(case.sqrt_baseline_bits, 1_000_000);
+        // Seats are dealt evenly, and avg and max measure one quantity.
+        assert!(case.max_internal_seats - case.min_internal_seats <= 1);
+        assert!((case.min_internal_seats..=case.max_internal_seats)
+            .contains(&case.max_party_internal_seats));
+        assert!(case.avg_bits_per_party <= case.max_bits_per_party);
+        // Sent + received, not sent alone.
+        assert!(case.avg_bits_per_party > case.total_bytes * 8 / (1 << 10));
     }
 
     #[test]

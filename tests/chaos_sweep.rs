@@ -18,6 +18,7 @@ use pba_bench::chaos::{
     default_cases, default_stream_cases, render_sweep, run_case, run_stream_case, run_sweep,
     ChaosReport, ChaosVerdict,
 };
+use pba_net::corruption::CorruptionPlan;
 use std::sync::OnceLock;
 
 /// The full CI-seed sweep, run once and shared by every test in this file
@@ -376,13 +377,17 @@ fn structure_aware_modes_are_exercised_and_safe() {
 
 #[test]
 fn timing_faults_are_absorbed_or_degrade_gracefully() {
-    // Timing gate: pure-latency rows stay within the partial-synchrony
-    // round budget, so every one of them must agree; partitions that heal
-    // within the granted slack must agree; and no timing row — including
-    // the permanent partition and whole-run churn — may ever violate
-    // safety. A one-way partition cannot forge a conflicting vote under
-    // unanimous input, so even `partition-*-forever` agrees; graceful
-    // degradation is exercised by churn that outlives the run.
+    // Timing gate: under the light random placement, pure-latency rows stay
+    // within the partial-synchrony round budget, so every one of them must
+    // agree, and partitions that heal within the granted slack must agree;
+    // no timing row — including the permanent partition, whole-run churn
+    // and the leaf takeover — may ever violate safety. A one-way partition
+    // cannot forge a conflicting vote under unanimous input, so even
+    // `partition-*-forever` agrees; graceful degradation is exercised by
+    // churn that outlives the run. Takeover rows are held to their golden
+    // verdicts only: over 240 base seeds each takeover delay/heal row
+    // degrades on 1–4 of them, whichever way internal committees are drawn,
+    // while the random-placement ones agree on all 240.
     let reports = sweep();
     let timing: Vec<_> = reports
         .iter()
@@ -396,6 +401,7 @@ fn timing_faults_are_absorbed_or_degrade_gracefully() {
         "timing block shrank to {} rows",
         timing.len()
     );
+    let mut must_agree = 0;
     for r in &timing {
         let label = r.case.spec.label();
         assert!(
@@ -404,7 +410,9 @@ fn timing_faults_are_absorbed_or_degrade_gracefully() {
             r.case.repro(),
             r.verdict.label()
         );
-        if label.starts_with("delay") || label.contains("heal") {
+        let random = matches!(r.case.plan, CorruptionPlan::Random { .. });
+        if random && (label.starts_with("delay") || label.contains("heal")) {
+            must_agree += 1;
             assert!(
                 matches!(r.verdict, ChaosVerdict::Agreed { .. }),
                 "recoverable timing fault failed to agree: {} -> {}",
@@ -413,6 +421,10 @@ fn timing_faults_are_absorbed_or_degrade_gracefully() {
             );
         }
     }
+    assert!(
+        must_agree >= 6,
+        "only {must_agree} random-placement delay/heal rows"
+    );
     assert!(
         timing
             .iter()

@@ -73,6 +73,11 @@ proptest! {
             prop_assert_eq!(analysis.good_leaf_fraction(), 1.0);
             prop_assert!(analysis.isolated().is_empty());
         }
+        // Def. 2.3 after a light random corruption (0 of 40,000 dealt trees
+        // over this range of n and z fail it at β = 5 %).
+        if beta_pct <= 5 {
+            prop_assert!(analysis.check_ae_guarantees(0.5).is_ok());
+        }
 
         // A leaf with a good path must itself be good and have a good root.
         for leaf in 0..params.leaf_count {
@@ -111,6 +116,7 @@ proptest! {
         }
         let a_small = TreeAnalysis::analyze(&tree, &small);
         let a_big = TreeAnalysis::analyze(&tree, &big);
+        prop_assert!(a_small.check_ae_guarantees(0.5).is_ok());
         prop_assert!(a_big.good_leaf_fraction() <= a_small.good_leaf_fraction());
         prop_assert!(a_small.isolated().iter().filter(|p| !big.contains(p)).all(|p| a_big.isolated().contains(p)));
     }
@@ -129,5 +135,34 @@ proptest! {
         let params = TreeParams::paper_exact(n);
         prop_assert!(params.validate().is_ok());
         prop_assert!(params.total_slots() >= n * params.z);
+    }
+
+    #[test]
+    fn internal_seats_are_dealt_evenly(
+        n in 4usize..600,
+        z in 1usize..4,
+        paper in any::<bool>(),
+        seed in any::<[u8; 8]>(),
+    ) {
+        // `scaled` up to n = 12 and `paper_exact` at every size here give
+        // committee_size ≥ n: every internal committee is everyone.
+        let params = if paper { TreeParams::paper_exact(n.min(80)) } else { TreeParams::scaled(n, z) };
+        let tree = Tree::build(&params, &seed);
+        let again = Tree::build(&params, &seed);
+        let mut seats = vec![0usize; params.n];
+        for level in 1..tree.height() {
+            for node in 0..tree.nodes_at_level(level) {
+                let committee = tree.committee(level, node);
+                prop_assert_eq!(committee, again.committee(level, node));
+                prop_assert_eq!(committee.len(), params.committee_size.min(params.n));
+                let distinct: BTreeSet<_> = committee.iter().collect();
+                prop_assert_eq!(distinct.len(), committee.len());
+                for p in committee {
+                    seats[p.index()] += 1;
+                }
+            }
+        }
+        let (min, max) = (seats.iter().min().unwrap(), seats.iter().max().unwrap());
+        prop_assert!(max - min <= 1, "{:?}", seats);
     }
 }
