@@ -25,11 +25,10 @@
 //! [`ChaosCase::repro`] prints a one-line recipe that reproduces the run
 //! bit-for-bit.
 
-use pba_aetree::params::TreeParams;
-use pba_aetree::tree::Tree;
+use pba_core::phase_king;
 use pba_core::protocol::{
-    try_run_ba, AdversaryProfile, BaConfig, Establishment, KeyPolicy, ProtocolError, ProtocolPhase,
-    RunOutcome,
+    charged_tree, try_run_ba, AdversaryProfile, BaConfig, Establishment, KeyPolicy, ProtocolError,
+    ProtocolPhase, RunOutcome,
 };
 use pba_net::corruption::{max_corruptions, CorruptionPlan};
 use pba_net::faults::{GarbleMode, LatencyDist, StrategySpec};
@@ -201,12 +200,7 @@ pub fn run_case(case: &ChaosCase) -> ChaosVerdict {
 /// will build: corrupt (up to the fault bound) the distinct members of
 /// leaf 0's committee.
 pub fn takeover_plan(n: usize, seed: &[u8]) -> CorruptionPlan {
-    let params = TreeParams::scaled(n, 2);
-    // Mirror Service::try_establish's tree derivation exactly.
-    let mut tree_seed = seed.to_vec();
-    tree_seed.extend_from_slice(b"/ae-tree");
-    let tree = Tree::build(&params, &tree_seed);
-    tree.leaf_takeover(0, (n - 1) / 3)
+    charged_tree(n, 2, seed).leaf_takeover(0, (n - 1) / 3)
 }
 
 fn case_seed(
@@ -518,6 +512,12 @@ pub fn default_stream_cases(base_seed: &[u8]) -> Vec<StreamChaosCase> {
 /// chaos, streams instances sequentially, and swaps the strategy in via
 /// [`Service::set_chaos`] immediately before instance `arm_at`.
 ///
+/// Each instance reads `agreed(v)`, `degraded(phase)`, or — agreement or
+/// validity lost — `bad-root(agreement=…, validity=…)` when the supreme
+/// committee holds more corrupt members than
+/// [`phase_king::max_faults`] allows, `VIOLATION(…)` otherwise. Only
+/// `VIOLATION` fails the sweep.
+///
 /// [`Service`]: pba_core::protocol::Service
 /// [`Service::set_chaos`]: pba_core::protocol::Service::set_chaos
 pub fn run_stream_case(case: &StreamChaosCase) -> StreamChaosReport {
@@ -546,6 +546,16 @@ pub fn run_stream_case(case: &StreamChaosCase) -> StreamChaosReport {
             Ok(s) => s,
             Err(reason) => return vec![format!("establishment-failed({reason})")],
         };
+        // A supreme committee past phase-king's fault bound is outside
+        // Thm 1.1's premise (a w.h.p. event no party can detect): a lost
+        // agreement or validity there is labelled, not a violation.
+        let root = service.supreme_committee();
+        let corrupt_root = root.iter().filter(|p| service.corrupt().contains(p));
+        let lost = if corrupt_root.count() > phase_king::max_faults(root.len()) {
+            "bad-root"
+        } else {
+            "VIOLATION"
+        };
         let mut labels = Vec::with_capacity(case.k);
         for i in 0..case.k {
             if i == case.arm_at {
@@ -558,7 +568,7 @@ pub fn run_stream_case(case: &StreamChaosCase) -> StreamChaosReport {
                     format!("agreed({:?})", mv.value.first().copied())
                 }
                 Ok(mv) => format!(
-                    "VIOLATION(agreement={}, validity={})",
+                    "{lost}(agreement={}, validity={})",
                     mv.agreement, mv.validity
                 ),
                 Err(reason) => format!("degraded({})", reason.phase()),

@@ -25,7 +25,6 @@ use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
 use pba_crypto::Digest;
 use pba_net::wire::{step, tag};
 use pba_net::{Ctx, Envelope, Machine, PartyId, WireMsg};
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -154,19 +153,25 @@ impl<V: PkValue> PhaseKing<V> {
     }
 
     /// Tallies one message per committee peer from the inbox, plus the
-    /// party's own contribution.
+    /// party's own contribution: each distinct value with its count, in
+    /// order of first appearance (delivery order, then the party's own), so
+    /// a tie resolves the same way in every run.
     fn tally<F>(
         &mut self,
         ctx: &mut Ctx<'_>,
         inbox: &[Envelope],
         mine: Option<V>,
         pick: F,
-    ) -> HashMap<V, usize>
+    ) -> Vec<(V, usize)>
     where
         F: Fn(PkMsg<V>) -> Option<V>,
         PkMsg<V>: WireMsg,
     {
-        let mut counts: HashMap<V, usize> = HashMap::new();
+        let mut counts: Vec<(V, usize)> = Vec::new();
+        let mut count = |v: V| match counts.iter_mut().find(|(u, _)| *u == v) {
+            Some((_, c)) => *c += 1,
+            None => counts.push((v, 1)),
+        };
         let mut seen: std::collections::HashSet<PartyId> = Default::default();
         for env in inbox {
             // Dynamic filtering: one message per committee peer per round.
@@ -175,12 +180,12 @@ impl<V: PkValue> PhaseKing<V> {
             }
             if let Some(msg) = ctx.recv_msg::<PkMsg<V>>(env) {
                 if let Some(v) = pick(msg) {
-                    *counts.entry(v).or_default() += 1;
+                    count(v);
                 }
             }
         }
         if let Some(v) = mine {
-            *counts.entry(v).or_default() += 1;
+            count(v);
         }
         counts
     }
@@ -250,11 +255,14 @@ where
                     PkMsg::Propose(v) => Some(v),
                     _ => None,
                 });
-                let (best, best_count) = counts
-                    .into_iter()
-                    .max_by_key(|(_, c)| *c)
-                    .map(|(v, c)| (Some(v), c))
-                    .unwrap_or((None, 0));
+                // The first value to reach the highest count.
+                let (best, best_count) = counts.into_iter().fold((None, 0), |best, (v, c)| {
+                    if c > best.1 {
+                        (Some(v), c)
+                    } else {
+                        best
+                    }
+                });
                 if best_count > self.t {
                     self.value = best.expect("count > 0 implies value");
                 }

@@ -241,9 +241,9 @@ pub enum ProtocolError {
         honest: usize,
     },
     /// The delivery backend failed (socket closed, exchange watchdog,
-    /// replica divergence) during a phase. Only possible when a
-    /// [`pba_net::transport::Transport`] is attached to the session's
-    /// network.
+    /// replica divergence) during a phase. Every network exchanges through
+    /// a [`pba_net::transport::Transport`], but only a socket transport
+    /// fails: the in-process [`pba_net::LocalTransport`] never does.
     Transport {
         /// The phase running when the transport failed.
         phase: ProtocolPhase,

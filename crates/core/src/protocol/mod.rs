@@ -41,7 +41,7 @@ pub use config::{
     AdversaryProfile, BaConfig, Establishment, KeyError, KeyPolicy, ProtocolError, ProtocolPhase,
 };
 pub use run::{run_ba, try_run_ba, try_run_ba_over, BaOutcome, RunOutcome, TransportRun};
-pub use service::StepReport;
+pub use service::{charged_tree, StepReport};
 pub use steps::{BytesRoundOutcome, Certificate, MvInput, RoundOutcome, ValueSeed};
 pub use stream::{InstanceOutcome, InstanceReport, MultiValueOutcome, StreamMode, StreamOutcome};
 

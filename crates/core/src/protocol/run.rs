@@ -147,12 +147,12 @@ impl TransportRun {
 /// for differential sim-vs-socket testing. Pass
 /// [`pba_net::LocalTransport`] to produce the in-process oracle run and a
 /// [`pba_net::TcpTransport`] for a socket-backed replica; identical
-/// `(seed, config, inputs)` must yield identical transcripts.
+/// `(seed, config, inputs)` must yield identical transcripts, timing-fault
+/// chaos included (its delays act on the exchanged batch).
 ///
 /// # Panics
 ///
-/// Panics on caller errors (`inputs.len() != config.n`) or if the config
-/// also carries timing-fault chaos (mutually exclusive with a transport).
+/// Panics on caller errors (`inputs.len() != config.n`).
 pub fn try_run_ba_over<S>(
     scheme: &S,
     config: &BaConfig,
@@ -181,15 +181,12 @@ where
         .transcript()
         .map(|t| t.to_vec())
         .unwrap_or_default();
-    let (kind, stats) = match session.net.transport() {
-        Some(t) => (t.kind(), t.stats()),
-        None => ("none", pba_net::SocketStats::default()),
-    };
+    let transport = session.net.transport();
     TransportRun {
         outcome,
         transcript,
-        stats,
-        kind,
+        stats: transport.stats(),
+        kind: transport.kind(),
     }
 }
 

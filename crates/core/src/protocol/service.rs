@@ -81,6 +81,17 @@ impl Adversary for SilentCommittee {
     fn on_round(&mut self, _: u64, _: &BTreeMap<PartyId, Vec<Envelope>>, _: &mut AdvSender<'_>) {}
 }
 
+/// The `f_ae-comm` tree [`Establishment::Charged`] builds for `n` parties
+/// with `z` leaf slots each under `seed`: [`TreeParams::scaled`] dealt from
+/// the seed's `/ae-tree` extension. A caller that needs the tree a run will
+/// stand on before running it (a placement aimed at one committee) derives
+/// it here.
+pub fn charged_tree(n: usize, z: usize, seed: &[u8]) -> Tree {
+    let mut tree_seed = seed.to_vec();
+    tree_seed.extend_from_slice(b"/ae-tree");
+    Tree::build(&TreeParams::scaled(n, z), &tree_seed)
+}
+
 /// The PRG that generates `owner`'s `j`-th key: a pure child of the session
 /// PRG, so a slot's key is the same key whenever it is (re)generated.
 fn slot_keygen_prg(session_prg: &Prg, owner: usize, j: usize) -> Prg {
@@ -106,18 +117,14 @@ where
     /// before any traffic flows, so even interactive (KSSV) establishment
     /// crosses the transport — and the delivery transcript is recorded
     /// from the very first exchange, making the whole run comparable
-    /// against an in-process oracle ([`pba_net::transport`]).
+    /// against an in-process oracle ([`pba_net::transport`]). Timing-fault
+    /// chaos composes with it: the delay queue acts on the exchanged batch.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::CorruptionBound`] as in [`Service::try_establish`];
     /// [`ProtocolError::Transport`] if the backend fails during interactive
     /// establishment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config also carries timing-fault chaos — a transport
-    /// and a [`pba_net::TimingModel`] are mutually exclusive.
     pub fn try_establish_over(
         scheme: &'a S,
         config: &BaConfig,
@@ -170,9 +177,7 @@ where
         // (it observes honestly and corrupts only once the tree stands).
         let tree = match config.establishment {
             Establishment::Charged => {
-                let mut tree_seed = config.seed.clone();
-                tree_seed.extend_from_slice(b"/ae-tree");
-                let tree = Tree::build(&params, &tree_seed);
+                let tree = charged_tree(n, config.z, &config.seed);
                 charge_establishment(&mut net, &tree);
                 tree
             }

@@ -4,13 +4,14 @@
 //! Model (standard synchronous point-to-point network with authenticated
 //! channels, as in the paper):
 //!
-//! * messages sent in round `r` are delivered at the beginning of round
-//!   `r + 1` — unless a [`TimingModel`] is installed
-//!   ([`Network::set_timing`]), in which case staged traffic passes
-//!   through a deterministic delay queue: each message is stamped with a
-//!   deliver-at tick drawn from the seeded per-link latency distribution,
-//!   dropped by the partition cut, or expired when its receiver is
-//!   offline at delivery (see [`Network::take_staged`]);
+//! * messages sent in round `r` are exchanged through the network's
+//!   [`Transport`] and delivered at the beginning of round `r + 1` —
+//!   unless a [`TimingModel`] is installed ([`Network::set_timing`]), in
+//!   which case the exchanged traffic passes through a deterministic delay
+//!   queue: each message is stamped with a deliver-at tick drawn from the
+//!   seeded per-link latency distribution, dropped by the partition cut,
+//!   or expired when its receiver is offline at delivery (one path,
+//!   [`Network::take_staged`]);
 //! * channels are authenticated — the `from` field of an [`Envelope`] is
 //!   trustworthy for honest receivers;
 //! * receivers perform **dynamic message filtering**: a message costs its
@@ -34,7 +35,7 @@
 use crate::envelope::{Envelope, PartyId};
 use crate::faults::TimingModel;
 use crate::metrics::{MetricsTable, Report};
-use crate::transport::{Transport, TransportError};
+use crate::transport::{LocalTransport, Transport, TransportError};
 use crate::wire::{self, WireMsg};
 use pba_crypto::codec::{decode_from_slice, Decode, Encode};
 use pba_crypto::{Digest, Sha256};
@@ -119,6 +120,55 @@ pub struct TimingStats {
     pub expired_offline: u64,
 }
 
+/// The delay queue an installed [`TimingModel`] drives.
+#[derive(Debug)]
+struct DelayQueue {
+    model: TimingModel,
+    /// Tick zero of the model — set lazily at the first
+    /// [`Network::take_staged`] after installation, so the model's tick
+    /// coordinates start at the first delivery it governs regardless of
+    /// how many synthetic rounds (establishment, fan-in) preceded it.
+    base: Option<u64>,
+    /// Messages keyed by their deliver-at tick.
+    in_flight: BTreeMap<u64, Vec<Envelope>>,
+    stats: TimingStats,
+}
+
+impl DelayQueue {
+    /// `now` in the model's tick coordinates (0 before its clock starts).
+    fn tick(&self, now: u64) -> u64 {
+        now - self.base.unwrap_or(now)
+    }
+
+    /// Admits `batch` at tick `now` — dropped if the partition blocks the
+    /// link, stamped `deliver_at = now + delay(from, to, tick)` otherwise,
+    /// and expired if the receiver is offline at that tick — then drains
+    /// every bucket due at or before `now`, in tick order (insertion order
+    /// within a tick).
+    fn pass(&mut self, now: u64, batch: Vec<Envelope>) -> Vec<Envelope> {
+        let base = *self.base.get_or_insert(now);
+        let tick = now - base;
+        for env in batch {
+            self.stats.staged += 1;
+            if self.model.blocked(env.from, env.to, tick) {
+                self.stats.expired_partition += 1;
+                continue;
+            }
+            let deliver_at = now + self.model.delay(env.from, env.to, tick);
+            if self.model.offline(env.to, deliver_at - base) {
+                self.stats.expired_offline += 1;
+                continue;
+            }
+            self.in_flight.entry(deliver_at).or_default().push(env);
+        }
+        let pending = self.in_flight.split_off(&(now + 1));
+        let due = std::mem::replace(&mut self.in_flight, pending);
+        let delivered: Vec<Envelope> = due.into_values().flatten().collect();
+        self.stats.delivered += delivered.len() as u64;
+        delivered
+    }
+}
+
 /// The simulated synchronous network for one protocol execution.
 #[derive(Debug)]
 pub struct Network {
@@ -136,21 +186,13 @@ pub struct Network {
     encode_scratch: Vec<u8>,
     /// Delivery ticks elapsed: one per [`Network::bump_round`].
     now: u64,
-    /// The delay queue: messages keyed by their deliver-at tick. Only
-    /// populated while a timing model is installed.
-    in_flight: BTreeMap<u64, Vec<Envelope>>,
-    /// The installed timing faults, if any (see [`Network::set_timing`]).
-    timing: Option<TimingModel>,
-    /// Tick zero of the timing model — set lazily at the first
-    /// [`Network::take_staged`] after installation, so the model's tick
-    /// coordinates start at the first delivery it governs regardless of
-    /// how many synthetic rounds (establishment, fan-in) preceded it.
-    timing_base: Option<u64>,
-    stats: TimingStats,
-    /// The delivery backend, if one is attached: every
-    /// [`Network::take_staged`] routes the staged batch through
-    /// [`Transport::exchange`] (see [`Network::attach_transport`]).
-    transport: Option<Box<dyn Transport>>,
+    /// The installed timing faults and their queue, if any (see
+    /// [`Network::set_timing`]).
+    delay: Option<DelayQueue>,
+    /// The delivery backend: every [`Network::take_staged`] routes the
+    /// staged batch through [`Transport::exchange`]. [`LocalTransport`]
+    /// until [`Network::attach_transport`] replaces it.
+    transport: Box<dyn Transport>,
     /// The first transport failure, if any. Once set, delivery stops —
     /// every later `take_staged` returns an empty batch so the runner can
     /// wind the phase down and report a structured error instead of
@@ -176,11 +218,8 @@ impl Network {
             transcript: None,
             encode_scratch: Vec::new(),
             now: 0,
-            in_flight: BTreeMap::new(),
-            timing: None,
-            timing_base: None,
-            stats: TimingStats::default(),
-            transport: None,
+            delay: None,
+            transport: Box::new(LocalTransport::new()),
             transport_error: None,
             exchange_seq: 0,
             absorbed_rounds: None,
@@ -270,67 +309,39 @@ impl Network {
     }
 
     /// Takes the deliverable envelopes (the runner calls this at each tick
-    /// boundary).
+    /// boundary), along one pipeline: everything staged since the last call
+    /// is exchanged through the transport ([`Transport::exchange`]: the
+    /// identity in process, socket bytes substituted at each staged index
+    /// once a backend is attached); with a timing model installed, the
+    /// exchanged batch enters the delay queue, which hands back what is
+    /// due; the delivered batch is chained into the transcript.
     ///
-    /// Without a timing model this is the classic synchronous semantics:
-    /// everything staged since the last call, byte-identical to the
-    /// pre-timing network. With a model installed, staged envelopes are
-    /// first admitted to the delay queue — dropped if the partition blocks
-    /// the link, stamped `deliver_at = now + delay(from, to, tick)`
-    /// otherwise, and expired if the receiver is offline at that tick —
-    /// and then every queue bucket due at or before `now` is drained in
-    /// tick order (insertion order within a tick). Delays are a pure
-    /// function of `(timing key, link, tick)`, so this sequence is
-    /// identical under the sequential and threaded round engines.
+    /// Delays are a pure function of `(timing key, link, tick)`, so the
+    /// delivered sequence is identical under the sequential and threaded
+    /// round engines and on every replica of a socket deployment. Once the
+    /// transport has failed, delivery is empty and nothing more enters the
+    /// queue.
     pub fn take_staged(&mut self) -> Vec<Envelope> {
-        let batch = if let Some(transport) = &mut self.transport {
-            let staged = std::mem::take(&mut self.staged);
-            if self.transport_error.is_some() {
-                // Already failed: deliver nothing and let the runner
-                // observe the recorded error.
-                Vec::new()
-            } else {
-                let seq = self.exchange_seq;
-                self.exchange_seq += 1;
-                match transport.exchange(seq, staged) {
-                    Ok(batch) => batch,
-                    Err(e) => {
-                        self.transport_error = Some(e);
-                        Vec::new()
-                    }
-                }
-            }
-        } else if self.timing.is_some() {
-            let model = self.timing.take().expect("timing model present");
-            let base = *self.timing_base.get_or_insert(self.now);
-            let tick = self.now - base;
-            for env in std::mem::take(&mut self.staged) {
-                self.stats.staged += 1;
-                if model.blocked(env.from, env.to, tick) {
-                    self.stats.expired_partition += 1;
-                    continue;
-                }
-                let deliver_at = self.now + model.delay(env.from, env.to, tick);
-                if model.offline(env.to, deliver_at - base) {
-                    self.stats.expired_offline += 1;
-                    continue;
-                }
-                self.in_flight.entry(deliver_at).or_default().push(env);
-            }
-            let due: Vec<u64> = self
-                .in_flight
-                .range(..=self.now)
-                .map(|(&at, _)| at)
-                .collect();
-            let mut batch = Vec::new();
-            for at in due {
-                batch.extend(self.in_flight.remove(&at).expect("bucket exists"));
-            }
-            self.stats.delivered += batch.len() as u64;
-            self.timing = Some(model);
-            batch
+        let staged = std::mem::take(&mut self.staged);
+        let exchanged = if self.transport_error.is_some() {
+            // Already failed: deliver nothing and let the runner observe
+            // the recorded error.
+            None
         } else {
-            std::mem::take(&mut self.staged)
+            let seq = self.exchange_seq;
+            self.exchange_seq += 1;
+            match self.transport.exchange(seq, staged) {
+                Ok(batch) => Some(batch),
+                Err(e) => {
+                    self.transport_error = Some(e);
+                    None
+                }
+            }
+        };
+        let batch = match (exchanged, &mut self.delay) {
+            (None, _) => Vec::new(),
+            (Some(batch), None) => batch,
+            (Some(batch), Some(queue)) => queue.pass(self.now, batch),
         };
         if let Some(entries) = &mut self.transcript {
             let mut h = Sha256::new();
@@ -386,7 +397,7 @@ impl Network {
             "round-overlap windows do not nest"
         );
         assert!(
-            self.timing.is_none(),
+            self.delay.is_none(),
             "round overlap and timing faults are mutually exclusive"
         );
         self.absorbed_rounds = Some(0);
@@ -405,50 +416,31 @@ impl Network {
     }
 
     /// Installs timing faults: subsequent [`Network::take_staged`] calls
-    /// route staged traffic through the delay queue. The model's tick zero
+    /// pass the exchanged batch through a fresh delay queue (replacing any
+    /// earlier model, its queue and its counters). The model's tick zero
     /// is the first `take_staged` after this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transport is attached — timing faults reorder delivery
-    /// locally, which a socket backend cannot replicate remotely (see
-    /// [`crate::transport`]).
     pub fn set_timing(&mut self, model: TimingModel) {
-        assert!(
-            self.transport.is_none(),
-            "timing faults and a transport are mutually exclusive"
-        );
-        self.timing = Some(model);
-        self.timing_base = None;
+        self.delay = Some(DelayQueue {
+            model,
+            base: None,
+            in_flight: BTreeMap::new(),
+            stats: TimingStats::default(),
+        });
     }
 
-    /// Attaches a delivery backend: every subsequent
-    /// [`Network::take_staged`] routes the staged batch through
-    /// [`Transport::exchange`]. Recording of the delivery transcript is
-    /// enabled as a side effect, so the oracle and every socket endpoint
-    /// chain their digests from the same point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a timing model is installed (see [`Network::set_timing`]).
+    /// Replaces the delivery backend: every subsequent
+    /// [`Network::take_staged`] exchanges the staged batch through
+    /// `transport`. Recording of the delivery transcript is enabled as a
+    /// side effect, so the oracle and every socket endpoint chain their
+    /// digests from the same point.
     pub fn attach_transport(&mut self, transport: Box<dyn Transport>) {
-        assert!(
-            self.timing.is_none(),
-            "timing faults and a transport are mutually exclusive"
-        );
         self.enable_transcript();
-        self.transport = Some(transport);
+        self.transport = transport;
     }
 
-    /// Removes and returns the attached transport (its sockets close when
-    /// the returned value is dropped).
-    pub fn detach_transport(&mut self) -> Option<Box<dyn Transport>> {
-        self.transport.take()
-    }
-
-    /// The attached transport, if any.
-    pub fn transport(&self) -> Option<&dyn Transport> {
-        self.transport.as_deref()
+    /// The delivery backend ([`LocalTransport`] unless one was attached).
+    pub fn transport(&self) -> &dyn Transport {
+        self.transport.as_ref()
     }
 
     /// The first transport failure, if any. Set once; all delivery after
@@ -459,17 +451,21 @@ impl Network {
 
     /// The installed timing model, if any.
     pub fn timing(&self) -> Option<&TimingModel> {
-        self.timing.as_ref()
+        self.delay.as_ref().map(|q| &q.model)
     }
 
     /// Delay-queue counters (all zero without a timing model).
     pub fn timing_stats(&self) -> TimingStats {
-        self.stats
+        self.delay
+            .as_ref()
+            .map_or_else(TimingStats::default, |q| q.stats)
     }
 
     /// Messages currently sitting in the delay queue.
     pub fn in_flight_len(&self) -> usize {
-        self.in_flight.values().map(Vec::len).sum()
+        self.delay
+            .as_ref()
+            .map_or(0, |q| q.in_flight.values().map(Vec::len).sum())
     }
 
     /// Ticks elapsed since the network was created (one per
@@ -478,24 +474,18 @@ impl Network {
         self.now
     }
 
-    /// The current tick in the timing model's coordinates (0 before the
-    /// model's clock starts).
-    fn timing_tick(&self) -> u64 {
-        self.now - self.timing_base.unwrap_or(self.now)
-    }
-
     /// True when the timing model has `p` crashed at the current tick.
     pub fn offline_now(&self, p: PartyId) -> bool {
-        self.timing
+        self.delay
             .as_ref()
-            .is_some_and(|m| m.offline(p, self.timing_tick()))
+            .is_some_and(|q| q.model.offline(p, q.tick(self.now)))
     }
 
     /// Every party the timing model has crashed at the current tick.
     pub fn offline_set(&self) -> BTreeSet<PartyId> {
-        self.timing
+        self.delay
             .as_ref()
-            .map(|m| m.offline_parties(self.timing_tick()))
+            .map(|q| q.model.offline_parties(q.tick(self.now)))
             .unwrap_or_default()
     }
 
@@ -989,32 +979,103 @@ mod tests {
         );
     }
 
-    /// A transport that fails every exchange — exercises the network's
-    /// error latch.
+    /// A transport that passes its first `succeed` exchanges through and
+    /// fails every later one — exercises the network's error latch.
     #[derive(Debug)]
-    struct FailingTransport;
+    struct FailingTransport {
+        succeed: u64,
+    }
 
-    impl crate::transport::Transport for FailingTransport {
+    impl Transport for FailingTransport {
         fn exchange(
             &mut self,
             seq: u64,
-            _staged: Vec<Envelope>,
-        ) -> Result<Vec<Envelope>, crate::transport::TransportError> {
-            Err(crate::transport::TransportError::PeerClosed { peer: 1, seq })
+            staged: Vec<Envelope>,
+        ) -> Result<Vec<Envelope>, TransportError> {
+            if seq < self.succeed {
+                return Ok(staged);
+            }
+            Err(TransportError::PeerClosed { peer: 1, seq })
         }
         fn kind(&self) -> &'static str {
             "failing"
         }
     }
 
+    /// The identity transport, keeping a copy of every batch it is handed.
+    #[derive(Debug, Default)]
+    struct RecordingTransport {
+        seen: std::sync::Arc<std::sync::Mutex<Vec<Vec<Envelope>>>>,
+    }
+
+    impl Transport for RecordingTransport {
+        fn exchange(
+            &mut self,
+            _seq: u64,
+            staged: Vec<Envelope>,
+        ) -> Result<Vec<Envelope>, TransportError> {
+            self.seen.lock().expect("unpoisoned").push(staged.clone());
+            Ok(staged)
+        }
+        fn kind(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    #[test]
+    fn transport_sees_the_batch_before_any_delay() {
+        let recorder = RecordingTransport::default();
+        let seen = std::sync::Arc::clone(&recorder.seen);
+        let mut net = Network::new(2);
+        net.attach_transport(Box::new(recorder));
+        net.set_timing(fixed_delay_model(1));
+        let env = Envelope::new(PartyId(0), PartyId(1), vec![7]);
+        net.stage(env.clone());
+        assert!(net.take_staged().is_empty(), "held by the delay queue");
+        assert_eq!(*seen.lock().unwrap(), [vec![env.clone()]]);
+        net.bump_round();
+        assert_eq!(net.take_staged(), std::slice::from_ref(&env));
+        assert_eq!(*seen.lock().unwrap(), [vec![env], vec![]]);
+        assert_eq!(net.transport().kind(), "recording");
+    }
+
+    #[test]
+    fn transport_failure_under_delay_admits_and_delivers_nothing() {
+        let mut net = Network::new(2);
+        net.attach_transport(Box::new(FailingTransport { succeed: 1 }));
+        net.set_timing(fixed_delay_model(1));
+        // Exchange 0 succeeds: the envelope waits one tick in the queue.
+        net.stage(Envelope::new(PartyId(0), PartyId(1), vec![1]));
+        assert!(net.take_staged().is_empty());
+        assert_eq!(net.in_flight_len(), 1);
+        net.bump_round();
+        // Exchange 1 fails: the due envelope stays queued, the new one is
+        // never admitted, and the first error is kept from then on.
+        let closed = TransportError::PeerClosed { peer: 1, seq: 1 };
+        for payload in [2u8, 3] {
+            net.stage(Envelope::new(PartyId(0), PartyId(1), vec![payload]));
+            assert!(net.take_staged().is_empty());
+            assert_eq!(net.transport_error(), Some(&closed));
+            net.bump_round();
+        }
+        let stats = net.timing_stats();
+        assert_eq!((stats.staged, stats.delivered), (1, 0));
+        assert_eq!(net.in_flight_len(), 1);
+    }
+
+    /// With and without a one-tick delay model: same batches, delay-queue
+    /// counters and transcript.
     #[test]
     fn local_transport_matches_bare_network_transcript() {
-        let run = |attach: bool| {
+        let run = |attach: bool, delay: Option<u64>| {
             let mut net = Network::new(2);
             if attach {
-                net.attach_transport(Box::new(crate::transport::LocalTransport::new()));
+                net.attach_transport(Box::new(LocalTransport::new()));
             } else {
                 net.enable_transcript();
+            }
+            if let Some(delay) = delay {
+                net.set_timing(fixed_delay_model(delay));
             }
             let mut batches = Vec::new();
             for round in 0..3u8 {
@@ -1022,9 +1083,15 @@ mod tests {
                 batches.push(net.take_staged());
                 net.bump_round();
             }
-            (batches, net.transcript().unwrap().to_vec())
+            let transcript = net.transcript().unwrap().to_vec();
+            (batches, net.timing_stats(), transcript)
         };
-        assert_eq!(run(false), run(true));
+        for delay in [None, Some(1)] {
+            assert_eq!(run(false, delay), run(true, delay));
+        }
+        let (late, stats, _) = run(true, Some(1));
+        assert!(late[0].is_empty() && late[2][0].payload == [1]);
+        assert_eq!((stats.staged, stats.delivered), (3, 2));
     }
 
     #[test]
@@ -1070,39 +1137,17 @@ mod tests {
     #[test]
     fn transport_failure_latches_and_empties_delivery() {
         let mut net = Network::new(2);
-        net.attach_transport(Box::new(FailingTransport));
+        net.attach_transport(Box::new(FailingTransport { succeed: 0 }));
         net.stage(Envelope::new(PartyId(0), PartyId(1), vec![1]));
         assert!(net.transport_error().is_none());
         assert!(net.take_staged().is_empty());
-        assert_eq!(
-            net.transport_error(),
-            Some(&crate::transport::TransportError::PeerClosed { peer: 1, seq: 0 })
-        );
+        let closed = TransportError::PeerClosed { peer: 1, seq: 0 };
+        assert_eq!(net.transport_error(), Some(&closed));
         // Later rounds stay empty and keep the *first* error.
         net.stage(Envelope::new(PartyId(0), PartyId(1), vec![2]));
         assert!(net.take_staged().is_empty());
-        assert_eq!(
-            net.transport_error(),
-            Some(&crate::transport::TransportError::PeerClosed { peer: 1, seq: 0 })
-        );
-        assert_eq!(net.transport().unwrap().kind(), "failing");
-        assert!(net.detach_transport().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn transport_after_timing_panics() {
-        let mut net = Network::new(2);
-        net.set_timing(fixed_delay_model(0));
-        net.attach_transport(Box::new(crate::transport::LocalTransport::new()));
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn timing_after_transport_panics() {
-        let mut net = Network::new(2);
-        net.attach_transport(Box::new(crate::transport::LocalTransport::new()));
-        net.set_timing(fixed_delay_model(0));
+        assert_eq!(net.transport_error(), Some(&closed));
+        assert_eq!(net.transport().kind(), "failing");
     }
 
     #[test]

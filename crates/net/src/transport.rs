@@ -30,10 +30,14 @@
 //! check of the socket path, not a checksum of the simulator against
 //! itself.
 //!
-//! Transports compose with fault-free (and lockstep) executions only: a
-//! [`crate::faults::TimingModel`] reorders delivery locally, which is
-//! exactly the authority the socket path cannot replicate remotely, so
-//! [`crate::network::Network`] refuses to install both.
+//! Every network exchanges through a transport ([`LocalTransport`] until
+//! another is attached), and timing faults compose with it: a
+//! [`crate::faults::TimingModel`] acts on the *exchanged* batch, after the
+//! substitution. The batch a socket returns is the batch the oracle
+//! exchanged, in the same order, and every delay, partition cut and
+//! churn window is a pure function of `(timing key, link, tick)`, so every
+//! replica queues, drops and releases the same envelopes at the same
+//! tick.
 
 use crate::discovery::{Hello, PeerMap};
 use crate::envelope::Envelope;

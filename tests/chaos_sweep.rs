@@ -335,6 +335,33 @@ fn golden_mid_stream_arming_table() {
     }
 }
 
+/// Stream rows whose supreme committee drew 6 corrupt of 18 members, past
+/// phase-king's bound of 5, and lost validity on a pre-arming instance:
+/// `(base seed, strategy)`.
+const BAD_ROOT_ROWS: [(&str, &str); 3] = [
+    ("balance-80", "garble-both"),
+    ("balance-120", "flood-512x8"),
+    ("balance-793", "equivocate"),
+];
+
+/// Outside Thm 1.1's premise a lost agreement or validity is classified
+/// `bad-root`, not counted as a violation.
+#[test]
+fn bad_supreme_committee_is_classified_not_a_violation() {
+    for (base, strategy) in BAD_ROOT_ROWS {
+        let case = default_stream_cases(base.as_bytes())
+            .into_iter()
+            .find(|c| c.spec.label() == strategy)
+            .unwrap_or_else(|| panic!("no {strategy} stream case"));
+        let verdicts = run_stream_case(&case).verdicts;
+        assert!(
+            verdicts.contains("bad-root(") && !verdicts.contains("VIOLATION"),
+            "{base} {}: {verdicts}",
+            case.key()
+        );
+    }
+}
+
 #[test]
 fn formerly_stalled_takeovers_now_agree() {
     let reports = sweep();

@@ -15,7 +15,6 @@ use pba_core::protocol::{Establishment, KeyError, KeyPolicy, ProtocolError, Stre
 use pba_net::corruption::CorruptionPlan;
 use pba_net::faults::StrategySpec;
 use proptest::{ProptestConfig, TestRng};
-use std::collections::BTreeMap;
 
 /// One reference run per chaos case serves 0, 2, 4, 7 and 64 workers on
 /// every charged n = 48 case (the whole strategy catalogue × {random,
@@ -125,27 +124,29 @@ fn key_policy_streamed_epochs_overdraw_alike() {
     }
 }
 
-/// Strategies with content-side faults and no timing axis.
-fn content_faults() -> Vec<StrategySpec> {
+/// The catalogue's faulty strategies with a timing axis (`timing`), or
+/// with content-side faults and none.
+fn faults(timing: bool) -> Vec<StrategySpec> {
     let mut probe = Context::byzantine(16, b"");
-    let mut content = |s: &StrategySpec| {
+    let mut keep = |s: &StrategySpec| {
         probe.config.chaos = Some(s.clone());
-        *s != StrategySpec::Silent && !probe.has_timing()
+        *s != StrategySpec::Silent && probe.has_timing() == timing
     };
     StrategySpec::catalogue()
         .into_iter()
-        .filter(|s| content(s))
+        .filter(|s| keep(s))
         .collect()
 }
 
 /// One cell of the product as indices into the axis lists (the vendored
 /// proptest has no `select`). Case 0 pins Lazy keys × the adaptive
 /// adversary, case 1 a pipelined stream × more than one worker × a
-/// content fault: the combinations no suite had run. A draw in an
-/// [`EXCLUDED`] cell is counted and runs with the reference's entry and
-/// backend; a single shot runs one instance with no service to shadow;
-/// bare rounds and single shots take bits.
-fn draw(rng: &mut TestRng, case: usize, skipped: &mut BTreeMap<&str, usize>) -> (Context, Variant) {
+/// content fault, case 2 a timing fault × a socket fleet: the
+/// combinations no suite had run. A draw in the [`EXCLUDED`] cell is
+/// counted in `absorbed` and runs as a sequential stream; a single shot
+/// runs one instance with no service to shadow; bare rounds and single
+/// shots take bits.
+fn draw(rng: &mut TestRng, case: usize, absorbed: &mut usize) -> (Context, Variant) {
     let mut pick = |len: usize| rng.below(len as u64) as usize;
     let n = [16, 32, 48, 64][pick(4)];
     let t = n / 8;
@@ -160,7 +161,7 @@ fn draw(rng: &mut TestRng, case: usize, skipped: &mut BTreeMap<&str, usize>) -> 
         },
         CorruptionPlan::Adaptive { t },
     ];
-    let (specs, content) = (StrategySpec::catalogue(), content_faults());
+    let (specs, content, timing) = (StrategySpec::catalogue(), faults(false), faults(true));
     let (sequential, pipelined) = (StreamMode::Sequential, StreamMode::Pipelined);
     let entries = [
         Entry::Round,
@@ -195,10 +196,13 @@ fn draw(rng: &mut TestRng, case: usize, skipped: &mut BTreeMap<&str, usize>) -> 
     } else if case == 1 {
         (variant.entry, variant.threads) = (Entry::Stream(pipelined), threads[2 + pick(4)]);
         (ctx.config.chaos, k) = (Some(content[pick(content.len())].clone()), 2 + pick(2));
+    } else if case == 2 {
+        variant.entry = [Entry::Round, Entry::Stream(sequential), Entry::Single][pick(3)];
+        (ctx.config.chaos, variant.backend) = (Some(timing[pick(timing.len())].clone()), fleet);
     }
-    while let Some(cell) = excluded(&ctx, &variant) {
-        *skipped.entry(cell).or_default() += 1;
-        (variant.entry, variant.backend) = (Entry::Stream(sequential), Backend::Sim);
+    if excluded(&ctx, &variant).is_some() {
+        *absorbed += 1;
+        variant.entry = Entry::Stream(sequential);
     }
     if variant.entry == Entry::Single {
         (k, variant.shadow) = (1, false);
@@ -222,11 +226,11 @@ fn draw(rng: &mut TestRng, case: usize, skipped: &mut BTreeMap<&str, usize>) -> 
 /// 256 (`PROPTEST_CASES`).
 #[test]
 fn variant_product_is_invisible() {
-    let (mut case, mut skipped) = (0, BTreeMap::new());
-    let (mut lazy_adaptive, mut pipelined_faults) = (0, 0);
-    let content = content_faults();
+    let (mut case, mut absorbed) = (0, 0);
+    let (mut lazy_adaptive, mut pipelined_faults, mut timing_fleet) = (0, 0, 0);
+    let content = faults(false);
     proptest::run_cases(ProptestConfig::with_cases(24), "variant_product", |rng| {
-        let (ctx, variant) = draw(rng, case, &mut skipped);
+        let (ctx, variant) = draw(rng, case, &mut absorbed);
         case += 1;
         let repro = format!("{ctx:?} {variant:?}");
         let reference = reference(&ctx);
@@ -244,13 +248,17 @@ fn variant_product_is_invisible() {
         let pipelined = variant.entry == Entry::Stream(StreamMode::Pipelined);
         let many = variant.threads > 1 && ctx.instances.len() > 1;
         pipelined_faults += usize::from(ran && fault && pipelined && many);
+        let fleet = variant.backend != Backend::Sim;
+        timing_fleet += usize::from(ran && ctx.has_timing() && fleet);
         repro
     });
     eprintln!(
-        "{case} cases; excluded cells {EXCLUDED:?} drawn {skipped:?}; Lazy × Adaptive ran \
-         {lazy_adaptive}, Pipelined × threads > 1 × content fault ran {pipelined_faults}"
+        "{case} cases; excluded cell {} absorbed {absorbed} draws; Lazy × Adaptive ran \
+         {lazy_adaptive}, Pipelined × threads > 1 × content fault ran {pipelined_faults}, \
+         timing × transport ran {timing_fleet}",
+        EXCLUDED[0]
     );
-    assert!(case < 2 || (lazy_adaptive > 0 && pipelined_faults > 0));
+    assert!(case < 3 || (lazy_adaptive > 0 && pipelined_faults > 0 && timing_fleet > 0));
 }
 
 /// A real observation exposing every field: a two-instance stream with

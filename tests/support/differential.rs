@@ -8,11 +8,12 @@
 //! `backend`, in process or a loopback TCP fleet whose every endpoint
 //! replicates the run. Pipelining hides rounds: across it the reports
 //! lose their rounds and the law `total + overlapped` (pipelined)
-//! `= total` (sequential) is checked instead. The transcript starts at
-//! genesis (timing-free runs are established over a transport), or right
-//! after establishment under timing faults, whose delay queue production
-//! keeps apart from pipelining and from every transport: the two
-//! [`EXCLUDED`] cells, which [`observe`] refuses by name.
+//! `= total` (sequential) is checked instead. Every run is established
+//! over a transport (the in-process one, or a fleet endpoint's socket),
+//! so every transcript starts at genesis, timing faults included: their
+//! delay queue acts on the exchanged batch. Production keeps it apart
+//! from pipelining only — the one [`EXCLUDED`] cell, which [`observe`]
+//! refuses by name.
 #![allow(dead_code)]
 
 use pba_bench::chaos::ChaosCase;
@@ -34,8 +35,10 @@ use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The product cells no run can reach.
-pub const EXCLUDED: [&str; 2] = ["Pipelined × timing", "transport × timing"];
+/// The product cells no run can reach: absorbed certification rounds move
+/// the tick the successor's committee phase starts at, so both the delays
+/// and the pipelining law would differ.
+pub const EXCLUDED: [&str; 1] = ["Pipelined × timing"];
 
 /// An SRDS scheme; the MSS-backed ones carry their tree height.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,12 +143,8 @@ impl Variant {
 
 /// The [`EXCLUDED`] cell `variant` falls in under `ctx`, if any.
 pub fn excluded(ctx: &Context, variant: &Variant) -> Option<&'static str> {
-    let transport = variant.entry == Entry::Single || variant.backend != Backend::Sim;
-    match (ctx.has_timing(), variant.entry) {
-        (false, _) => None,
-        (true, Entry::Stream(StreamMode::Pipelined)) => Some(EXCLUDED[0]),
-        (true, _) => transport.then_some(EXCLUDED[1]),
-    }
+    let pipelined = variant.entry == Entry::Stream(StreamMode::Pipelined);
+    (pipelined && ctx.has_timing()).then_some(EXCLUDED[0])
 }
 
 /// One instance's verdict, in the shape every entry point produces:
@@ -198,10 +197,11 @@ pub fn observe(ctx: &Context, variant: Variant) -> Vec<Observed> {
         panic!("{variant:?} is in the excluded cell {cell}");
     }
     match variant.backend {
-        Backend::Sim => {
-            let local = (!ctx.has_timing()).then(|| Box::new(LocalTransport::new()) as _);
-            vec![observe_endpoint(ctx, variant, local)]
-        }
+        Backend::Sim => vec![observe_endpoint(
+            ctx,
+            variant,
+            Box::new(LocalTransport::new()),
+        )],
         Backend::Fleet {
             endpoints,
             tick_base,
@@ -209,7 +209,7 @@ pub fn observe(ctx: &Context, variant: Variant) -> Vec<Observed> {
             let (seed, label) = (&ctx.config.seed, ctx.config.establishment.label());
             let scheme = format!("{:?}", ctx.scheme);
             let genesis = |map: &_| genesis_digest(seed, label, &scheme, map);
-            let run = |transport| observe_endpoint(ctx, variant, Some(transport));
+            let run = |transport| observe_endpoint(ctx, variant, transport);
             loopback_fleet(ctx.config.n, endpoints, tick_base, genesis, run)
         }
     }
@@ -223,7 +223,7 @@ pub fn matches(reference: &Observed, ctx: &Context, variant: Variant) -> Result<
     Ok(())
 }
 
-fn observe_endpoint(ctx: &Context, v: Variant, transport: Option<Box<dyn Transport>>) -> Observed {
+fn observe_endpoint(ctx: &Context, v: Variant, transport: Box<dyn Transport>) -> Observed {
     let run = catch_unwind(AssertUnwindSafe(|| match ctx.scheme {
         Scheme::Snark(mss_height) => {
             let scheme = SnarkSrds::new(SnarkSrdsConfig {
@@ -263,7 +263,7 @@ fn widen(outputs: Vec<Option<u8>>) -> Vec<Option<Vec<u8>>> {
     outputs.into_iter().map(|o| o.map(|b| vec![b])).collect()
 }
 
-fn run<S>(scheme: &S, ctx: &Context, v: Variant, transport: Option<Box<dyn Transport>>) -> Observed
+fn run<S>(scheme: &S, ctx: &Context, v: Variant, transport: Box<dyn Transport>) -> Observed
 where
     S: Srds,
     S::Signature: Encode + Decode,
@@ -273,7 +273,7 @@ where
     let mut o = Observed::default();
     if v.entry == Entry::Single {
         let inputs = bits(&ctx.instances[0]);
-        let single = try_run_ba_over(scheme, &config, &inputs, transport.expect("a transport"));
+        let single = try_run_ba_over(scheme, &config, &inputs, transport);
         (o.transcript, o.socket_bytes) = (single.transcript, single.stats.bytes_sent);
         match single.outcome {
             RunOutcome::Failed { reason, .. } => o.results.push(Verdict::Failed(reason)),
@@ -286,14 +286,13 @@ where
         }
         return o;
     }
-    let mut service = match Service::try_establish_over(scheme, &config, transport) {
+    let mut service = match Service::try_establish_over(scheme, &config, Some(transport)) {
         Ok(service) => service,
         Err(e) => {
             o.results.push(Verdict::Failed(e));
             return o;
         }
     };
-    service.net.enable_transcript(); // a no-op over a transport
     if v.shadow {
         service.net.metrics_mut().enable_shadow();
     }
@@ -337,7 +336,7 @@ where
         cells: Some(metrics.allocated_cells()),
         peer_groups: Some(metrics.peer_groups()),
         shadow: v.shadow.then(|| metrics.shadow_divergence()),
-        socket_bytes: service.net.transport().map_or(0, |t| t.stats().bytes_sent),
+        socket_bytes: service.net.transport().stats().bytes_sent,
         ..o
     }
 }

@@ -6,8 +6,10 @@
 //! a correct deployment reproduces it **exactly** — the chained delivery
 //! transcript and every other observable the differential oracle
 //! (`support/differential.rs`) compares. This tier runs `k`-endpoint
-//! fleets as loopback-TCP threads; `crates/bench/tests/transport_full.rs`
-//! repeats the diff with real `node` processes.
+//! fleets as loopback-TCP threads, honest runs and the chaos catalogue's
+//! timing rows (whose delay queue acts on the exchanged batch);
+//! `crates/bench/tests/transport_full.rs` repeats the diff with real
+//! `node` processes.
 //!
 //! The negative half checks the never-hang/never-panic contract: peer
 //! drop mid-round, connect timeout, wrong-genesis hello, and tick-base
@@ -19,6 +21,7 @@
 mod differential;
 
 use differential::{differential, observe, Backend, Context, Entry, Variant, Verdict};
+use pba_bench::chaos::default_cases;
 use pba_bench::socket::SocketSpec;
 use pba_core::protocol::{Establishment, ProtocolError, RunOutcome};
 use pba_net::{HelloField, PeerMap, TcpTransport, Transport, TransportError, TransportOpts};
@@ -91,6 +94,43 @@ fn diff_n64_charged_three_endpoints() {
 #[test]
 fn diff_n64_interactive_two_endpoints() {
     diff_cell(64, 2, Establishment::Interactive);
+}
+
+/// The `chaos-ci` catalogue's 16 timing rows (every timing strategy
+/// against the random and leaf-takeover placements, and six dedicated
+/// rows: fixed lag, a permanent partition, two churn shapes, latency ×
+/// equivocation, latency under interactive establishment) as single shots
+/// over a 2-endpoint loopback fleet: every endpoint exchanges through its
+/// socket and then delays, drops and expires what the in-process oracle
+/// does, so each matches it on every observable and wrote socket bytes.
+#[test]
+fn timing_fleet_rows_match_the_oracle() {
+    let cases: Vec<_> = default_cases(b"chaos-ci")
+        .into_iter()
+        .filter(|case| Context::chaos(case).has_timing())
+        .collect();
+    assert_eq!(cases.len(), 16, "the timing block changed size");
+    let single = Variant::REFERENCE.with(|v| v.entry = Entry::Single);
+    let fleet = single.with(|v| {
+        v.backend = Backend::Fleet {
+            endpoints: 2,
+            tick_base: 0,
+        }
+    });
+    for case in &cases {
+        let ctx = Context::chaos(case);
+        let oracle = observe(&ctx, single).remove(0);
+        for (e, run) in observe(&ctx, fleet).iter().enumerate() {
+            let at = format!("[{}] endpoint {e}", case.key());
+            differential(&oracle, run).unwrap_or_else(|d| panic!("{at}: {d}\n{}", case.repro()));
+            assert!(run.socket_bytes > 0, "{at}: no socket bytes");
+        }
+        let verdict = match &oracle.results[..] {
+            [Verdict::Delivered(..)] => "delivered".to_string(),
+            other => format!("{other:?}"),
+        };
+        eprintln!("timing fleet row [{}]: {verdict}", case.key());
+    }
 }
 
 /// A single-endpoint "deployment" degenerates to the oracle: no sockets,
