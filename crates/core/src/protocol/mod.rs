@@ -46,7 +46,6 @@ pub use steps::{BytesRoundOutcome, Certificate, MvInput, RoundOutcome, ValueSeed
 pub use stream::{InstanceOutcome, InstanceReport, MultiValueOutcome, StreamMode, StreamOutcome};
 
 use pba_aetree::analysis::TreeAnalysis;
-use pba_aetree::params::TreeParams;
 use pba_aetree::tree::Tree;
 use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
@@ -81,7 +80,6 @@ pub struct Service<'a, S: Srds> {
     scheme: &'a S,
     /// The configuration the service was established with.
     pub config: BaConfig,
-    params: TreeParams,
     pp: S::PublicParams,
     keys: KeyStore<S>,
     /// slot → (party index, key occurrence index)

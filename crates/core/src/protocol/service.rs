@@ -16,7 +16,7 @@ use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
 use pba_net::corruption::CorruptionPlan;
 use pba_net::faults::StrategySpec;
-use pba_net::runner::{AdvSender, Adversary, RoundDriver};
+use pba_net::runner::{AdvSender, Adversary, RoundDriver, SilentAdversary};
 use pba_net::{Envelope, Network, PartyId, Report, TagBreakdown, Transport};
 use pba_srds::traits::Srds;
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,17 +68,6 @@ impl Adversary for CommitteeByzantine {
             }
         }
     }
-}
-
-struct SilentCommittee {
-    corrupted: BTreeSet<PartyId>,
-}
-
-impl Adversary for SilentCommittee {
-    fn corrupted(&self) -> &BTreeSet<PartyId> {
-        &self.corrupted
-    }
-    fn on_round(&mut self, _: u64, _: &BTreeMap<PartyId, Vec<Envelope>>, _: &mut AdvSender<'_>) {}
 }
 
 /// The `f_ae-comm` tree [`Establishment::Charged`] builds for `n` parties
@@ -185,9 +174,7 @@ where
                 // Committee-level misbehaviour during the election is
                 // exercised by the vss_coin/kssv adversarial tests; the
                 // session-level profiles act from step 2 on.
-                let mut adversary = SilentCommittee {
-                    corrupted: pre_corrupt.clone(),
-                };
+                let mut adversary = SilentAdversary::new(pre_corrupt.iter().copied());
                 match crate::kssv::try_establish_interactive(
                     &mut net,
                     &params,
@@ -272,7 +259,6 @@ where
         let mut session = Service {
             scheme,
             config: config.clone(),
-            params,
             pp,
             keys,
             slot_sk,
@@ -313,7 +299,7 @@ where
 
     /// The tree parameters.
     pub fn params(&self) -> &TreeParams {
-        &self.params
+        self.tree.params()
     }
 
     /// The goodness analysis of the tree under the session's corrupt set.
@@ -438,9 +424,7 @@ where
             );
         }
         match self.config.profile {
-            AdversaryProfile::Passive => Box::new(SilentCommittee {
-                corrupted: self.corrupt.clone(),
-            }),
+            AdversaryProfile::Passive => Box::new(SilentAdversary::new(self.corrupt.clone())),
             AdversaryProfile::Byzantine => Box::new(CommitteeByzantine {
                 corrupted: self.corrupt.clone(),
                 committee: committee.to_vec(),

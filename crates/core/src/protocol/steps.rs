@@ -6,7 +6,9 @@ use super::{AdversaryProfile, ProtocolError, ProtocolPhase, Service};
 use crate::aggr::{charge_aggr_round, f_aggr_sig_uniform};
 use crate::phase_king::{rounds_for, PhaseKing};
 use crate::vss_coin::toss_coin_vss_driven;
-use pba_aetree::fae::{constant_adversary, disseminate, honest_adversary};
+use pba_aetree::fae::{
+    constant_adversary, disseminate, honest_adversary, AdversaryFn, DisseminationResult,
+};
 use pba_aetree::robust::{ascend, dedup_committee, robust_input_fanin, robust_input_fanin_with};
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, CodecError, Decode, Encode, Reader};
 use pba_crypto::prf::SubsetPrf;
@@ -267,31 +269,16 @@ where
         }
     }
 
-    /// The byte-value core of steps 3–8, shared by bit agreement,
-    /// multi-execution broadcast, and the MPC corollary: certify an
-    /// arbitrary `value` the supreme committee already agreed on and
-    /// deliver it to everyone. Advances the service epoch.
+    /// The byte-value core of steps 3–8, shared by bit agreement, streamed
+    /// instances, multi-execution broadcast, and the MPC corollary: certify
+    /// an arbitrary `value` the supreme committee already agreed on and
+    /// deliver it to everyone. Everything keys off the current service
+    /// epoch (dissemination payloads, signatures, replay filters), which
+    /// advances once the value is delivered.
     pub fn certify_bytes(&mut self, value: Vec<u8>, s: Digest) -> BytesRoundOutcome {
         let epoch = self.epoch;
-        let outcome = self.certify_bytes_at(epoch, value, s);
-        self.epoch += 1;
-        outcome
-    }
-
-    /// [`Service::certify_bytes`] pinned to an explicit epoch, without
-    /// advancing the service's own: the deferred-certification path of
-    /// pipelined streaming, where instance `i`'s steps 3–8 run after the
-    /// epoch has already moved on to instance `i+1`. Everything in here
-    /// keys off the `epoch` argument (dissemination payloads, signatures,
-    /// replay filters), never off `self.epoch`.
-    pub(super) fn certify_bytes_at(
-        &mut self,
-        epoch: u64,
-        value: Vec<u8>,
-        s: Digest,
-    ) -> BytesRoundOutcome {
         let n = self.config.n;
-        let params = self.params;
+        let params = *self.tree.params();
 
         // ---- Step 3: disseminate (epoch, value, s). ----
         let ys_payload = wire::encode_msg(&ValueSeed {
@@ -306,29 +293,12 @@ where
             value: vec![0xeeu8; value.len()],
             seed: Digest::ZERO,
         });
-        let mut adv: Box<pba_aetree::fae::AdversaryFn<'static>> = match self.config.profile {
-            AdversaryProfile::Passive => Box::new(honest_adversary()),
-            AdversaryProfile::Byzantine => Box::new(constant_adversary(garbage)),
-        };
-        let corrupt = self.corrupt.clone();
-        let mut ys_result = disseminate(
-            &mut self.net,
-            &self.tree,
-            &corrupt,
-            &{
-                let payload = ys_payload.clone();
-                let corrupt = corrupt.clone();
-                move |member: PartyId| (!corrupt.contains(&member)).then(|| payload.clone())
-            },
-            adv.as_mut(),
-        );
         // Crash-recovery churn: a party offline while (y, s) travels the
         // tree receives nothing here — it also signs nothing in step 4 and
         // resyncs from the step 7–8 certificate spread once it rejoins.
-        for p in self.net.offline_set() {
-            ys_result.per_party[p.index()] = None;
-        }
+        let ys_result = self.disseminate_from_root(&ys_payload, garbage);
         self.snap("3:disseminate-(y,s)");
+        let corrupt = self.corrupt.clone();
 
         // ---- Step 4: sign per virtual identity, submit to leaf committees. ----
         // Streaming leaf-major pass: one leaf's signatures are produced,
@@ -543,32 +513,11 @@ where
                 sig: encode_to_vec(sig),
             })
         });
-        let mut triple_result = triple_payload.as_ref().map(|payload| {
-            let mut adv: Box<pba_aetree::fae::AdversaryFn<'static>> = match self.config.profile {
-                AdversaryProfile::Passive => Box::new(honest_adversary()),
-                AdversaryProfile::Byzantine => {
-                    Box::new(constant_adversary(vec![0xbb; payload.len()]))
-                }
-            };
-            disseminate(
-                &mut self.net,
-                &self.tree,
-                &corrupt,
-                &{
-                    let payload = payload.clone();
-                    let corrupt = corrupt.clone();
-                    move |member: PartyId| (!corrupt.contains(&member)).then(|| payload.clone())
-                },
-                adv.as_mut(),
-            )
-        });
         // Fresh offline set: the tick advanced since step 3, so a party
         // that rejoined in between participates here normally.
-        if let Some(result) = triple_result.as_mut() {
-            for p in self.net.offline_set() {
-                result.per_party[p.index()] = None;
-            }
-        }
+        let triple_result = triple_payload
+            .as_ref()
+            .map(|payload| self.disseminate_from_root(payload, vec![0xbb; payload.len()]));
         self.snap("6:disseminate-certificate");
 
         // ---- Steps 7–8: PRF spread and output. ----
@@ -656,11 +605,36 @@ where
         }
         self.snap("7-8:prf-spread+output");
 
+        self.epoch += 1;
         BytesRoundOutcome {
             value,
             outputs,
             certificate_len,
         }
+    }
+
+    /// Fig. 3 steps 3 and 6: the honest supreme committee members hand
+    /// `payload` down the tree, corrupt relays pushing `garbage` under the
+    /// Byzantine profile; a party offline at the current tick receives
+    /// nothing.
+    fn disseminate_from_root(&mut self, payload: &[u8], garbage: Vec<u8>) -> DisseminationResult {
+        let mut adv: Box<AdversaryFn<'static>> = match self.config.profile {
+            AdversaryProfile::Passive => Box::new(honest_adversary()),
+            AdversaryProfile::Byzantine => Box::new(constant_adversary(garbage)),
+        };
+        let corrupt = &self.corrupt;
+        let root_values = |member: PartyId| (!corrupt.contains(&member)).then(|| payload.to_vec());
+        let mut result = disseminate(
+            &mut self.net,
+            &self.tree,
+            corrupt,
+            &root_values,
+            adv.as_mut(),
+        );
+        for p in self.net.offline_set() {
+            result.per_party[p.index()] = None;
+        }
+        result
     }
 
     /// Fallible certified round: any committee-phase failure — including

@@ -1,6 +1,6 @@
 //! The instance loop: one establishment serving a stream of agreement
 //! instances — open, agree, certify, judge, settle — sequentially or with
-//! certification pipelined into the successor's committee phase.
+//! each certification's rounds hidden by the successor's committee phase.
 
 use super::{BytesRoundOutcome, ProtocolError, ProtocolPhase, Service, StepReport};
 use pba_crypto::codec::{Decode, Encode};
@@ -17,10 +17,12 @@ pub enum StreamMode {
     /// the same `(seed, config)`.
     Sequential,
     /// Fast-HotStuff-style chaining: instance `i`'s certification
-    /// (steps 3–8) is deferred into instance `i+1`'s committee phase and
-    /// its rounds are absorbed by the committee rounds that cover them
-    /// ([`pba_net::Network::begin_round_overlap`]). Pipelining hides round
-    /// latency, never bytes — every charge lands in full.
+    /// (steps 3–8) runs under an overlap window
+    /// ([`pba_net::Network::begin_round_overlap`]) and its rounds are
+    /// hidden by the committee rounds of instance `i+1` that cover them.
+    /// Pipelining is an accounting rule on the metered round count: the
+    /// execution, its delivery ticks (timing faults included) and every
+    /// charge are the sequential stream's.
     Pipelined,
 }
 
@@ -33,12 +35,12 @@ pub struct InstanceReport {
     pub index: u64,
     /// Honest bytes charged during the instance.
     pub total_bytes: u64,
-    /// Clock rounds consumed by the instance. Under pipelining, the
-    /// uncovered remainder of a predecessor's deferred certification is
-    /// charged to the successor's window.
+    /// Metered rounds consumed by the instance. Under pipelining, the
+    /// uncovered remainder of a predecessor's certification is metered in
+    /// the successor's slice.
     pub rounds: u64,
-    /// Rounds the instance's deferred certification ran under the overlap
-    /// window (0 when not pipelined).
+    /// Rounds the instance's certification ran under the overlap window
+    /// (0 when not pipelined, and for a stream's last instance).
     pub overlapped_rounds: u64,
     /// Step snapshots recorded during the instance.
     pub steps: Vec<StepReport>,
@@ -83,7 +85,7 @@ pub struct StreamOutcome {
     pub instances: Vec<InstanceOutcome>,
     /// Instances whose honest parties all agreed.
     pub decisions: usize,
-    /// Clock rounds the whole stream consumed (excludes establishment).
+    /// Metered rounds the whole stream consumed (excludes establishment).
     pub total_rounds: u64,
     /// Certification rounds hidden inside successor committee phases by
     /// pipelining (0 for sequential streams).
@@ -99,17 +101,6 @@ struct InstanceBaseline {
     steps_len: usize,
 }
 
-/// An instance past step 2: the agreed `(value, seed)` awaiting
-/// certification (immediately, or deferred under pipelining), with what
-/// its verdicts and report will be judged against.
-struct Agreed {
-    index: u64,
-    value: Vec<u8>,
-    seed: Digest,
-    unanimous: Option<Vec<u8>>,
-    baseline: InstanceBaseline,
-}
-
 impl<'a, S> Service<'a, S>
 where
     S: Srds,
@@ -120,15 +111,15 @@ where
     /// `instances[i][p]` is party `p`'s input value for instance `i`
     /// (width 1 = bit agreement; wider values run multi-value BA).
     ///
-    /// Both modes run one loop: open the instance (accounting baseline,
-    /// budget slot), fan in and agree (step 2), certify and spread
-    /// (steps 3–8).
-    /// Sequential mode certifies at once. Pipelined mode defers instance
-    /// `i`'s certification into instance `i+1`'s committee phase: its
-    /// rounds run under an overlap window and only the remainder the
-    /// successor's committee rounds could not cover advances the clock.
-    /// Charges always land in full — pipelining hides round latency,
-    /// never bytes.
+    /// Both modes run one loop, in one program order: open the instance
+    /// (accounting baseline, budget slot), fan in and agree (step 2),
+    /// certify and spread (steps 3–8). Pipelined mode certifies every
+    /// instance but the last inside an overlap window and settles the
+    /// absorbed rounds against the next instance's committee phase: as
+    /// many as that phase's metered rounds cover are hidden, the rest are
+    /// metered. Only the metered round count differs between the modes —
+    /// deliveries, the delivery tick and every charge are the same, so
+    /// timing faults act identically on both.
     ///
     /// An instance that fails leaves the stream running (its verdict is
     /// recorded and the epoch slot is retried), except
@@ -137,43 +128,26 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if any instance's input slice length differs from `n`, or
-    /// if pipelined mode is combined with timing-fault chaos (the overlap
-    /// window and the delay queue are mutually exclusive).
+    /// Panics if any instance's input slice length differs from `n`.
     pub fn try_run_stream(
         &mut self,
         instances: &[Vec<Vec<u8>>],
         mode: StreamMode,
     ) -> StreamOutcome {
-        let defer = mode == StreamMode::Pipelined;
-        assert!(
-            !defer || self.net.timing().is_none(),
-            "pipelined streaming is mutually exclusive with timing-fault chaos"
-        );
         let rounds_start = self.net.metrics().rounds();
         let mut outcomes: Vec<InstanceOutcome> = Vec::new();
         let mut overlapped_total = 0u64;
-        // Instance i, agreed, parked while its certification waits for
-        // instance i+1's committee phase.
-        let mut pending: Option<Agreed> = None;
+        // Rounds the previous certification ran under its overlap window,
+        // still to be settled against a committee phase.
+        let mut absorbed = 0u64;
         for (i, inputs) in instances.iter().enumerate() {
-            // Settle the predecessor: its certification runs now, inside
-            // an overlap window. The rounds it would cost are absorbed;
-            // whatever this instance's committee phase cannot cover
-            // re-surfaces below.
-            let mut absorbed = 0u64;
-            if let Some(predecessor) = pending.take() {
-                let outcome = self.certify_instance(predecessor, true);
-                absorbed = outcome.report.overlapped_rounds;
-                outcomes.push(outcome);
-            }
             let baseline = match self.open_instance() {
                 Ok(baseline) => baseline,
                 Err(reason) => {
-                    // No successor phase will cover the absorbed rounds:
-                    // they land on the clock after all.
+                    // No committee phase will cover the absorbed rounds:
+                    // they are metered after all.
                     for _ in 0..absorbed {
-                        self.net.bump_round();
+                        self.net.metrics_mut().bump_round();
                     }
                     outcomes.push(self.refused_instance(reason));
                     break;
@@ -181,43 +155,27 @@ where
             };
             let rounds_before = self.net.metrics().rounds();
             let agreed = self.agree_values(inputs);
-            // Rounds the committee phase actually ran bound how much
-            // deferred certification it can hide; the uncovered remainder
-            // advances the clock for real.
+            // Rounds the committee phase actually ran bound how much of
+            // the previous certification it hides; the uncovered remainder
+            // is metered (the delivery tick counted it when it ran).
             let covered = self.net.metrics().rounds() - rounds_before;
             overlapped_total += absorbed.min(covered);
             for _ in 0..absorbed.saturating_sub(covered) {
-                self.net.bump_round();
+                self.net.metrics_mut().bump_round();
             }
-            let index = self.epoch;
-            match agreed {
-                Ok((value, seed)) => {
-                    let agreed = Agreed {
-                        index,
-                        value,
-                        seed,
-                        unanimous: self.unanimous_value(inputs),
-                        baseline,
-                    };
-                    // Certification is pinned to `index`; the successor's
-                    // committee phase keys off its own epoch even while
-                    // this certification is still pending.
-                    self.epoch += 1;
-                    if defer && i + 1 < instances.len() {
-                        pending = Some(agreed);
-                    } else {
-                        outcomes.push(self.certify_instance(agreed, false));
-                    }
+            let outcome = match agreed {
+                Ok(agreed) => {
+                    let overlap = mode == StreamMode::Pipelined && i + 1 < instances.len();
+                    self.certify_instance(baseline, agreed, inputs, overlap)
                 }
-                Err(reason) => {
-                    let report = self.finish_instance(baseline, 0);
-                    outcomes.push(InstanceOutcome {
-                        index,
-                        result: Err(reason),
-                        report,
-                    });
-                }
-            }
+                Err(reason) => InstanceOutcome {
+                    index: baseline.index,
+                    result: Err(reason),
+                    report: self.finish_instance(baseline, 0),
+                },
+            };
+            absorbed = outcome.report.overlapped_rounds;
+            outcomes.push(outcome);
         }
         let decisions = outcomes
             .iter()
@@ -266,26 +224,31 @@ where
         self.committee_agree(&committee_values, width.max(1))
     }
 
-    /// Steps 3–8 for an agreed instance, then its verdicts and accounting
-    /// slice. With `overlap`, the certification's rounds run inside a
-    /// network overlap window and the absorbed count is reported as the
-    /// instance's `overlapped_rounds`.
-    fn certify_instance(&mut self, agreed: Agreed, overlap: bool) -> InstanceOutcome {
+    /// Steps 3–8 for an instance agreed on `(value, seed)`, then its
+    /// verdicts (against `inputs`) and accounting slice. With `overlap`,
+    /// the certification runs inside a network overlap window and the
+    /// absorbed count is reported as the instance's `overlapped_rounds`.
+    fn certify_instance(
+        &mut self,
+        baseline: InstanceBaseline,
+        (value, seed): (Vec<u8>, Digest),
+        inputs: &[Vec<u8>],
+        overlap: bool,
+    ) -> InstanceOutcome {
         if overlap {
             self.net.begin_round_overlap();
         }
-        let round = self.certify_bytes_at(agreed.index, agreed.value, agreed.seed);
+        let round = self.certify_bytes(value, seed);
         let absorbed = if overlap {
             self.net.end_round_overlap()
         } else {
             0
         };
-        let result = self.judge_values(agreed.unanimous, round);
-        let report = self.finish_instance(agreed.baseline, absorbed);
+        let result = self.judge_values(self.unanimous_value(inputs), round);
         InstanceOutcome {
-            index: agreed.index,
+            index: baseline.index,
             result,
-            report,
+            report: self.finish_instance(baseline, absorbed),
         }
     }
 

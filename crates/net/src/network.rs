@@ -203,8 +203,8 @@ pub struct Network {
     exchange_seq: u64,
     /// Open round-overlap window, if any (see
     /// [`Network::begin_round_overlap`]): while `Some`, `bump_round`
-    /// increments this absorbed-round counter instead of advancing the
-    /// clock — the rounds ride on machine rounds being counted elsewhere.
+    /// increments this absorbed-round counter instead of the metered round
+    /// count — the rounds ride on machine rounds metered elsewhere.
     absorbed_rounds: Option<u64>,
 }
 
@@ -366,39 +366,33 @@ impl Network {
         &self.staged
     }
 
-    /// Advances the round counter and the delivery tick — unless a
-    /// round-overlap window is open, in which case the round is *absorbed*
-    /// (counted in the window, not on the clock): it executes concurrently
-    /// with machine rounds that are already being counted elsewhere.
+    /// Advances the delivery tick, which counts every executed round, and
+    /// the metered round count — unless a round-overlap window is open, in
+    /// which case the round is *absorbed* (counted in the window, not
+    /// metered): it executes concurrently with machine rounds metered
+    /// elsewhere.
     pub fn bump_round(&mut self) {
-        if let Some(absorbed) = &mut self.absorbed_rounds {
-            *absorbed += 1;
-            return;
-        }
         self.now += 1;
-        self.metrics.bump_round();
+        match &mut self.absorbed_rounds {
+            Some(absorbed) => *absorbed += 1,
+            None => self.metrics.bump_round(),
+        }
     }
 
     /// Opens a round-overlap window: until [`Network::end_round_overlap`],
-    /// `bump_round` calls are absorbed instead of advancing the clock.
-    /// Used by the pipelined driver to run charge-only background work
-    /// (e.g. a previous instance's certification) *during* the machine
-    /// rounds of the current phase — bytes are still metered in full;
-    /// only the round count overlaps.
+    /// `bump_round` calls are absorbed instead of metered. Used by the
+    /// pipelined driver to run charge-only work (an instance's
+    /// certification) whose rounds the next committee phase covers — the
+    /// delivery tick still advances and bytes are still metered in full;
+    /// only the metered round count overlaps.
     ///
     /// # Panics
     ///
-    /// Panics if a window is already open (windows do not nest) or a
-    /// timing model is installed (absorbed rounds would desynchronize the
-    /// delay queue's tick coordinates).
+    /// Panics if a window is already open (windows do not nest).
     pub fn begin_round_overlap(&mut self) {
         assert!(
             self.absorbed_rounds.is_none(),
             "round-overlap windows do not nest"
-        );
-        assert!(
-            self.delay.is_none(),
-            "round overlap and timing faults are mutually exclusive"
         );
         self.absorbed_rounds = Some(0);
     }
@@ -1096,9 +1090,11 @@ mod tests {
 
     #[test]
     fn round_overlap_absorbs_bumps_and_nothing_else() {
-        // Three rounds of traffic; with `overlap`, two extra bumps land
-        // inside a window after the first round (the deferred-certification
-        // shape). They must be counted by the window and by nothing else.
+        // Three rounds of traffic and, after the first, two charge-only
+        // rounds (the pipelined-certification shape), inside a window or
+        // not. The window hides them from the metered round count and from
+        // nothing else: the tick, the bytes and the transcript are the
+        // windowless run's.
         let run = |overlap: bool| {
             let mut net = Network::new(2);
             net.enable_transcript();
@@ -1111,27 +1107,25 @@ mod tests {
                 if round == 0 {
                     if overlap {
                         net.begin_round_overlap();
-                        net.bump_round();
-                        net.bump_round();
                     }
-                    // Bytes are never absorbed: the charge lands in full,
-                    // window or not.
+                    net.bump_round();
+                    net.bump_round();
                     net.metrics_mut().record_send(PartyId(1), PartyId(0), 7);
                     if overlap {
                         absorbed = net.end_round_overlap();
                     }
                 }
             }
-            (
-                absorbed,
-                net.now(),
-                net.report(),
-                net.transcript().unwrap().to_vec(),
-            )
+            let transcript = net.transcript().unwrap().to_vec();
+            (absorbed, net.now(), net.report(), transcript)
         };
         let (absorbed, now, report, transcript) = run(true);
+        let (_, bare_now, bare, bare_transcript) = run(false);
         assert_eq!(absorbed, 2);
-        assert_eq!((0, now, report, transcript), run(false));
+        assert_eq!((now, transcript), (bare_now, bare_transcript));
+        assert_eq!(report.rounds + absorbed, bare.rounds);
+        let rounds = bare.rounds;
+        assert_eq!(Report { rounds, ..report }, bare);
     }
 
     #[test]

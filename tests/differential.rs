@@ -2,7 +2,8 @@
 //! the differential oracle (`support/differential.rs`): named rows pin
 //! the chaos catalogue's threads variants and the key policies, one
 //! property samples the product of every context axis with every variant
-//! axis. The fleet rows live in `transport_differential.rs`, the
+//! axis, every cell of it reachable (Pipelined × timing included). The
+//! fleet rows live in `transport_differential.rs`, the
 //! stream-mode and entry-point rows in `service_stream.rs`, the chaos
 //! catalogue's dense-shadow row in `proptest_metrics_sparse.rs`.
 
@@ -141,12 +142,11 @@ fn faults(timing: bool) -> Vec<StrategySpec> {
 /// One cell of the product as indices into the axis lists (the vendored
 /// proptest has no `select`). Case 0 pins Lazy keys × the adaptive
 /// adversary, case 1 a pipelined stream × more than one worker × a
-/// content fault, case 2 a timing fault × a socket fleet: the
-/// combinations no suite had run. A draw in the [`EXCLUDED`] cell is
-/// counted in `absorbed` and runs as a sequential stream; a single shot
-/// runs one instance with no service to shadow; bare rounds and single
-/// shots take bits.
-fn draw(rng: &mut TestRng, case: usize, absorbed: &mut usize) -> (Context, Variant) {
+/// content fault, case 2 a timing fault × a socket fleet, case 3 a
+/// pipelined stream of 2–3 instances × a timing fault: the combinations
+/// no suite had run. A single shot runs one instance with no service to
+/// shadow; bare rounds and single shots take bits.
+fn draw(rng: &mut TestRng, case: usize) -> (Context, Variant) {
     let mut pick = |len: usize| rng.below(len as u64) as usize;
     let n = [16, 32, 48, 64][pick(4)];
     let t = n / 8;
@@ -197,12 +197,10 @@ fn draw(rng: &mut TestRng, case: usize, absorbed: &mut usize) -> (Context, Varia
         (variant.entry, variant.threads) = (Entry::Stream(pipelined), threads[2 + pick(4)]);
         (ctx.config.chaos, k) = (Some(content[pick(content.len())].clone()), 2 + pick(2));
     } else if case == 2 {
-        variant.entry = [Entry::Round, Entry::Stream(sequential), Entry::Single][pick(3)];
         (ctx.config.chaos, variant.backend) = (Some(timing[pick(timing.len())].clone()), fleet);
-    }
-    if excluded(&ctx, &variant).is_some() {
-        *absorbed += 1;
-        variant.entry = Entry::Stream(sequential);
+    } else if case == 3 {
+        variant.entry = Entry::Stream(pipelined);
+        (ctx.config.chaos, k) = (Some(timing[pick(timing.len())].clone()), 2 + pick(2));
     }
     if variant.entry == Entry::Single {
         (k, variant.shadow) = (1, false);
@@ -226,11 +224,13 @@ fn draw(rng: &mut TestRng, case: usize, absorbed: &mut usize) -> (Context, Varia
 /// 256 (`PROPTEST_CASES`).
 #[test]
 fn variant_product_is_invisible() {
-    let (mut case, mut absorbed) = (0, 0);
+    let mut case = 0;
     let (mut lazy_adaptive, mut pipelined_faults, mut timing_fleet) = (0, 0, 0);
+    // Pipelined × timing draws that ran, in process and over sockets.
+    let mut pipelined_timing = [0, 0];
     let content = faults(false);
     proptest::run_cases(ProptestConfig::with_cases(24), "variant_product", |rng| {
-        let (ctx, variant) = draw(rng, case, &mut absorbed);
+        let (ctx, variant) = draw(rng, case);
         case += 1;
         let repro = format!("{ctx:?} {variant:?}");
         let reference = reference(&ctx);
@@ -249,16 +249,19 @@ fn variant_product_is_invisible() {
         let many = variant.threads > 1 && ctx.instances.len() > 1;
         pipelined_faults += usize::from(ran && fault && pipelined && many);
         let fleet = variant.backend != Backend::Sim;
-        timing_fleet += usize::from(ran && ctx.has_timing() && fleet);
+        let timing = ran && ctx.has_timing();
+        timing_fleet += usize::from(timing && fleet);
+        pipelined_timing[usize::from(fleet)] += usize::from(timing && pipelined);
         repro
     });
+    let [sim, sockets] = pipelined_timing;
     eprintln!(
-        "{case} cases; excluded cell {} absorbed {absorbed} draws; Lazy × Adaptive ran \
-         {lazy_adaptive}, Pipelined × threads > 1 × content fault ran {pipelined_faults}, \
-         timing × transport ran {timing_fleet}",
-        EXCLUDED[0]
+        "{case} cases; Lazy × Adaptive ran {lazy_adaptive}, Pipelined × threads > 1 × content \
+         fault ran {pipelined_faults}, timing × transport ran {timing_fleet}, Pipelined × timing \
+         ran {sim} in process and {sockets} over sockets"
     );
-    assert!(case < 3 || (lazy_adaptive > 0 && pipelined_faults > 0 && timing_fleet > 0));
+    let pinned = [lazy_adaptive, pipelined_faults, timing_fleet, sim + sockets];
+    assert!(case < 4 || pinned.iter().all(|&ran| ran > 0), "{pinned:?}");
 }
 
 /// A real observation exposing every field: a two-instance stream with

@@ -5,7 +5,8 @@
 //!   `(seed, config)`, for both Charged and Interactive establishment.
 //! * **Mode equivalence** — pipelined and sequential streams agree on
 //!   every observable but the rounds; pipelining only hides round latency
-//!   (`overlapped_rounds > 0`, strictly fewer clock rounds).
+//!   (`overlapped_rounds > 0`, strictly fewer clock rounds) — timing faults
+//!   included, since pipelining never moves the delivery tick.
 //! * **Leaf budgeting** — a stream outliving the establishment's MSS
 //!   capacity ends with a structured [`ProtocolError::KeyBudget`] naming
 //!   the failing instance; it never panics.
@@ -19,6 +20,7 @@ mod differential;
 use differential::{
     differential, matches, observe, ones, reference, Context, Entry, Scheme, Variant,
 };
+use pba_bench::chaos::default_cases;
 use pba_core::protocol::{BaConfig, Establishment, KeyError, ProtocolError, Service, StreamMode};
 use pba_srds::snark::{SnarkSrds, SnarkSrdsConfig};
 
@@ -84,6 +86,33 @@ fn pipelined_stream_matches_sequential_and_hides_rounds() {
         pipe_total < total,
         "pipelined stream not faster in rounds: {pipe_total} vs {total}"
     );
+}
+
+/// The same law under timing faults: every `chaos-ci` timing row at
+/// charged n = 48, as a 3-instance stream, delivers in pipelined mode
+/// exactly what it delivers in sequential mode (transcripts included),
+/// and every row that decided hid certification rounds.
+#[test]
+fn pipelined_stream_matches_sequential_under_timing_faults() {
+    let pipelined = Variant::REFERENCE.with(|v| v.entry = Entry::Stream(StreamMode::Pipelined));
+    let mut rows = 0;
+    for case in default_cases(b"chaos-ci") {
+        let mut ctx = Context::chaos(&case);
+        if case.n != 48 || case.establishment != Establishment::Charged || !ctx.has_timing() {
+            continue;
+        }
+        (ctx.scheme, ctx.instances) = (Scheme::Snark(2), ones(48, 3));
+        let (sequential, pipe) = (reference(&ctx), observe(&ctx, pipelined).remove(0));
+        let at = format!("[{}]", case.key());
+        differential(&sequential, &pipe).unwrap_or_else(|d| panic!("{at}: {d}\n{}", case.repro()));
+        let hidden = pipe.rounds.map_or(0, |(_, hidden)| hidden);
+        assert!(
+            pipe.decisions.unwrap_or(0) == 0 || hidden > 0,
+            "{at}: decided but hid no rounds"
+        );
+        rows += 1;
+    }
+    assert_eq!(rows, 15, "the charged n = 48 timing block changed size");
 }
 
 #[test]

@@ -11,9 +11,9 @@
 //! `= total` (sequential) is checked instead. Every run is established
 //! over a transport (the in-process one, or a fleet endpoint's socket),
 //! so every transcript starts at genesis, timing faults included: their
-//! delay queue acts on the exchanged batch. Production keeps it apart
-//! from pipelining only — the one [`EXCLUDED`] cell, which [`observe`]
-//! refuses by name.
+//! delay queue acts on the exchanged batch. Pipelining moves the metered
+//! round count, never the delivery tick, so it composes with them too:
+//! every variant runs on every context.
 #![allow(dead_code)]
 
 use pba_bench::chaos::ChaosCase;
@@ -34,11 +34,6 @@ use pba_srds::traits::Srds;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// The product cells no run can reach: absorbed certification rounds move
-/// the tick the successor's committee phase starts at, so both the delays
-/// and the pipelining law would differ.
-pub const EXCLUDED: [&str; 1] = ["Pipelined × timing"];
 
 /// An SRDS scheme; the MSS-backed ones carry their tree height.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,12 +136,6 @@ impl Variant {
     }
 }
 
-/// The [`EXCLUDED`] cell `variant` falls in under `ctx`, if any.
-pub fn excluded(ctx: &Context, variant: &Variant) -> Option<&'static str> {
-    let pipelined = variant.entry == Entry::Stream(StreamMode::Pipelined);
-    (pipelined && ctx.has_timing()).then_some(EXCLUDED[0])
-}
-
 /// One instance's verdict, in the shape every entry point produces:
 /// per-party outputs and the certificate size, or the failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -193,9 +182,6 @@ pub fn reference(ctx: &Context) -> Observed {
 
 /// Runs `ctx` under `variant`: one [`Observed`] per endpoint.
 pub fn observe(ctx: &Context, variant: Variant) -> Vec<Observed> {
-    if let Some(cell) = excluded(ctx, &variant) {
-        panic!("{variant:?} is in the excluded cell {cell}");
-    }
     match variant.backend {
         Backend::Sim => vec![observe_endpoint(
             ctx,

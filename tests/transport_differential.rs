@@ -7,7 +7,8 @@
 //! transcript and every other observable the differential oracle
 //! (`support/differential.rs`) compares. This tier runs `k`-endpoint
 //! fleets as loopback-TCP threads, honest runs and the chaos catalogue's
-//! timing rows (whose delay queue acts on the exchanged batch);
+//! timing rows (whose delay queue acts on the exchanged batch), two of
+//! them also as a pipelined stream;
 //! `crates/bench/tests/transport_full.rs` repeats the diff with real
 //! `node` processes.
 //!
@@ -20,10 +21,12 @@
 #[path = "support/differential.rs"]
 mod differential;
 
-use differential::{differential, observe, Backend, Context, Entry, Variant, Verdict};
+use differential::{
+    differential, observe, ones, reference, Backend, Context, Entry, Scheme, Variant, Verdict,
+};
 use pba_bench::chaos::default_cases;
 use pba_bench::socket::SocketSpec;
-use pba_core::protocol::{Establishment, ProtocolError, RunOutcome};
+use pba_core::protocol::{Establishment, ProtocolError, RunOutcome, StreamMode};
 use pba_net::{HelloField, PeerMap, TcpTransport, Transport, TransportError, TransportOpts};
 use std::net::TcpListener;
 use std::time::Duration;
@@ -130,6 +133,40 @@ fn timing_fleet_rows_match_the_oracle() {
             other => format!("{other:?}"),
         };
         eprintln!("timing fleet row [{}]: {verdict}", case.key());
+    }
+}
+
+/// Two of those rows — a healing partition and short churn, under both
+/// placements — as a 3-instance pipelined stream over a 2-endpoint
+/// loopback fleet: pipelining moves no delivery tick, so every endpoint
+/// matches the in-process sequential stream under the pipelining law,
+/// transcripts included.
+#[test]
+fn timing_fleet_pipelined_rows_match_the_sequential_oracle() {
+    let labels = ["partition-24-heal4", "churn-2@2-10"];
+    let cases: Vec<_> = default_cases(b"chaos-ci")
+        .into_iter()
+        .filter(|case| labels.contains(&case.spec.label().as_str()))
+        .collect();
+    assert_eq!(cases.len(), 4, "two specs × two placements");
+    let pipelined = Variant::REFERENCE.with(|v| {
+        v.entry = Entry::Stream(StreamMode::Pipelined);
+        v.backend = Backend::Fleet {
+            endpoints: 2,
+            tick_base: 0,
+        }
+    });
+    for case in &cases {
+        let mut ctx = Context::chaos(case);
+        (ctx.scheme, ctx.instances) = (Scheme::Snark(2), ones(case.n, 3));
+        let oracle = reference(&ctx);
+        for (e, run) in observe(&ctx, pipelined).iter().enumerate() {
+            let at = format!("[{}] endpoint {e}", case.key());
+            differential(&oracle, run).unwrap_or_else(|d| panic!("{at}: {d}\n{}", case.repro()));
+            assert!(run.socket_bytes > 0, "{at}: no socket bytes");
+        }
+        let (key, decided) = (case.key(), oracle.decisions.unwrap_or(0));
+        eprintln!("pipelined fleet row [{key}]: {decided} of 3 decided");
     }
 }
 
