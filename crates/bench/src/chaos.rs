@@ -478,9 +478,12 @@ pub struct StreamChaosReport {
     pub verdicts: String,
 }
 
-/// The default mid-stream arming cases: content-fault strategies only
-/// (timing axes are establishment-scoped and cannot be re-armed on a
-/// running service), each arming at instance 2 of a 4-instance stream.
+/// The default mid-stream arming cases: content-fault strategies only,
+/// each arming at instance 2 of a 4-instance stream. Timing axes are
+/// establishment-scoped: the delay queue, its delivery window and its
+/// slack come from the model installed at establishment, so arming a
+/// timing spec on a running service would change nothing but the
+/// (silent) content adversary.
 pub fn default_stream_cases(base_seed: &[u8]) -> Vec<StreamChaosCase> {
     let specs = [
         StrategySpec::Equivocate,

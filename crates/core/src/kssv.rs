@@ -32,12 +32,12 @@
 //! (per-level-parallel) round count by a `#groups` factor. Byte and
 //! message accounting are unaffected.
 
-use crate::vss_coin::toss_coin_vss_driven;
+use crate::vss_coin::try_toss_coin_vss;
 use pba_aetree::params::TreeParams;
 use pba_aetree::tree::Tree;
 use pba_crypto::prg::Prg;
 use pba_crypto::sha256::{Digest, Sha256};
-use pba_net::runner::{Adversary, PhaseOutcome, RoundDriver};
+use pba_net::runner::{Adversary, PhaseOutcome};
 use pba_net::{Network, PartyId};
 use std::collections::BTreeSet;
 
@@ -113,13 +113,11 @@ pub fn try_establish_interactive(
             let seed = if honest_in_group == 0 {
                 Sha256::digest(b"fully-corrupt-group")
             } else {
-                let seeds = toss_coin_vss_driven(
+                let seeds = try_toss_coin_vss(
                     net,
                     group,
                     adversary,
                     &mut prg.child("kssv-group", (levels * 1_000_003 + gi) as u64),
-                    RoundDriver::Lockstep,
-                    0,
                     1,
                 )?;
                 *seeds.values().next().expect("honest member decided")

@@ -119,9 +119,9 @@ pub struct BaConfig {
     /// machines on a phase-persistent worker pool that claims
     /// equal-count chunks from one queue; any value — including more
     /// threads than parties — yields a bit-identical execution (see
-    /// [`pba_net::run_phase_threaded`]; the committee phases reach the same
-    /// engine through [`pba_net::run_phase_driven`]), so this is purely a
-    /// wall-clock knob.
+    /// [`pba_net::run_phase_threaded`], which also reads the delivery
+    /// window and slack off the timing model installed at establishment),
+    /// so this is purely a wall-clock knob.
     pub threads: usize,
     /// When signing-key material is instantiated (see [`KeyPolicy`]).
     pub key_policy: KeyPolicy,

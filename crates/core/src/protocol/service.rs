@@ -16,7 +16,7 @@ use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
 use pba_net::corruption::CorruptionPlan;
 use pba_net::faults::StrategySpec;
-use pba_net::runner::{AdvSender, Adversary, RoundDriver, SilentAdversary};
+use pba_net::runner::{AdvSender, Adversary, SilentAdversary};
 use pba_net::{Envelope, Network, PartyId, Report, TagBreakdown, Transport};
 use pba_srds::traits::Srds;
 use std::collections::{BTreeMap, BTreeSet};
@@ -377,32 +377,6 @@ where
         });
     }
 
-    /// Round driver for the committee sub-protocols: lockstep unless the
-    /// chaos spec demands a per-round delivery window wider than one tick.
-    pub(super) fn round_driver(&self) -> RoundDriver {
-        let ticks = self
-            .config
-            .chaos
-            .as_ref()
-            .map_or(1, |spec| spec.round_budget());
-        if ticks > 1 {
-            RoundDriver::PartialSynchrony { ticks }
-        } else {
-            RoundDriver::Lockstep
-        }
-    }
-
-    /// Extra machine rounds granted to committee phases so recoverable
-    /// timing faults (healing partitions, rejoining churn victims) can
-    /// catch up before the budget expires.
-    pub(super) fn round_slack(&self) -> u64 {
-        let ticks = self.round_driver().ticks();
-        self.config
-            .chaos
-            .as_ref()
-            .map_or(0, |spec| spec.round_slack(ticks))
-    }
-
     /// The session's recorded transport failure, attributed to `phase` —
     /// checked before mapping an incomplete phase to a generic timeout,
     /// so socket deaths report as what they are.
@@ -477,8 +451,11 @@ where
 
     /// Replaces the committee fault-injection strategy between instances —
     /// the mid-stream chaos knob. The next instance's committee phases
-    /// build their adversary from the new spec; timing-fault axes are
-    /// establishment-scoped and are not re-armed here.
+    /// build their adversary from the new spec. Timing faults are
+    /// establishment-scoped: the timing model installed at establishment
+    /// keeps its delay queue, delivery window and slack whatever is armed
+    /// here, and a timing spec armed later adds none of them. Disarming
+    /// (`None`) therefore leaves an installed model's window in force.
     pub fn set_chaos(&mut self, spec: Option<StrategySpec>) {
         self.config.chaos = spec;
     }

@@ -5,7 +5,7 @@
 use super::{AdversaryProfile, ProtocolError, ProtocolPhase, Service};
 use crate::aggr::{charge_aggr_round, f_aggr_sig_uniform};
 use crate::phase_king::{rounds_for, PhaseKing};
-use crate::vss_coin::toss_coin_vss_driven;
+use crate::vss_coin::try_toss_coin_vss;
 use pba_aetree::fae::{
     constant_adversary, disseminate, honest_adversary, AdversaryFn, DisseminationResult,
 };
@@ -13,7 +13,7 @@ use pba_aetree::robust::{ascend, dedup_committee, robust_input_fanin, robust_inp
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, CodecError, Decode, Encode, Reader};
 use pba_crypto::prf::SubsetPrf;
 use pba_crypto::sha256::Digest;
-use pba_net::runner::run_phase_driven;
+use pba_net::runner::{run_phase_threaded, PhaseOutcome};
 use pba_net::wire::{self, step, tag};
 use pba_net::{Machine, PartyId, WireMsg};
 use pba_srds::traits::Srds;
@@ -174,46 +174,26 @@ where
                 (p, PhaseKing::new(supreme.clone(), p, input))
             })
             .collect();
-        let driver = self.round_driver();
-        let slack = self.round_slack();
         let outcome = {
             let mut erased: BTreeMap<PartyId, Box<dyn Machine + Send + '_>> = machines
                 .iter_mut()
                 .map(|(&id, m)| (id, Box::new(m) as Box<dyn Machine + Send + '_>))
                 .collect();
-            run_phase_driven(
+            run_phase_threaded(
                 &mut self.net,
                 &mut erased,
                 adversary.as_mut(),
-                rounds_for(supreme.len()) + 6 + slack,
-                driver,
+                rounds_for(supreme.len()) + 6,
                 self.config.threads,
             )
         };
-        if !outcome.completed {
-            if let Some(e) = self.transport_failure(ProtocolPhase::CommitteeBa) {
-                return Err(e);
-            }
-            return Err(ProtocolError::Timeout {
-                phase: ProtocolPhase::CommitteeBa,
-                rounds: outcome.rounds,
-            });
-        }
-        let values: BTreeSet<u8> = machines
-            .values()
-            .filter_map(|m| m.output().copied())
-            .collect();
-        if values.len() != 1 {
-            return Err(ProtocolError::Disagreement {
-                phase: ProtocolPhase::CommitteeBa,
-                distinct: values.len(),
-            });
-        }
-        Ok(*values.iter().next().expect("nonempty"))
+        let outputs = machines.values().filter_map(|m| m.output().copied());
+        let run = outcome.completed.then(|| outputs.collect()).ok_or(outcome);
+        self.unanimous(ProtocolPhase::CommitteeBa, run)
     }
 
     /// Fallible step 2b: the robust VSS coin toss
-    /// ([`crate::vss_coin::toss_coin_vss_driven`] — Shamir deal/echo,
+    /// ([`crate::vss_coin::try_toss_coin_vss`] — Shamir deal/echo,
     /// error-corrected reconstruction, phase-king on the candidate seed),
     /// with the phase round limit surfaced as [`ProtocolError::Timeout`]
     /// and honest seed divergence as [`ProtocolError::Disagreement`].
@@ -221,36 +201,41 @@ where
         let supreme = self.supreme_committee();
         let mut adversary = self.committee_adversary(&supreme);
         let epoch = self.epoch;
-        let driver = self.round_driver();
-        let slack = self.round_slack();
-        let seeds = match toss_coin_vss_driven(
+        let run = try_toss_coin_vss(
             &mut self.net,
             &supreme,
             adversary.as_mut(),
             &mut self.prg.child("coin", epoch),
-            driver,
-            slack,
             self.config.threads,
-        ) {
-            Ok(seeds) => seeds,
-            Err(outcome) => {
-                if let Some(e) = self.transport_failure(ProtocolPhase::CommitteeCoin) {
-                    return Err(e);
-                }
-                return Err(ProtocolError::Timeout {
-                    phase: ProtocolPhase::CommitteeCoin,
+        )
+        .map(|seeds| seeds.into_values().collect());
+        self.unanimous(ProtocolPhase::CommitteeCoin, run)
+    }
+
+    /// Step 2's verdict on a committee phase: the one value every honest
+    /// member output, an incomplete phase as a transport failure (if the
+    /// transport recorded one) or else a [`ProtocolError::Timeout`], and
+    /// anything but exactly one distinct value as a
+    /// [`ProtocolError::Disagreement`].
+    fn unanimous<T: Copy>(
+        &self,
+        phase: ProtocolPhase,
+        run: Result<BTreeSet<T>, PhaseOutcome>,
+    ) -> Result<T, ProtocolError> {
+        let values = run.map_err(|outcome| {
+            self.transport_failure(phase)
+                .unwrap_or(ProtocolError::Timeout {
+                    phase,
                     rounds: outcome.rounds,
-                });
-            }
-        };
-        let values: BTreeSet<Digest> = seeds.values().copied().collect();
-        if values.len() != 1 {
-            return Err(ProtocolError::Disagreement {
-                phase: ProtocolPhase::CommitteeCoin,
+                })
+        })?;
+        match values.iter().next() {
+            Some(&value) if values.len() == 1 => Ok(value),
+            _ => Err(ProtocolError::Disagreement {
+                phase,
                 distinct: values.len(),
-            });
+            }),
         }
-        Ok(*values.iter().next().expect("nonempty"))
     }
 
     /// Steps 3–8 for an already-agreed `(y, s)`: certified dissemination,

@@ -37,7 +37,7 @@ use pba_crypto::prg::Prg;
 use pba_crypto::reed_solomon;
 use pba_crypto::sha256::{Digest, Sha256};
 use pba_crypto::shamir;
-use pba_net::runner::{run_phase_driven, Adversary, PhaseOutcome, RoundDriver};
+use pba_net::runner::{run_phase_threaded, Adversary, PhaseOutcome};
 use pba_net::wire::{step, tag};
 use pba_net::{Ctx, Envelope, Machine, Network, PartyId, WireMsg};
 use std::collections::BTreeMap;
@@ -260,31 +260,26 @@ pub fn toss_coin_vss(
     adversary: &mut dyn Adversary,
     prg: &mut Prg,
 ) -> BTreeMap<PartyId, Digest> {
-    toss_coin_vss_driven(net, committee, adversary, prg, RoundDriver::Lockstep, 0, 1)
-        .expect("phase-king terminated")
+    try_toss_coin_vss(net, committee, adversary, prg, 1).expect("phase-king terminated")
 }
 
-/// [`toss_coin_vss`] under an explicit [`RoundDriver`] and thread count
-/// (any count yields a bit-identical run — see
-/// [`pba_net::run_phase_threaded`]), fallible:
+/// [`toss_coin_vss`] on `threads` workers (any count yields a
+/// bit-identical run — see [`pba_net::run_phase_threaded`]), fallible:
 /// timing faults (churned members offline past the phase budget, delays
-/// beyond the driver window) can leave a member without a phase-king
+/// beyond the model's window) can leave a member without a phase-king
 /// output, which surfaces as `Err` with the failing phase's
-/// [`PhaseOutcome`] instead of a panic. `slack` extends both phase budgets
-/// by that many machine rounds so heal/rejoin events scheduled in tick
-/// time can land inside the phase.
+/// [`PhaseOutcome`] instead of a panic. Both phase budgets grow by the
+/// installed timing model's slack inside the round engine.
 ///
 /// A member that produced no candidate (e.g. it was offline through
 /// reconstruction) enters phase-king with [`Digest::ZERO`], exactly like a
 /// member whose dealer set was emptied by faults — the king agreement then
 /// decides whether the committee still converges.
-pub fn toss_coin_vss_driven(
+pub fn try_toss_coin_vss(
     net: &mut Network,
     committee: &[PartyId],
     adversary: &mut dyn Adversary,
     prg: &mut Prg,
-    driver: RoundDriver,
-    slack: u64,
     threads: usize,
 ) -> Result<BTreeMap<PartyId, Digest>, PhaseOutcome> {
     let mut machines: BTreeMap<PartyId, VssCoin> = BTreeMap::new();
@@ -301,7 +296,7 @@ pub fn toss_coin_vss_driven(
             .collect();
         // The deal/echo outcome is advisory: a member that missed
         // reconstruction enters agreement with a zero candidate.
-        run_phase_driven(net, &mut erased, adversary, 8 + slack, driver, threads);
+        run_phase_threaded(net, &mut erased, adversary, 8, threads);
     }
 
     let mut kings: BTreeMap<PartyId, PhaseKing<Digest>> = machines
@@ -316,12 +311,11 @@ pub fn toss_coin_vss_driven(
             .iter_mut()
             .map(|(&id, m)| (id, Box::new(m) as Box<dyn Machine + Send + '_>))
             .collect();
-        run_phase_driven(
+        run_phase_threaded(
             net,
             &mut erased,
             adversary,
-            rounds_for(committee.len()) + 6 + slack,
-            driver,
+            rounds_for(committee.len()) + 6,
             threads,
         )
     };

@@ -14,8 +14,8 @@
 //! which the endpoints' round clocks start. The deterministic simulator
 //! always ran `take_staged` callers and the round driver in one process,
 //! so "everyone agrees what round it is" held by construction; across
-//! processes it is an *assumption*, and a [`crate::runner::RoundDriver`]
-//! in partial-synchrony mode numbers its delivery windows from this base.
+//! processes it is an *assumption*, and the round engine under a timing
+//! model numbers its delivery windows from this base.
 //! The hello makes the assumption checkable: endpoints with different
 //! tick bases refuse to pair instead of silently running skewed windows
 //! (see `HelloField::TickBase` rejections in [`crate::transport`]).

@@ -607,29 +607,56 @@ impl LatencyDist {
 ///   offline for ticks `down..up` (not stepped; mail expiring there is
 ///   lost) and rejoins at `up` with whatever state it had, resyncing from
 ///   the traffic and certificates it receives afterwards.
+///
+/// The model also owns the round engine's partial-synchrony parameters,
+/// so they stay with the delay queue they describe:
+///
+/// * **window** — delivery ticks per machine round, given with the
+///   latency axis (1, lockstep, without one). A delay `<= window - 1`
+///   arrives in the next machine round; longer ones straggle or expire;
+/// * **slack** — extra machine rounds every phase is granted so heal and
+///   rejoin events scheduled in tick time land inside it:
+///   `max(heal, rejoin)` ticks over the window, rounded up, capped at 64.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimingModel {
     key: [u8; 32],
     latency: Option<LatencyDist>,
+    window: u64,
     partition: Option<(u64, Option<u64>)>,
     churn: Vec<(PartyId, u64, u64)>,
 }
 
 impl TimingModel {
     /// Assembles a model directly (harness/test entry point —
-    /// [`StrategySpec::timing_model`] is the production path).
+    /// [`StrategySpec::timing_model`] is the production path). `latency`
+    /// pairs the delay distribution with its delivery window in ticks per
+    /// machine round (a window of 0 counts as 1).
     pub fn new(
         key: [u8; 32],
-        latency: Option<LatencyDist>,
+        latency: Option<(LatencyDist, u64)>,
         partition: Option<(u64, Option<u64>)>,
         churn: Vec<(PartyId, u64, u64)>,
     ) -> Self {
         TimingModel {
             key,
-            latency,
+            latency: latency.map(|(dist, _)| dist),
+            window: latency.map_or(1, |(_, window)| window.max(1)),
             partition,
             churn,
         }
+    }
+
+    /// Delivery ticks the round engine opens per machine round.
+    pub(crate) fn window(&self) -> u64 {
+        self.window
+    }
+
+    /// Extra machine rounds the round engine grants every phase, so a
+    /// healing partition or a rejoining churn victim can still catch up.
+    pub(crate) fn slack(&self) -> u64 {
+        let heal = self.partition.and_then(|(_, heal)| heal).unwrap_or(0);
+        let rejoin = self.churn.iter().map(|&(_, _, up)| up).max().unwrap_or(0);
+        heal.max(rejoin).div_ceil(self.window).min(64)
     }
 
     /// The delay (in ticks) of a message staged on `from -> to` at `tick`
@@ -721,14 +748,15 @@ pub enum StrategySpec {
     Phased(Vec<(u64, StrategySpec)>),
     /// Timing fault: seeded per-link latency. Content-side the corrupted
     /// parties stay silent; the timing side installs `dist` as the
-    /// [`TimingModel`] latency axis and asks the runner for a
-    /// partial-synchrony window of `budget` ticks per machine round —
-    /// delays `<= budget - 1` arrive in the next machine round, longer
-    /// ones straggle into later rounds or expire.
+    /// [`TimingModel`] latency axis with a partial-synchrony window of
+    /// `budget` ticks per machine round — delays `<= budget - 1` arrive in
+    /// the next machine round, longer ones straggle into later rounds or
+    /// expire. The window belongs to the installed model, so it holds for
+    /// the establishment's lifetime whatever spec is armed later.
     Delay {
         /// Per-link delay distribution.
         dist: LatencyDist,
-        /// Ticks per machine round granted to the round driver (`>= 1`).
+        /// Delivery ticks per machine round (`>= 1`).
         budget: u64,
     },
     /// Timing fault: an asymmetric partition. Messages from parties
@@ -903,7 +931,9 @@ impl StrategySpec {
     /// that seeds every per-link delay draw. [`StrategySpec::CrashAt`] and
     /// [`StrategySpec::Compose`] recurse; [`StrategySpec::Phased`] does
     /// not (its schedule already reinterprets rounds, and nesting the two
-    /// clocks would make windows unreadable).
+    /// clocks would make windows unreadable). The last
+    /// [`StrategySpec::Delay`] in the tree supplies the latency axis
+    /// together with its window.
     pub fn timing_model(
         &self,
         corrupted: &BTreeSet<PartyId>,
@@ -919,24 +949,19 @@ impl StrategySpec {
         }
         let mut key = [0u8; 32];
         prg.child("timing-key", 0).fill_bytes(&mut key);
-        Some(TimingModel {
-            key,
-            latency,
-            partition,
-            churn,
-        })
+        Some(TimingModel::new(key, latency, partition, churn))
     }
 
     fn collect_timing(
         &self,
         corrupted: &BTreeSet<PartyId>,
         n: usize,
-        latency: &mut Option<LatencyDist>,
+        latency: &mut Option<(LatencyDist, u64)>,
         partition: &mut Option<(u64, Option<u64>)>,
         churn: &mut Vec<(PartyId, u64, u64)>,
     ) {
         match self {
-            StrategySpec::Delay { dist, .. } => *latency = Some(*dist),
+            StrategySpec::Delay { dist, budget } => *latency = Some((*dist, *budget)),
             StrategySpec::Partition { split, heal_at } => *partition = Some((*split, *heal_at)),
             StrategySpec::Churn { count, down, up } => {
                 let victims = (0..n as u64)
@@ -954,42 +979,6 @@ impl StrategySpec {
                 }
             }
             _ => {}
-        }
-    }
-
-    /// Ticks of delivery window per machine round the round driver should
-    /// grant — the max `budget` over every [`StrategySpec::Delay`] in the
-    /// tree, and 1 (lockstep) when the spec carries no latency.
-    pub fn round_budget(&self) -> u64 {
-        let budget = match self {
-            StrategySpec::Delay { budget, .. } => *budget,
-            StrategySpec::CrashAt { inner, .. } => inner.round_budget(),
-            StrategySpec::Compose(parts) => {
-                parts.iter().map(|p| p.round_budget()).max().unwrap_or(1)
-            }
-            _ => 1,
-        };
-        budget.max(1)
-    }
-
-    /// Extra machine rounds a phase budget should allow so that
-    /// heal/rejoin events scheduled in tick time can still land inside
-    /// the phase: ceil(window-end / ticks), capped at 64. Zero for specs
-    /// without partition-heal or churn windows.
-    pub fn round_slack(&self, ticks: u64) -> u64 {
-        let t = ticks.max(1);
-        match self {
-            StrategySpec::Churn { up, .. } => up.div_ceil(t).min(64),
-            StrategySpec::Partition {
-                heal_at: Some(h), ..
-            } => h.div_ceil(t).min(64),
-            StrategySpec::CrashAt { inner, .. } => inner.round_slack(ticks),
-            StrategySpec::Compose(parts) => parts
-                .iter()
-                .map(|p| p.round_slack(ticks))
-                .max()
-                .unwrap_or(0),
-            _ => 0,
         }
     }
 
@@ -1594,7 +1583,7 @@ mod tests {
     }
 
     #[test]
-    fn timing_extraction_recurses_and_reports_budget_and_slack() {
+    fn timing_extraction_recurses_and_reports_window_and_slack() {
         let composed = StrategySpec::Compose(vec![
             StrategySpec::Equivocate,
             StrategySpec::CrashAt {
@@ -1615,14 +1604,80 @@ mod tests {
             .expect("composed spec carries timing axes");
         assert_eq!(model.max_delay(), 1);
         assert!(model.offline(PartyId(0), 11));
-        assert_eq!(composed.round_budget(), 3);
-        assert_eq!(composed.round_slack(3), 4); // ceil(12 / 3)
-        assert_eq!(composed.round_slack(1), 12);
+        assert_eq!(model.window(), 3);
+        assert_eq!(model.slack(), 4); // ceil(12 / 3)
+        let lockstep = TimingModel::new([0; 32], None, None, vec![(PartyId(0), 0, 12)]);
+        assert_eq!((lockstep.window(), lockstep.slack()), (1, 12));
         // Content-only specs have no timing half at all.
         assert!(StrategySpec::Equivocate
             .timing_model(&BTreeSet::new(), 6, &Prg::from_seed_bytes(b"t"))
             .is_none());
-        assert_eq!(StrategySpec::Equivocate.round_budget(), 1);
-        assert_eq!(StrategySpec::Equivocate.round_slack(1), 0);
+    }
+
+    /// `(window, slack)` for every timing spec of the catalogue and of the
+    /// chaos matrix's extra timing rows, at n = 48 with 4 corrupted
+    /// parties. The literals are the spec's own `Delay` budget and
+    /// `max(heal, rejoin)` ticks over it (rounded up, capped at 64), so a
+    /// service that keeps the spec it was established with runs every
+    /// timing row under the same window and phase budgets.
+    #[test]
+    fn window_and_slack_are_pinned_per_timing_spec() {
+        use StrategySpec::*;
+        let extra_rows = [
+            Delay {
+                dist: LatencyDist::Fixed { delay: 1 },
+                budget: 2,
+            },
+            Partition {
+                split: 24,
+                heal_at: None,
+            },
+            Churn {
+                count: 4,
+                down: 6,
+                up: 18,
+            },
+            Churn {
+                count: 20,
+                down: 0,
+                up: 4096,
+            },
+            Compose(vec![
+                Delay {
+                    dist: LatencyDist::Uniform { max: 1 },
+                    budget: 2,
+                },
+                Equivocate,
+            ]),
+        ];
+        let pinned: BTreeMap<&str, (u64, u64)> = [
+            ("delay-uni1-b2", (2, 0)),
+            ("delay-uni3-b4", (4, 0)),
+            ("delay-geo1of2c3-b4", (4, 0)),
+            ("delay-fix1-b2", (2, 0)),
+            ("partition-24-heal4", (1, 4)),
+            ("partition-24-forever", (1, 0)),
+            ("churn-2@2-10", (1, 10)),
+            ("churn-4@6-18", (1, 18)),
+            ("churn-20@0-4096", (1, 64)),
+            ("compose[delay-uni1-b2+equivocate]", (2, 0)),
+        ]
+        .into();
+        let corrupted: BTreeSet<PartyId> = (44..48).map(PartyId).collect();
+        let mut seen = BTreeSet::new();
+        for spec in StrategySpec::catalogue().into_iter().chain(extra_rows) {
+            let prg = Prg::from_seed_bytes(b"pinned");
+            let Some(model) = spec.timing_model(&corrupted, 48, &prg) else {
+                continue;
+            };
+            let label = spec.label();
+            assert_eq!(
+                pinned.get(label.as_str()),
+                Some(&(model.window(), model.slack())),
+                "{label}"
+            );
+            seen.insert(label);
+        }
+        assert_eq!(seen.len(), pinned.len(), "a pinned spec lost its model");
     }
 }

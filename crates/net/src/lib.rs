@@ -24,8 +24,9 @@
 //!   *content* (equivocation, garbling, floods, …) and *timing*: seeded
 //!   per-link latency, healing partitions, and crash-recovery churn
 //!   ([`faults::TimingModel`]), delivered through the network's
-//!   deterministic delay queue and the partial-synchrony
-//!   [`runner::RoundDriver`];
+//!   deterministic delay queue. The installed model also carries the
+//!   round engine's partial-synchrony window and slack, so they belong to
+//!   whoever installed it and no phase passes them around;
 //! * [`wire`] — the typed wire protocol: stable tag registry, `{tag, step}`
 //!   headers, the hardened [`wire::decode_msg`] entry point, and the
 //!   schema-driven [`wire::mutate_field`] used by structure-aware faults;
@@ -69,8 +70,7 @@ pub use faults::{LatencyDist, TimingModel};
 pub use metrics::{MetricsTable, Report, TagBreakdown};
 pub use network::{Ctx, Network, RoundEffects, TimingStats};
 pub use runner::{
-    run_phase, run_phase_driven, run_phase_threaded, AdvSender, Adversary, Machine, PhaseOutcome,
-    RoundDriver, SilentAdversary,
+    run_phase, run_phase_threaded, AdvSender, Adversary, Machine, PhaseOutcome, SilentAdversary,
 };
 pub use transport::{
     LocalTransport, SocketStats, TcpTransport, Transport, TransportError, TransportOpts,

@@ -412,7 +412,9 @@ impl Network {
     /// Installs timing faults: subsequent [`Network::take_staged`] calls
     /// pass the exchanged batch through a fresh delay queue (replacing any
     /// earlier model, its queue and its counters). The model's tick zero
-    /// is the first `take_staged` after this call.
+    /// is the first `take_staged` after this call. Its delivery window and
+    /// slack govern every phase the round engine runs on this network
+    /// from then on.
     pub fn set_timing(&mut self, model: TimingModel) {
         self.delay = Some(DelayQueue {
             model,
@@ -862,7 +864,7 @@ mod tests {
     fn fixed_delay_model(delay: u64) -> TimingModel {
         TimingModel::new(
             [7u8; 32],
-            Some(crate::faults::LatencyDist::Fixed { delay }),
+            Some((crate::faults::LatencyDist::Fixed { delay }, 1)),
             None,
             Vec::new(),
         )

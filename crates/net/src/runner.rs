@@ -189,36 +189,6 @@ pub struct PhaseOutcome {
     pub completed: bool,
 }
 
-/// How the runner turns machine rounds into network delivery ticks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoundDriver {
-    /// The classic synchronous schedule: one delivery tick per machine
-    /// round — everything staged in round `r` is on the wire for round
-    /// `r + 1`.
-    Lockstep,
-    /// Partial synchrony: each machine round opens a delivery window of
-    /// `ticks` network ticks and fires on that *timeout budget* rather
-    /// than on quiescence. A message delayed `d <= ticks - 1` ticks still
-    /// arrives in the next machine round (the window absorbs it); longer
-    /// delays straggle into later rounds or expire, and machines that run
-    /// out of phase budget waiting report an incomplete
-    /// [`PhaseOutcome`] — timing pressure becomes a real timeout.
-    PartialSynchrony {
-        /// Delivery ticks per machine round (`>= 1`).
-        ticks: u64,
-    },
-}
-
-impl RoundDriver {
-    /// Delivery ticks opened per machine round.
-    pub fn ticks(&self) -> u64 {
-        match self {
-            RoundDriver::Lockstep => 1,
-            RoundDriver::PartialSynchrony { ticks } => (*ticks).max(1),
-        }
-    }
-}
-
 /// Runs one phase sequentially — equivalent to [`run_phase_threaded`] with
 /// one worker.
 ///
@@ -251,6 +221,21 @@ pub fn run_phase(
 /// the execution (outcome, staged-envelope transcript, metrics, adversary
 /// observations) is bit-identical for every thread count.
 ///
+/// Without a timing model every machine round is one delivery tick:
+/// everything staged in round `r` is on the wire for round `r + 1`. With
+/// one installed ([`Network::set_timing`]) the phase runs under partial
+/// synchrony and takes its parameters from the model. Each machine round
+/// drains a window of the model's delivery ticks before the machines act:
+/// a message delayed `d <= window - 1` ticks still arrives in the next
+/// machine round, later ones surface in the round whose window covers
+/// their deliver-at tick, and parties the model reports offline are not
+/// stepped (their state freezes; their inbox for that round is dropped —
+/// the delay queue has already accounted those messages as delivered).
+/// The phase budget grows by the model's slack so heals and rejoins can
+/// land inside it. A phase whose machines are still waiting on
+/// straggling or expired traffic at the budget reports
+/// `completed = false`, which the protocol layer surfaces as a timeout.
+///
 /// # Panics
 ///
 /// Panics if a corrupted identity appears among the honest machines, or if
@@ -261,43 +246,6 @@ pub fn run_phase_threaded(
     machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + '_>>,
     adversary: &mut dyn Adversary,
     max_rounds: u64,
-    threads: usize,
-) -> PhaseOutcome {
-    run_phase_driven(
-        net,
-        machines,
-        adversary,
-        max_rounds,
-        RoundDriver::Lockstep,
-        threads,
-    )
-}
-
-/// Runs one phase under an explicit [`RoundDriver`] — the engine's one
-/// full-form entry; [`run_phase`] and [`run_phase_threaded`] forward here
-/// with `Lockstep` (and one thread) filled in.
-///
-/// [`RoundDriver::Lockstep`] is exactly [`run_phase_threaded`]. Under
-/// [`RoundDriver::PartialSynchrony`] each machine round drains a window of
-/// `ticks` delivery ticks from the network before the machines act: late
-/// messages surface in the machine round whose window covers their
-/// deliver-at tick, and parties the network's timing model reports offline
-/// are not stepped (their state freezes; their inbox for that round is
-/// dropped — the delay queue has already accounted those messages as
-/// delivered). A phase whose machines are still waiting on straggling or
-/// expired traffic at `max_rounds` reports `completed = false`, which the
-/// protocol layer surfaces as a timeout.
-///
-/// # Panics
-///
-/// Panics if a corrupted identity appears among the honest machines, or if
-/// a machine panics on a worker thread.
-pub fn run_phase_driven<'m>(
-    net: &mut Network,
-    machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + 'm>>,
-    adversary: &mut dyn Adversary,
-    max_rounds: u64,
-    driver: RoundDriver,
     threads: usize,
 ) -> PhaseOutcome {
     for id in machines.keys() {
@@ -315,7 +263,6 @@ pub fn run_phase_driven<'m>(
             machines,
             adversary,
             max_rounds,
-            driver,
             &mut |net, machines, inboxes, round, offline| {
                 for (&id, machine) in machines.iter_mut() {
                     let inbox = inboxes.remove(&id).unwrap_or_default();
@@ -336,7 +283,6 @@ pub fn run_phase_driven<'m>(
             machines,
             adversary,
             max_rounds,
-            driver,
             &mut |net, machines, inboxes, round, offline| {
                 pool.step_round(net, machines, inboxes, round, offline);
             },
@@ -363,7 +309,6 @@ fn phase_loop<'m>(
     machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + 'm>>,
     adversary: &mut dyn Adversary,
     max_rounds: u64,
-    driver: RoundDriver,
     step: StepFn<'_, 'm>,
 ) -> PhaseOutcome {
     // Drop any stale cross-phase messages that are *due*. Traffic still in
@@ -371,10 +316,10 @@ fn phase_loop<'m>(
     // round whose window covers its deliver-at tick.
     net.take_staged();
 
-    let ticks = driver.ticks();
+    let (ticks, slack) = net.timing().map_or((1, 0), |m| (m.window(), m.slack()));
     let mut rounds = 0;
     let mut completed = false;
-    while rounds < max_rounds {
+    while rounds < max_rounds + slack {
         let mut delivered = net.take_staged();
         net.bump_round();
         for _ in 1..ticks {
@@ -840,13 +785,12 @@ mod tests {
             .collect()
     }
 
-    /// Runs one driven phase over concrete [`Recorder`] machines, keeping
-    /// them inspectable afterwards.
+    /// Runs one phase over concrete [`Recorder`] machines, keeping them
+    /// inspectable afterwards.
     fn drive_recorders(
         net: &mut Network,
         machines: &mut BTreeMap<PartyId, Recorder>,
         max_rounds: u64,
-        driver: RoundDriver,
         threads: usize,
     ) -> PhaseOutcome {
         let mut adv = SilentAdversary::default();
@@ -854,7 +798,7 @@ mod tests {
             .iter_mut()
             .map(|(&id, m)| (id, Box::new(m) as Box<dyn Machine + Send + '_>))
             .collect();
-        run_phase_driven(net, &mut erased, &mut adv, max_rounds, driver, threads)
+        run_phase_threaded(net, &mut erased, &mut adv, max_rounds, threads)
     }
 
     #[test]
@@ -866,19 +810,18 @@ mod tests {
         let mut net = Network::new(2);
         net.set_timing(TimingModel::new(
             [3u8; 32],
-            Some(LatencyDist::Fixed { delay: 1 }),
+            Some((LatencyDist::Fixed { delay: 1 }, 2)),
             None,
             Vec::new(),
         ));
-        let driver = RoundDriver::PartialSynchrony { ticks: 2 };
 
         let mut phase1 = recorders(2, 1); // sends once, then done
-        drive_recorders(&mut net, &mut phase1, 4, driver, 1);
+        drive_recorders(&mut net, &mut phase1, 4, 1);
         // The last round's sends are still sitting at the boundary.
         assert_eq!(net.staged().len(), 2, "phase-1 traffic still pending");
 
         let mut phase2 = recorders(2, 3);
-        drive_recorders(&mut net, &mut phase2, 4, driver, 1);
+        drive_recorders(&mut net, &mut phase2, 4, 1);
         // The delayed phase-1 payload (round value 0) crossed the boundary
         // and was processed by the phase-2 machines.
         assert!(
@@ -900,16 +843,16 @@ mod tests {
         let mut net = Network::new(2);
         net.set_timing(TimingModel::new(
             [3u8; 32],
-            Some(LatencyDist::Fixed { delay: 0 }),
+            Some((LatencyDist::Fixed { delay: 0 }, 1)),
             None,
             Vec::new(),
         ));
         let mut phase1 = recorders(2, 1);
-        drive_recorders(&mut net, &mut phase1, 4, RoundDriver::Lockstep, 1);
+        drive_recorders(&mut net, &mut phase1, 4, 1);
         assert_eq!(net.in_flight_len(), 0);
 
         let mut phase2 = recorders(2, 2);
-        drive_recorders(&mut net, &mut phase2, 4, RoundDriver::Lockstep, 1);
+        drive_recorders(&mut net, &mut phase2, 4, 1);
         for recorder in phase2.values() {
             // Phase-2 round 0 delivers nothing: the phase-1 messages were
             // due at the boundary and the stale-drop swallowed them.
@@ -929,18 +872,12 @@ mod tests {
             let mut net = Network::new(3);
             net.set_timing(TimingModel::new(
                 [5u8; 32],
-                Some(LatencyDist::Fixed { delay }),
+                Some((LatencyDist::Fixed { delay }, ticks)),
                 None,
                 Vec::new(),
             ));
             let mut machines = recorders(3, 4);
-            let out = drive_recorders(
-                &mut net,
-                &mut machines,
-                8,
-                RoundDriver::PartialSynchrony { ticks },
-                1,
-            );
+            let out = drive_recorders(&mut net, &mut machines, 8, 1);
             assert!(out.completed);
             machines[&PartyId(0)].got.clone()
         };
@@ -990,7 +927,7 @@ mod tests {
         let mut net = Network::new(2);
         net.set_timing(TimingModel::new(
             [5u8; 32],
-            Some(LatencyDist::Fixed { delay: 2 }),
+            Some((LatencyDist::Fixed { delay: 2 }, 2)),
             None,
             Vec::new(),
         ));
@@ -1007,14 +944,7 @@ mod tests {
                 )
             })
             .collect();
-        let out = run_phase_driven(
-            &mut net,
-            &mut machines,
-            &mut adv,
-            6,
-            RoundDriver::PartialSynchrony { ticks: 2 },
-            1,
-        );
+        let out = run_phase(&mut net, &mut machines, &mut adv, 6);
         assert!(!out.completed, "over-budget delay must surface as timeout");
         assert_eq!(out.rounds, 6);
     }
@@ -1034,7 +964,7 @@ mod tests {
                 vec![(PartyId(1), 2, 4)],
             ));
             let mut machines = recorders(3, 5);
-            let out = drive_recorders(&mut net, &mut machines, 12, RoundDriver::Lockstep, threads);
+            let out = drive_recorders(&mut net, &mut machines, 12, threads);
             assert!(out.completed);
             let m1 = &machines[&PartyId(1)];
             (

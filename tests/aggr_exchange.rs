@@ -1,6 +1,6 @@
 //! Step 5b of `f_aggr-sig` executed, not only charged. The `Machine` in
 //! `tests/oracle/aggr_exchange.rs` runs the digest-first exchange through
-//! `run_phase_driven` at committee sizes 7–42, and:
+//! `run_phase_threaded` at committee sizes 7–42, and:
 //!
 //! * on fault-free uniform runs — every member holding the same set, which
 //!   is every call π_ba makes — its per-(party, tag) bytes equal the
@@ -20,7 +20,7 @@ use pba_core::aggr::{charge_aggr_round, AggrBody, AggrDigests};
 use pba_crypto::prg::Prg;
 use pba_crypto::sha256::{Digest, Sha256};
 use pba_net::faults::{GarbleMode, StrategySpec};
-use pba_net::runner::{run_phase_driven, AdvSender, Adversary, RoundDriver, SilentAdversary};
+use pba_net::runner::{run_phase_threaded, AdvSender, Adversary, SilentAdversary};
 use pba_net::wire::tag;
 use pba_net::{Envelope, Machine, Network, PartyId};
 use proptest::prelude::*;
@@ -110,14 +110,7 @@ fn execute(
             .iter_mut()
             .map(|(&id, m)| (id, Box::new(m) as Box<dyn Machine + Send + '_>))
             .collect();
-        run_phase_driven(
-            &mut net,
-            &mut erased,
-            adversary,
-            4,
-            RoundDriver::Lockstep,
-            threads,
-        )
+        run_phase_threaded(&mut net, &mut erased, adversary, 4, threads)
     };
     assert!(outcome.completed, "exchange did not finish: {outcome:?}");
     (net, members)

@@ -1,6 +1,6 @@
 //! Property tests for the timing-fault subsystem: seeded link delays are
 //! pure functions of `(key, link, tick)`, partitions that heal within the
-//! granted slack never cost agreement, the delay queue conserves every
+//! model's own slack never cost agreement, the delay queue conserves every
 //! staged message (delivered, expired, or still in flight — never silently
 //! lost), and the sequential and threaded round engines produce identical
 //! delivery transcripts under every timing strategy in the catalogue.
@@ -9,9 +9,7 @@ use pba_core::phase_king::{rounds_for, PhaseKing};
 use pba_crypto::prg::Prg;
 use pba_crypto::sha256::Digest;
 use pba_net::faults::{LatencyDist, StrategySpec, TimingModel};
-use pba_net::runner::{
-    run_phase, run_phase_driven, run_phase_threaded, RoundDriver, SilentAdversary,
-};
+use pba_net::runner::{run_phase, run_phase_threaded, SilentAdversary};
 use pba_net::{Ctx, Envelope, Machine, Network, PartyId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -63,11 +61,11 @@ fn phase_king_committee(
 enum Engine {
     Seq,
     Threaded(usize),
-    Driven(usize),
 }
 
 /// Runs a phase-king committee under `spec`'s timing model on a fresh
 /// transcript-enabled network and returns (transcript, honest outputs).
+/// The round engine reads the window and slack off the installed model.
 fn run_committee_under(
     spec: &StrategySpec,
     c: usize,
@@ -81,13 +79,7 @@ fn run_committee_under(
     if let Some(model) = spec.timing_model(&corrupted, c, &prg) {
         net.set_timing(model);
     }
-    let ticks = spec.round_budget();
-    let driver = if ticks > 1 {
-        RoundDriver::PartialSynchrony { ticks }
-    } else {
-        RoundDriver::Lockstep
-    };
-    let budget = rounds_for(c) as u64 + 6 + spec.round_slack(driver.ticks());
+    let budget = rounds_for(c) as u64 + 6;
     let mut adversary = SilentAdversary::new(corrupted.clone());
     let mut machines = phase_king_committee(c, &corrupted);
     {
@@ -101,16 +93,6 @@ fn run_committee_under(
             }
             Engine::Threaded(threads) => {
                 run_phase_threaded(&mut net, &mut erased, &mut adversary, budget, threads);
-            }
-            Engine::Driven(threads) => {
-                run_phase_driven(
-                    &mut net,
-                    &mut erased,
-                    &mut adversary,
-                    budget,
-                    driver,
-                    threads,
-                );
             }
         }
     }
@@ -143,9 +125,9 @@ proptest! {
         max in 1u64..4,
     ) {
         let dist = LatencyDist::Uniform { max };
-        let model = TimingModel::new(key, Some(dist), None, vec![]);
-        let again = TimingModel::new(key, Some(dist), None, vec![]);
-        let sibling = TimingModel::new(other_key, Some(dist), None, vec![]);
+        let model = TimingModel::new(key, Some((dist, 1)), None, vec![]);
+        let again = TimingModel::new(key, Some((dist, 1)), None, vec![]);
+        let sibling = TimingModel::new(other_key, Some((dist, 1)), None, vec![]);
         let mut differs = false;
         for from in (0..8u64).map(PartyId) {
             for to in (0..8u64).map(PartyId) {
@@ -178,9 +160,9 @@ proptest! {
         seed in any::<[u8; 32]>(),
     ) {
         // t < c/3 corrupted (silent) members plus a one-way partition
-        // that heals at `heal`: with the matching slack, phase-king must
-        // still complete in agreement — the post-heal phases realign
-        // whatever the blocked links did early on.
+        // that heals at `heal`: with only the slack the model grants
+        // itself, phase-king must still complete in agreement — the
+        // post-heal phases realign whatever the blocked links did early on.
         let t = (c - 1) / 3;
         let corrupt_count = (t * t_frac) / 2;
         let corrupted: BTreeSet<PartyId> =
@@ -200,14 +182,7 @@ proptest! {
                 .iter_mut()
                 .map(|(&id, m)| (id, Box::new(m) as Box<dyn Machine + Send + '_>))
                 .collect();
-            run_phase_driven(
-                &mut net,
-                &mut erased,
-                &mut adversary,
-                rounds_for(c) as u64 + 6 + heal,
-                RoundDriver::Lockstep,
-                1,
-            )
+            run_phase(&mut net, &mut erased, &mut adversary, rounds_for(c) as u64 + 6)
         };
         prop_assert!(outcome.completed, "phase-king hung past the heal");
         let outputs: BTreeSet<u8> = machines
@@ -238,7 +213,7 @@ proptest! {
         let mut net = Network::new(n);
         net.set_timing(TimingModel::new(
             seed,
-            Some(LatencyDist::Uniform { max }),
+            Some((LatencyDist::Uniform { max }, ticks)),
             split.map(|s| (s.min(n as u64 - 1), Some(3))),
             churn,
         ));
@@ -257,14 +232,7 @@ proptest! {
                 )
             })
             .collect();
-        run_phase_driven(
-            &mut net,
-            &mut machines,
-            &mut adversary,
-            quota + max + 4,
-            RoundDriver::PartialSynchrony { ticks },
-            1,
-        );
+        run_phase(&mut net, &mut machines, &mut adversary, quota + max + 4);
         let stats = net.timing_stats();
         prop_assert_eq!(
             stats.staged,
@@ -280,11 +248,11 @@ proptest! {
 
     #[test]
     fn engines_agree_under_every_timing_spec(seed in any::<[u8; 8]>()) {
-        // For every timing strategy in the catalogue: the legacy
-        // sequential runner and the threaded runner (lockstep semantics)
-        // produce identical delivery transcripts, and the explicit driver
-        // is thread-count-invariant — the determinism anchor that keeps
-        // chaos repro lines exact.
+        // For every timing strategy in the catalogue: the sequential
+        // runner and the threaded runner, both under the window and slack
+        // of the installed model, produce identical delivery transcripts
+        // at every thread count — the determinism anchor that keeps chaos
+        // repro lines exact.
         let specs = timing_catalogue();
         prop_assert!(specs.len() >= 5, "timing catalogue shrank");
         for spec in &specs {
@@ -292,10 +260,9 @@ proptest! {
             let (t_thr, o_thr) = run_committee_under(spec, 12, &seed, Engine::Threaded(4));
             prop_assert_eq!(&t_seq, &t_thr, "seq vs threaded diverged on {}", spec.label());
             prop_assert_eq!(&o_seq, &o_thr, "outputs diverged on {}", spec.label());
-            let (t_d1, o_d1) = run_committee_under(spec, 12, &seed, Engine::Driven(1));
-            let (t_d4, o_d4) = run_committee_under(spec, 12, &seed, Engine::Driven(4));
-            prop_assert_eq!(&t_d1, &t_d4, "driven 1 vs 4 threads diverged on {}", spec.label());
-            prop_assert_eq!(&o_d1, &o_d4, "driven outputs diverged on {}", spec.label());
+            let (t_thr2, o_thr2) = run_committee_under(spec, 12, &seed, Engine::Threaded(2));
+            prop_assert_eq!(&t_thr, &t_thr2, "2 vs 4 threads diverged on {}", spec.label());
+            prop_assert_eq!(&o_thr, &o_thr2, "outputs diverged on {}", spec.label());
         }
     }
 }

@@ -10,6 +10,10 @@
 //! * **Leaf budgeting** — a stream outliving the establishment's MSS
 //!   capacity ends with a structured [`ProtocolError::KeyBudget`] naming
 //!   the failing instance; it never panics.
+//! * **Timing stays with the establishment** — the delivery window and
+//!   slack belong to the timing model installed at establishment, so
+//!   [`Service::set_chaos`] neither shrinks them (disarming) nor conjures
+//!   them without a delay queue (arming a timing spec later).
 //!
 //! The two equivalences are rows of the differential oracle
 //! (`support/differential.rs`).
@@ -22,6 +26,7 @@ use differential::{
 };
 use pba_bench::chaos::default_cases;
 use pba_core::protocol::{BaConfig, Establishment, KeyError, ProtocolError, Service, StreamMode};
+use pba_net::faults::{LatencyDist, StrategySpec};
 use pba_srds::snark::{SnarkSrds, SnarkSrdsConfig};
 
 const SEED: &[u8] = b"service-stream";
@@ -192,4 +197,80 @@ fn peer_groups_are_bounded_by_the_tree_not_the_epochs() {
     let tree = service.tree();
     let nodes: usize = (0..tree.height()).map(|l| tree.nodes_at_level(l)).sum();
     assert_eq!(after_first, nodes, "one group per committee of the tree");
+}
+
+/// What the set_chaos rows compare of one instance: its verdict, metered
+/// rounds and the honest bytes each step sent. (A step's
+/// `max_bytes_after` also counts what honest members read from the
+/// committee adversary, and disarming brings back the profile's.)
+type InstanceView = (String, u64, Vec<(&'static str, u64)>);
+
+/// Runs instance 1 on a 48-party `service`, applies `arm`, and returns
+/// what instance 2 shows.
+fn next_instance_after(
+    service: &mut Service<'_, SnarkSrds>,
+    arm: Option<StrategySpec>,
+) -> InstanceView {
+    service.try_run_stream(&ones(48, 1), StreamMode::Sequential);
+    service.set_chaos(arm);
+    let out = service
+        .try_run_stream(&ones(48, 1), StreamMode::Sequential)
+        .instances
+        .remove(0);
+    let verdict = match &out.result {
+        Ok(mv) => format!("{:?} {} {}", mv.value, mv.agreement, mv.validity),
+        Err(e) => e.to_string(),
+    };
+    let steps = out.report.steps.iter();
+    let steps = steps.map(|s| (s.label, s.total_bytes));
+    (verdict, out.report.rounds, steps.collect())
+}
+
+/// The uniform-delay spec both set_chaos rows arm.
+const UNIFORM_DELAY: StrategySpec = StrategySpec::Delay {
+    dist: LatencyDist::Uniform { max: 3 },
+    budget: 4,
+};
+
+/// Disarming chaos on a service established under a delay spec keeps the
+/// installed delay queue's window: the next instance is the instance
+/// re-arming the same spec would run. A window read off the spec in
+/// force would drop to lockstep under a live delay queue here, metering
+/// 57 rounds instead of 180, and 10 of these 16 pairs would end step 2
+/// with two distinct honest values.
+#[test]
+fn disarming_chaos_keeps_the_established_delivery_window() {
+    let geometric = StrategySpec::Delay {
+        dist: LatencyDist::Geometric {
+            num: 1,
+            den: 2,
+            cap: 3,
+        },
+        budget: 4,
+    };
+    let scheme = SnarkSrds::with_defaults();
+    for spec in [UNIFORM_DELAY, geometric] {
+        for s in 0..8 {
+            let mut cfg = BaConfig::byzantine(48, 4, format!("mid-{s}").as_bytes());
+            cfg.chaos = Some(spec.clone());
+            let establish = || Service::try_establish(&scheme, &cfg).expect("establishment");
+            let disarmed = next_instance_after(&mut establish(), None);
+            let rearmed = next_instance_after(&mut establish(), Some(spec.clone()));
+            assert_eq!(disarmed, rearmed, "{} mid-{s}", spec.label());
+        }
+    }
+}
+
+/// Arming a delay spec mid-stream on a service established without one
+/// installs no delay queue, so it grants no partial-synchrony window
+/// either: instance 2 meters what arming `Silent` meters (57 rounds, not
+/// the 180 a four-tick window taken from the armed spec would meter).
+#[test]
+fn arming_a_timing_spec_mid_stream_adds_no_rounds() {
+    let scheme = SnarkSrds::with_defaults();
+    let cfg = BaConfig::honest(48, b"arm-timing");
+    let establish = || Service::try_establish(&scheme, &cfg).expect("establishment");
+    let silent = next_instance_after(&mut establish(), Some(StrategySpec::Silent));
+    let delayed = next_instance_after(&mut establish(), Some(UNIFORM_DELAY));
+    assert_eq!(silent, delayed);
 }
