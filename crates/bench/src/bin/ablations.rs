@@ -16,7 +16,7 @@
 //!   sortition SRDS against a maximal `n/3` coalition vs the expected
 //!   signer count — the concrete-security margin finding (DESIGN.md §4b).
 //! * **A4 — base-signature size (κ knob):** SRDS base/aggregate signature
-//!   sizes vs the Lamport digest width.
+//!   sizes vs the signed digest width of the W-OTS keys.
 #![forbid(unsafe_code)]
 
 use pba_aetree::analysis::TreeAnalysis;
@@ -165,7 +165,7 @@ fn ablation_sortition() {
 }
 
 fn ablation_kappa() {
-    println!("== A4: Lamport digest width (kappa knob) vs signature sizes ==\n");
+    println!("== A4: W-OTS digest width (kappa knob) vs signature sizes ==\n");
     println!(
         "{:<8} {:>20} {:>20} {:>22}",
         "bits", "owf base sig (B)", "owf cert (B)", "snark base sig (B)"
@@ -200,5 +200,5 @@ fn ablation_kappa() {
             snark.signature_len(&ssig)
         );
     }
-    println!("\nexpected: base signatures scale linearly with the digest width; the\nSNARK *aggregate* stays 121 B regardless (not shown: it is constant).\n");
+    println!("\nexpected: base signatures carry one 32-byte chain value per base-16 digit\n(bits/4 plus 2-3 checksum digits); the SNARK *aggregate* stays 121 B\nregardless (not shown: it is constant).\n");
 }

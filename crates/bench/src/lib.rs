@@ -149,8 +149,8 @@ impl Protocol {
 /// 0.1 and not 1/3 − ε at simulation scale).
 pub const BETA: f64 = 0.10;
 
-/// The OWF scheme configuration used in benches: 16-bit Lamport digests
-/// keep the (polylog but κ-heavy) certificates small enough to sweep.
+/// The OWF scheme configuration used in benches: W-OTS keys signing 16
+/// digest bits keep the (polylog but κ-heavy) certificates small enough to sweep.
 pub fn bench_owf() -> OwfSrds {
     OwfSrds::new(OwfSrdsConfig {
         lamport_bits: 16,

@@ -14,7 +14,7 @@
 //! MSS-based [`pba_srds::snark::SnarkSrds`] and
 //! [`pba_srds::multisig::MultisigSrds`]) consume a fresh slot per execution
 //! via [`pba_srds::traits::Srds::sign_epoch`]; configure `mss_height ≥
-//! ⌈log₂ ℓ⌉`. The Lamport-based OWF scheme supports a single certified
+//! ⌈log₂ ℓ⌉`. The W-OTS-based OWF scheme supports a single certified
 //! execution per key generation.
 
 use crate::protocol::{BaConfig, RoundOutcome, Service};

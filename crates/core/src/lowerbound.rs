@@ -293,7 +293,7 @@ mod tests {
         // WITH a trusted PKI — cryptography, not just setup, is necessary.
         let out = isolation_attack_invertible_pki(300, 90, b"no-owf");
         assert!(out.victim_fooled, "{out:?}");
-        // Contrast: with the (one-way) Lamport-based SRDS the same budget
+        // Contrast: with the (one-way) W-OTS-based SRDS the same budget
         // forges nothing (see srds_certificate_repairs_the_boost_owf).
     }
 

@@ -19,10 +19,10 @@
 //! ```
 
 use crate::field::Fp;
-use crate::lamport::LamportSignature;
 use crate::merkle::MerkleProof;
 use crate::mss::MssSignature;
 use crate::sha256::{Digest, DIGEST_LEN};
+use crate::wots::WotsSignature;
 use std::fmt;
 
 /// Errors raised while decoding.
@@ -387,30 +387,27 @@ impl Decode for MerkleProof {
     }
 }
 
-impl Encode for LamportSignature {
+/// One varint-prefixed sequence of chain values.
+impl Encode for WotsSignature {
     fn encode(&self, buf: &mut Vec<u8>) {
-        let (revealed, complements) = self.clone().into_parts();
-        revealed.encode(buf);
-        complements.encode(buf);
+        write_varint(buf, self.chains().len() as u64);
+        buf.extend_from_slice(self.chains().as_flattened());
     }
     fn encoded_len(&self) -> usize {
-        LamportSignature::encoded_len(self)
+        WotsSignature::encoded_len(self)
     }
 }
 
-impl Decode for LamportSignature {
+impl Decode for WotsSignature {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let revealed = Vec::<[u8; 32]>::decode(r)?;
-        let complements = Vec::<Digest>::decode(r)?;
-        Ok(LamportSignature::from_parts(revealed, complements))
+        Ok(WotsSignature::from_chains(Vec::<[u8; 32]>::decode(r)?))
     }
 }
 
 impl Encode for MssSignature {
     fn encode(&self, buf: &mut Vec<u8>) {
-        let (idx, vk, sig, path) = self.clone().into_parts();
+        let (idx, sig, path) = self.clone().into_parts();
         idx.encode(buf);
-        vk.encode(buf);
         sig.encode(buf);
         path.encode(buf);
     }
@@ -422,17 +419,15 @@ impl Encode for MssSignature {
 impl Decode for MssSignature {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let idx = u64::decode(r)?;
-        let vk = Digest::decode(r)?;
-        let sig = LamportSignature::decode(r)?;
+        let sig = WotsSignature::decode(r)?;
         let path = MerkleProof::decode(r)?;
-        Ok(MssSignature::from_parts(idx, vk, sig, path))
+        Ok(MssSignature::from_parts(idx, sig, path))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lamport::LamportParams;
     use crate::mss::{MssKeyPair, MssParams};
     use crate::prg::Prg;
     use crate::sha256::Sha256;
@@ -474,8 +469,8 @@ mod tests {
     #[test]
     fn crypto_types_roundtrip() {
         let mut prg = Prg::from_seed_bytes(b"cdc");
-        let lparams = LamportParams::new(16);
-        let kp = crate::lamport::LamportKeyPair::generate(&lparams, &mut prg);
+        let wparams = crate::wots::WotsParams::new(16);
+        let kp = crate::wots::WotsKeyPair::generate(&wparams, &mut prg);
         roundtrip(kp.sign(b"m"));
 
         let mparams = MssParams::new(16, 2);

@@ -1,9 +1,11 @@
 //! Lamport one-time signatures with **oblivious key generation**.
 //!
-//! This is the exact primitive the paper's OWF-based SRDS needs (§2.2,
-//! Theorem 2.7): a signature scheme where a verification key can be sampled
-//! *without* learning a corresponding signing key, and where keys generated
-//! obliviously are indistinguishable from keys generated with a signing key.
+//! A one-time scheme with what the paper's OWF-based SRDS needs (§2.2,
+//! Theorem 2.7): a verification key can be sampled *without* learning a
+//! corresponding signing key, indistinguishably from a real one. No
+//! protocol signs with it: the SRDS constructions and the Merkle signature
+//! scheme use [`crate::wots`], whose signatures are ×5–6 smaller. It is the
+//! reference one-time scheme for tests and benchmark kernels.
 //!
 //! Construction (Lamport '79 with hash-compressed public keys):
 //!
@@ -67,8 +69,7 @@ impl LamportParams {
         self.bits
     }
 
-    /// Signature size in bytes on the wire (including the codec's two
-    /// varint sequence-length prefixes).
+    /// Signature size in bytes as two varint-prefixed digest sequences.
     pub fn signature_len(&self) -> usize {
         2 * crate::codec::varint_len(self.bits as u64) + self.bits * 2 * DIGEST_LEN
     }
@@ -161,8 +162,7 @@ impl LamportKeyPair {
     /// [`rand::RngCore::fill_bytes`] call (the PRG stream is position-based,
     /// so one large fill emits the same bytes as many small fills in order),
     /// and the per-preimage hashes are bit-identical to the scalar core.
-    /// This is the MSS keygen fast path — `capacity` keys hash
-    /// `2·bits·capacity` preimages in lane-width groups.
+    /// `count` keys hash `2·bits·count` preimages in lane-width groups.
     pub fn generate_many(params: &LamportParams, prg: &mut Prg, count: usize) -> Vec<Self> {
         let preimages_per_key = 2 * params.bits;
         let mut material = vec![0u8; count * preimages_per_key * DIGEST_LEN];
@@ -225,25 +225,10 @@ impl LamportKeyPair {
     /// Signs a message. **One-time**: signing two distinct messages with the
     /// same key reveals enough preimages to forge.
     pub fn sign(&self, message: &[u8]) -> LamportSignature {
-        self.params
-            .sign_with_preimages(self.preimages.iter().map(|(x0, x1)| (x0, x1)), message)
-    }
-}
-
-impl LamportParams {
-    /// [`LamportKeyPair::sign`] over bare preimage pairs `(x_{i,0}, x_{i,1})`
-    /// in key order: what a signer that re-derives its preimages from the
-    /// keygen stream ([`crate::mss::MssParams::sign_rederived`]) calls
-    /// without first hashing them into a verification key.
-    pub(crate) fn sign_with_preimages<'a>(
-        &self,
-        preimages: impl Iterator<Item = (&'a [u8; DIGEST_LEN], &'a [u8; DIGEST_LEN])>,
-        message: &[u8],
-    ) -> LamportSignature {
-        let bits = self.message_bits(message);
+        let bits = self.params.message_bits(message);
         let (revealed, complements): (Vec<[u8; DIGEST_LEN]>, Vec<&[u8]>) = bits
             .iter()
-            .zip(preimages)
+            .zip(&self.preimages)
             .map(|(&bit, (x0, x1))| if bit { (*x1, &x0[..]) } else { (*x0, &x1[..]) })
             .unzip();
         // Independent 32-byte messages: one batch through the hash engine.
@@ -264,20 +249,19 @@ pub struct LamportSignature {
 }
 
 impl LamportSignature {
-    /// Wire size in bytes (including the codec's two varint sequence-length
-    /// prefixes).
+    /// Size in bytes as two varint-prefixed digest sequences.
     pub fn encoded_len(&self) -> usize {
         crate::codec::varint_len(self.revealed.len() as u64)
             + crate::codec::varint_len(self.complement_hashes.len() as u64)
             + (self.revealed.len() + self.complement_hashes.len()) * DIGEST_LEN
     }
 
-    /// Accessors used by codecs.
+    /// Decomposes into revealed preimages and complement hashes.
     pub fn into_parts(self) -> (Vec<[u8; DIGEST_LEN]>, Vec<Digest>) {
         (self.revealed, self.complement_hashes)
     }
 
-    /// Rebuilds a signature from codec parts.
+    /// Rebuilds a signature from its parts.
     pub fn from_parts(revealed: Vec<[u8; DIGEST_LEN]>, complement_hashes: Vec<Digest>) -> Self {
         LamportSignature {
             revealed,

@@ -16,10 +16,13 @@
 //! * [`prg`] — deterministic counter-mode PRG implementing [`rand::RngCore`];
 //! * [`prf`] — the subset-valued PRF `F_s` from step 7 of the BA protocol;
 //! * [`merkle`] — Merkle trees with inclusion proofs;
-//! * [`lamport`] — Lamport one-time signatures **with oblivious key
-//!   generation** (the exact primitive behind the OWF-based SRDS);
-//! * [`mss`] — Merkle many-time signatures (the "standard signature with bare
-//!   PKI" for the SNARK-based SRDS and baselines);
+//! * [`wots`] — Winternitz one-time signatures (`w = 16`) **with oblivious
+//!   key generation** (the primitive behind the OWF-based SRDS, and the
+//!   one-time key under every MSS leaf);
+//! * [`lamport`] — Lamport one-time signatures, the reference one-time
+//!   scheme for tests and benchmark kernels (no protocol signs with it);
+//! * [`mss`] — Merkle many-time signatures over W-OTS keys (the "standard
+//!   signature with bare PKI" for the SNARK-based SRDS and baselines);
 //! * [`field`], [`poly`], [`shamir`] — `F_{2^61-1}` arithmetic and Shamir
 //!   sharing for committee coin tossing;
 //! * [`reed_solomon`] — error-corrected share decoding, one table-driven
@@ -33,11 +36,11 @@
 //!
 //! ```
 //! use pba_crypto::prg::Prg;
-//! use pba_crypto::lamport::{LamportKeyPair, LamportParams};
+//! use pba_crypto::wots::{WotsKeyPair, WotsParams};
 //!
-//! let params = LamportParams::new(64);
+//! let params = WotsParams::new(64);
 //! let mut prg = Prg::from_seed_bytes(b"demo");
-//! let kp = LamportKeyPair::generate(&params, &mut prg);
+//! let kp = WotsKeyPair::generate(&params, &mut prg);
 //! let sig = kp.sign(b"agree on 1");
 //! assert!(params.verify(&kp.verification_key(), b"agree on 1", &sig));
 //! ```
@@ -55,5 +58,6 @@ pub mod reed_solomon;
 pub mod sha256;
 pub mod shamir;
 pub mod vss;
+pub mod wots;
 
 pub use sha256::{Digest, Sha256};

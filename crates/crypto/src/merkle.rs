@@ -1,7 +1,7 @@
 //! Merkle hash trees with inclusion proofs.
 //!
 //! Used by the Merkle signature scheme ([`crate::mss`]) to certify many
-//! Lamport one-time keys under one verification root, and by the SNARK-based
+//! W-OTS one-time keys under one verification root, and by the SNARK-based
 //! SRDS to commit succinctly to sets of contributed signatures.
 //!
 //! Leaves and internal nodes are domain-separated (`0x00` / `0x01` prefixes)

@@ -1,5 +1,6 @@
-//! Merkle signature scheme (MSS): a many-time signature built from Lamport
-//! one-time keys under a Merkle root (Merkle '89).
+//! Merkle signature scheme (MSS): a many-time signature built from
+//! Winternitz one-time keys ([`crate::wots`]) under a Merkle root
+//! (Merkle '89).
 //!
 //! This is a *real* OWF-based signature — not a simulation — and serves as the
 //! "standard EUF-CMA signature with bare PKI" that the paper's SNARK-based
@@ -7,29 +8,34 @@
 //! its own key (bare PKI), the verification key is one digest, and up to
 //! `2^height` messages can be signed.
 //!
+//! A signature carries the key index, the W-OTS signature and the
+//! authentication path, but not the one-time verification key: verifying
+//! the W-OTS signature recomputes that key, and the path checks it against
+//! the root.
+//!
 //! # Examples
 //!
 //! ```
 //! use pba_crypto::mss::{MssParams, MssKeyPair};
 //! use pba_crypto::prg::Prg;
 //!
-//! let params = MssParams::new(64, 3); // 64-bit Lamport, 8 one-time keys
+//! let params = MssParams::new(64, 3); // 64 signed digest bits, 8 one-time keys
 //! let mut prg = Prg::from_seed_bytes(b"keygen");
 //! let mut kp = MssKeyPair::generate(&params, &mut prg);
 //! let sig = kp.sign(b"tx-1").unwrap();
 //! assert!(params.verify(&kp.verification_key(), b"tx-1", &sig));
 //! ```
 
-use crate::lamport::{LamportKeyPair, LamportParams, LamportSignature};
 use crate::merkle::{MerkleProof, MerkleTree};
 use crate::prg::Prg;
 use crate::sha256::{Digest, DIGEST_LEN};
+use crate::wots::{WotsKeyPair, WotsParams, WotsSignature};
 use std::fmt;
 
-/// Parameters: Lamport digest bits and Merkle tree height.
+/// Parameters: signed digest bits of the W-OTS keys and Merkle tree height.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MssParams {
-    lamport: LamportParams,
+    wots: WotsParams,
     height: usize,
 }
 
@@ -44,12 +50,12 @@ impl MssParams {
     /// against huge keygen, for callers that size a key from outside input.
     pub const MAX_HEIGHT: usize = 16;
 
-    /// Creates parameters for `2^height` one-time keys with `bits`-bit Lamport
-    /// signatures.
+    /// Creates parameters for `2^height` W-OTS one-time keys signing `bits`
+    /// digest bits.
     ///
     /// # Panics
     ///
-    /// Panics if `height > MAX_HEIGHT` or if the Lamport parameters are
+    /// Panics if `height > MAX_HEIGHT` or if the W-OTS parameters are
     /// invalid.
     pub fn new(bits: usize, height: usize) -> Self {
         assert!(
@@ -57,14 +63,14 @@ impl MssParams {
             "height {height} unreasonably large for simulation"
         );
         MssParams {
-            lamport: LamportParams::new(bits),
+            wots: WotsParams::new(bits),
             height,
         }
     }
 
     /// Underlying one-time signature parameters.
-    pub fn lamport(&self) -> &LamportParams {
-        &self.lamport
+    pub fn wots(&self) -> &WotsParams {
+        &self.wots
     }
 
     /// Maximum number of signatures per key.
@@ -72,34 +78,35 @@ impl MssParams {
         1 << self.height
     }
 
-    /// Verifies an MSS signature.
+    /// Verifies an MSS signature: recomputes the one-time key from the
+    /// W-OTS signature and checks it against the root along the
+    /// authentication path of leaf `key_index`.
     pub fn verify(&self, vk: &MssVerificationKey, message: &[u8], sig: &MssSignature) -> bool {
-        if !self
-            .lamport
-            .verify(&sig.one_time_vk_struct(), message, &sig.lamport_sig)
-        {
+        let Some(one_time_vk) = self.wots.recover_key(message, &sig.wots_sig) else {
             return false;
-        }
-        sig.auth_path
-            .verify_leaf_digest(&vk.0, &crate::merkle::hash_leaf(sig.one_time_vk.as_bytes()))
-            && sig.auth_path.leaf_index() == sig.key_index
+        };
+        sig.auth_path.leaf_index() == sig.key_index
+            && sig.auth_path.verify_leaf_digest(
+                &vk.0,
+                &crate::merkle::hash_leaf(one_time_vk.digest().as_bytes()),
+            )
     }
 
     /// Signs with one-time key `index` of the key pair
     /// [`MssKeyPair::generate`] builds from `keygen_prg`, deriving that one
     /// key alone: byte-identical to
     /// `MssKeyPair::generate(self, &mut keygen_prg.clone()).sign_with_index(message, index)`
-    /// at the cost of one Lamport key's preimages instead of all `2^height`
+    /// at the cost of one W-OTS key's chains instead of all `2^height`
     /// key pairs (the XMSS arrangement: a seed plus the kept bottom row).
     ///
     /// `one_time_vks` is that key pair's [`MssKeyPair::one_time_vks`] — public
-    /// material, every entry of which some signature publishes. The keygen
-    /// stream is position-based, so [`Prg::skip`] seeks to the key's
-    /// `2·bits` preimages; its verification key and the authentication path
-    /// come from `one_time_vks`. `keygen_prg` is left untouched.
+    /// material, every entry of which a verifier recomputes from some
+    /// signature. The keygen stream is position-based, so [`Prg::skip`]
+    /// seeks to the key's `chains · 32` seed bytes; the authentication path
+    /// comes from `one_time_vks`. `keygen_prg` is left untouched.
     ///
     /// Returns `None` when `index` is past the `2^height` capacity — never a
-    /// wrap onto another key's preimages.
+    /// wrap onto another key's chains.
     ///
     /// # Panics
     ///
@@ -119,25 +126,22 @@ impl MssParams {
         let slot = usize::try_from(index)
             .ok()
             .filter(|&i| i < self.capacity())?;
-        let bits = self.lamport.bits();
+        let chains = self.wots.chains();
         let mut prg = keygen_prg.clone();
-        prg.skip(index * (2 * bits * DIGEST_LEN) as u64);
+        prg.skip(index * (chains * DIGEST_LEN) as u64);
         debug_assert_eq!(
-            LamportKeyPair::generate(&self.lamport, &mut prg.clone())
+            WotsKeyPair::generate(&self.wots, &mut prg.clone())
                 .verification_key()
                 .digest(),
             one_time_vks[slot],
             "one_time_vks do not belong to this keygen stream"
         );
-        let mut preimages = vec![[0u8; DIGEST_LEN]; 2 * bits];
-        rand::RngCore::fill_bytes(&mut prg, preimages.as_flattened_mut());
+        let mut seeds = vec![[0u8; DIGEST_LEN]; chains];
+        rand::RngCore::fill_bytes(&mut prg, seeds.as_flattened_mut());
         let tree = MerkleTree::from_leaves(one_time_vks.iter().map(Digest::as_bytes));
         Some(MssSignature {
             key_index: index,
-            one_time_vk: one_time_vks[slot],
-            lamport_sig: self
-                .lamport
-                .sign_with_preimages(preimages.chunks_exact(2).map(|x| (&x[0], &x[1])), message),
+            wots_sig: self.wots.sign_with_seeds(&seeds, message),
             auth_path: tree.prove(slot),
         })
     }
@@ -159,7 +163,7 @@ impl MssVerificationKey {
 #[derive(Clone)]
 pub struct MssKeyPair {
     params: MssParams,
-    one_time: Vec<LamportKeyPair>,
+    one_time: Vec<WotsKeyPair>,
     tree: MerkleTree,
     next: usize,
 }
@@ -174,17 +178,17 @@ impl fmt::Debug for MssKeyPair {
 }
 
 impl MssKeyPair {
-    /// Generates a key pair: `2^height` Lamport keys and their Merkle tree.
+    /// Generates a key pair: `2^height` W-OTS keys and their Merkle tree.
     ///
     /// Keygen is the hash-heaviest operation in the workspace
-    /// (`2^height · 2·bits` preimage hashes plus the tree build), so both
+    /// (`2^height · 15 · chains` chain steps plus the tree build), so both
     /// stages go through the multi-lane engine:
-    /// [`LamportKeyPair::generate_many`] batches preimage hashing *across*
-    /// one-time keys, and [`MerkleTree::from_leaves`] batches each tree
+    /// [`WotsKeyPair::generate_many`] walks the chains of all one-time keys
+    /// in lockstep, and [`MerkleTree::from_leaves`] batches each tree
     /// level. The resulting keys, root, and PRG state are byte-identical
-    /// to the scalar per-key path.
+    /// to generating the keys one at a time.
     pub fn generate(params: &MssParams, prg: &mut Prg) -> Self {
-        let one_time = LamportKeyPair::generate_many(&params.lamport, prg, params.capacity());
+        let one_time = WotsKeyPair::generate_many(&params.wots, prg, params.capacity());
         let tree = MerkleTree::from_leaves(
             one_time
                 .iter()
@@ -209,8 +213,8 @@ impl MssKeyPair {
     }
 
     /// The verification keys of the `2^height` one-time keys, in leaf
-    /// order — the bottom row under the Merkle root. Public: each appears
-    /// in the signature its key produces. What
+    /// order — the bottom row under the Merkle root. Public: a verifier
+    /// recomputes each from the signature its key produces. What
     /// [`MssParams::sign_rederived`] needs in place of this key pair.
     pub fn one_time_vks(&self) -> impl Iterator<Item = Digest> + '_ {
         self.one_time
@@ -243,8 +247,7 @@ impl MssKeyPair {
         let kp = &self.one_time[index];
         MssSignature {
             key_index: index as u64,
-            one_time_vk: kp.verification_key().digest(),
-            lamport_sig: kp.sign(message),
+            wots_sig: kp.sign(message),
             auth_path: self.tree.prove(index),
         }
     }
@@ -340,47 +343,32 @@ impl fmt::Display for LeafBudgetExceeded {
 
 impl std::error::Error for LeafBudgetExceeded {}
 
-/// An MSS signature: one-time key index, its verification key, the Lamport
-/// signature, and the Merkle authentication path.
+/// An MSS signature: one-time key index, the W-OTS signature, and the
+/// Merkle authentication path. The one-time verification key is not sent:
+/// [`MssParams::verify`] recomputes it from the W-OTS signature.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MssSignature {
     key_index: u64,
-    one_time_vk: Digest,
-    lamport_sig: LamportSignature,
+    wots_sig: WotsSignature,
     auth_path: MerkleProof,
 }
 
 impl MssSignature {
-    fn one_time_vk_struct(&self) -> crate::lamport::LamportVerificationKey {
-        crate::lamport::LamportVerificationKey(self.one_time_vk)
-    }
-
     /// Wire size in bytes.
     pub fn encoded_len(&self) -> usize {
-        8 + 32 + self.lamport_sig.encoded_len() + self.auth_path.encoded_len()
+        8 + self.wots_sig.encoded_len() + self.auth_path.encoded_len()
     }
 
     /// Decomposes into codec parts.
-    pub fn into_parts(self) -> (u64, Digest, LamportSignature, MerkleProof) {
-        (
-            self.key_index,
-            self.one_time_vk,
-            self.lamport_sig,
-            self.auth_path,
-        )
+    pub fn into_parts(self) -> (u64, WotsSignature, MerkleProof) {
+        (self.key_index, self.wots_sig, self.auth_path)
     }
 
     /// Rebuilds from codec parts.
-    pub fn from_parts(
-        key_index: u64,
-        one_time_vk: Digest,
-        lamport_sig: LamportSignature,
-        auth_path: MerkleProof,
-    ) -> Self {
+    pub fn from_parts(key_index: u64, wots_sig: WotsSignature, auth_path: MerkleProof) -> Self {
         MssSignature {
             key_index,
-            one_time_vk,
-            lamport_sig,
+            wots_sig,
             auth_path,
         }
     }
@@ -436,12 +424,17 @@ mod tests {
 
     #[test]
     fn spliced_index_rejected() {
-        // Take a valid signature and claim it came from a different leaf.
+        // Take a valid signature and claim it came from a different leaf:
+        // either the index alone, or the index and the path's leaf index
+        // together (the recomputed key then hashes up a different branch).
         let (params, mut kp) = setup();
         let vk = kp.verification_key();
         let sig = kp.sign(b"a").unwrap();
-        let (_, ovk, lsig, path) = sig.into_parts();
-        let forged = MssSignature::from_parts(5, ovk, lsig, path);
+        let (_, wsig, path) = sig.into_parts();
+        let forged = MssSignature::from_parts(5, wsig.clone(), path.clone());
+        assert!(!params.verify(&vk, b"a", &forged));
+        let moved = MerkleProof::from_parts(5, path.path().to_vec());
+        let forged = MssSignature::from_parts(5, wsig, moved);
         assert!(!params.verify(&vk, b"a", &forged));
     }
 

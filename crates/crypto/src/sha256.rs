@@ -1,7 +1,7 @@
 //! A from-scratch implementation of SHA-256 (FIPS 180-4).
 //!
 //! This is the collision-resistant hash underlying every other primitive in
-//! the workspace: HMAC, the PRF/PRG, Merkle trees, Lamport/Merkle signatures,
+//! the workspace: HMAC, the PRF/PRG, Merkle trees, W-OTS/Merkle signatures,
 //! and commitments. It supports incremental (streaming) hashing through
 //! [`Sha256`], one-shot hashing through [`Sha256::digest`], and batched
 //! hashing of independent messages through [`batch_digest`].
@@ -9,7 +9,7 @@
 //! # Compression backends
 //!
 //! Everything above the compression function — padding, buffering, batch
-//! grouping, Merkle/Lamport/PRG/HMAC — is written once and reaches the
+//! grouping, Merkle/W-OTS/PRG/HMAC — is written once and reaches the
 //! function through two calls, [`Backend::compress`] (one chaining state, a
 //! run of blocks) and [`Backend::compress_group`] (one block into each of
 //! [`LANES`] states). Two backends implement them:
@@ -787,6 +787,63 @@ pub fn batch_digest_pairs(prefix: u8, pairs: &[(Digest, Digest)]) -> Vec<Digest>
     out
 }
 
+/// Length of the tweak [`batch_digest_tweaked_in_place`] prepends.
+pub const TWEAK_LEN: usize = 2;
+
+/// The one-block hash-chain fast path: replaces every `values[i]` with
+/// `SHA256(tweak(i) ‖ values[i])`, in place and without allocating.
+///
+/// Every message is `TWEAK_LEN + 32 = 34` bytes, so it pads to exactly one
+/// block with a constant length field; full groups of [`LANES`] go through
+/// [`Backend::compress_group`], the ragged tail through
+/// [`Backend::compress`]. This is the Winternitz chain step
+/// ([`crate::wots`]): callers advance many chains in lockstep, one call per
+/// step, reusing their buffers across steps.
+///
+/// Output `i` equals `Sha256::digest(tweak(i) ‖ values[i])`.
+pub fn batch_digest_tweaked_in_place(
+    values: &mut [[u8; DIGEST_LEN]],
+    tweak: impl Fn(usize) -> [u8; TWEAK_LEN],
+) {
+    const MSG_LEN: usize = TWEAK_LEN + DIGEST_LEN;
+    let backend = Backend::active();
+    let mut template = [0u8; BLOCK_LEN];
+    template[MSG_LEN] = 0x80;
+    template[BLOCK_LEN - 8..].copy_from_slice(&(MSG_LEN as u64 * 8).to_be_bytes());
+    let block_of = |i: usize, value: &[u8; DIGEST_LEN]| {
+        let mut block = template;
+        block[..TWEAK_LEN].copy_from_slice(&tweak(i));
+        block[TWEAK_LEN..MSG_LEN].copy_from_slice(value);
+        block
+    };
+    let mut chunks = values.chunks_exact_mut(LANES);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        let mut states = [H0; LANES];
+        let blocks: [[u8; BLOCK_LEN]; LANES] =
+            std::array::from_fn(|l| block_of(base + l, &chunk[l]));
+        backend.compress_group(&mut states, &blocks);
+        for (value, state) in chunk.iter_mut().zip(&states) {
+            *value = state_digest(state).into_bytes();
+        }
+        base += LANES;
+    }
+    let tail = chunks.into_remainder();
+    // One counter update per call, not per group: a chain walk makes
+    // many small calls.
+    if base > 0 {
+        LANE_DIGESTS.fetch_add(base as u64, Ordering::Relaxed);
+    }
+    if !tail.is_empty() {
+        SCALAR_DIGESTS.fetch_add(tail.len() as u64, Ordering::Relaxed);
+    }
+    for (l, value) in tail.iter_mut().enumerate() {
+        let mut state = H0;
+        backend.compress(&mut state, &[block_of(base + l, value)]);
+        *value = state_digest(&state).into_bytes();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1009,6 +1066,25 @@ mod tests {
                 h.update(a.as_bytes());
                 h.update(b.as_bytes());
                 assert_eq!(batched[i], h.finalize(), "prefix={prefix} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_digest_tweaked_in_place_matches_streaming() {
+        // Below, at and above one lane group, so both paths run.
+        for count in [0usize, 1, LANES - 1, LANES, 2 * LANES + 3] {
+            let mut values: Vec<[u8; DIGEST_LEN]> = (0..count)
+                .map(|i| Sha256::digest(&(i as u64).to_le_bytes()).into_bytes())
+                .collect();
+            let before = values.clone();
+            let tweak = |i: usize| [i as u8, 0xc0 ^ i as u8];
+            batch_digest_tweaked_in_place(&mut values, tweak);
+            for (i, (after, value)) in values.iter().zip(&before).enumerate() {
+                let mut h = Sha256::new();
+                h.update(&tweak(i));
+                h.update(value);
+                assert_eq!(*after, h.finalize().into_bytes(), "count={count} i={i}");
             }
         }
     }

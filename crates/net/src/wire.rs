@@ -165,15 +165,13 @@ const VSS_COIN_VARIANTS: &[&[FieldSpec]] = &[
     &[F::Seq(&[F::U64, F::Fp])],
 ];
 // DsMessage { value: u8, chain: Vec<ChainLink> }, ChainLink flattened:
-// signer PartyId, then MssSignature { idx, vk, lamport { revealed,
-// complements }, merkle { leaf_index, path } }.
+// signer PartyId, then MssSignature { idx, wots { chains }, merkle {
+// leaf_index, path } } — no one-time key: verification recomputes it.
 const DS_FIELDS: &[FieldSpec] = &[
     F::Byte,
     F::Seq(&[
         F::Varint,
         F::U64,
-        F::Bytes(32),
-        F::Seq(&[F::Bytes(32)]),
         F::Seq(&[F::Bytes(32)]),
         F::U64,
         F::Seq(&[F::Bytes(32)]),

@@ -9,7 +9,8 @@
 //! * [`traits`] — the SRDS definition (Def. 2.1) with the
 //!   `Aggregate₁`/`Aggregate₂` succinctness decomposition (Def. 2.2);
 //! * [`owf`] — SRDS from one-way functions in the trusted-PKI model
-//!   (Theorem 2.7): sortition + oblivious-keygen Lamport signatures;
+//!   (Theorem 2.7): sortition + oblivious-keygen Winternitz (W-OTS)
+//!   one-time signatures;
 //! * [`snark`] — SRDS from CRH + SNARKs in the bare-PKI + CRS model
 //!   (Theorem 2.8): Merkle-indexed keys + proof-carrying-data counting;
 //! * [`experiments`] — executable robustness (Fig. 1) and forgery (Fig. 2)

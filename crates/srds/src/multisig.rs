@@ -27,7 +27,7 @@ use pba_snark::system::{Attestor, SnarkCrs};
 /// Tunables of the multi-signature baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MultisigConfig {
-    /// Lamport digest bits inside the MSS base signatures.
+    /// Signed digest bits of the W-OTS key under each MSS base signature.
     pub mss_bits: usize,
     /// MSS tree height.
     pub mss_height: usize,

@@ -4,8 +4,8 @@
 //!
 //! * the trusted key generation tosses a biased coin per party so that, in
 //!   expectation, only `s = Θ(polylog n)` parties receive a real
-//!   Lamport signing key; everyone else's verification key is sampled
-//!   **obliviously** (no signing key exists);
+//!   Winternitz (W-OTS) signing key; everyone else's verification key is
+//!   sampled **obliviously** (no signing key exists);
 //! * oblivious keys are indistinguishable from real ones, so an adversary
 //!   corrupting after seeing the PKI cannot bias the signer set — corrupt
 //!   parties hold a `< 1/3` fraction of signing keys w.h.p.;
@@ -16,8 +16,10 @@
 //!
 //! Honest parties contribute ≈ `(2/3)s` valid signatures ≥ threshold
 //! (robustness); the adversary controls ≈ `s/3 <` threshold
-//! (unforgeability). Signatures carry `O(s)` Lamport signatures —
-//! `polylog(n) · poly(κ)` bits, satisfying succinctness.
+//! (unforgeability). Signatures carry `O(s)` W-OTS signatures —
+//! `polylog(n) · poly(κ)` bits, satisfying succinctness. An entry is the
+//! signer id and `chains · 32` bytes of chain values: 201 B at the 16
+//! signed bits the benches use.
 //!
 //! **Concrete-security margin.** Both bounds are concentration arguments:
 //! a maximal `n/3` coalition holds `Binomial(n/3, s/n)` signing keys
@@ -48,16 +50,15 @@
 
 use crate::traits::{PkiMode, Srds};
 use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
-use pba_crypto::lamport::{
-    LamportKeyPair, LamportParams, LamportSignature, LamportVerificationKey,
-};
 use pba_crypto::prg::Prg;
+use pba_crypto::wots::{WotsKeyPair, WotsParams, WotsSignature, WotsVerificationKey};
 use std::collections::BTreeMap;
 
 /// Tunables of the OWF-based SRDS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OwfSrdsConfig {
-    /// Lamport message-digest bits (κ knob; smaller = smaller signatures).
+    /// Signed digest bits of the W-OTS key (κ knob; smaller = fewer
+    /// chains, smaller signatures).
     pub lamport_bits: usize,
     /// Expected signers as `signer_factor · log₂ n`, floored at
     /// `min_signers`.
@@ -99,7 +100,7 @@ impl OwfSrds {
     }
 }
 
-/// Public parameters: party count, sortition rate, Lamport parameters, and
+/// Public parameters: party count, sortition rate, W-OTS parameters, and
 /// the acceptance threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OwfPublicParams {
@@ -110,12 +111,12 @@ pub struct OwfPublicParams {
     /// Count of distinct valid base signatures required to accept.
     pub threshold: usize,
     /// Underlying one-time signature parameters.
-    pub lamport: LamportParams,
+    pub wots: WotsParams,
 }
 
 /// A signing key: present only for sortition winners.
 #[derive(Clone, Debug, Default)]
-pub struct OwfSigningKey(Option<LamportKeyPair>);
+pub struct OwfSigningKey(Option<WotsKeyPair>);
 
 impl OwfSigningKey {
     /// Whether this party can sign.
@@ -124,13 +125,13 @@ impl OwfSigningKey {
     }
 }
 
-/// One aggregated entry: signer index and Lamport signature.
+/// One aggregated entry: signer index and W-OTS signature.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OwfEntry {
     /// SRDS party index of the signer.
     pub id: u64,
     /// The base one-time signature.
-    pub sig: LamportSignature,
+    pub sig: WotsSignature,
 }
 
 impl Encode for OwfEntry {
@@ -147,7 +148,7 @@ impl Decode for OwfEntry {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(OwfEntry {
             id: u64::decode(r)?,
-            sig: LamportSignature::decode(r)?,
+            sig: WotsSignature::decode(r)?,
         })
     }
 }
@@ -179,16 +180,16 @@ impl Decode for OwfSignature {
 
 impl Srds for OwfSrds {
     type PublicParams = OwfPublicParams;
-    type VerificationKey = LamportVerificationKey;
+    type VerificationKey = WotsVerificationKey;
     type SigningKey = OwfSigningKey;
     type Signature = OwfSignature;
-    type KeyBoard = Vec<LamportVerificationKey>;
+    type KeyBoard = Vec<WotsVerificationKey>;
 
     fn prepare(
         &self,
         _pp: &OwfPublicParams,
-        vks: &[LamportVerificationKey],
-    ) -> Vec<LamportVerificationKey> {
+        vks: &[WotsVerificationKey],
+    ) -> Vec<WotsVerificationKey> {
         vks.to_vec()
     }
 
@@ -205,24 +206,20 @@ impl Srds for OwfSrds {
             n,
             expected_signers,
             threshold: expected_signers.div_ceil(2),
-            lamport: LamportParams::new(self.config.lamport_bits),
+            wots: WotsParams::new(self.config.lamport_bits),
         }
     }
 
-    fn keygen(
-        &self,
-        pp: &OwfPublicParams,
-        prg: &mut Prg,
-    ) -> (LamportVerificationKey, OwfSigningKey) {
+    fn keygen(&self, pp: &OwfPublicParams, prg: &mut Prg) -> (WotsVerificationKey, OwfSigningKey) {
         // Biased sortition coin: real key with probability s/n. This is the
         // honestly-executed trusted key generation; in tr-pki mode the
         // adversary cannot re-run it.
         if prg.gen_bool_ratio(pp.expected_signers as u64, pp.n as u64) {
-            let kp = LamportKeyPair::generate(&pp.lamport, prg);
+            let kp = WotsKeyPair::generate(&pp.wots, prg);
             (kp.verification_key(), OwfSigningKey(Some(kp)))
         } else {
             (
-                LamportVerificationKey::generate_oblivious(prg),
+                WotsVerificationKey::generate_oblivious(prg),
                 OwfSigningKey(None),
             )
         }
@@ -247,7 +244,7 @@ impl Srds for OwfSrds {
     fn aggregate1(
         &self,
         pp: &OwfPublicParams,
-        vks: &Vec<LamportVerificationKey>,
+        vks: &Vec<WotsVerificationKey>,
         message: &[u8],
         sigs: &[OwfSignature],
     ) -> Vec<OwfSignature> {
@@ -263,7 +260,7 @@ impl Srds for OwfSrds {
                 let Some(vk) = vks.get(entry.id as usize) else {
                     continue;
                 };
-                if pp.lamport.verify(vk, message, &entry.sig) {
+                if pp.wots.verify(vk, message, &entry.sig) {
                     seen.insert(entry.id, entry.clone());
                 }
             }
@@ -302,7 +299,7 @@ impl Srds for OwfSrds {
     fn verify(
         &self,
         pp: &OwfPublicParams,
-        vks: &Vec<LamportVerificationKey>,
+        vks: &Vec<WotsVerificationKey>,
         message: &[u8],
         sig: &OwfSignature,
     ) -> bool {
@@ -319,7 +316,7 @@ impl Srds for OwfSrds {
             let Some(vk) = vks.get(entry.id as usize) else {
                 return false;
             };
-            if pp.lamport.verify(vk, message, &entry.sig) {
+            if pp.wots.verify(vk, message, &entry.sig) {
                 valid += 1;
             }
         }
@@ -492,7 +489,7 @@ mod tests {
             .unwrap();
         let len = scheme.signature_len(&agg);
         // Õ(1): bounded by signers * per-sig size, independent of n beyond log.
-        let per_sig = board.pp.lamport.signature_len() + 16;
+        let per_sig = board.pp.wots.signature_len() + 16;
         assert!(len <= 4 * board.pp.expected_signers * per_sig, "len={len}");
     }
 

@@ -49,7 +49,7 @@ use pba_snark::system::SnarkCrs;
 /// Tunables of the SNARK-based SRDS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SnarkSrdsConfig {
-    /// Lamport digest bits inside the MSS base signatures.
+    /// Signed digest bits of the W-OTS key under each MSS base signature.
     pub mss_bits: usize,
     /// MSS tree height (2^height one-time keys per SRDS party).
     pub mss_height: usize,

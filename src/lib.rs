@@ -15,7 +15,7 @@
 //! This crate is a facade over the workspace:
 //!
 //! * [`crypto`] ([`pba_crypto`]) — from-scratch SHA-256, HMAC, PRF/PRG,
-//!   Merkle trees, Lamport/Merkle signatures, field/Shamir, codecs;
+//!   Merkle trees, Winternitz (W-OTS)/Merkle signatures, field/Shamir, codecs;
 //! * [`snark`] ([`pba_snark`]) — simulated SNARKs, proof-carrying data,
 //!   and the generalized subset task of §1.2;
 //! * [`net`] ([`pba_net`]) — the synchronous metered network simulator;

@@ -10,6 +10,9 @@ use pba_crypto::prg::Prg;
 use pba_crypto::reed_solomon::{self, Decoder, RsError};
 use pba_crypto::sha256::{Digest, Sha256, LANES};
 use pba_crypto::shamir::{reconstruct, share};
+use pba_crypto::wots::{
+    WotsKeyPair, WotsParams, WotsSignature, WotsVerificationKey, LOG_W, MAX_DIGIT,
+};
 use proptest::prelude::*;
 use rand::RngCore;
 
@@ -328,5 +331,205 @@ proptest! {
                 prop_assert_eq!(keygen_prg.next_digest(), untouched.next_digest());
             }
         }
+    }
+}
+
+/// One W-OTS chain step, restated from the scheme's definition:
+/// `SHA256(chain ‖ step ‖ value)`.
+fn wots_step(chain: usize, step: u8, value: [u8; 32]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&[chain as u8, step]);
+    h.update(&value);
+    h.finalize().into_bytes()
+}
+
+/// Walks one chain from position `from` to `to`, one digest at a time.
+fn wots_walk(chain: usize, from: u8, to: u8, mut value: [u8; 32]) -> [u8; 32] {
+    for step in from..to {
+        value = wots_step(chain, step, value);
+    }
+    value
+}
+
+/// The one-chain-one-digest-at-a-time reference keygen: seeds drawn from
+/// `prg` one chain at a time, each walked to its end, the ends hashed.
+fn wots_keygen_reference(params: &WotsParams, prg: &mut Prg) -> (Vec<[u8; 32]>, Digest) {
+    let seeds: Vec<[u8; 32]> = (0..params.chains())
+        .map(|_| {
+            let mut seed = [0u8; 32];
+            prg.fill_bytes_scalar(&mut seed);
+            seed
+        })
+        .collect();
+    let mut key = Sha256::new();
+    for (chain, &seed) in seeds.iter().enumerate() {
+        key.update(&wots_walk(chain, 0, MAX_DIGIT, seed));
+    }
+    (seeds, key.finalize())
+}
+
+/// The reference verifier: the same checks, one digest at a time.
+fn wots_verify_reference(
+    params: &WotsParams,
+    vk: &WotsVerificationKey,
+    message: &[u8],
+    sig: &WotsSignature,
+) -> bool {
+    if sig.chains().len() != params.chains() {
+        return false;
+    }
+    let mut key = Sha256::new();
+    for (chain, (&digit, &value)) in params.digits(message).iter().zip(sig.chains()).enumerate() {
+        key.update(&wots_walk(chain, digit, MAX_DIGIT, value));
+    }
+    key.finalize() == vk.digest()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn wots_roundtrips_at_every_width(seed in any::<[u8; 8]>(), message in proptest::collection::vec(any::<u8>(), 0..48)) {
+        for bits in [1usize, 7, 16, 32, 128] {
+            let params = WotsParams::new(bits);
+            let kp = WotsKeyPair::generate(&params, &mut Prg::from_seed_bytes(&seed));
+            let sig = kp.sign(&message);
+            prop_assert_eq!(sig.chains().len(), params.chains());
+            prop_assert_eq!(sig.encoded_len(), params.signature_len());
+            prop_assert!(params.verify(&kp.verification_key(), &message, &sig), "bits={}", bits);
+            let back: WotsSignature = decode_from_slice(&encode_to_vec(&sig)).unwrap();
+            prop_assert_eq!(&back, &sig);
+        }
+    }
+
+    /// Every byte of every chain value is bound: flipping any bit of it
+    /// rejects.
+    #[test]
+    fn wots_rejects_any_flipped_chain_byte(seed in any::<[u8; 8]>(), bit in 0u8..8) {
+        let params = WotsParams::new(16);
+        let kp = WotsKeyPair::generate(&params, &mut Prg::from_seed_bytes(&seed));
+        let sig = kp.sign(b"flip");
+        for chain in 0..params.chains() {
+            for byte in 0..32 {
+                let mut chains = sig.chains().to_vec();
+                chains[chain][byte] ^= 1 << bit;
+                let bad = WotsSignature::from_chains(chains);
+                prop_assert!(!params.verify(&kp.verification_key(), b"flip", &bad), "chain={} byte={}", chain, byte);
+            }
+        }
+    }
+
+    /// A signature with too few or too many chains is refused with `false`
+    /// (and no recovered key), never a panic.
+    #[test]
+    fn wots_wrong_chain_count_is_false_not_a_panic(seed in any::<[u8; 8]>(), count in 0usize..80) {
+        let params = WotsParams::new(32);
+        prop_assume!(count != params.chains());
+        let kp = WotsKeyPair::generate(&params, &mut Prg::from_seed_bytes(&seed));
+        let mut chains = kp.sign(b"m").chains().to_vec();
+        chains.resize(count, [7u8; 32]);
+        let bad = WotsSignature::from_chains(chains);
+        prop_assert!(!params.verify(&kp.verification_key(), b"m", &bad));
+        prop_assert_eq!(params.recover_key(b"m", &bad), None);
+    }
+
+    /// The checksum forgery: for m′ whose every message digit is at least
+    /// m's, anyone can walk m's message chains forward to m′'s digits; the
+    /// checksum chains would then have to walk back. Walking each checksum
+    /// chain forward wherever it can must still not verify.
+    #[test]
+    fn wots_checksum_stops_walking_digits_forward(seed in any::<[u8; 8]>(), m in any::<[u8; 8]>()) {
+        for bits in [4usize, 8, 12] {
+            let params = WotsParams::new(bits);
+            let message_digits = bits.div_ceil(LOG_W);
+            let kp = WotsKeyPair::generate(&params, &mut Prg::from_seed_bytes(&seed));
+            let sig = kp.sign(&m);
+            let from = params.digits(&m);
+            let mut tried = 0;
+            for candidate in 0u32..4096 {
+                let m2 = candidate.to_le_bytes();
+                let to = params.digits(&m2);
+                if to == from || (0..message_digits).any(|i| to[i] < from[i]) {
+                    continue;
+                }
+                let forged: Vec<[u8; 32]> = sig
+                    .chains()
+                    .iter()
+                    .enumerate()
+                    .map(|(chain, &value)| wots_walk(chain, from[chain], to[chain].max(from[chain]), value))
+                    .collect();
+                let forged = WotsSignature::from_chains(forged);
+                prop_assert!(!params.verify(&kp.verification_key(), &m2, &forged), "bits={} m2={:?}", bits, m2);
+                tried += 1;
+            }
+            // Only a message whose digits are all 15 has no strict dominator.
+            let saturated = from[..message_digits].iter().all(|&d| d == MAX_DIGIT);
+            prop_assert!(tried > 0 || saturated, "bits={}: no m′ dominates m", bits);
+        }
+    }
+
+    /// Batched keygen, sign and verify equal the one-chain-one-digest-at-a-
+    /// time reference restated above, at widths below, at and above the
+    /// engine's lane group.
+    #[test]
+    fn wots_batched_matches_one_digest_at_a_time(seed in any::<[u8; 8]>(), message in proptest::collection::vec(any::<u8>(), 0..48)) {
+        for bits in [1usize, 7, 16, 32, 128, 256] {
+            let params = WotsParams::new(bits);
+            let mut batched_prg = Prg::from_seed_bytes(&seed);
+            let mut reference_prg = Prg::from_seed_bytes(&seed);
+            let kp = WotsKeyPair::generate(&params, &mut batched_prg);
+            let (seeds, vk) = wots_keygen_reference(&params, &mut reference_prg);
+            prop_assert_eq!(kp.verification_key().digest(), vk, "bits={}", bits);
+            prop_assert_eq!(batched_prg.next_u64(), reference_prg.next_u64());
+
+            let sig = kp.sign(&message);
+            let expected: Vec<[u8; 32]> = params
+                .digits(&message)
+                .iter()
+                .enumerate()
+                .map(|(chain, &digit)| wots_walk(chain, 0, digit, seeds[chain]))
+                .collect();
+            prop_assert_eq!(sig.chains(), &expected[..], "bits={}", bits);
+
+            let mut tampered = expected.clone();
+            tampered[bits % params.chains()][3] ^= 0x40;
+            let tampered = WotsSignature::from_chains(tampered);
+            let vk = kp.verification_key();
+            for (candidate, text) in [(&sig, &message[..]), (&sig, &b"other"[..]), (&tampered, &message[..])] {
+                prop_assert_eq!(
+                    params.verify(&vk, text, candidate),
+                    wots_verify_reference(&params, &vk, text, candidate),
+                    "bits={}", bits
+                );
+            }
+        }
+    }
+
+    /// Many keys at once are the same keys drawn one after another.
+    #[test]
+    fn wots_generate_many_is_sequential_generate(seed in any::<[u8; 8]>(), count in 0usize..12) {
+        let params = WotsParams::new(32);
+        let mut many_prg = Prg::from_seed_bytes(&seed);
+        let mut seq_prg = Prg::from_seed_bytes(&seed);
+        let many = WotsKeyPair::generate_many(&params, &mut many_prg, count);
+        prop_assert_eq!(many.len(), count);
+        for kp in &many {
+            let (_, vk) = wots_keygen_reference(&params, &mut seq_prg);
+            prop_assert_eq!(kp.verification_key().digest(), vk);
+        }
+        prop_assert_eq!(many_prg.next_u64(), seq_prg.next_u64());
+    }
+
+    #[test]
+    fn wots_signs_only_its_message(seed in any::<[u8; 8]>(), m1 in any::<[u8; 12]>(), m2 in any::<[u8; 12]>()) {
+        prop_assume!(m1 != m2);
+        let params = WotsParams::new(32);
+        let mut prg = Prg::from_seed_bytes(&seed);
+        let kp = WotsKeyPair::generate(&params, &mut prg);
+        let sig = kp.sign(&m1);
+        prop_assert!(params.verify(&kp.verification_key(), &m1, &sig));
+        // 32-bit truncated digests collide with prob 2^-32: negligible for
+        // the case count here.
+        prop_assert!(!params.verify(&kp.verification_key(), &m2, &sig));
     }
 }

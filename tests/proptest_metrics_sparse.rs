@@ -386,7 +386,18 @@ where
 /// does not charge itself, and the deal seats such pairs less often);
 /// the Byzantine OWF maximum fell 81,712,128 → 50,575,500 B, and there the
 /// corrupt members sit in other committees, so honest bytes move in every
-/// step but establishment and signing.
+/// step but establishment and signing. Restated a third time when base
+/// signatures became Winternitz (W-OTS) one-time signatures instead of
+/// Lamport ones and `MssSignature` stopped carrying the one-time key: only
+/// tags that carry base signatures or OWF entries moved. SNARK: tag 8
+/// `SIG_SUBMIT` 8,080,640 → 1,431,104 B and the maximum 310,812 → 205,152
+/// (`max_bytes_sent` 159,534 → 106,704); every other tag, count, locality
+/// and round identical. Byzantine OWF: tags 7 `CERTIFICATE`, 8, 9
+/// `AGGR_SHARE`, 10 `AGGR_MPC`, 11 `SPREAD` and the received-only 0 `RAW`
+/// (corrupt relays' step-6 garbage, sized like the certificate) fell
+/// ×6.24–6.25, the maximum 50,575,500 → 8,125,092 B (`max_bytes_sent`
+/// 26,318,142 → 4,230,167); tags 1, 2, 4, 6, 12, 13 and 18, message
+/// counts, locality and rounds identical.
 #[test]
 fn golden_reports_match_per_link_metering() {
     let snark = run_fingerprint(
@@ -404,29 +415,29 @@ fn golden_reports_match_per_link_metering() {
 }
 
 const GOLDEN_SNARK_128: &[&str] = &[
-    r#"{"parties":128,"max_bytes_per_party":310812,"max_bytes_sent":159534,"total_bytes":17294806,"total_msgs":98702,"max_msgs_per_party":2630,"max_locality":127,"rounds":72}"#,
-    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 8080640, 9: 1378069, 10: 1212420, 11: 446208, 12: 860160, 13: 11389, 18: 2498220}",
-    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 8080640, 9: 1378069, 10: 1212420, 11: 446208, 13: 11389, 18: 2498220}",
+    r#"{"parties":128,"max_bytes_per_party":205152,"max_bytes_sent":106704,"total_bytes":10645270,"total_msgs":98702,"max_msgs_per_party":2630,"max_locality":127,"rounds":72}"#,
+    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 12: 860160, 13: 11389, 18: 2498220}",
+    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 13: 11389, 18: 2498220}",
     "1:ae-comm-establish 860160 6720",
     "2:committee-ba+coin 393589 43814",
     "3:disseminate-(y,s) 508200 52614",
-    "4:sign-and-submit 8080640 181014",
-    "5:tree-aggregation 5088709 268814",
-    "6:disseminate-certificate 1917300 302014",
-    "7-8:prf-spread+output 446208 310812",
+    "4:sign-and-submit 1431104 75354",
+    "5:tree-aggregation 5088709 163154",
+    "6:disseminate-certificate 1917300 196354",
+    "7-8:prf-spread+output 446208 205152",
 ];
 
 const GOLDEN_OWF_BYZ_128: &[&str] = &[
-    r#"{"parties":116,"max_bytes_per_party":50575500,"max_bytes_sent":26318142,"total_bytes":2268881316,"total_msgs":86466,"max_msgs_per_party":2534,"max_locality":127,"rounds":72}"#,
-    "sent {1: 22960, 2: 200900, 4: 134000, 6: 465784, 7: 1481955312, 8: 2087826, 9: 211681838, 10: 229561764, 11: 341020512, 12: 779520, 13: 10364, 18: 960536}",
-    "received {0: 121513056, 1: 24212, 2: 190855, 4: 127300, 6: 462000, 7: 1348402944, 8: 1900457, 9: 196618475, 10: 229561764, 11: 309382320, 13: 9503, 18: 960536}",
+    r#"{"parties":116,"max_bytes_per_party":8125092,"max_bytes_sent":4230167,"total_bytes":365416571,"total_msgs":86466,"max_msgs_per_party":2534,"max_locality":127,"rounds":72}"#,
+    "sent {1: 22960, 2: 200900, 4: 134000, 6: 465784, 7: 237338120, 8: 334620, 9: 33849001, 10: 36705646, 11: 54615120, 12: 779520, 13: 10364, 18: 960536}",
+    "received {0: 19460560, 1: 24212, 2: 190855, 4: 127300, 6: 462000, 7: 215949440, 8: 304590, 9: 31440189, 10: 36705646, 11: 49548200, 13: 9503, 18: 960536}",
     "1:ae-comm-establish 779520 6720",
     "2:committee-ba+coin 368224 42404",
     "3:disseminate-(y,s) 465784 51204",
-    "4:sign-and-submit 2087826 126643",
-    "5:tree-aggregation 442204138 16172032",
-    "6:disseminate-certificate 1481955312 44458341",
-    "7-8:prf-spread+output 341020512 50575500",
+    "4:sign-and-submit 334620 62670",
+    "5:tree-aggregation 71515183 2642607",
+    "6:disseminate-certificate 237338120 7144792",
+    "7-8:prf-spread+output 54615120 8125092",
 ];
 
 /// Full `π_ba` runs over the whole chaos catalogue with the dense shadow

@@ -9,11 +9,14 @@ use polylog_ba::prelude::*;
 use pba_core::aggr::{AggrBody, AggrDigests};
 use pba_core::baselines::{SampleQuery, SampleResponse};
 use pba_core::broadcast::BroadcastInput;
-use pba_core::dolev_strong::DsMessage;
+use pba_core::dolev_strong::{ChainLink, DsMessage};
 use pba_core::phase_king::PkMsg;
 use pba_core::protocol::{Certificate, MvInput, ValueSeed};
 use pba_core::vss_coin::VssCoinMsg;
+use pba_crypto::codec::{encode_to_vec, CodecError, MAX_SEQ_LEN};
 use pba_crypto::field::Fp;
+use pba_crypto::mss::{MssKeyPair, MssParams, MssSignature};
+use pba_crypto::wots::WotsSignature;
 use pba_net::wire::{self, step, tag, WireError, HEADER_LEN, MAX_WIRE_BYTES, REGISTRY};
 use proptest::prelude::*;
 
@@ -151,6 +154,90 @@ fn hardened_decoder_rejects_malformed_payloads() {
     // The original still decodes, so the rejections above are not
     // artifacts of a broken fixture.
     assert!(wire::decode_msg::<ValueSeed>(&good).is_ok());
+}
+
+/// A Dolev–Strong relay carrying one MSS link, and the offset of its
+/// W-OTS chain-count prefix in the encoded message.
+fn ds_fixture(
+    wots: impl FnOnce(&[[u8; 32]]) -> Vec<[u8; 32]>,
+) -> (MssParams, DsMessage, Vec<u8>, usize) {
+    let params = MssParams::new(32, 1);
+    let key = MssKeyPair::generate(&params, &mut Prg::from_seed_bytes(b"ds-wots"));
+    let (index, sig, path) = key.sign_with_index(b"v", 0).into_parts();
+    let sig = WotsSignature::from_chains(wots(sig.chains()));
+    let encoded_sig = encode_to_vec(&sig);
+    let msg = DsMessage {
+        value: 1,
+        chain: vec![ChainLink {
+            signer: PartyId(0),
+            sig: MssSignature::from_parts(index, sig, path),
+        }],
+    };
+    let bytes = wire::encode_msg(&msg);
+    let at = bytes
+        .windows(encoded_sig.len())
+        .position(|w| w == encoded_sig)
+        .expect("the W-OTS signature is a contiguous run of the message");
+    (params, msg, bytes, at)
+}
+
+/// W-OTS signatures inside a typed message: a truncated one and one whose
+/// chain count claims more than the sanity bound fail to decode; a
+/// well-formed one with one chain too many or too few decodes, and
+/// verification refuses it (a `false`, never a panic).
+#[test]
+fn wots_signatures_decode_hardened() {
+    let (params, honest, bytes, at) = ds_fixture(|chains| chains.to_vec());
+    let key = MssKeyPair::generate(&params, &mut Prg::from_seed_bytes(b"ds-wots"));
+    let verify = |msg: &DsMessage| params.verify(&key.verification_key(), b"v", &msg.chain[0].sig);
+    assert_eq!(wire::decode_msg::<DsMessage>(&bytes).as_ref(), Ok(&honest));
+    assert!(verify(&honest));
+
+    // The registry's body schema walks this layout: a field mutant of a
+    // relay with a signed link is a different, still-decodable message.
+    for seed in 0..16u64 {
+        let mutant = wire::mutate_field(
+            &bytes,
+            &mut Prg::from_seed_label(b"ds-mutate", &seed.to_string()),
+        )
+        .expect("a DsMessage with a link is mutable");
+        let back = wire::decode_msg::<DsMessage>(&mutant).expect("mutant stays wire-valid");
+        assert_ne!(back, honest, "seed={seed}");
+    }
+
+    // Truncated inside the chain values.
+    for cut in [
+        at + 1,
+        at + 1 + 32 * 3 + 5,
+        at + params.wots().signature_len() - 1,
+    ] {
+        assert_eq!(
+            wire::decode_msg::<DsMessage>(&bytes[..cut]),
+            Err(WireError::Body(CodecError::UnexpectedEnd)),
+            "cut={cut}"
+        );
+    }
+
+    // A chain count past the sanity bound, in place of the honest one.
+    let mut over = bytes[..at].to_vec();
+    pba_crypto::codec::write_varint(&mut over, MAX_SEQ_LEN + 1);
+    over.extend_from_slice(&bytes[at + 1..]);
+    assert_eq!(
+        wire::decode_msg::<DsMessage>(&over),
+        Err(WireError::Body(CodecError::LengthOverflow(MAX_SEQ_LEN + 1)))
+    );
+
+    // Well-formed, but over-long or short for the parameters.
+    for wrong in [params.wots().chains() + 1, params.wots().chains() - 1] {
+        let (_, msg, bytes, _) = ds_fixture(|chains| {
+            let mut chains = chains.to_vec();
+            chains.resize(wrong, [0x5a; 32]);
+            chains
+        });
+        let back = wire::decode_msg::<DsMessage>(&bytes).expect("well-formed encoding");
+        assert_eq!(back, msg);
+        assert!(!verify(&back), "chains={wrong}");
+    }
 }
 
 /// Golden snapshot of the tag registry. Tags are a compatibility surface:
