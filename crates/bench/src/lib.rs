@@ -29,12 +29,12 @@
 //!   lazy keygen, bits/party vs. the King–Saia `√n` baseline (anchored by
 //!   measured runs at every power of two n ∈ {2^6 … 2^10}), wall time,
 //!   and peak RSS,
-//!   emitted as `BENCH_8.json` (see [`scale`]);
-//! * criterion micro/macro benches under `benches/`.
+//!   emitted as `BENCH_8.json` (see [`scale`]).
 //!
 //! Those six bins are the paper's artefacts plus the safety, socket and
-//! memory gates. Wall-clock per layer is reported by one harness only, the
-//! benchmark of record under `benchmark/` (see `BENCHMARK.json`).
+//! memory gates. Wall-clock is reported by the benchmark of record under
+//! `benchmark/` (see `BENCHMARK.json`), per decision and per layer, and by
+//! `scale`'s `wall_ms` column; no other bin times anything.
 
 pub mod chaos;
 pub mod scale;
@@ -149,8 +149,9 @@ impl Protocol {
 /// 0.1 and not 1/3 − ε at simulation scale).
 pub const BETA: f64 = 0.10;
 
-/// The OWF scheme configuration used in benches: W-OTS keys signing 16
-/// digest bits keep the (polylog but κ-heavy) certificates small enough to sweep.
+/// The OWF scheme configuration `table1`, `figures` and the socket harness
+/// run: W-OTS keys signing 16 digest bits keep the (polylog but κ-heavy)
+/// certificates small enough to sweep.
 pub fn bench_owf() -> OwfSrds {
     OwfSrds::new(OwfSrdsConfig {
         lamport_bits: 16,

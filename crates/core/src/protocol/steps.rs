@@ -289,11 +289,7 @@ where
         // Streaming leaf-major pass: one leaf's signatures are produced,
         // filtered, and folded into the leaf aggregate before the next
         // leaf's exist, so peak signature storage is one committee's worth
-        // instead of all `total_slots` at once. Seats inside a leaf are
-        // ordered (honest before corrupt, then by owner and slot) to
-        // reproduce the exact aggregation input order of the party-major
-        // formulation; metrics charges commute, so for them only the
-        // multiset per step matters.
+        // instead of all `total_slots` at once.
         let evil_payload = wire::encode_msg(&ValueSeed {
             epoch,
             value: vec![9u8; value.len().max(1)],
@@ -308,7 +304,7 @@ where
                         .is_some_and(|b| wire::decode_msg::<ValueSeed>(b).is_ok())
             })
             .collect();
-        let mut evil_entries: Vec<(usize, u64, S::Signature)> = Vec::new();
+        let mut evil_sigs: Vec<S::Signature> = Vec::new();
         let mut leaf_honest: Vec<Option<S::Signature>> = Vec::with_capacity(params.leaf_count);
         // (signatures held, out_len) per leaf: the step-5 aggregation
         // charges, deferred so they land after the step-4 snapshot boundary
@@ -316,14 +312,6 @@ where
         let mut leaf_charges: Vec<(usize, usize)> = Vec::with_capacity(params.leaf_count);
         for leaf in 0..params.leaf_count {
             let range = self.tree.leaf_range(leaf);
-            let mut seats: Vec<(bool, usize, u64)> = range
-                .clone()
-                .map(|slot| {
-                    let (owner, _) = self.slot_sk[slot as usize];
-                    (corrupt.contains(&PartyId(owner as u64)), owner, slot)
-                })
-                .collect();
-            seats.sort_unstable();
             let committee = dedup_committee(self.tree.committee(0, leaf));
             let honest_members: Vec<PartyId> = committee
                 .iter()
@@ -334,13 +322,14 @@ where
             // Honest submitters grouped by signature length (one entry per
             // signature): each group is one signer-set → committee exchange.
             let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
-            for &(is_corrupt, owner, slot) in &seats {
-                if is_corrupt {
+            for slot in range.clone() {
+                let (owner, _) = self.slot_sk[slot as usize];
+                if corrupt.contains(&PartyId(owner as u64)) {
                     if !byzantine {
                         continue;
                     }
                     if let Some(sig) = self.sign_slot(slot, epoch, &evil_payload) {
-                        evil_entries.push((owner, slot, sig.clone()));
+                        evil_sigs.push(sig.clone());
                         sigs.push(sig);
                     }
                     continue;
@@ -399,11 +388,6 @@ where
             leaf_charges.push((filtered.len(), out_len));
             leaf_honest.push(agg);
         }
-        // Restore the party-major order the corrupt signing loop used to
-        // produce, so the colluding aggregate below is bit-identical.
-        evil_entries.sort_unstable_by_key(|&(owner, slot, _)| (owner, slot));
-        let evil_sigs: Vec<S::Signature> =
-            evil_entries.into_iter().map(|(_, _, sig)| sig).collect();
         self.net.bump_round();
         self.snap("4:sign-and-submit");
 

@@ -19,7 +19,7 @@
 //! (unforgeability). Signatures carry `O(s)` W-OTS signatures —
 //! `polylog(n) · poly(κ)` bits, satisfying succinctness. An entry is the
 //! signer id and `chains · 32` bytes of chain values: 201 B at the 16
-//! signed bits the benches use.
+//! signed bits `pba-bench`'s Table 1 and Figures harnesses use.
 //!
 //! **Concrete-security margin.** Both bounds are concentration arguments:
 //! a maximal `n/3` coalition holds `Binomial(n/3, s/n)` signing keys

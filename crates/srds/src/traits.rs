@@ -165,7 +165,7 @@ pub trait Srds {
 
     // Residue of the deleted certificate cache: `benchmark/src/workloads.rs`
     // — a frozen consumer, the one caller — still reads this signature. No
-    // scheme overrides it. Removal is ROADMAP item 7.
+    // scheme overrides it. Removal is ROADMAP item 9, the benchmark cleanup.
     #[doc(hidden)]
     fn cache_stats(&self) -> Option<CacheStats> {
         None

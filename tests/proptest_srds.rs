@@ -13,23 +13,26 @@ use pba_srds::snark::{SnarkSignature, SnarkSrds};
 use pba_srds::traits::{PkiBoard, Srds};
 use proptest::prelude::*;
 
-fn owf_board(n: usize, seed: &[u8]) -> (OwfSrds, PkiBoard<OwfSrds>, Vec<OwfSignature>) {
-    let scheme = OwfSrds::with_defaults();
+/// A board of `n` parties and every base signature on `prop-m` (OWF
+/// sortition losers sign nothing).
+fn signed_board<S: Srds>(scheme: &S, n: usize, seed: &[u8]) -> (PkiBoard<S>, Vec<S::Signature>) {
     let mut prg = Prg::from_seed_bytes(seed);
-    let board = PkiBoard::establish(&scheme, n, &mut prg);
+    let board = PkiBoard::establish(scheme, n, &mut prg);
     let sigs = (0..n as u64)
         .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"prop-m"))
         .collect();
+    (board, sigs)
+}
+
+fn owf_board(n: usize, seed: &[u8]) -> (OwfSrds, PkiBoard<OwfSrds>, Vec<OwfSignature>) {
+    let scheme = OwfSrds::with_defaults();
+    let (board, sigs) = signed_board(&scheme, n, seed);
     (scheme, board, sigs)
 }
 
 fn snark_board(n: usize, seed: &[u8]) -> (SnarkSrds, PkiBoard<SnarkSrds>, Vec<SnarkSignature>) {
     let scheme = SnarkSrds::with_defaults();
-    let mut prg = Prg::from_seed_bytes(seed);
-    let board = PkiBoard::establish(&scheme, n, &mut prg);
-    let sigs = (0..n as u64)
-        .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"prop-m"))
-        .collect();
+    let (board, sigs) = signed_board(&scheme, n, seed);
     (scheme, board, sigs)
 }
 
@@ -41,12 +44,8 @@ where
     S: Srds,
     S::Signature: Encode,
 {
-    let mut prg = Prg::from_seed_bytes(seed);
-    let board = PkiBoard::establish(scheme, 96, &mut prg);
+    let (board, base) = signed_board(scheme, 96, seed);
     let keys = board.prepare(scheme);
-    let base: Vec<S::Signature> = (0..96u64)
-        .filter_map(|i| scheme.sign(&board.pp, i, &board.sks[i as usize], b"prop-m"))
-        .collect();
     let take = take.min(base.len());
     let attested = scheme.aggregate1(&board.pp, &keys, b"prop-m", &base[..take]);
     let aggregate = scheme.aggregate2(&board.pp, b"prop-m", &attested);
@@ -55,6 +54,31 @@ where
         assert_eq!(sig.encoded_len(), encoded);
         assert_eq!(scheme.signature_len(sig), encoded);
     }
+}
+
+/// Aggregation keys its inputs by signer identity, so their order never
+/// reaches the output: the same base signatures, permuted by `swaps`,
+/// aggregate to identical bytes. Step 4 of π_ba leans on this when it
+/// submits a leaf's signatures in slot order.
+fn aggregation_ignores_input_order<S>(scheme: &S, seed: &[u8], swaps: &[(usize, usize)])
+where
+    S: Srds,
+    S::Signature: Encode,
+{
+    let (board, sigs) = signed_board(scheme, 96, seed);
+    let keys = board.prepare(scheme);
+    let mut shuffled = sigs.clone();
+    let len = shuffled.len();
+    if len > 1 {
+        for &(a, b) in swaps {
+            shuffled.swap(a % len, b % len);
+        }
+    }
+    let aggregate = |sigs: &[S::Signature]| {
+        let agg = scheme.aggregate(&board.pp, &keys, b"prop-m", sigs);
+        encode_to_vec(&agg.expect("96 parties always yield signatures to aggregate"))
+    };
+    assert_eq!(aggregate(&shuffled), aggregate(&sigs));
 }
 
 proptest! {
@@ -68,18 +92,10 @@ proptest! {
     }
 
     #[test]
-    fn owf_aggregation_order_insensitive(seed in any::<[u8; 8]>(), swaps in proptest::collection::vec((0usize..64, 0usize..64), 0..24)) {
-        let (scheme, board, sigs) = owf_board(256, &seed);
-        prop_assume!(sigs.len() >= 2);
-        let keys = board.prepare(&scheme);
-        let base = scheme.aggregate(&board.pp, &keys, b"prop-m", &sigs).unwrap();
-        let mut shuffled = sigs.clone();
-        for (a, b) in swaps {
-            let (a, b) = (a % shuffled.len(), b % shuffled.len());
-            shuffled.swap(a, b);
-        }
-        let agg = scheme.aggregate(&board.pp, &keys, b"prop-m", &shuffled).unwrap();
-        prop_assert_eq!(agg, base);
+    fn aggregation_order_insensitive_for_every_scheme(seed in any::<[u8; 8]>(), swaps in proptest::collection::vec((0usize..96, 0usize..96), 0..24)) {
+        aggregation_ignores_input_order(&SnarkSrds::with_defaults(), &seed, &swaps);
+        aggregation_ignores_input_order(&OwfSrds::with_defaults(), &seed, &swaps);
+        aggregation_ignores_input_order(&MultisigSrds::with_defaults(), &seed, &swaps);
     }
 
     #[test]
