@@ -78,16 +78,15 @@ pub fn silent_adversary() -> impl FnMut(DisseminationStep<'_>) -> Option<Vec<u8>
     |_| None
 }
 
-/// Outcome of one dissemination.
+/// Outcome of one dissemination: what each real party received.
 ///
-/// Values are `Rc`-shared: most slots and parties receive the same handful
-/// of distinct payloads, so deep-copying one `Vec<u8>` per slot would cost
-/// memory linear in `total_slots × payload` (hundreds of MB at n = 2^20).
+/// Values are `Rc`-shared: most parties receive the same handful of
+/// distinct payloads, so deep-copying one `Vec<u8>` per party would cost
+/// memory linear in `n × payload` (hundreds of MB at n = 2^20).
 #[derive(Clone, Debug)]
 pub struct DisseminationResult {
-    /// Value received at each virtual slot (leaf-committee seat).
-    pub per_slot: Vec<Option<Rc<Vec<u8>>>>,
-    /// Majority value per real party across its slots.
+    /// Majority value per real party across the leaf seats (virtual
+    /// slots) it occupies.
     pub per_party: Vec<Option<Rc<Vec<u8>>>>,
 }
 
@@ -241,21 +240,18 @@ pub fn disseminate(
         views = next_views;
     }
 
-    // Leaf seats are the virtual slots, in order.
+    // Leaf seats are the virtual slots, in order: slot `s` is seat
+    // `s % leaf_slots` of leaf `s / leaf_slots`.
     let leaf_slots = tree.params().leaf_slots;
-    let mut per_slot_rc: Vec<Option<Rc<Vec<u8>>>> = Vec::with_capacity(tree.params().total_slots());
-    for leaf in 0..tree.params().leaf_count {
-        for seat in 0..leaf_slots {
-            per_slot_rc.push(views[leaf][seat].clone());
-        }
-    }
-
-    let per_party: Vec<Option<Rc<Vec<u8>>>> = (0..tree.params().n)
+    let per_party = (0..tree.params().n)
         .map(|p| {
             let slots = tree.party_slots(PartyId::from(p));
             let values: Vec<Rc<Vec<u8>>> = slots
                 .iter()
-                .filter_map(|&s| per_slot_rc[s as usize].clone())
+                .filter_map(|&s| {
+                    let s = s as usize;
+                    views[s / leaf_slots][s % leaf_slots].clone()
+                })
                 .collect();
             if values.len() * 2 <= slots.len() {
                 return None; // fewer than half the seats delivered anything
@@ -264,10 +260,7 @@ pub fn disseminate(
         })
         .collect();
 
-    DisseminationResult {
-        per_slot: per_slot_rc,
-        per_party,
-    }
+    DisseminationResult { per_party }
 }
 
 /// Charges every party the communication cost of establishing the tree via
@@ -327,6 +320,31 @@ mod tests {
             );
         }
         assert!(net.report().total_bytes > 0);
+    }
+
+    #[test]
+    fn height_one_tree_delivers_from_the_leaf() {
+        // Root = leaf: nothing to relay, each party reads its own seats.
+        let params = TreeParams {
+            n: 8,
+            z: 2,
+            branching: 2,
+            committee_size: 4,
+            leaf_slots: 16,
+            leaf_count: 1,
+            height: 1,
+        };
+        let tree = Tree::build(&params, b"fae-seed");
+        assert_eq!(tree.root_committee(), tree.committee(0, 0));
+        let mut net = Network::new(8);
+        let result = disseminate(
+            &mut net,
+            &tree,
+            &BTreeSet::new(),
+            &|_| Some(b"v".to_vec()),
+            &mut honest_adversary(),
+        );
+        assert!((0..8).all(|p| result.party_value(p) == Some(b"v".as_slice())));
     }
 
     #[test]

@@ -39,10 +39,13 @@ pub type NodeAddr = (usize, usize);
 #[derive(Clone, Debug)]
 pub struct Tree {
     params: TreeParams,
-    /// `committees[level][node]` → committee members. For level 0 (leaves)
-    /// this is the multiset of parties occupying the leaf's virtual slots.
+    /// `committees[level - 1][node]` → members of internal node
+    /// `(level, node)`, for levels ≥ 1. A leaf's committee is not stored:
+    /// it is the leaf's range of `slot_party`.
     committees: Vec<Vec<Vec<PartyId>>>,
-    /// Virtual slot → real party; length `params.total_slots()`.
+    /// Virtual slot → real party; length `params.total_slots()`. Read in
+    /// `leaf_slots`-long chunks, it is also every leaf committee (the
+    /// multiset of parties occupying the leaf's virtual slots).
     slot_party: Vec<PartyId>,
     /// Real party → its virtual slots (sorted), CSR layout: party `p`
     /// owns `party_slot_values[offsets[p] .. offsets[p+1]]`. One flat
@@ -120,16 +123,6 @@ impl Tree {
 
         let (party_slot_offsets, party_slot_values) = party_slots_csr(params.n, &slot_party);
 
-        // Leaf committees = parties of their slots.
-        let mut committees: Vec<Vec<Vec<PartyId>>> = Vec::with_capacity(params.height);
-        let mut leaves = Vec::with_capacity(params.leaf_count);
-        for leaf in 0..params.leaf_count {
-            let start = leaf * params.leaf_slots;
-            let members: Vec<PartyId> = slot_party[start..start + params.leaf_slots].to_vec();
-            leaves.push(members);
-        }
-        committees.push(leaves);
-
         // Internal committees dealt from all parties. A draw can repeat a
         // member only across a deck refill, so every held party came from
         // the newest deck, is held once, and fewer than `size` are held:
@@ -144,6 +137,7 @@ impl Tree {
         // `seated_in[p]` is the serial of the last committee `p` sits in.
         let mut seated_in = vec![0usize; params.n];
         let mut serial = 0usize;
+        let mut committees: Vec<Vec<Vec<PartyId>>> = Vec::with_capacity(params.height - 1);
         for level in 1..params.height {
             let count = params.nodes_at_level(level);
             let mut level_committees = Vec::with_capacity(count);
@@ -199,13 +193,7 @@ impl Tree {
         );
         let random = Self::build(params, seed);
         let slot_party: Vec<PartyId> = (0..params.n).map(PartyId::from).collect();
-        let mut committees = random.committees;
-        // Rebuild leaf committees to match the identity assignment.
-        for (leaf, committee) in committees[0].iter_mut().enumerate() {
-            let start = leaf * params.leaf_slots;
-            *committee = slot_party[start..start + params.leaf_slots].to_vec();
-        }
-        Tree::from_parts(params, committees, slot_party)
+        Tree::from_parts(params, random.committees, slot_party)
     }
 
     /// Builds a tree with **explicit committees and slot assignment** — the
@@ -213,17 +201,21 @@ impl Tree {
     /// where the adversary chooses the tree (subject to Def. 2.3, which the
     /// experiment validates separately via [`crate::analysis`]).
     ///
+    /// `internal[level - 1][node]` is the committee of internal node
+    /// `(level, node)`, for levels 1 to the root; leaf committees are the
+    /// leaves' chunks of `slot_party`, so they cannot disagree with it.
+    ///
     /// # Panics
     ///
     /// Panics on shape mismatches (level/node counts, slot counts).
     pub fn from_parts(
         params: &TreeParams,
-        committees: Vec<Vec<Vec<PartyId>>>,
+        internal: Vec<Vec<Vec<PartyId>>>,
         slot_party: Vec<PartyId>,
     ) -> Self {
         params.validate().expect("invalid tree parameters");
-        assert_eq!(committees.len(), params.height, "level count mismatch");
-        for (level, nodes) in committees.iter().enumerate() {
+        assert_eq!(internal.len(), params.height - 1, "level count mismatch");
+        for (level, nodes) in (1..).zip(&internal) {
             assert_eq!(
                 nodes.len(),
                 params.nodes_at_level(level),
@@ -238,7 +230,7 @@ impl Tree {
         let (party_slot_offsets, party_slot_values) = party_slots_csr(params.n, &slot_party);
         Tree {
             params: *params,
-            committees,
+            committees: internal,
             slot_party,
             party_slot_offsets,
             party_slot_values,
@@ -257,22 +249,28 @@ impl Tree {
 
     /// Number of nodes at `level`.
     pub fn nodes_at_level(&self, level: usize) -> usize {
-        self.committees[level].len()
+        self.params.nodes_at_level(level)
     }
 
-    /// Committee of node `(level, node)`.
+    /// Committee of node `(level, node)`. A leaf's committee is the
+    /// parties of its virtual slots, in slot order (one entry per slot).
     ///
     /// # Panics
     ///
     /// Panics if the address is out of range.
     pub fn committee(&self, level: usize, node: usize) -> &[PartyId] {
-        &self.committees[level][node]
+        match level {
+            0 => {
+                let width = self.params.leaf_slots;
+                &self.slot_party[node * width..(node + 1) * width]
+            }
+            _ => &self.committees[level - 1][node],
+        }
     }
 
     /// The supreme committee (root).
     pub fn root_committee(&self) -> &[PartyId] {
-        let root_level = self.params.height - 1;
-        &self.committees[root_level][0]
+        self.committee(self.params.height - 1, 0)
     }
 
     /// Children of an internal node, as indices at `level − 1`.
@@ -444,13 +442,19 @@ mod tests {
 
     #[test]
     fn leaf_committees_match_slots() {
-        let t = tree(128, 2);
-        for leaf in 0..t.params().leaf_count {
-            let committee = t.committee(0, leaf);
-            let range = t.leaf_range(leaf);
-            assert_eq!(committee.len(), t.params().leaf_slots);
-            for (i, slot) in range.enumerate() {
-                assert_eq!(committee[i], t.slot_party(slot));
+        let random = tree(128, 2);
+        let identity = Tree::build_identity(&TreeParams::for_slots(128), b"test-seed");
+        let mut rotated = random.slot_party.clone();
+        rotated.rotate_left(1);
+        let parts = Tree::from_parts(random.params(), random.committees.clone(), rotated);
+        for t in [&random, &identity, &parts] {
+            for leaf in 0..t.params().leaf_count {
+                let committee = t.committee(0, leaf);
+                let range = t.leaf_range(leaf);
+                assert_eq!(committee.len(), t.params().leaf_slots);
+                for (i, slot) in range.enumerate() {
+                    assert_eq!(committee[i], t.slot_party(slot));
+                }
             }
         }
     }

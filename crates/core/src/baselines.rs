@@ -207,9 +207,10 @@ pub fn committee_flood_ba(n: usize, t: usize, input: u8, seed: &[u8]) -> Committ
                 sig_count[receiver.index()] += 1;
                 continue;
             }
-            net.metrics_mut().record_send(member, receiver, len);
+            let metrics = net.metrics_mut();
+            metrics.record_send_tagged(member, receiver, len, tag::RAW);
             // Receivers must process committee signatures to count them.
-            net.metrics_mut().record_receive(receiver, member, len);
+            metrics.record_receive_tagged(receiver, member, len, tag::RAW);
             if params.verify(&vks[member.index()], &payload, &sig) {
                 sig_count[receiver.index()] += 1;
             }

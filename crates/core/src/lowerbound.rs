@@ -15,6 +15,7 @@
 //! decides correctly.
 
 use pba_crypto::prg::Prg;
+use pba_net::wire::tag;
 use pba_net::{Network, PartyId};
 use pba_srds::traits::{PkiBoard, Srds};
 use std::collections::BTreeSet;
@@ -56,9 +57,10 @@ pub fn isolation_attack_crs(n: usize, t: usize, k: usize, seed: &[u8]) -> Isolat
         let p = PartyId(i);
         for target in prg.sample_distinct(n as u64, k) {
             let q = PartyId(target);
-            net.metrics_mut().record_send(p, q, MSG_BYTES);
+            let metrics = net.metrics_mut();
+            metrics.record_send_tagged(p, q, MSG_BYTES, tag::RAW);
             if q == victim {
-                net.metrics_mut().record_receive(victim, p, MSG_BYTES);
+                metrics.record_receive_tagged(victim, p, MSG_BYTES, tag::RAW);
                 honest_msgs += 1;
             }
         }
@@ -66,8 +68,9 @@ pub fn isolation_attack_crs(n: usize, t: usize, k: usize, seed: &[u8]) -> Isolat
     // Every corrupt party targets the victim with the flipped value.
     let mut adversarial_msgs = 0usize;
     for &p in &corrupt {
-        net.metrics_mut().record_send(p, victim, MSG_BYTES);
-        net.metrics_mut().record_receive(victim, p, MSG_BYTES);
+        let metrics = net.metrics_mut();
+        metrics.record_send_tagged(p, victim, MSG_BYTES, tag::RAW);
+        metrics.record_receive_tagged(victim, p, MSG_BYTES, tag::RAW);
         adversarial_msgs += 1;
     }
     net.bump_round();
@@ -129,9 +132,10 @@ where
         let p = PartyId(i);
         for target in prg.sample_distinct(n as u64, k.min(n - 1)) {
             let q = PartyId(target);
-            net.metrics_mut().record_send(p, q, cert_len + 2);
+            let metrics = net.metrics_mut();
+            metrics.record_send_tagged(p, q, cert_len + 2, tag::RAW);
             if q == victim {
-                net.metrics_mut().record_receive(victim, p, cert_len + 2);
+                metrics.record_receive_tagged(victim, p, cert_len + 2, tag::RAW);
                 // Victim verifies the certificate before accepting.
                 if scheme.verify(&board.pp, &keys, message, &certificate) {
                     honest_msgs += 1;
@@ -147,8 +151,9 @@ where
             .map(|f| scheme.signature_len(f))
             .unwrap_or(2)
             + 2;
-        net.metrics_mut().record_send(p, victim, len);
-        net.metrics_mut().record_receive(victim, p, len);
+        let metrics = net.metrics_mut();
+        metrics.record_send_tagged(p, victim, len, tag::RAW);
+        metrics.record_receive_tagged(victim, p, len, tag::RAW);
         // Victim verifies: the sub-third coalition's aggregate never passes.
         if let Some(f) = &forged {
             if scheme.verify(&board.pp, &keys, wrong, f) {

@@ -28,7 +28,9 @@
 //! the corollary bounds *total*, not per-party, communication.)
 
 use crate::protocol::{AdversaryProfile, BaConfig, ProtocolError, ProtocolPhase, Service};
+use pba_aetree::analysis::TreeAnalysis;
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
+use pba_net::wire::tag;
 use pba_net::{PartyId, Report};
 use pba_snark::fhe::{Ciphertext, FheSystem};
 use pba_srds::traits::Srds;
@@ -105,7 +107,7 @@ where
     let corrupt = session.corrupt().clone();
     let tree = session.tree().clone();
     let params = *session.params();
-    let analysis = session.analysis().clone();
+    let analysis = TreeAnalysis::analyze(&tree, &corrupt);
 
     // 1. Threshold-FHE setup for the supreme committee (majority threshold:
     //    above the corrupt third, within the honest two-thirds).
@@ -137,14 +139,9 @@ where
                 tree.committee(0, leaf).iter().copied().collect();
             for &r in &recipients {
                 if r != p {
-                    session
-                        .net
-                        .metrics_mut()
-                        .record_send(p, r, ct.encoded_len());
-                    session
-                        .net
-                        .metrics_mut()
-                        .record_receive(r, p, ct.encoded_len());
+                    let metrics = session.net.metrics_mut();
+                    metrics.record_send_tagged(p, r, ct.encoded_len(), tag::RAW);
+                    metrics.record_receive_tagged(r, p, ct.encoded_len(), tag::RAW);
                 }
             }
             leaf_cts[leaf].push(ct.clone());
@@ -184,16 +181,10 @@ where
                     for &sender in child_committee.iter().filter(|p| !corrupt.contains(p)) {
                         for &receiver in &committee {
                             if receiver != sender {
-                                session.net.metrics_mut().record_send(
-                                    sender,
-                                    receiver,
-                                    ct.encoded_len(),
-                                );
-                                session.net.metrics_mut().record_receive(
-                                    receiver,
-                                    sender,
-                                    ct.encoded_len(),
-                                );
+                                let metrics = session.net.metrics_mut();
+                                let len = ct.encoded_len();
+                                metrics.record_send_tagged(sender, receiver, len, tag::RAW);
+                                metrics.record_receive_tagged(receiver, sender, len, tag::RAW);
                             }
                         }
                     }
@@ -245,14 +236,9 @@ where
         let share = fhe.partial_decrypt(pos, &ct_out).expect("valid ciphertext");
         for &peer in &honest_members {
             if peer != member {
-                session
-                    .net
-                    .metrics_mut()
-                    .record_send(member, peer, share.encoded_len());
-                session
-                    .net
-                    .metrics_mut()
-                    .record_receive(peer, member, share.encoded_len());
+                let metrics = session.net.metrics_mut();
+                metrics.record_send_tagged(member, peer, share.encoded_len(), tag::RAW);
+                metrics.record_receive_tagged(peer, member, share.encoded_len(), tag::RAW);
             }
         }
         shares.push(share);

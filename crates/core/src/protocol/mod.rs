@@ -45,7 +45,6 @@ pub use service::{charged_tree, StepReport};
 pub use steps::{BytesRoundOutcome, Certificate, MvInput, RoundOutcome, ValueSeed};
 pub use stream::{InstanceOutcome, InstanceReport, MultiValueOutcome, StreamMode, StreamOutcome};
 
-use pba_aetree::analysis::TreeAnalysis;
 use pba_aetree::tree::Tree;
 use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
@@ -82,11 +81,8 @@ pub struct Service<'a, S: Srds> {
     pub config: BaConfig,
     pp: S::PublicParams,
     keys: KeyStore<S>,
-    /// slot → (party index, key occurrence index)
-    slot_sk: Vec<(usize, usize)>,
     keyboard: S::KeyBoard,
     tree: Tree,
-    analysis: TreeAnalysis,
     corrupt: BTreeSet<PartyId>,
     honest: Vec<PartyId>,
     /// The metered network (public so harnesses can read metrics).

@@ -7,7 +7,7 @@ use super::{
     ProtocolPhase, Service,
 };
 use crate::phase_king::PkMsg;
-use pba_aetree::analysis::{adaptive_targets, TreeAnalysis};
+use pba_aetree::analysis::adaptive_targets;
 use pba_aetree::fae::charge_establishment;
 use pba_aetree::params::TreeParams;
 use pba_aetree::tree::Tree;
@@ -208,7 +208,6 @@ where
             .map(PartyId)
             .filter(|p| !corrupt.contains(p))
             .collect();
-        let analysis = TreeAnalysis::analyze(&tree, &corrupt);
 
         // Timing faults: if the chaos spec carries a timing axis (latency,
         // partition, churn), install the seeded delay-queue model now — the
@@ -226,7 +225,6 @@ where
         let stride = scheme.key_residue_len(&pp);
         let mut occurrence: Vec<usize> = vec![0; n];
         let mut vks: Vec<S::VerificationKey> = Vec::with_capacity(total_slots);
-        let mut slot_sk: Vec<(usize, usize)> = Vec::with_capacity(total_slots);
         let mut keys = match config.key_policy {
             KeyPolicy::Eager => KeyStore::Eager(Vec::with_capacity(total_slots)),
             KeyPolicy::Lazy => KeyStore::Lazy {
@@ -251,7 +249,6 @@ where
                 }
             }
             vks.push(vk);
-            slot_sk.push((owner, j));
         }
         let keyboard = scheme.prepare(&pp, &vks);
 
@@ -261,10 +258,8 @@ where
             config: config.clone(),
             pp,
             keys,
-            slot_sk,
             keyboard,
             tree,
-            analysis,
             corrupt,
             honest,
             net,
@@ -300,11 +295,6 @@ where
     /// The tree parameters.
     pub fn params(&self) -> &TreeParams {
         self.tree.params()
-    }
-
-    /// The goodness analysis of the tree under the session's corrupt set.
-    pub fn analysis(&self) -> &TreeAnalysis {
-        &self.analysis
     }
 
     /// Per-step communication snapshots so far.
@@ -353,7 +343,16 @@ where
                     .sign_epoch(&self.pp, slot, &sks[slot as usize], epoch, message)
             }
             KeyStore::Lazy { residue, stride } => {
-                let (owner, j) = self.slot_sk[slot as usize];
+                // The slot is its owner's `j`-th key, `j` its rank among
+                // the owner's (sorted) slots — the establishment loop's
+                // occurrence count.
+                let owner = self.tree.slot_party(slot);
+                let j = self
+                    .tree
+                    .party_slots(owner)
+                    .binary_search(&slot)
+                    .expect("a slot is among its owner's slots");
+                let owner = owner.index();
                 let at = slot as usize * stride;
                 self.scheme.sign_epoch_rederived(
                     &self.pp,

@@ -323,8 +323,8 @@ where
             // signature): each group is one signer-set → committee exchange.
             let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
             for slot in range.clone() {
-                let (owner, _) = self.slot_sk[slot as usize];
-                if corrupt.contains(&PartyId(owner as u64)) {
+                let owner = self.tree.slot_party(slot);
+                if corrupt.contains(&owner) {
                     if !byzantine {
                         continue;
                     }
@@ -334,20 +334,19 @@ where
                     }
                     continue;
                 }
-                if !signable[owner] {
+                if !signable[owner.index()] {
                     continue; // isolated or malformed payload: signs nothing
                 }
-                let my_payload = ys_result.per_party[owner]
+                let my_payload = ys_result.per_party[owner.index()]
                     .as_ref()
                     .expect("signable implies payload");
                 let Some(sig) = self.sign_slot(slot, epoch, my_payload) else {
                     continue; // sortition loser (OWF scheme)
                 };
                 let len = self.scheme.signature_len(&sig);
-                let p = PartyId(owner as u64);
                 match submits.iter_mut().find(|(l, _)| *l == len) {
-                    Some((_, signers)) => signers.push(p),
-                    None => submits.push((len, vec![p])),
+                    Some((_, signers)) => signers.push(owner),
+                    None => submits.push((len, vec![owner])),
                 }
                 sigs.push(sig);
             }
@@ -626,16 +625,19 @@ where
 
     /// Step 2 on fanned-in committee values — per-byte `f_ba`, `f_ct`, the
     /// step-2 snapshot: the one sequence behind
-    /// [`Service::try_certified_round`] and every streamed instance.
+    /// [`Service::try_certified_round`] and every streamed instance. The
+    /// snapshot is taken on failure too, so the bytes a failed committee
+    /// phase charged stay with its instance.
     pub(super) fn committee_agree(
         &mut self,
         committee_values: &BTreeMap<PartyId, Vec<u8>>,
         width: usize,
     ) -> Result<(Vec<u8>, Digest), ProtocolError> {
-        let value = self.try_committee_ba_bytes(committee_values, width)?;
-        let s = self.try_committee_coin()?;
+        let agreed = self
+            .try_committee_ba_bytes(committee_values, width)
+            .and_then(|value| Ok((value, self.try_committee_coin()?)));
         self.snap("2:committee-ba+coin");
-        Ok((value, s))
+        agreed
     }
 
     /// Robust fan-in of every party's input for the committee

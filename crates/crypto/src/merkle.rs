@@ -26,7 +26,7 @@ const NODE_PREFIX: u8 = 0x01;
 
 // Residue of the deleted proof memo: `benchmark/src/trace.rs` — a frozen
 // consumer, the one caller — still reads this signature. Removal is
-// ROADMAP item 7.
+// ROADMAP item 9.
 #[doc(hidden)]
 pub fn proof_cache_stats() -> (u64, u64) {
     (0, 0)

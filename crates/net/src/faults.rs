@@ -390,21 +390,29 @@ impl Adversary for Flooder {
 
 /// Runs an inner strategy until round `round`, then the corrupted parties
 /// crash (fall permanently silent) — fail-stop mid-phase.
-#[derive(Debug)]
-pub struct CrashAt<A> {
-    inner: A,
+pub struct CrashAt {
+    inner: Box<dyn Adversary>,
     round: u64,
 }
 
-impl<A: Adversary> CrashAt<A> {
+impl CrashAt {
     /// Crashes `inner`'s parties at the start of `round` (0-based within
     /// each phase).
-    pub fn new(inner: A, round: u64) -> Self {
+    pub fn new(inner: Box<dyn Adversary>, round: u64) -> Self {
         CrashAt { inner, round }
     }
 }
 
-impl<A: Adversary> Adversary for CrashAt<A> {
+impl fmt::Debug for CrashAt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CrashAt")
+            .field("corrupted", self.inner.corrupted())
+            .field("round", &self.round)
+            .finish()
+    }
+}
+
+impl Adversary for CrashAt {
     fn corrupted(&self) -> &BTreeSet<PartyId> {
         self.inner.corrupted()
     }
@@ -882,7 +890,7 @@ impl StrategySpec {
                 ))
             }
             StrategySpec::CrashAt { inner, round } => Box::new(CrashAt::new(
-                BoxedAdversary(inner.build(corrupted, n, &prg.child("crash-inner", 0))),
+                inner.build(corrupted, n, &prg.child("crash-inner", 0)),
                 *round,
             )),
             StrategySpec::Compose(parts) => {
@@ -1023,32 +1031,6 @@ impl StrategySpec {
                 format!("churn-{count}@{down}-{up}")
             }
         }
-    }
-}
-
-/// Adapter giving a boxed adversary a by-value [`Adversary`] impl (for
-/// wrapping inside generic combinators like [`CrashAt`]).
-struct BoxedAdversary(Box<dyn Adversary>);
-
-impl fmt::Debug for BoxedAdversary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("BoxedAdversary")
-            .field(self.0.corrupted())
-            .finish()
-    }
-}
-
-impl Adversary for BoxedAdversary {
-    fn corrupted(&self) -> &BTreeSet<PartyId> {
-        self.0.corrupted()
-    }
-    fn on_round(
-        &mut self,
-        round: u64,
-        rushed: &BTreeMap<PartyId, Vec<Envelope>>,
-        sender: &mut AdvSender<'_>,
-    ) {
-        self.0.on_round(round, rushed, sender);
     }
 }
 
@@ -1327,7 +1309,7 @@ mod tests {
             2,
             Prg::from_seed_bytes(b"c"),
         );
-        let mut adv = CrashAt::new(flood, 2);
+        let mut adv = CrashAt::new(Box::new(flood), 2);
         let mut net = Network::new(2);
         for round in 0..4 {
             {

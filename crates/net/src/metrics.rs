@@ -40,12 +40,6 @@
 //! the party references) and without a sort: a report pays for the
 //! expansion, a charge never does.
 //!
-//! A pre-aggregated [`Totals`] row is maintained by every charging call —
-//! once per envelope on the per-link paths, once per *exchange* on the
-//! bulk paths below — which keeps the global conservation check
-//! ([`MetricsTable::tags_conserve_totals`]) and the per-step attribution in
-//! `--bin table1` exact without a full scan.
-//!
 //! # Committee-granular charges
 //!
 //! Fig. 3 steps 3–8 move bytes committee to committee, so their call
@@ -55,11 +49,10 @@
 //! per-link expansion into [`MetricsTable::record_send_tagged`] /
 //! [`MetricsTable::record_receive_tagged`] and are observationally
 //! identical to it, but touch each party's cell once per exchange instead
-//! of once per link: counters move by `bytes · k`, the tag marginal and
-//! the totals row take one bump, and the opposite side is one group
-//! reference. Seats listed several times count by multiplicity, and a
-//! party with `k = 0` links is never materialized (DESIGN.md §4b
-//! "Committee-granular metering").
+//! of once per link: counters move by `bytes · k`, the tag marginal takes
+//! one bump, and the opposite side is one group reference. Seats listed
+//! several times count by multiplicity, and a party with `k = 0` links is
+//! never materialized (DESIGN.md §4b "Committee-granular metering").
 //!
 //! The step 7–8 spread stays per id on purpose: a sender's targets are a
 //! PRF-chosen subset that is fresh for every (sender, epoch), so interning
@@ -89,7 +82,6 @@
 //! committee phases after arming take the per-link path again.
 
 use crate::envelope::PartyId;
-use crate::wire;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -115,7 +107,8 @@ pub struct PartyMetrics {
     pub peers_in: BTreeSet<PartyId>,
     /// Sent bytes by wire tag ([`crate::wire::tag`]). Marginals over this
     /// map sum exactly to `bytes_sent` — every recording path is tagged
-    /// (untagged paths charge [`crate::wire::tag::RAW`]).
+    /// (bytes of no protocol message are charged to
+    /// [`crate::wire::tag::RAW`]).
     pub sent_by_tag: BTreeMap<u8, u64>,
     /// Received-and-processed bytes by wire tag; sums to `bytes_received`.
     pub recv_by_tag: BTreeMap<u8, u64>,
@@ -326,37 +319,6 @@ impl PeerStamps {
     }
 }
 
-/// Pre-aggregated global counters, maintained incrementally on every
-/// charge so whole-table invariants need no scan over `n` cells.
-#[derive(Clone, Debug, Default)]
-struct Totals {
-    bytes_sent: u64,
-    bytes_received: u64,
-    msgs_sent: u64,
-    msgs_received: u64,
-    sent_by_tag: BTreeMap<u8, u64>,
-    recv_by_tag: BTreeMap<u8, u64>,
-}
-
-impl Totals {
-    fn conserves(&self) -> bool {
-        self.sent_by_tag.values().sum::<u64>() == self.bytes_sent
-            && self.recv_by_tag.values().sum::<u64>() == self.bytes_received
-    }
-
-    fn sent(&mut self, bytes: u64, msgs: u64, tag: u8) {
-        self.bytes_sent += bytes;
-        self.msgs_sent += msgs;
-        *self.sent_by_tag.entry(tag).or_insert(0) += bytes;
-    }
-
-    fn received(&mut self, bytes: u64, msgs: u64, tag: u8) {
-        self.bytes_received += bytes;
-        self.msgs_received += msgs;
-        *self.recv_by_tag.entry(tag).or_insert(0) += bytes;
-    }
-}
-
 /// Metrics for all parties in one protocol execution (sparse layout; see
 /// the module docs).
 #[derive(Clone, Debug)]
@@ -365,7 +327,6 @@ pub struct MetricsTable {
     cells: Vec<Option<Box<PartyCell>>>,
     /// The id lists the cells' [`GroupRef`]s point into.
     groups: GroupPool,
-    totals: Totals,
     rounds: u64,
     /// Dense differential oracle; every mutation is mirrored here first
     /// when attached (see [`MetricsTable::enable_shadow`]).
@@ -381,7 +342,6 @@ impl MetricsTable {
         MetricsTable {
             cells: vec![None; n],
             groups: GroupPool::default(),
-            totals: Totals::default(),
             rounds: 0,
             shadow: None,
         }
@@ -527,11 +487,6 @@ impl MetricsTable {
         self.cells[index].get_or_insert_with(Default::default)
     }
 
-    /// Records a sent envelope, attributed to [`crate::wire::tag::RAW`].
-    pub fn record_send(&mut self, from: PartyId, to: PartyId, bytes: usize) {
-        self.record_send_tagged(from, to, bytes, wire::tag::RAW);
-    }
-
     /// Records a sent envelope, attributing its bytes to a wire tag.
     pub fn record_send_tagged(&mut self, from: PartyId, to: PartyId, bytes: usize, tag: u8) {
         if let Some(shadow) = self.shadow.as_deref_mut() {
@@ -542,13 +497,6 @@ impl MetricsTable {
         m.msgs_sent += 1;
         insert_sorted(&mut m.peers_out, to.0);
         bump_tag(&mut m.sent_by_tag, tag, bytes as u64);
-        self.totals.sent(bytes as u64, 1, tag);
-    }
-
-    /// Records a received-and-processed envelope, attributed to
-    /// [`crate::wire::tag::RAW`].
-    pub fn record_receive(&mut self, to: PartyId, from: PartyId, bytes: usize) {
-        self.record_receive_tagged(to, from, bytes, wire::tag::RAW);
     }
 
     /// Records a received-and-processed envelope, attributing its bytes to
@@ -562,7 +510,6 @@ impl MetricsTable {
         m.msgs_received += 1;
         insert_sorted(&mut m.peers_in, from.0);
         bump_tag(&mut m.recv_by_tag, tag, bytes as u64);
-        self.totals.received(bytes as u64, 1, tag);
     }
 
     /// Charges one committee-to-committee exchange: every seat of `senders`
@@ -581,7 +528,7 @@ impl MetricsTable {
     /// fed exactly that expansion — but each party's cell is touched once:
     /// counters move by `bytes · k` for the party's `k` links, the opposite
     /// side is recorded as one reference to its interned id list, the tag
-    /// marginal and the totals row take one bump. A party listed on several
+    /// marginal takes one bump. A party listed on several
     /// seats is charged once per seat (multiplicity), and a party with
     /// `k = 0` links (e.g. the only receiver of its own `skip_self`
     /// exchange) is not materialized, so no `(tag, 0)` marginal appears
@@ -642,8 +589,6 @@ impl MetricsTable {
                     .charge_received(k, bytes, tag, peers);
             }
         }
-        self.totals.sent(bytes * links, links, tag);
-        self.totals.received(bytes * links, links, tag);
         links
     }
 
@@ -670,7 +615,6 @@ impl MetricsTable {
                 insert_sorted(&mut m.peers_out, peer.0);
             }
             bump_tag(&mut m.sent_by_tag, tag, bytes * links);
-            self.totals.sent(bytes * links, links, tag);
         }
     }
 
@@ -694,7 +638,6 @@ impl MetricsTable {
         m.bytes_sent += bytes;
         m.msgs_sent += msgs;
         bump_tag(&mut m.sent_by_tag, tag, bytes);
-        self.totals.sent(bytes, msgs, tag);
     }
 
     /// Advances the round counter.
@@ -779,14 +722,13 @@ impl MetricsTable {
 
     /// Exact conservation of the per-tag attribution: for **every**
     /// materialized party, the per-tag sent/received marginals sum to the
-    /// party's untyped `bytes_sent`/`bytes_received` totals — and the
-    /// pre-aggregated global marginals conserve independently (an O(tags)
-    /// cross-check that needs no cell scan). Holds by construction — every
-    /// recording path goes through a `_tagged` variant — and is asserted by
-    /// tests after full protocol runs. Unmaterialized parties are all-zero
-    /// and conserve trivially.
+    /// party's untyped `bytes_sent`/`bytes_received` totals (so the
+    /// whole-table marginals conserve too). Holds by construction — every
+    /// recording path is tagged — and is asserted by tests after full
+    /// protocol runs. Unmaterialized parties are all-zero and conserve
+    /// trivially.
     pub fn tags_conserve_totals(&self) -> bool {
-        self.totals.conserves() && self.cells.iter().flatten().all(|m| m.conserves())
+        self.cells.iter().flatten().all(|m| m.conserves())
     }
 }
 
@@ -825,11 +767,6 @@ impl DenseMetricsTable {
         &self.parties[id.index()]
     }
 
-    /// Records a sent envelope, attributed to [`crate::wire::tag::RAW`].
-    pub fn record_send(&mut self, from: PartyId, to: PartyId, bytes: usize) {
-        self.record_send_tagged(from, to, bytes, wire::tag::RAW);
-    }
-
     /// Records a sent envelope, attributing its bytes to a wire tag.
     pub fn record_send_tagged(&mut self, from: PartyId, to: PartyId, bytes: usize, tag: u8) {
         let m = &mut self.parties[from.index()];
@@ -837,12 +774,6 @@ impl DenseMetricsTable {
         m.msgs_sent += 1;
         m.peers_out.insert(to);
         *m.sent_by_tag.entry(tag).or_insert(0) += bytes as u64;
-    }
-
-    /// Records a received-and-processed envelope, attributed to
-    /// [`crate::wire::tag::RAW`].
-    pub fn record_receive(&mut self, to: PartyId, from: PartyId, bytes: usize) {
-        self.record_receive_tagged(to, from, bytes, wire::tag::RAW);
     }
 
     /// Records a received-and-processed envelope, attributing its bytes to
@@ -1024,14 +955,15 @@ impl fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
 
     #[test]
     fn record_and_report() {
         let mut t = MetricsTable::new(3);
-        t.record_send(PartyId(0), PartyId(1), 100);
-        t.record_receive(PartyId(1), PartyId(0), 100);
-        t.record_send(PartyId(0), PartyId(2), 50);
-        t.record_receive(PartyId(2), PartyId(0), 50);
+        t.record_send_tagged(PartyId(0), PartyId(1), 100, wire::tag::RAW);
+        t.record_receive_tagged(PartyId(1), PartyId(0), 100, wire::tag::RAW);
+        t.record_send_tagged(PartyId(0), PartyId(2), 50, wire::tag::RAW);
+        t.record_receive_tagged(PartyId(2), PartyId(0), 50, wire::tag::RAW);
         t.bump_round();
 
         assert_eq!(t.party(PartyId(0)).bytes_sent, 150);
@@ -1051,8 +983,8 @@ mod tests {
     #[test]
     fn report_for_subset_excludes_others() {
         let mut t = MetricsTable::new(3);
-        t.record_send(PartyId(0), PartyId(1), 1000);
-        t.record_send(PartyId(2), PartyId(1), 5);
+        t.record_send_tagged(PartyId(0), PartyId(1), 1000, wire::tag::RAW);
+        t.record_send_tagged(PartyId(2), PartyId(1), 5, wire::tag::RAW);
         let r = t.report_for([PartyId(2)]);
         assert_eq!(r.parties, 1);
         assert_eq!(r.max_bytes_per_party, 5);
@@ -1109,7 +1041,7 @@ mod tests {
         let mut t = MetricsTable::new(3);
         t.record_send_tagged(PartyId(0), PartyId(1), 10, tag::VALUE_SEED);
         t.record_receive_tagged(PartyId(1), PartyId(0), 10, tag::VALUE_SEED);
-        t.record_send(PartyId(0), PartyId(2), 5); // untyped → RAW bucket
+        t.record_send_tagged(PartyId(0), PartyId(2), 5, tag::RAW);
         t.charge_synthetic_tagged(PartyId(2), 7, 1, tag::ESTABLISH);
         t.charge_exchange(&[PartyId(1)], &[PartyId(2)], 3, tag::SPREAD, false);
         assert!(t.tags_conserve_totals());
@@ -1131,8 +1063,8 @@ mod tests {
     #[test]
     fn locality_counts_union_not_sum() {
         let mut t = MetricsTable::new(2);
-        t.record_send(PartyId(0), PartyId(1), 1);
-        t.record_receive(PartyId(0), PartyId(1), 1);
+        t.record_send_tagged(PartyId(0), PartyId(1), 1, wire::tag::RAW);
+        t.record_receive_tagged(PartyId(0), PartyId(1), 1, wire::tag::RAW);
         assert_eq!(t.party(PartyId(0)).locality(), 1);
     }
 
@@ -1142,12 +1074,12 @@ mod tests {
         // million parties must cost pointer slots only until charged.
         let mut t = MetricsTable::new(1 << 20);
         assert_eq!(t.allocated_cells(), 0);
-        t.record_send(PartyId(7), PartyId(9), 10);
+        t.record_send_tagged(PartyId(7), PartyId(9), 10, wire::tag::RAW);
         assert_eq!(t.allocated_cells(), 1);
-        t.record_receive(PartyId(9), PartyId(7), 10);
+        t.record_receive_tagged(PartyId(9), PartyId(7), 10, wire::tag::RAW);
         assert_eq!(t.allocated_cells(), 2);
         // Re-charging an existing cell allocates nothing new.
-        t.record_send(PartyId(7), PartyId(9), 10);
+        t.record_send_tagged(PartyId(7), PartyId(9), 10, wire::tag::RAW);
         assert_eq!(t.allocated_cells(), 2);
         // Untouched parties still report exact zeros.
         assert_eq!(t.party(PartyId(500_000)), PartyMetrics::default());
@@ -1163,7 +1095,7 @@ mod tests {
         t.enable_shadow();
         t.record_send_tagged(PartyId(0), PartyId(1), 10, tag::VALUE_SEED);
         t.record_receive_tagged(PartyId(1), PartyId(0), 10, tag::VALUE_SEED);
-        t.record_send(PartyId(3), PartyId(2), 17);
+        t.record_send_tagged(PartyId(3), PartyId(2), 17, wire::tag::RAW);
         t.charge_synthetic_tagged(PartyId(4), 100, 2, tag::ESTABLISH);
         t.charge_exchange(&[PartyId(5)], &[PartyId(6)], 64, tag::AGGR_SHARE, false);
         t.charge_synthetic_tagged(PartyId(7), 1, 1, tag::RAW);
@@ -1376,9 +1308,9 @@ mod tests {
         let far = PartyId(1 << 40);
         let mut t = MetricsTable::new(4);
         t.enable_shadow();
-        t.record_send(PartyId(0), far, 1);
-        t.record_receive(PartyId(0), far, 1);
-        t.record_send(PartyId(0), PartyId(2), 1);
+        t.record_send_tagged(PartyId(0), far, 1, wire::tag::RAW);
+        t.record_receive_tagged(PartyId(0), far, 1, wire::tag::RAW);
+        t.record_send_tagged(PartyId(0), PartyId(2), 1, wire::tag::RAW);
         t.record_sends_tagged(PartyId(1), &[far, PartyId(4), far], 1, 2);
         assert_eq!(t.party(PartyId(0)).locality(), 2);
         assert_eq!(t.party(PartyId(1)).locality(), 2);
@@ -1393,8 +1325,8 @@ mod tests {
         let mut t = MetricsTable::new(6);
         t.enable_shadow();
         t.charge_exchange(&ids(&[0, 1]), &ids(&[2, 3, 4]), 1, 1, false);
-        t.record_send(PartyId(1), PartyId(5), 1);
-        t.record_receive(PartyId(1), PartyId(2), 1);
+        t.record_send_tagged(PartyId(1), PartyId(5), 1, wire::tag::RAW);
+        t.record_receive_tagged(PartyId(1), PartyId(2), 1, wire::tag::RAW);
         assert_eq!(t.report_for(ids(&[0, 1, 0])).max_locality, 4);
         assert_eq!(t.report_for(ids(&[1, 0])).max_locality, 4);
         assert_eq!(t.report_for(ids(&[0])).max_locality, 3);
@@ -1430,7 +1362,7 @@ mod tests {
     #[test]
     fn shadow_divergence_is_none_without_shadow() {
         let mut t = MetricsTable::new(2);
-        t.record_send(PartyId(0), PartyId(1), 5);
+        t.record_send_tagged(PartyId(0), PartyId(1), 5, wire::tag::RAW);
         assert_eq!(t.shadow_divergence(), None);
     }
 

@@ -1103,7 +1103,8 @@ mod tests {
             let mut absorbed = 0;
             for round in 0..3u8 {
                 net.stage(Envelope::new(PartyId(0), PartyId(1), vec![round]));
-                net.metrics_mut().record_send(PartyId(0), PartyId(1), 1);
+                net.metrics_mut()
+                    .record_send_tagged(PartyId(0), PartyId(1), 1, wire::tag::RAW);
                 net.take_staged();
                 net.bump_round();
                 if round == 0 {
@@ -1112,7 +1113,8 @@ mod tests {
                     }
                     net.bump_round();
                     net.bump_round();
-                    net.metrics_mut().record_send(PartyId(1), PartyId(0), 7);
+                    net.metrics_mut()
+                        .record_send_tagged(PartyId(1), PartyId(0), 7, wire::tag::RAW);
                     if overlap {
                         absorbed = net.end_round_overlap();
                     }

@@ -167,7 +167,8 @@ impl<S: Srds> RobustnessAdversary<S> for TreePackingAdversary {
         // fill as many level-1 committees as possible entirely with
         // corrupted parties (their subtrees die), keeping the root honest.
         let base = Tree::build_identity(params, b"packing-base");
-        let mut committees: Vec<Vec<Vec<PartyId>>> = (0..params.height)
+        // `committees[level - 1]`: the internal levels 1 to the root.
+        let mut committees: Vec<Vec<Vec<PartyId>>> = (1..params.height)
             .map(|level| {
                 (0..base.nodes_at_level(level))
                     .map(|node| base.committee(level, node).to_vec())
@@ -179,15 +180,18 @@ impl<S: Srds> RobustnessAdversary<S> for TreePackingAdversary {
             .filter(|p| !corrupt.contains(&p.0))
             .collect();
         let c = params.committee_size.min(params.n);
-        // Root: all honest (the guarantee requires a good root anyway).
-        let root_level = params.height - 1;
-        committees[root_level][0] = honest[..c.min(honest.len())].to_vec();
+        // Root: all honest (the guarantee requires a good root anyway). A
+        // height-1 tree's root is its one leaf, whose members are its slots.
+        if let Some(root) = committees.last_mut() {
+            root[0] = honest[..c.min(honest.len())].to_vec();
+        }
         // Re-sample other internal committees from honest parties, then
         // corrupt a budgeted number of level-1 nodes outright.
         for level in 1..params.height - 1 {
-            for node in 0..committees[level].len() {
+            for node in 0..committees[level - 1].len() {
                 let picks = prg.sample_distinct(honest.len() as u64, c.min(honest.len()));
-                committees[level][node] = picks.into_iter().map(|i| honest[i as usize]).collect();
+                committees[level - 1][node] =
+                    picks.into_iter().map(|i| honest[i as usize]).collect();
             }
         }
         if params.height > 2 {
@@ -197,7 +201,7 @@ impl<S: Srds> RobustnessAdversary<S> for TreePackingAdversary {
             let max_bad_nodes = (params.leaf_count / params.branching) / 5;
             let budget = (corrupt_vec.len() / c).min(max_bad_nodes);
             for node in 0..budget {
-                committees[1][node] = corrupt_vec[node * c..(node + 1) * c].to_vec();
+                committees[0][node] = corrupt_vec[node * c..(node + 1) * c].to_vec();
             }
         }
         let slot_party: Vec<PartyId> = (0..params.n as u64).map(PartyId).collect();

@@ -17,6 +17,7 @@ use differential::{observe, Context, Variant};
 use pba_bench::chaos::default_cases;
 use pba_core::protocol::{BaConfig, Service};
 use pba_net::metrics::DenseMetricsTable;
+use pba_net::wire::tag::RAW;
 use pba_net::{MetricsTable, PartyId};
 use pba_srds::owf::OwfSrds;
 use pba_srds::snark::SnarkSrds;
@@ -193,21 +194,23 @@ fn apply_sparse(table: &mut MetricsTable, op: &Op) {
             to,
             bytes,
             tag,
-        } => match tag {
-            Some(t) => table.record_send_tagged(PartyId(from as u64), PartyId(to as u64), bytes, t),
-            None => table.record_send(PartyId(from as u64), PartyId(to as u64), bytes),
-        },
+        } => table.record_send_tagged(
+            PartyId(from as u64),
+            PartyId(to as u64),
+            bytes,
+            tag.unwrap_or(RAW),
+        ),
         Op::Receive {
             to,
             from,
             bytes,
             tag,
-        } => match tag {
-            Some(t) => {
-                table.record_receive_tagged(PartyId(to as u64), PartyId(from as u64), bytes, t)
-            }
-            None => table.record_receive(PartyId(to as u64), PartyId(from as u64), bytes),
-        },
+        } => table.record_receive_tagged(
+            PartyId(to as u64),
+            PartyId(from as u64),
+            bytes,
+            tag.unwrap_or(RAW),
+        ),
         Op::Synthetic {
             party,
             bytes,
@@ -253,21 +256,23 @@ fn apply_dense(table: &mut DenseMetricsTable, op: &Op) {
             to,
             bytes,
             tag,
-        } => match tag {
-            Some(t) => table.record_send_tagged(PartyId(from as u64), PartyId(to as u64), bytes, t),
-            None => table.record_send(PartyId(from as u64), PartyId(to as u64), bytes),
-        },
+        } => table.record_send_tagged(
+            PartyId(from as u64),
+            PartyId(to as u64),
+            bytes,
+            tag.unwrap_or(RAW),
+        ),
         Op::Receive {
             to,
             from,
             bytes,
             tag,
-        } => match tag {
-            Some(t) => {
-                table.record_receive_tagged(PartyId(to as u64), PartyId(from as u64), bytes, t)
-            }
-            None => table.record_receive(PartyId(to as u64), PartyId(from as u64), bytes),
-        },
+        } => table.record_receive_tagged(
+            PartyId(to as u64),
+            PartyId(from as u64),
+            bytes,
+            tag.unwrap_or(RAW),
+        ),
         Op::Synthetic {
             party,
             bytes,

@@ -22,7 +22,7 @@
 mod differential;
 
 use differential::{
-    differential, matches, observe, ones, reference, Context, Entry, Scheme, Variant,
+    differential, matches, observe, ones, reference, Context, Entry, Scheme, Variant, Verdict,
 };
 use pba_bench::chaos::default_cases;
 use pba_core::protocol::{BaConfig, Establishment, KeyError, ProtocolError, Service, StreamMode};
@@ -118,6 +118,30 @@ fn pipelined_stream_matches_sequential_under_timing_faults() {
         rows += 1;
     }
     assert_eq!(rows, 15, "the charged n = 48 timing block changed size");
+}
+
+/// A churned committee phase fails instances 0–3 of this stream, and
+/// each keeps its fan-in and committee bytes in its own step-2 snapshot
+/// instead of passing them to instance 4, the first to agree. (The
+/// harness asserts every observed instance's steps sum to its total.)
+#[test]
+fn failed_instance_keeps_its_committee_bytes() {
+    let mut ctx = Context::byzantine(48, b"leak-0");
+    ctx.config = BaConfig::byzantine(48, 4, b"leak-0");
+    ctx.config.chaos = Some(StrategySpec::Churn {
+        count: 6,
+        down: 0,
+        up: 400,
+    });
+    (ctx.scheme, ctx.instances) = (Scheme::Snark(3), ones(48, 5));
+    let out = reference(&ctx);
+    assert_eq!(out.decisions, Some(1));
+    for (i, instance) in out.instances.expect("a stream").iter().enumerate().take(4) {
+        assert!(matches!(out.results[i], Verdict::Failed(_)), "instance {i}");
+        let labels: Vec<_> = instance.steps.iter().map(|s| s.label).collect();
+        assert_eq!(labels, ["2:committee-ba+coin"], "instance {i}");
+        assert!(instance.total_bytes > 0, "instance {i}");
+    }
 }
 
 #[test]

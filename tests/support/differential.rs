@@ -227,7 +227,7 @@ fn observe_endpoint(ctx: &Context, v: Variant, transport: Box<dyn Transport>) ->
             run(&scheme, ctx, v, transport)
         }
     }));
-    run.unwrap_or_else(|payload| {
+    let observed = run.unwrap_or_else(|payload| {
         let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
         let text = text.or_else(|| payload.downcast_ref::<String>().cloned());
         let results = vec![Verdict::Panicked(text.unwrap_or_default())];
@@ -235,7 +235,18 @@ fn observe_endpoint(ctx: &Context, v: Variant, transport: Box<dyn Transport>) ->
             results,
             ..Observed::default()
         }
-    })
+    });
+    // Per instance, the step snapshots book every byte the instance
+    // charged: the whole-run conservation law, sliced by instance.
+    for instance in observed.instances.iter().flatten() {
+        let steps: u64 = instance.steps.iter().map(|s| s.total_bytes).sum();
+        assert_eq!(
+            steps, instance.total_bytes,
+            "{v:?}: instance {} steps sum to {steps} B of its {} B",
+            instance.index, instance.total_bytes
+        );
+    }
+    observed
 }
 
 fn bits(inputs: &[Vec<u8>]) -> Vec<u8> {
