@@ -78,10 +78,11 @@ pub fn strict_majority<T: Clone + PartialEq>(copies: &[Option<T>]) -> Option<T> 
 ///
 /// * `leaf_honest[leaf]` — the value every *honest* member of that leaf's
 ///   committee holds (`None` = the leaf produced nothing);
-/// * `combine(net, level, node, winners)` — computes the node's honest
-///   value from the per-child strict-majority winners (`winners[i]`
-///   corresponds to the `i`-th child; the network handle is passed through
-///   so the closure can meter its own sub-protocol cost);
+/// * `combine(level, node, winners)` — computes the node's honest value
+///   from the per-child strict-majority winners (`winners[i]` corresponds
+///   to the `i`-th child). It never sees the network: a caller whose
+///   combine runs a sub-protocol records its cost and charges it once the
+///   ascent returns;
 /// * `corrupt_copy(level, node, member)` — the copy a corrupted member of
 ///   node `(level, node)` transmits upward (`None` = withhold);
 /// * `len_of` — the metered wire size of a copy;
@@ -109,7 +110,7 @@ pub fn ascend<T, F, G, L>(
 ) -> AscentOutcome<T>
 where
     T: Clone + PartialEq,
-    F: FnMut(&mut Network, usize, usize, &[Option<T>]) -> Option<T>,
+    F: FnMut(usize, usize, &[Option<T>]) -> Option<T>,
     G: FnMut(usize, usize, PartyId) -> Option<T>,
     L: Fn(&T) -> usize,
 {
@@ -118,6 +119,21 @@ where
         tree.nodes_at_level(0),
         "one honest value per leaf"
     );
+    // What node `(level, node)`'s distinct members transmit when its
+    // honest members hold `value`.
+    let mut copies = |level: usize, node: usize, value: &Option<T>| -> Vec<Option<T>> {
+        let members = dedup_committee(tree.committee(level, node));
+        members
+            .into_iter()
+            .map(|m| {
+                if corrupt.contains(&m) {
+                    corrupt_copy(level, node, m)
+                } else {
+                    value.clone()
+                }
+            })
+            .collect()
+    };
     let height = tree.height();
     let mut honest_values: Vec<Vec<Option<T>>> = Vec::with_capacity(height);
     honest_values.push(leaf_honest);
@@ -128,37 +144,19 @@ where
             let parent_committee = dedup_committee(tree.committee(level, node));
             let mut winners: Vec<Option<T>> = Vec::new();
             for child in tree.children(level, node) {
-                let child_committee = dedup_committee(tree.committee(level - 1, child));
                 let child_value = &honest_values[level - 1][child];
-                let copies: Vec<Option<T>> = child_committee
-                    .iter()
-                    .map(|&member| {
-                        if corrupt.contains(&member) {
-                            corrupt_copy(level - 1, child, member)
-                        } else {
-                            child_value.clone()
-                        }
-                    })
-                    .collect();
                 // Honest members all transmit the node's value: one
                 // child-committee → parent-committee exchange.
                 if let Some(value) = child_value {
-                    let senders: Vec<PartyId> = child_committee
-                        .iter()
-                        .filter(|p| !corrupt.contains(p))
-                        .copied()
-                        .collect();
-                    net.metrics_mut().charge_exchange(
-                        &senders,
-                        &parent_committee,
-                        len_of(value),
-                        copy_tag,
-                        true,
-                    );
+                    let mut senders = dedup_committee(tree.committee(level - 1, child));
+                    senders.retain(|p| !corrupt.contains(p));
+                    let bytes = len_of(value);
+                    let metrics = net.metrics_mut();
+                    metrics.charge_exchange(&senders, &parent_committee, bytes, copy_tag, true);
                 }
-                winners.push(strict_majority(&copies));
+                winners.push(strict_majority(&copies(level - 1, child, child_value)));
             }
-            row.push(combine(net, level, node, &winners));
+            row.push(combine(level, node, &winners));
         }
         // One synchronous round per level for the copy transmission.
         net.bump_round();
@@ -166,19 +164,7 @@ where
     }
 
     let root_level = height - 1;
-    let root_committee = dedup_committee(tree.committee(root_level, 0));
-    let root_honest = &honest_values[root_level][0];
-    let root_copies: Vec<Option<T>> = root_committee
-        .iter()
-        .map(|&member| {
-            if corrupt.contains(&member) {
-                corrupt_copy(root_level, 0, member)
-            } else {
-                root_honest.clone()
-            }
-        })
-        .collect();
-    let root_value = strict_majority(&root_copies);
+    let root_value = strict_majority(&copies(root_level, 0, &honest_values[root_level][0]));
 
     AscentOutcome {
         root_value,
@@ -247,7 +233,7 @@ pub fn robust_input_fanin_with<T: Clone + PartialEq>(
         tree,
         corrupt,
         leaf_honest,
-        |_net, _level, _node, winners| strict_majority(winners),
+        |_level, _node, winners| strict_majority(winners),
         move |_, _, _| corrupt_copy.clone(),
         len_of,
         copy_tag,
@@ -268,12 +254,7 @@ mod tests {
     /// (partial coverage instead of failure). Only sound when evil copies
     /// cannot survive to this point (the SRDS combine validates and drops
     /// them), so tests using it model Byzantine members as withholding.
-    fn median_combine(
-        _net: &mut Network,
-        _level: usize,
-        _node: usize,
-        winners: &[Option<u64>],
-    ) -> Option<u64> {
+    fn median_combine(_level: usize, _node: usize, winners: &[Option<u64>]) -> Option<u64> {
         let mut present: Vec<u64> = winners.iter().flatten().copied().collect();
         if present.is_empty() {
             return None;
@@ -284,12 +265,7 @@ mod tests {
 
     /// Strict-majority vote over child winners — the plain-value combine
     /// of [`robust_input_fanin`], safe against unvalidated evil copies.
-    fn vote_combine(
-        _net: &mut Network,
-        _level: usize,
-        _node: usize,
-        winners: &[Option<u64>],
-    ) -> Option<u64> {
+    fn vote_combine(_level: usize, _node: usize, winners: &[Option<u64>]) -> Option<u64> {
         strict_majority(winners)
     }
 

@@ -25,9 +25,10 @@
 //! it. Every call in π_ba is the uniform case — step 4 sent each leaf
 //! signature to every leaf member and `robust::ascend` sends each child
 //! aggregate to every parent member — so nobody lacks a body and the push
-//! round is empty. [`charge_aggr_round`] meters exactly that: one digest
-//! list per member pair plus the constant-round MPC output. The exchange
-//! is executed, adversaries included, by the `Machine` under
+//! round is empty. [`charge_aggr_round`] meters exactly that, one digest
+//! list per member pair plus the MPC output, for every node once π_ba's
+//! network-free aggregation has ascended the tree. The exchange is
+//! executed, adversaries included, by the `Machine` under
 //! `tests/oracle/aggr_exchange.rs`, whose fault-free bytes equal this
 //! closed form per (party, tag).
 

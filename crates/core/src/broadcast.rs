@@ -108,27 +108,21 @@ where
         // The sender transfers its value to every supreme-committee member,
         // charged as real traffic at the typed message's encoded size.
         let input_bytes = wire::encoded_msg_len(&BroadcastInput { value });
-        let mut committee_inputs: BTreeMap<PartyId, u8> = BTreeMap::new();
-        for &member in &supreme {
-            if sender_honest {
-                session.net.metrics_mut().record_send_tagged(
-                    sender,
-                    member,
-                    input_bytes,
-                    tag::BCAST_INPUT,
-                );
-                session.net.metrics_mut().record_receive_tagged(
-                    member,
-                    sender,
-                    input_bytes,
-                    tag::BCAST_INPUT,
-                );
-                committee_inputs.insert(member, value);
-            } else {
-                // A corrupt sender equivocates: alternate bits per member.
-                committee_inputs.insert(member, (member.0 % 2) as u8);
-            }
+        if sender_honest {
+            // A sender seated on the supreme committee charges itself too.
+            let metrics = session.net.metrics_mut();
+            metrics.charge_exchange(&[sender], &supreme, input_bytes, tag::BCAST_INPUT, false);
         }
+        // A corrupt sender equivocates: alternate bits per member.
+        let input = |m: PartyId| {
+            if sender_honest {
+                value
+            } else {
+                (m.0 % 2) as u8
+            }
+        };
+        let committee_inputs: BTreeMap<PartyId, u8> =
+            supreme.iter().map(|&m| (m, input(m))).collect();
         session.net.bump_round();
 
         let round = session

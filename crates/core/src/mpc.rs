@@ -29,6 +29,7 @@
 
 use crate::protocol::{AdversaryProfile, BaConfig, ProtocolError, ProtocolPhase, Service};
 use pba_aetree::analysis::TreeAnalysis;
+use pba_aetree::robust::dedup_committee;
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use pba_net::wire::tag;
 use pba_net::{PartyId, Report};
@@ -120,29 +121,21 @@ where
     let mut leaf_cts: Vec<Vec<Ciphertext>> = vec![Vec::new(); params.leaf_count];
     for i in 0..config.n as u64 {
         let p = PartyId(i);
-        if corrupt.contains(&p) {
-            if config.profile == AdversaryProfile::Byzantine {
-                // Byzantine parties may submit arbitrary inputs — the
-                // functionality computes over whatever they choose.
-                let singleton: InputMap = vec![(i, vec![0xff; inputs[i as usize].len()])];
-                let ct = fhe.encrypt(&encode_to_vec(&singleton));
-                for leaf in tree.party_leaves(p) {
-                    leaf_cts[leaf].push(ct.clone());
-                }
-            }
-            continue;
-        }
-        let singleton: InputMap = vec![(i, inputs[i as usize].clone())];
+        let honest = !corrupt.contains(&p);
+        let input = match (honest, config.profile) {
+            (true, _) => inputs[i as usize].clone(),
+            // Byzantine parties may submit arbitrary inputs — the
+            // functionality computes over whatever they choose.
+            (false, AdversaryProfile::Byzantine) => vec![0xff; inputs[i as usize].len()],
+            (false, AdversaryProfile::Passive) => continue,
+        };
+        let singleton: InputMap = vec![(i, input)];
         let ct = fhe.encrypt(&encode_to_vec(&singleton));
         for leaf in tree.party_leaves(p) {
-            let recipients: std::collections::BTreeSet<PartyId> =
-                tree.committee(0, leaf).iter().copied().collect();
-            for &r in &recipients {
-                if r != p {
-                    let metrics = session.net.metrics_mut();
-                    metrics.record_send_tagged(p, r, ct.encoded_len(), tag::RAW);
-                    metrics.record_receive_tagged(r, p, ct.encoded_len(), tag::RAW);
-                }
+            if honest {
+                let recipients = dedup_committee(tree.committee(0, leaf));
+                let metrics = session.net.metrics_mut();
+                metrics.charge_exchange(&[p], &recipients, ct.encoded_len(), tag::RAW, true);
             }
             leaf_cts[leaf].push(ct.clone());
         }
@@ -170,24 +163,15 @@ where
     for level in 1..params.height {
         let mut next = Vec::with_capacity(tree.nodes_at_level(level));
         for node in 0..tree.nodes_at_level(level) {
-            let committee: std::collections::BTreeSet<PartyId> =
-                tree.committee(level, node).iter().copied().collect();
+            let committee = dedup_committee(tree.committee(level, node));
             let mut children = Vec::new();
             for child in tree.children(level, node) {
                 if let Some(ct) = &current[child] {
                     // Each honest child member forwards to each parent member.
-                    let child_committee: std::collections::BTreeSet<PartyId> =
-                        tree.committee(level - 1, child).iter().copied().collect();
-                    for &sender in child_committee.iter().filter(|p| !corrupt.contains(p)) {
-                        for &receiver in &committee {
-                            if receiver != sender {
-                                let metrics = session.net.metrics_mut();
-                                let len = ct.encoded_len();
-                                metrics.record_send_tagged(sender, receiver, len, tag::RAW);
-                                metrics.record_receive_tagged(receiver, sender, len, tag::RAW);
-                            }
-                        }
-                    }
+                    let mut senders = dedup_committee(tree.committee(level - 1, child));
+                    senders.retain(|p| !corrupt.contains(p));
+                    let metrics = session.net.metrics_mut();
+                    metrics.charge_exchange(&senders, &committee, ct.encoded_len(), tag::RAW, true);
                     children.push(ct.clone());
                 }
             }
@@ -206,12 +190,6 @@ where
 
     // 4. The supreme committee evaluates f under encryption and threshold-
     //    decrypts the output.
-    let included: BTreeMap<u64, Vec<u8>> = {
-        // (The committee never sees this map; we recompute it for reporting
-        //  by decrypting through the threshold path below.)
-        BTreeMap::new()
-    };
-    let _ = included;
     let ct_out = fhe.eval(std::slice::from_ref(&ct_root), |plains| {
         let entries: InputMap = decode_from_slice(&plains[0]).unwrap_or_default();
         let map: BTreeMap<u64, Vec<u8>> = entries.into_iter().collect();
@@ -228,21 +206,16 @@ where
         .filter(|p| !corrupt.contains(p))
         .copied()
         .collect();
-    let mut shares = Vec::new();
-    for (pos, &member) in supreme.iter().enumerate() {
-        if corrupt.contains(&member) {
-            continue; // Byzantine/silent members withhold shares
-        }
-        let share = fhe.partial_decrypt(pos, &ct_out).expect("valid ciphertext");
-        for &peer in &honest_members {
-            if peer != member {
-                let metrics = session.net.metrics_mut();
-                metrics.record_send_tagged(member, peer, share.encoded_len(), tag::RAW);
-                metrics.record_receive_tagged(peer, member, share.encoded_len(), tag::RAW);
-            }
-        }
-        shares.push(share);
-    }
+    // Byzantine/silent members withhold shares.
+    let shares: Vec<_> = supreme
+        .iter()
+        .enumerate()
+        .filter(|(_, member)| !corrupt.contains(member))
+        .map(|(pos, _)| fhe.partial_decrypt(pos, &ct_out).expect("valid ciphertext"))
+        .collect();
+    let share_len = shares.first().map_or(0, |share| share.encoded_len());
+    let metrics = session.net.metrics_mut();
+    metrics.charge_exchange(&honest_members, &honest_members, share_len, tag::RAW, true);
     session.net.bump_round();
     let Ok(framed) = fhe.combine(&ct_out, &shares) else {
         return Err(no_output);

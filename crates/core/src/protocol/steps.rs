@@ -9,15 +9,19 @@ use crate::vss_coin::try_toss_coin_vss;
 use pba_aetree::fae::{
     constant_adversary, disseminate, honest_adversary, AdversaryFn, DisseminationResult,
 };
-use pba_aetree::robust::{ascend, dedup_committee, robust_input_fanin, robust_input_fanin_with};
+use pba_aetree::robust::{
+    ascend, dedup_committee, robust_input_fanin, robust_input_fanin_with, AscentOutcome,
+};
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, CodecError, Decode, Encode, Reader};
 use pba_crypto::prf::SubsetPrf;
 use pba_crypto::sha256::Digest;
 use pba_net::runner::{run_phase_threaded, PhaseOutcome};
 use pba_net::wire::{self, step, tag};
-use pba_net::{Machine, PartyId, WireMsg};
+use pba_net::{Machine, Network, PartyId, WireMsg};
 use pba_srds::traits::Srds;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::rc::Rc;
 
 /// Outcome of one certified round within a [`Service`].
 #[derive(Clone, Debug)]
@@ -151,6 +155,11 @@ impl WireMsg for Certificate {
     const STEP: u8 = step::CERTIFY;
 }
 
+/// One node's step-5a charge `(level, node, held, out_len)`:
+/// [`charge_aggr_round`] over the node's honest members, each holding
+/// `held` signatures, with an `out_len`-byte aggregate.
+type AggrCharge = (usize, usize, usize, usize);
+
 impl<'a, S> Service<'a, S>
 where
     S: Srds,
@@ -260,220 +269,30 @@ where
     /// deliver it to everyone. Everything keys off the current service
     /// epoch (dissemination payloads, signatures, replay filters), which
     /// advances once the value is delivered.
+    /// Steps 4, 5 and 7–8 compute without the network, then charge.
     pub fn certify_bytes(&mut self, value: Vec<u8>, s: Digest) -> BytesRoundOutcome {
         let epoch = self.epoch;
-        let n = self.config.n;
-        let params = *self.tree.params();
+        let value_seed = |value, seed| wire::encode_msg(&ValueSeed { epoch, value, seed });
 
         // ---- Step 3: disseminate (epoch, value, s). ----
-        let ys_payload = wire::encode_msg(&ValueSeed {
-            epoch,
-            value: value.clone(),
-            seed: s,
-        });
+        let payload = value_seed(value.clone(), s);
         // Wire-valid but wrong content: survives the hardened decode and
         // dies at signature verification, like a real equivocation would.
-        let garbage = wire::encode_msg(&ValueSeed {
-            epoch,
-            value: vec![0xeeu8; value.len()],
-            seed: Digest::ZERO,
-        });
+        let garbage = value_seed(vec![0xee; value.len()], Digest::ZERO);
+        // What corrupt slots sign in step 4 under the Byzantine profile.
+        let evil_payload = value_seed(vec![9; value.len().max(1)], Digest::ZERO);
         // Crash-recovery churn: a party offline while (y, s) travels the
         // tree receives nothing here — it also signs nothing in step 4 and
         // resyncs from the step 7–8 certificate spread once it rejoins.
-        let ys_result = self.disseminate_from_root(&ys_payload, garbage);
+        let received = self.disseminate_from_root(&payload, garbage).per_party;
         self.snap("3:disseminate-(y,s)");
-        let corrupt = self.corrupt.clone();
 
-        // ---- Step 4: sign per virtual identity, submit to leaf committees. ----
-        // Streaming leaf-major pass: one leaf's signatures are produced,
-        // filtered, and folded into the leaf aggregate before the next
-        // leaf's exist, so peak signature storage is one committee's worth
-        // instead of all `total_slots` at once.
-        let evil_payload = wire::encode_msg(&ValueSeed {
-            epoch,
-            value: vec![9u8; value.len().max(1)],
-            seed: Digest::ZERO,
-        });
-        let byzantine = self.config.profile == AdversaryProfile::Byzantine;
-        let signable: Vec<bool> = (0..n)
-            .map(|i| {
-                !corrupt.contains(&PartyId(i as u64))
-                    && ys_result.per_party[i]
-                        .as_ref()
-                        .is_some_and(|b| wire::decode_msg::<ValueSeed>(b).is_ok())
-            })
-            .collect();
-        let mut evil_sigs: Vec<S::Signature> = Vec::new();
-        let mut leaf_honest: Vec<Option<S::Signature>> = Vec::with_capacity(params.leaf_count);
-        // (signatures held, out_len) per leaf: the step-5 aggregation
-        // charges, deferred so they land after the step-4 snapshot boundary
-        // exactly as in the two-pass formulation.
-        let mut leaf_charges: Vec<(usize, usize)> = Vec::with_capacity(params.leaf_count);
-        for leaf in 0..params.leaf_count {
-            let range = self.tree.leaf_range(leaf);
-            let committee = dedup_committee(self.tree.committee(0, leaf));
-            let honest_members: Vec<PartyId> = committee
-                .iter()
-                .filter(|p| !corrupt.contains(p))
-                .copied()
-                .collect();
-            let mut sigs: Vec<S::Signature> = Vec::new();
-            // Honest submitters grouped by signature length (one entry per
-            // signature): each group is one signer-set → committee exchange.
-            let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
-            for slot in range.clone() {
-                let owner = self.tree.slot_party(slot);
-                if corrupt.contains(&owner) {
-                    if !byzantine {
-                        continue;
-                    }
-                    if let Some(sig) = self.sign_slot(slot, epoch, &evil_payload) {
-                        evil_sigs.push(sig.clone());
-                        sigs.push(sig);
-                    }
-                    continue;
-                }
-                if !signable[owner.index()] {
-                    continue; // isolated or malformed payload: signs nothing
-                }
-                let my_payload = ys_result.per_party[owner.index()]
-                    .as_ref()
-                    .expect("signable implies payload");
-                let Some(sig) = self.sign_slot(slot, epoch, my_payload) else {
-                    continue; // sortition loser (OWF scheme)
-                };
-                let len = self.scheme.signature_len(&sig);
-                match submits.iter_mut().find(|(l, _)| *l == len) {
-                    Some((_, signers)) => signers.push(owner),
-                    None => submits.push((len, vec![owner])),
-                }
-                sigs.push(sig);
-            }
-            for (len, signers) in &submits {
-                self.net.metrics_mut().charge_exchange(
-                    signers,
-                    &committee,
-                    *len,
-                    tag::SIG_SUBMIT,
-                    true,
-                );
-            }
-            // Step 5a for this leaf: step 4 handed every submitted signature
-            // to every leaf member, so all honest members hold the same set
-            // (their digest lists agree and nothing is pushed in step 5b);
-            // it is aggregated iff the honest members form the f_aggr-sig
-            // quorum.
-            let filtered: Vec<S::Signature> = sigs
-                .into_iter()
-                .filter(|sig| {
-                    self.scheme.min_index(sig) == self.scheme.max_index(sig)
-                        && range.contains(&self.scheme.min_index(sig))
-                })
-                .collect();
-            let agg = f_aggr_sig_uniform(
-                self.scheme,
-                &self.pp,
-                &self.keyboard,
-                &ys_payload,
-                committee.len(),
-                honest_members.len(),
-                &filtered,
-            );
-            let out_len = agg
-                .as_ref()
-                .map(|a| self.scheme.signature_len(a))
-                .unwrap_or(0);
-            leaf_charges.push((filtered.len(), out_len));
-            leaf_honest.push(agg);
-        }
-        self.net.bump_round();
-        self.snap("4:sign-and-submit");
-
-        // ---- Step 5: robust redundant-path aggregation up the tree. ----
-        // Every node's aggregate ascends via its full committee; parents
-        // vote per child over the redundant copies (DESIGN.md §4b), so a
-        // node contributes as long as corrupted members stay a strict
-        // minority of its distinct committee — the 1/3 goodness threshold
-        // only matters for the classical analysis now.
-        for (leaf, &(held, out_len)) in leaf_charges.iter().enumerate() {
-            let committee = dedup_committee(self.tree.committee(0, leaf));
-            let honest_members: Vec<PartyId> = committee
-                .iter()
-                .filter(|p| !corrupt.contains(p))
-                .copied()
-                .collect();
-            charge_aggr_round(&mut self.net, &honest_members, held, out_len);
-        }
-        // All leaves aggregated in parallel: one digest-exchange + MPC round
-        // pair (the body-push round is empty when nobody lacks a body).
-        self.net.bump_round();
-        self.net.bump_round();
-
-        // The colluding copy corrupted members vote for at every node: an
-        // aggregate over the adversary's divergent message. It can win the
-        // vote at a majority-corrupted node, but aggregate1's validation
-        // drops it at the next honest combine — withholding in disguise.
-        let evil_copy: Option<S::Signature> = if evil_sigs.is_empty() {
-            None
-        } else {
-            self.scheme
-                .aggregate(&self.pp, &self.keyboard, &evil_payload, &evil_sigs)
-        };
-
-        let scheme = self.scheme;
-        let pp = &self.pp;
-        let keyboard = &self.keyboard;
-        let tree = &self.tree;
-        let corrupt_ref = &corrupt;
-        let payload_ref = &ys_payload;
-        let outcome = ascend(
-            &mut self.net,
-            tree,
-            corrupt_ref,
-            leaf_honest,
-            |net, level, node, winners| {
-                let committee = dedup_committee(tree.committee(level, node));
-                let honest_members: Vec<PartyId> = committee
-                    .iter()
-                    .filter(|p| !corrupt_ref.contains(p))
-                    .copied()
-                    .collect();
-                let mut children_sigs: Vec<S::Signature> = Vec::new();
-                for (i, child) in tree.children(level, node).enumerate() {
-                    let Some(sig) = winners[i].clone() else {
-                        continue;
-                    };
-                    let child_range = tree.node_range(level - 1, child);
-                    if child_range.contains(&scheme.min_index(&sig))
-                        && child_range.contains(&scheme.max_index(&sig))
-                    {
-                        children_sigs.push(sig);
-                    }
-                }
-                let agg = f_aggr_sig_uniform(
-                    scheme,
-                    pp,
-                    keyboard,
-                    payload_ref,
-                    committee.len(),
-                    honest_members.len(),
-                    &children_sigs,
-                );
-                let out_len = agg.as_ref().map(|a| scheme.signature_len(a)).unwrap_or(0);
-                charge_aggr_round(net, &honest_members, children_sigs.len(), out_len);
-                agg
-            },
-            |_, _, _| evil_copy.clone(),
-            |sig| scheme.signature_len(sig),
-            tag::AGGR_SHARE,
-        );
-        let sigma_root = outcome.root_value;
+        let (leaves, evil_sigs, charges) = self.sign_and_submit(&payload, &evil_payload, received);
+        let sigma_root = self.aggregate_up(&payload, &evil_payload, leaves, evil_sigs, charges);
         let certificate_len = sigma_root.as_ref().map(|s| self.scheme.signature_len(s));
-        self.snap("5:tree-aggregation");
 
         // ---- Step 6: disseminate (value, s, σ_root). ----
-        let triple_payload = sigma_root.as_ref().map(|sig| {
+        let certificate = sigma_root.as_ref().map(|sig| {
             wire::encode_msg(&Certificate {
                 epoch,
                 value: value.clone(),
@@ -483,102 +302,282 @@ where
         });
         // Fresh offline set: the tick advanced since step 3, so a party
         // that rejoined in between participates here normally.
-        let triple_result = triple_payload
+        let holders = certificate
             .as_ref()
-            .map(|payload| self.disseminate_from_root(payload, vec![0xbb; payload.len()]));
+            .map(|cert| self.disseminate_from_root(cert, vec![0xbb; cert.len()]));
         self.snap("6:disseminate-certificate");
 
-        // ---- Steps 7–8: PRF spread and output. ----
-        let subset_size = params.committee_size.min(n.saturating_sub(1)).max(1);
-        let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
-        let scheme = self.scheme;
-        let pp = &self.pp;
-        let keyboard = &self.keyboard;
-        let decode_and_verify = |bytes: &[u8]| -> Option<Vec<u8>> {
-            let cert = wire::decode_msg::<Certificate>(bytes).ok()?;
-            if cert.epoch != epoch {
-                return None; // cross-epoch replay
-            }
-            let sig: S::Signature = decode_from_slice(&cert.sig).ok()?;
-            let signed = wire::encode_msg(&ValueSeed {
-                epoch: cert.epoch,
-                value: cert.value.clone(),
-                seed: cert.seed,
-            });
-            scheme
-                .verify(pp, keyboard, &signed, &sig)
-                .then_some(cert.value)
-        };
-        // Step 6 hands every honest holder the same bytes, so the verdict
-        // on that one payload is computed once and a holder of identical
-        // bytes takes it; any other bytes (relayed garbage, a spliced
-        // certificate) get the full decode-and-verify.
-        let disseminated = triple_payload
-            .as_deref()
-            .map(|payload| (payload, decode_and_verify(payload)));
-        let verify_triple = |bytes: &[u8]| match &disseminated {
-            Some((payload, verdict)) if *payload == bytes => verdict.clone(),
-            _ => decode_and_verify(bytes),
-        };
-
-        if let Some(result) = &triple_result {
-            let offline = self.net.offline_set();
-            for &p in &self.honest {
-                if offline.contains(&p) {
-                    continue; // down: cannot produce an output this epoch
-                }
-                if let Some(bytes) = &result.per_party[p.index()] {
-                    if let Some(v_out) = verify_triple(bytes) {
-                        outputs[p.index()] = Some(v_out);
-                    }
-                }
-            }
-            for &p in &self.honest {
-                if offline.contains(&p) {
-                    continue; // down: sends nothing into the spread
-                }
-                let Some(bytes) = &result.per_party[p.index()] else {
-                    continue;
-                };
-                let Ok(cert) = wire::decode_msg::<Certificate>(bytes) else {
-                    continue;
-                };
-                let prf = SubsetPrf::new(cert.seed, n as u64, subset_size);
-                let targets: Vec<PartyId> = prf.eval(p.0).into_iter().map(PartyId).collect();
-                self.net
-                    .metrics_mut()
-                    .record_sends_tagged(p, &targets, bytes.len(), tag::SPREAD);
-                for receiver in targets {
-                    if corrupt.contains(&receiver) || offline.contains(&receiver) {
-                        continue; // corrupt ignores; offline expires unread
-                    }
-                    // Receiver-side dynamic filter (j ∈ F_s(i) holds by
-                    // construction of the sender's target set; the receiver
-                    // recomputes it from the message's own seed), then full
-                    // SRDS verification.
-                    self.net.metrics_mut().record_receive_tagged(
-                        receiver,
-                        p,
-                        bytes.len(),
-                        tag::SPREAD,
-                    );
-                    if outputs[receiver.index()].is_none() {
-                        if let Some(v_out) = verify_triple(bytes) {
-                            outputs[receiver.index()] = Some(v_out);
-                        }
-                    }
-                }
-            }
-            self.net.bump_round();
-        }
-        self.snap("7-8:prf-spread+output");
-
+        let outputs = self.spread(certificate.as_deref().zip(holders));
         self.epoch += 1;
         BytesRoundOutcome {
             value,
             outputs,
             certificate_len,
         }
+    }
+
+    /// Fig. 3 step 4, leaf by leaf: each leaf's work is charged before the
+    /// next leaf's signatures exist, so peak signature storage is one
+    /// committee's worth. The leaves' step-5a charges go to step 5.
+    #[allow(clippy::type_complexity)] // step 5's three inputs
+    fn sign_and_submit(
+        &mut self,
+        payload: &[u8],
+        evil_payload: &[u8],
+        received: Vec<Option<Rc<Vec<u8>>>>,
+    ) -> (
+        Vec<Option<S::Signature>>,
+        Vec<S::Signature>,
+        Vec<AggrCharge>,
+    ) {
+        // Isolated parties and malformed payloads sign nothing.
+        let received: Vec<_> = received
+            .into_iter()
+            .map(|r| r.filter(|b| wire::decode_msg::<ValueSeed>(b).is_ok()))
+            .collect();
+        let (mut leaves, mut evil_sigs, mut charges) = (Vec::new(), Vec::new(), Vec::new());
+        for leaf in 0..self.tree.params().leaf_count {
+            let (aggregate, charge, corrupt, submits) =
+                self.sign_leaf(leaf, payload, evil_payload, &received);
+            let (committee, _) = self.members(0, leaf);
+            for (len, signers) in &submits {
+                let metrics = self.net.metrics_mut();
+                metrics.charge_exchange(signers, &committee, *len, tag::SIG_SUBMIT, true);
+            }
+            leaves.push(aggregate);
+            charges.push(charge);
+            evil_sigs.extend(corrupt);
+        }
+        self.net.bump_round();
+        self.snap("4:sign-and-submit");
+        (leaves, evil_sigs, charges)
+    }
+
+    /// One leaf's step 4 and step 5a, without the network: every slot
+    /// signs — an honest owner what it received, a corrupt one (Byzantine
+    /// profile only) `evil_payload` — and the leaf committee aggregates.
+    /// Also returns the corrupt slots' signatures and the honest
+    /// submitters grouped by signature length, one entry per signature.
+    #[allow(clippy::type_complexity)] // named where step 4 destructures it
+    fn sign_leaf(
+        &self,
+        leaf: usize,
+        payload: &[u8],
+        evil_payload: &[u8],
+        received: &[Option<Rc<Vec<u8>>>],
+    ) -> (
+        Option<S::Signature>,
+        AggrCharge,
+        Vec<S::Signature>,
+        Vec<(usize, Vec<PartyId>)>,
+    ) {
+        let byzantine = self.config.profile == AdversaryProfile::Byzantine;
+        let (mut sigs, mut corrupt) = (Vec::new(), Vec::new());
+        let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
+        for slot in self.tree.leaf_range(leaf) {
+            let owner = self.tree.slot_party(slot);
+            if self.corrupt.contains(&owner) {
+                if !byzantine {
+                    continue;
+                }
+                if let Some(sig) = self.sign_slot(slot, self.epoch, evil_payload) {
+                    corrupt.push(sig.clone());
+                    sigs.push(sig);
+                }
+                continue;
+            }
+            let Some(sig) = received[owner.index()]
+                .as_ref()
+                .and_then(|mine| self.sign_slot(slot, self.epoch, mine))
+            else {
+                continue; // nothing received, or a sortition loser (OWF)
+            };
+            let len = self.scheme.signature_len(&sig);
+            match submits.iter_mut().find(|(l, _)| *l == len) {
+                Some((_, signers)) => signers.push(owner),
+                None => submits.push((len, vec![owner])),
+            }
+            sigs.push(sig);
+        }
+        let range = self.tree.leaf_range(leaf);
+        let candidates = sigs.into_iter().map(|sig| (range.clone(), sig));
+        let (aggregate, charge) = self.aggregate_node(0, leaf, payload, candidates);
+        (aggregate, charge, corrupt, submits)
+    }
+
+    /// Fig. 3 step 5: robust redundant-path aggregation up the tree. Every
+    /// node's aggregate ascends via its full committee; parents vote per
+    /// child over the redundant copies (DESIGN.md §4b), so a node
+    /// contributes while corrupted members are a strict minority of its
+    /// distinct committee. Every node's `f_aggr-sig` is charged at the end.
+    fn aggregate_up(
+        &mut self,
+        payload: &[u8],
+        evil_payload: &[u8],
+        leaves: Vec<Option<S::Signature>>,
+        evil_sigs: Vec<S::Signature>,
+        mut charges: Vec<AggrCharge>,
+    ) -> Option<S::Signature> {
+        // All leaves aggregated in parallel: one digest-exchange + MPC round
+        // pair (the body-push round is empty when nobody lacks a body).
+        self.net.bump_round();
+        self.net.bump_round();
+        // The colluding copy corrupted members vote for at every node: an
+        // aggregate over the adversary's divergent message. It can win the
+        // vote at a majority-corrupted node, but aggregate1's validation
+        // drops it at the next honest combine — withholding in disguise.
+        let evil_copy = (!evil_sigs.is_empty())
+            .then(|| {
+                self.scheme
+                    .aggregate(&self.pp, &self.keyboard, evil_payload, &evil_sigs)
+            })
+            .flatten();
+        // The combine reads the service but never the network, so the
+        // ascent holds the network alone while the combine borrows the rest.
+        let mut net = std::mem::replace(&mut self.net, Network::new(0));
+        let outcome = ascend(
+            &mut net,
+            &self.tree,
+            &self.corrupt,
+            leaves,
+            |level, node, winners| {
+                // Each child's winner, held to the child's range.
+                let ranges = self
+                    .tree
+                    .children(level, node)
+                    .map(|child| self.tree.node_range(level - 1, child));
+                let candidates = ranges
+                    .zip(winners)
+                    .filter_map(|(range, w)| Some((range, w.clone()?)));
+                let (aggregate, charge) = self.aggregate_node(level, node, payload, candidates);
+                charges.push(charge);
+                aggregate
+            },
+            |_, _, _| evil_copy.clone(),
+            |sig| self.scheme.signature_len(sig),
+            tag::AGGR_SHARE,
+        );
+        self.net = net;
+        for (level, node, held, out_len) in charges {
+            let (_, honest) = self.members(level, node);
+            charge_aggr_round(&mut self.net, &honest, held, out_len);
+        }
+        self.snap("5:tree-aggregation");
+        outcome.root_value
+    }
+
+    /// Fig. 3 step 5a at node `(level, node)`, without the network: the
+    /// uniform `f_aggr-sig` (every member was handed every candidate) over
+    /// the candidates whose signers lie inside the range each came for.
+    fn aggregate_node(
+        &self,
+        level: usize,
+        node: usize,
+        payload: &[u8],
+        candidates: impl Iterator<Item = (Range<u64>, S::Signature)>,
+    ) -> (Option<S::Signature>, AggrCharge) {
+        let (committee, honest) = self.members(level, node);
+        let scheme = self.scheme;
+        let held: Vec<S::Signature> = candidates
+            .filter(|(r, sig)| {
+                r.contains(&scheme.min_index(sig)) && r.contains(&scheme.max_index(sig))
+            })
+            .map(|(_, sig)| sig)
+            .collect();
+        let aggregate = f_aggr_sig_uniform(
+            scheme,
+            &self.pp,
+            &self.keyboard,
+            payload,
+            committee.len(),
+            honest.len(),
+            &held,
+        );
+        let out_len = aggregate.as_ref().map_or(0, |a| scheme.signature_len(a));
+        (aggregate, (level, node, held.len(), out_len))
+    }
+
+    /// Node `(level, node)`'s distinct committee and its honest members.
+    fn members(&self, level: usize, node: usize) -> (Vec<PartyId>, Vec<PartyId>) {
+        let committee = dedup_committee(self.tree.committee(level, node));
+        let mut honest = committee.clone();
+        honest.retain(|p| !self.corrupt.contains(p));
+        (committee, honest)
+    }
+
+    /// Fig. 3 steps 7–8, holder by holder like step 4's leaves: a holder's
+    /// PRF targets and the outputs they settle, then its charges.
+    fn spread(&mut self, certified: Option<(&[u8], DisseminationResult)>) -> Vec<Option<Vec<u8>>> {
+        let n = self.config.n;
+        let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
+        if let Some((certificate, holders)) = certified {
+            let epoch = self.epoch;
+            let decode_and_verify = |bytes: &[u8]| -> Option<Vec<u8>> {
+                let cert = wire::decode_msg::<Certificate>(bytes).ok()?;
+                if cert.epoch != epoch {
+                    return None; // cross-epoch replay
+                }
+                let sig: S::Signature = decode_from_slice(&cert.sig).ok()?;
+                let signed = wire::encode_msg(&ValueSeed {
+                    epoch: cert.epoch,
+                    value: cert.value.clone(),
+                    seed: cert.seed,
+                });
+                self.scheme
+                    .verify(&self.pp, &self.keyboard, &signed, &sig)
+                    .then_some(cert.value)
+            };
+            // Step 6 hands every honest holder the same bytes, so the
+            // verdict on that one payload is computed once and a holder of
+            // identical bytes takes it; any other bytes (relayed garbage, a
+            // spliced certificate) get the full decode-and-verify.
+            let verdict = decode_and_verify(certificate);
+            let verify = |bytes: &[u8]| {
+                if bytes == certificate {
+                    verdict.clone()
+                } else {
+                    decode_and_verify(bytes)
+                }
+            };
+            let offline = self.net.offline_set();
+            // A corrupt party ignores a copy and an offline one lets it
+            // expire unread; an honest party offline now neither outputs
+            // nor sends.
+            let processes = |p: &PartyId| !self.corrupt.contains(p) && !offline.contains(p);
+            let held: Vec<(PartyId, &[u8])> = self
+                .honest
+                .iter()
+                .filter(|p| processes(p))
+                .filter_map(|&p| Some((p, holders.per_party[p.index()].as_deref()?.as_slice())))
+                .collect();
+            for &(p, bytes) in &held {
+                outputs[p.index()] = verify(bytes);
+            }
+            let committee_size = self.tree.params().committee_size;
+            let subset_size = committee_size.min(n.saturating_sub(1)).max(1);
+            for (p, bytes) in held {
+                let Ok(cert) = wire::decode_msg::<Certificate>(bytes) else {
+                    continue;
+                };
+                let prf = SubsetPrf::new(cert.seed, n as u64, subset_size);
+                let targets: Vec<PartyId> = prf.eval(p.0).into_iter().map(PartyId).collect();
+                // j ∈ F_s(i) holds by construction of the targets; the
+                // receiver still verifies the certificate in full.
+                for r in targets.iter().filter(|r| processes(r)) {
+                    if outputs[r.index()].is_none() {
+                        outputs[r.index()] = verify(bytes);
+                    }
+                }
+                let metrics = self.net.metrics_mut();
+                metrics.record_sends_tagged(p, &targets, bytes.len(), tag::SPREAD);
+                for &r in targets.iter().filter(|r| processes(r)) {
+                    metrics.record_receive_tagged(r, p, bytes.len(), tag::SPREAD);
+                }
+            }
+            self.net.bump_round();
+        }
+        self.snap("7-8:prf-spread+output");
+        outputs
     }
 
     /// Fig. 3 steps 3 and 6: the honest supreme committee members hand
@@ -653,14 +652,32 @@ where
             AdversaryProfile::Passive => None,
             AdversaryProfile::Byzantine => Some(0xaa),
         };
-        let corrupt = self.corrupt.clone();
-        let outcome =
-            robust_input_fanin(&mut self.net, &self.tree, &corrupt, inputs, corrupt_value);
-        let root_level = self.tree.height() - 1;
-        let ascended = outcome.honest_values[root_level][0];
+        let outcome = robust_input_fanin(
+            &mut self.net,
+            &self.tree,
+            &self.corrupt,
+            inputs,
+            corrupt_value,
+        );
+        self.adopt_root(outcome, inputs)
+    }
+
+    /// Every supreme committee member adopts the value the fan-in left the
+    /// root's honest members with, or keeps its own input when none formed.
+    fn adopt_root<T: Clone>(
+        &self,
+        outcome: AscentOutcome<T>,
+        inputs: &[T],
+    ) -> BTreeMap<PartyId, T> {
+        let ascended = &outcome.honest_values[self.tree.height() - 1][0];
+        let adopt = |p: PartyId| {
+            ascended
+                .clone()
+                .unwrap_or_else(|| inputs[p.index()].clone())
+        };
         self.supreme_committee()
-            .iter()
-            .map(|&p| (p, ascended.unwrap_or(inputs[p.index()])))
+            .into_iter()
+            .map(|p| (p, adopt(p)))
             .collect()
     }
 
@@ -670,23 +687,23 @@ where
     /// values are voted at every node, so an ascended winner is always
     /// some party's actual input, never a byte-wise chimera. Supreme
     /// committee members adopt the winner, falling back to their own
-    /// input when no strict majority formed.
+    /// input when no strict majority formed. Corrupt parties vote a
+    /// `width`-byte value.
     pub(super) fn robust_committee_values(
         &mut self,
         inputs: &[Vec<u8>],
+        width: usize,
     ) -> BTreeMap<PartyId, Vec<u8>> {
         assert_eq!(inputs.len(), self.config.n, "one input value per party");
-        let width = inputs.iter().map(Vec::len).max().unwrap_or(0);
         let corrupt_value = match self.config.profile {
             AdversaryProfile::Passive => None,
             AdversaryProfile::Byzantine => Some(vec![0xaa; width]),
         };
-        let corrupt = self.corrupt.clone();
         let epoch = self.epoch;
         let outcome = robust_input_fanin_with(
             &mut self.net,
             &self.tree,
-            &corrupt,
+            &self.corrupt,
             inputs,
             corrupt_value,
             |v: &Vec<u8>| {
@@ -698,19 +715,7 @@ where
             },
             tag::MV_INPUT,
         );
-        let root_level = self.tree.height() - 1;
-        let ascended = outcome.honest_values[root_level][0].clone();
-        self.supreme_committee()
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    ascended
-                        .clone()
-                        .unwrap_or_else(|| inputs[p.index()].clone()),
-                )
-            })
-            .collect()
+        self.adopt_root(outcome, inputs)
     }
 
     /// Multi-value `f_ba`: the supreme committee agrees on an ℓ-byte

@@ -207,8 +207,11 @@ where
     /// Fan-in + step 2 for one instance's ℓ-byte inputs. Width-1 instances
     /// fan in as bits (identical charges to a single-shot run); wider
     /// values ride the ascent whole ([`super::MvInput`]) and agree per byte.
+    /// ℓ is public, so the width is the honest inputs': a corrupt party's
+    /// longer input cannot widen (and so zero-pad) the agreed value.
     fn agree_values(&mut self, inputs: &[Vec<u8>]) -> Result<(Vec<u8>, Digest), ProtocolError> {
-        let width = inputs.iter().map(Vec::len).max().unwrap_or(0);
+        let honest_lens = self.honest.iter().map(|p| inputs[p.index()].len());
+        let width = honest_lens.max().unwrap_or(0);
         let committee_values = if width <= 1 {
             let bits: Vec<u8> = inputs
                 .iter()
@@ -219,7 +222,7 @@ where
                 .map(|(p, b)| (p, vec![b]))
                 .collect()
         } else {
-            self.robust_committee_values(inputs)
+            self.robust_committee_values(inputs, width)
         };
         self.committee_agree(&committee_values, width.max(1))
     }

@@ -42,6 +42,35 @@ fn mpc_majority_function() {
     assert!(out.outputs.iter().all(|o| o.as_deref() == Some(&[1u8][..])));
 }
 
+/// The corollaries' metering, pinned: the honest report of a Byzantine
+/// MPC run and of a two-execution broadcast whose sender sits on the
+/// supreme committee (so it also charges its own copy), at n = 64.
+#[test]
+fn corollary_reports_are_pinned() {
+    let scheme = SnarkSrds::with_defaults();
+    let config = BaConfig::byzantine(64, 6, b"golden-mpc");
+    let inputs: Vec<Vec<u8>> = (0..64).map(|i| vec![i as u8; 4]).collect();
+    let count = |map: &BTreeMap<u64, Vec<u8>>| vec![map.len() as u8];
+    let mpc = run_mpc(&scheme, &config, &inputs, count).expect("mpc below the fault bound");
+    assert_eq!(mpc.report.to_json(), GOLDEN_MPC_64);
+
+    let scheme = SnarkSrds::new(SnarkSrdsConfig {
+        mss_bits: 32,
+        mss_height: 1,
+    });
+    let config = BaConfig::byzantine(64, 6, b"golden-broadcast");
+    let session = Service::try_establish(&scheme, &config).expect("establishment");
+    let honest = |p: &&PartyId| !session.corrupt().contains(p);
+    let sender = *session.supreme_committee().iter().find(honest).unwrap();
+    let out = run_broadcasts(&scheme, &config, sender, &[1, 0]);
+    assert!(out.all_delivered);
+    assert_eq!(out.final_report.to_json(), GOLDEN_BROADCAST_64);
+}
+
+const GOLDEN_MPC_64: &str = r#"{"parties":58,"max_bytes_per_party":197992,"max_bytes_sent":98880,"total_bytes":5339985,"total_msgs":33828,"max_msgs_per_party":1448,"max_locality":64,"rounds":44}"#;
+
+const GOLDEN_BROADCAST_64: &str = r#"{"parties":58,"max_bytes_per_party":278006,"max_bytes_sent":144728,"total_bytes":6970316,"total_msgs":58312,"max_msgs_per_party":3284,"max_locality":64,"rounds":114}"#;
+
 #[test]
 fn dolev_strong_vs_certified_broadcast_resilience() {
     // Dolev–Strong survives t corruptions out of t+1 chain rounds even when

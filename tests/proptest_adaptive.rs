@@ -76,7 +76,7 @@ proptest! {
             &tree,
             &corrupt,
             vec![Some(honest_value); leaves],
-            |_net, _level, _node, winners: &[Option<u64>]| strict_majority(winners),
+            |_level, _node, winners: &[Option<u64>]| strict_majority(winners),
             |_, _, _| evil,
             |_| 8,
             pba_net::wire::tag::FANIN,

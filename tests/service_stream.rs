@@ -200,6 +200,23 @@ fn multi_value_payloads_reach_agreement() {
     }
 }
 
+/// ℓ is public, so a corrupt party's longer input must not widen the
+/// agreed value: with every honest input `[1]` and one corrupt `[9, 9]`,
+/// a width taken over all n inputs zero-padded the decision to `[1, 0]`.
+#[test]
+fn corrupt_input_length_does_not_widen_the_agreed_value() {
+    let scheme = SnarkSrds::with_defaults();
+    let cfg = BaConfig::byzantine(64, 6, b"width-probe");
+    let mut service = Service::try_establish(&scheme, &cfg).expect("establishment");
+    let mut inputs = vec![vec![1u8]; cfg.n];
+    let liar = *service.corrupt().first().expect("a corrupt party");
+    inputs[liar.index()] = vec![9, 9];
+    let out = service.try_run_stream(&[inputs], StreamMode::Sequential);
+    let decided = out.instances[0].result.as_ref().expect("instance decided");
+    assert_eq!(decided.value, [1]);
+    assert!(decided.agreement && decided.validity);
+}
+
 /// The metrics table interns peer groups by content, so what it holds is
 /// bounded by the tree — one list per node's committee — and not by how
 /// many epochs exchanged over it. The spread's PRF-chosen targets are
