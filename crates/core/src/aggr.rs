@@ -10,12 +10,17 @@
 //! signatures received from a majority of the parties"), aggregates them
 //! with `Aggregate₁`/`Aggregate₂`, and hands the same output to everyone.
 //!
-//! The input exchange that realizes it (Fig. 3 step 5b) is digest-first:
+//! The input exchange that realizes it (Fig. 3 step 5b) is hash-first:
 //!
-//! 1. every member multicasts an [`AggrDigests`] list — the SHA-256 of the
-//!    canonical encoding of each signature it holds;
+//! 0. every member multicasts an [`AggrListHash`] — the SHA-256 of its
+//!    sorted digest list, one digest per signature it holds (the SHA-256
+//!    of the signature's canonical encoding);
+//! 1. every member sends its [`AggrDigests`] list only to the peers whose
+//!    hash differed from its own (a silent peer gets nothing);
 //! 2. every member keeps the digests a strict majority (`|C|/2 + 1`) of
-//!    the lists attest, and pushes the body of each one it holds, as an
+//!    the lists attest — a peer whose hash matched attests exactly the
+//!    member's own list, a peer whose hash differed sent its list in
+//!    round 1 — and pushes the body of each one it holds, as an
 //!    [`AggrBody`], to every member whose list lacked it;
 //! 3. a receiver keeps a pushed body only if it hashes to an attested
 //!    digest it lacks.
@@ -24,23 +29,79 @@
 //! members are a strict minority, so the body reaches everyone who lacks
 //! it. Every call in π_ba is the uniform case — step 4 sent each leaf
 //! signature to every leaf member and `robust::ascend` sends each child
-//! aggregate to every parent member — so nobody lacks a body and the push
-//! round is empty. [`charge_aggr_round`] meters exactly that, one digest
-//! list per member pair plus the MPC output, for every node once π_ba's
-//! network-free aggregation has ascended the tree. The exchange is
-//! executed, adversaries included, by the `Machine` under
-//! `tests/oracle/aggr_exchange.rs`, whose fault-free bytes equal this
-//! closed form per (party, tag).
+//! aggregate to every parent member — so every honest hash matches, and
+//! the list and push rounds are empty. [`charge_aggr_round`] meters
+//! exactly that, one hash from each honest member to every other member
+//! of the distinct committee (corrupt members included) plus the MPC
+//! output, for every node once π_ba's network-free aggregation has
+//! ascended the tree. The exchange is executed, adversaries included, by
+//! the `Machine` under `tests/oracle/aggr_exchange.rs`, whose fault-free
+//! bytes equal this closed form per (party, tag).
 
-use pba_crypto::codec::{varint_len, CodecError, Decode, Encode, Reader};
-use pba_crypto::sha256::{Digest, DIGEST_LEN};
+use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
+use pba_crypto::sha256::{Digest, Sha256, DIGEST_LEN};
 use pba_net::wire::{self, step, tag};
 use pba_net::{Network, PartyId, WireMsg};
 use pba_srds::traits::Srds;
 use std::collections::BTreeMap;
 
-/// Step 5b, first round: the digests of the signatures one committee
-/// member holds.
+/// Step 5b, round 0: the hash of one committee member's digest list.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AggrListHash {
+    /// Service epoch (certified-round counter) the exchange belongs to.
+    pub epoch: u64,
+    /// The tree node whose committee runs the exchange.
+    pub node: u64,
+    /// SHA-256 of the concatenated digests of the member's list, in
+    /// ascending order.
+    pub hash: Digest,
+}
+
+/// Wire length (header included) of every [`AggrListHash`]: the closed
+/// form [`charge_aggr_round`] charges per link.
+const LIST_HASH_LEN: usize = wire::HEADER_LEN + 8 + 8 + DIGEST_LEN;
+
+impl AggrListHash {
+    /// The hash message of the list `digests`, given in ascending order —
+    /// the order an [`AggrDigests`] list carries them in.
+    pub fn new<'a>(epoch: u64, node: u64, digests: impl IntoIterator<Item = &'a Digest>) -> Self {
+        let mut hasher = Sha256::new();
+        for d in digests {
+            hasher.update(d.as_bytes());
+        }
+        AggrListHash {
+            epoch,
+            node,
+            hash: hasher.finalize(),
+        }
+    }
+}
+
+impl Encode for AggrListHash {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.epoch.encode(buf);
+        self.node.encode(buf);
+        self.hash.encode(buf);
+    }
+}
+
+impl Decode for AggrListHash {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(AggrListHash {
+            epoch: u64::decode(r)?,
+            node: u64::decode(r)?,
+            hash: Digest::decode(r)?,
+        })
+    }
+}
+
+impl WireMsg for AggrListHash {
+    const TAG: u8 = tag::AGGR_LIST_HASH;
+    const STEP: u8 = step::AGGREGATE;
+}
+
+/// Step 5b, round 1: the digests of the signatures one committee member
+/// holds, sent only to the members whose list hash differed from its own.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggrDigests {
     /// Service epoch (certified-round counter) the exchange belongs to.
@@ -49,15 +110,6 @@ pub struct AggrDigests {
     pub node: u64,
     /// SHA-256 of each held signature's canonical encoding.
     pub digests: Vec<Digest>,
-}
-
-impl AggrDigests {
-    /// Wire length (header included) of a list of `k` digests, whatever
-    /// its epoch and node: the closed form [`charge_aggr_round`] charges
-    /// per member pair.
-    pub fn wire_len(k: usize) -> usize {
-        wire::HEADER_LEN + 8 + 8 + varint_len(k as u64) + DIGEST_LEN * k
-    }
 }
 
 impl Encode for AggrDigests {
@@ -83,7 +135,7 @@ impl WireMsg for AggrDigests {
     const STEP: u8 = step::AGGREGATE;
 }
 
-/// Step 5b, second round: one majority-attested signature, pushed by a
+/// Step 5b, round 2: one majority-attested signature, pushed by a
 /// holder to a member whose digest list lacked it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggrBody {
@@ -184,29 +236,27 @@ pub fn f_aggr_sig_uniform<S: Srds>(
     scheme.aggregate(pp, keys, message, inputs)
 }
 
-/// Meters the communication of one uniform `f_aggr-sig` invocation for a
-/// committee: each member multicasts its [`AggrDigests`] list of `digests`
-/// entries to every other member (Fig. 3 step 5b; nobody lacks a body, so
-/// nothing is pushed) and participates in the constant-round aggregation
-/// protocol.
-///
-/// `digests` is the number of signatures each member holds (the members
-/// hold the same set); `output_bytes` the size of the aggregate (exchanged
-/// during the MPC output phase).
+/// Meters the communication of one uniform `f_aggr-sig` invocation for
+/// the distinct `committee` of a node whose `honest` members all hold the
+/// same signature set (Fig. 3 step 5b): each honest member multicasts its
+/// [`AggrListHash`] to every other member, corrupt ones included; the
+/// hashes all match, so no [`AggrDigests`] list and no [`AggrBody`] moves;
+/// then the honest members take part in the constant-round aggregation
+/// protocol, whose output of `output_bytes` (the aggregate's size) each
+/// sends to every other honest member. Corrupt members are silent.
 pub fn charge_aggr_round(
     net: &mut Network,
     committee: &[PartyId],
-    digests: usize,
+    honest: &[PartyId],
     output_bytes: usize,
 ) {
     let metrics = net.metrics_mut();
-    let list_len = AggrDigests::wire_len(digests);
-    metrics.charge_exchange(committee, committee, list_len, tag::AGGR_DIGESTS, true);
+    metrics.charge_exchange(honest, committee, LIST_HASH_LEN, tag::AGGR_LIST_HASH, true);
     // Constant-round MPC output delivery, charged over the concrete links
     // so the aggregate's fan-out is visible in locality and in the
     // receivers' totals (an addressee-less synthetic charge would keep
     // this traffic out of both — the silent-metrics gap).
-    metrics.charge_exchange(committee, committee, output_bytes, tag::AGGR_MPC, true);
+    metrics.charge_exchange(honest, honest, output_bytes, tag::AGGR_MPC, true);
     // Round accounting is the caller's: all nodes of a tree level run their
     // f_aggr-sig invocations in parallel, so the caller bumps once per level.
 }
@@ -317,46 +367,75 @@ mod tests {
         );
     }
 
+    /// Honest members send one hash to every other member and the MPC
+    /// output to every other honest member; corrupt members only receive
+    /// hashes, and parties outside the committee see nothing.
     #[test]
     fn charge_aggr_round_meters_members_only() {
         let mut net = Network::new(20);
-        let committee: Vec<PartyId> = (0..5u64).map(PartyId).collect();
-        charge_aggr_round(&mut net, &committee, 3, 64);
-        for i in 0..5u64 {
-            assert!(net.metrics().party(PartyId(i)).bytes_sent >= 400);
+        let committee: Vec<PartyId> = (0..7u64).map(PartyId).collect();
+        let honest = &committee[..5];
+        charge_aggr_round(&mut net, &committee, honest, 64);
+        let hashes = LIST_HASH_LEN as u64;
+        for &p in honest {
+            let m = net.metrics().party(p);
+            assert_eq!(m.sent_by_tag.get(&tag::AGGR_LIST_HASH), Some(&(6 * hashes)));
+            assert_eq!(m.recv_by_tag.get(&tag::AGGR_LIST_HASH), Some(&(4 * hashes)));
+            assert_eq!(m.sent_by_tag.get(&tag::AGGR_MPC), Some(&(4 * 64)));
+            assert_eq!(
+                m.peers_out,
+                committee.iter().copied().filter(|&q| q != p).collect()
+            );
         }
-        for i in 5..20u64 {
-            assert_eq!(net.metrics().party(PartyId(i)).bytes_sent, 0);
+        for p in &committee[5..] {
+            let m = net.metrics().party(*p);
+            assert_eq!(m.bytes_sent, 0);
+            assert_eq!(m.recv_by_tag.get(&tag::AGGR_LIST_HASH), Some(&(5 * hashes)));
+            assert_eq!(m.recv_by_tag.get(&tag::AGGR_MPC), None);
+        }
+        for i in 7..20u64 {
+            assert_eq!(net.metrics().party(PartyId(i)).bytes_total(), 0);
         }
         // Rounds are bumped by the caller (per level), not per invocation.
         assert_eq!(net.report().rounds, 0);
     }
 
-    /// The closed form is one encoded digest list per member pair: each of
-    /// `c` members sends and receives `c - 1` of them, and nothing else
-    /// under the exchange's tags.
+    /// The closed form is one encoded hash message per link, whatever the
+    /// list it hashes: each of `c` members sends and receives `c - 1` of
+    /// them, and nothing else under the exchange's tags.
     #[test]
-    fn closed_form_is_one_encoded_list_per_link() {
+    fn closed_form_is_one_encoded_hash_per_link() {
         let c = 7u64;
         let committee: Vec<PartyId> = (0..c).map(PartyId).collect();
         for k in [0usize, 1, 32] {
-            let list = AggrDigests {
-                epoch: u64::MAX,
-                node: 3,
-                digests: vec![Digest::ZERO; k],
-            };
-            let len = wire::encoded_msg_len(&list) as u64;
-            assert_eq!(len, AggrDigests::wire_len(k) as u64, "k = {k}");
+            let list = vec![Digest::ZERO; k];
+            let msg = AggrListHash::new(u64::MAX, 3, &list);
+            let len = wire::encoded_msg_len(&msg) as u64;
+            assert_eq!(len, LIST_HASH_LEN as u64, "k = {k}");
             let per_member = Some(len * (c - 1));
             let mut net = Network::new(c as usize);
-            charge_aggr_round(&mut net, &committee, k, 0);
+            charge_aggr_round(&mut net, &committee, &committee, 0);
             for &p in &committee {
                 let m = net.metrics().party(p);
-                assert_eq!(m.sent_by_tag.get(&tag::AGGR_DIGESTS).copied(), per_member);
-                assert_eq!(m.recv_by_tag.get(&tag::AGGR_DIGESTS).copied(), per_member);
+                assert_eq!(m.sent_by_tag.get(&tag::AGGR_LIST_HASH).copied(), per_member);
+                assert_eq!(m.recv_by_tag.get(&tag::AGGR_LIST_HASH).copied(), per_member);
+                assert_eq!(m.sent_by_tag.get(&tag::AGGR_DIGESTS), None);
                 assert_eq!(m.sent_by_tag.get(&tag::AGGR_BODY), None);
                 assert_eq!(m.sent_by_tag.get(&tag::AGGR_SHARE), None);
             }
         }
+    }
+
+    /// The hash binds the list: equal lists hash alike, and a list that
+    /// differs in one digest, in length or in order hashes apart.
+    #[test]
+    fn list_hash_binds_the_list() {
+        let a = [Digest([1; 32]), Digest([2; 32])];
+        let of = |list: &[Digest]| AggrListHash::new(0, 0, list).hash;
+        assert_eq!(of(&a), of(&a.clone()));
+        assert_ne!(of(&a), of(&a[..1]));
+        assert_ne!(of(&a), of(&[a[0], Digest([3; 32])]));
+        assert_ne!(of(&a), of(&[a[1], a[0]]));
+        assert_ne!(of(&[]), of(&[Digest::ZERO]));
     }
 }

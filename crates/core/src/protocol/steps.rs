@@ -155,10 +155,10 @@ impl WireMsg for Certificate {
     const STEP: u8 = step::CERTIFY;
 }
 
-/// One node's step-5a charge `(level, node, held, out_len)`:
-/// [`charge_aggr_round`] over the node's honest members, each holding
-/// `held` signatures, with an `out_len`-byte aggregate.
-type AggrCharge = (usize, usize, usize, usize);
+/// One node's step-5 charge `(level, node, out_len)`:
+/// [`charge_aggr_round`] over the node's distinct committee and honest
+/// members, with an `out_len`-byte aggregate.
+type AggrCharge = (usize, usize, usize);
 
 impl<'a, S> Service<'a, S>
 where
@@ -418,8 +418,8 @@ where
         evil_sigs: Vec<S::Signature>,
         mut charges: Vec<AggrCharge>,
     ) -> Option<S::Signature> {
-        // All leaves aggregated in parallel: one digest-exchange + MPC round
-        // pair (the body-push round is empty when nobody lacks a body).
+        // All leaves aggregated in parallel: one list-hash + MPC round pair
+        // (the list and body-push rounds are empty when every hash matches).
         self.net.bump_round();
         self.net.bump_round();
         // The colluding copy corrupted members vote for at every node: an
@@ -458,9 +458,9 @@ where
             tag::AGGR_SHARE,
         );
         self.net = net;
-        for (level, node, held, out_len) in charges {
-            let (_, honest) = self.members(level, node);
-            charge_aggr_round(&mut self.net, &honest, held, out_len);
+        for (level, node, out_len) in charges {
+            let (committee, honest) = self.members(level, node);
+            charge_aggr_round(&mut self.net, &committee, &honest, out_len);
         }
         self.snap("5:tree-aggregation");
         outcome.root_value
@@ -494,7 +494,7 @@ where
             &held,
         );
         let out_len = aggregate.as_ref().map_or(0, |a| scheme.signature_len(a));
-        (aggregate, (level, node, held.len(), out_len))
+        (aggregate, (level, node, out_len))
     }
 
     /// Node `(level, node)`'s distinct committee and its honest members.

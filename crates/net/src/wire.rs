@@ -76,11 +76,14 @@ pub mod tag {
     /// `MvInput` — multi-value (ℓ-byte) input fan-in up the tree.
     pub const MV_INPUT: u8 = 0x11;
     /// `AggrDigests` — Fig. 3 step 5b: a committee member's digests of the
-    /// signatures it holds, multicast to the other members.
+    /// signatures it holds, sent to the members whose list hash differed.
     pub const AGGR_DIGESTS: u8 = 0x12;
     /// `AggrBody` — Fig. 3 step 5b: one majority-attested signature pushed
     /// to a member whose digest list lacked it.
     pub const AGGR_BODY: u8 = 0x13;
+    /// `AggrListHash` — Fig. 3 step 5b: the SHA-256 of a committee
+    /// member's sorted digest list, multicast before any list moves.
+    pub const AGGR_LIST_HASH: u8 = 0x14;
 }
 
 /// Nominal Figure 3 step numbers carried in the header's second byte.
@@ -185,6 +188,7 @@ const BCAST_INPUT_FIELDS: &[FieldSpec] = &[F::Byte];
 const MV_INPUT_FIELDS: &[FieldSpec] = &[F::U64, F::VarBytes];
 const AGGR_DIGESTS_FIELDS: &[FieldSpec] = &[F::U64, F::U64, F::Seq(&[F::Bytes(32)])];
 const AGGR_BODY_FIELDS: &[FieldSpec] = &[F::U64, F::U64, F::VarBytes];
+const AGGR_LIST_HASH_FIELDS: &[FieldSpec] = &[F::U64, F::U64, F::Bytes(32)];
 
 /// The full tag registry, ordered by tag. The golden snapshot test in
 /// `tests/wire.rs` pins every row; append new tags at the end.
@@ -340,6 +344,14 @@ pub const REGISTRY: &[TagInfo] = &[
         step_label: "5:aggregate",
         crate_name: "pba-core",
         schema: BodySchema::Struct(AGGR_BODY_FIELDS),
+    },
+    TagInfo {
+        tag: tag::AGGR_LIST_HASH,
+        name: "AggrListHash",
+        step: step::AGGREGATE,
+        step_label: "5:aggregate",
+        crate_name: "pba-core",
+        schema: BodySchema::Struct(AGGR_LIST_HASH_FIELDS),
     },
 ];
 

@@ -1,24 +1,35 @@
 //! The step-5b input exchange of `f_aggr-sig`, executed: one committee
 //! member as a round-engine [`Machine`], exchanging the typed
-//! [`AggrDigests`] / [`AggrBody`] wire messages over `Network`. It is the
-//! reference the closed-form charge (`pba_core::aggr::charge_aggr_round`)
-//! is proptested against in `tests/aggr_exchange.rs`; test support only,
-//! never part of a release crate.
+//! [`AggrListHash`] / [`AggrDigests`] / [`AggrBody`] wire messages over
+//! `Network`. It is the reference the closed-form charge
+//! (`pba_core::aggr::charge_aggr_round`) is proptested against in
+//! `tests/aggr_exchange.rs`; test support only, never part of a release
+//! crate.
 //!
-//! * Round 0: multicast the digests of the held signatures.
-//! * Round 1: read one list per committee peer; a digest on at least
-//!   `|C|/2 + 1` lists (the member's own included) is *attested*; push the
-//!   body of every attested digest held to every peer whose list lacked it.
-//! * Round 2: keep a pushed body only if it hashes to an attested digest
+//! * Round 0: multicast the hash of the sorted digest list of the held
+//!   signatures.
+//! * Round 1: read one hash per committee peer; send the digest list to
+//!   every peer whose hash differed from the member's own. A peer whose
+//!   hash was garbled, mis-scoped or absent is silent and gets nothing.
+//! * Round 2: read one list per differing peer (a garbled or mis-scoped
+//!   one, or none, reads as empty). A matching peer attests exactly the
+//!   member's own list. A digest on at least `|C|/2 + 1` lists (the
+//!   member's own included) is *attested*; push the body of every
+//!   attested digest held to every non-silent peer whose list lacked it.
+//! * Round 3: keep a pushed body only if it hashes to an attested digest
 //!   still missing, then output the attested signatures held.
 //!
 //! Signatures are opaque canonical encodings here: the exchange hashes and
 //! forwards them and never interprets one.
 
-use pba_core::aggr::{AggrBody, AggrDigests};
+use pba_core::aggr::{AggrBody, AggrDigests, AggrListHash};
 use pba_crypto::sha256::{Digest, Sha256};
+use pba_net::wire::{self, WireMsg};
 use pba_net::{Ctx, Envelope, Machine, PartyId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Bytes one member sent, by (addressee, tag).
+pub type LinkBytes = BTreeMap<(PartyId, u8), u64>;
 
 /// One committee member's state for one exchange.
 #[derive(Debug)]
@@ -29,10 +40,13 @@ pub struct AggrExchange {
     node: u64,
     /// Held signatures by digest: the member's own, then accepted pushes.
     held: BTreeMap<Digest, Vec<u8>>,
-    /// The list each peer sent (a garbled or mis-scoped one reads as
-    /// empty); a silent peer has no entry and lacks everything.
+    /// Peers whose hash matched the member's own.
+    matched: BTreeSet<PartyId>,
+    /// The list each peer whose hash differed sent (empty if garbled,
+    /// mis-scoped or never sent).
     lists: BTreeMap<PartyId, BTreeSet<Digest>>,
     attested: BTreeSet<Digest>,
+    sent: LinkBytes,
     done: bool,
 }
 
@@ -56,8 +70,10 @@ impl AggrExchange {
                 .iter()
                 .map(|s| (Sha256::digest(s), s.clone()))
                 .collect(),
+            matched: BTreeSet::new(),
             lists: BTreeMap::new(),
             attested: BTreeSet::new(),
+            sent: LinkBytes::new(),
             done: false,
         }
     }
@@ -78,6 +94,16 @@ impl AggrExchange {
         })
     }
 
+    /// The peers whose hash matched the member's own.
+    pub fn matched(&self) -> &BTreeSet<PartyId> {
+        &self.matched
+    }
+
+    /// Every byte this member sent, by (addressee, tag).
+    pub fn sent(&self) -> &LinkBytes {
+        &self.sent
+    }
+
     fn peers(&self) -> impl Iterator<Item = PartyId> + '_ {
         self.committee.iter().copied().filter(|&p| p != self.me)
     }
@@ -89,6 +115,21 @@ impl AggrExchange {
     fn scoped(&self, epoch: u64, node: u64) -> bool {
         epoch == self.epoch && node == self.node
     }
+
+    fn own_hash(&self) -> AggrListHash {
+        AggrListHash::new(self.epoch, self.node, self.held.keys())
+    }
+
+    fn send<T: WireMsg>(&mut self, ctx: &mut Ctx<'_>, to: PartyId, msg: &T) {
+        ctx.send_msg(to, msg);
+        *self.sent.entry((to, T::TAG)).or_default() += wire::encoded_msg_len(msg) as u64;
+    }
+
+    /// Whether `peer` holds `d`: a matching peer holds the member's own
+    /// list, a differing one the list it sent, a silent one is skipped.
+    fn lacks(&self, peer: PartyId, d: &Digest) -> bool {
+        !self.matched.contains(&peer) && self.lists.get(&peer).is_some_and(|l| !l.contains(d))
+    }
 }
 
 impl Machine for AggrExchange {
@@ -98,32 +139,61 @@ impl Machine for AggrExchange {
         }
         match ctx.round() {
             0 => {
+                let hash = self.own_hash();
+                let peers: Vec<PartyId> = self.peers().collect();
+                for peer in peers {
+                    self.send(ctx, peer, &hash);
+                }
+            }
+            1 => {
+                let own = self.own_hash().hash;
+                let mut read = BTreeSet::new();
+                for env in inbox {
+                    // Dynamic filtering: one hash per committee peer; the
+                    // first envelope is read whatever it holds.
+                    if !self.is_peer(env.from) || !read.insert(env.from) {
+                        continue;
+                    }
+                    let Some(h) = ctx
+                        .recv_msg::<AggrListHash>(env)
+                        .filter(|h| self.scoped(h.epoch, h.node))
+                    else {
+                        continue;
+                    };
+                    if h.hash == own {
+                        self.matched.insert(env.from);
+                    } else {
+                        self.lists.insert(env.from, BTreeSet::new());
+                    }
+                }
                 let list = AggrDigests {
                     epoch: self.epoch,
                     node: self.node,
                     digests: self.held.keys().copied().collect(),
                 };
-                for peer in self.peers() {
-                    ctx.send_msg(peer, &list);
+                let differing: Vec<PartyId> = self.lists.keys().copied().collect();
+                for peer in differing {
+                    self.send(ctx, peer, &list);
                 }
             }
-            1 => {
+            2 => {
+                let mut read = BTreeSet::new();
                 for env in inbox {
-                    // Dynamic filtering: one list per committee peer; the
-                    // first envelope is read whatever it holds.
-                    if !self.is_peer(env.from) || self.lists.contains_key(&env.from) {
+                    // One list per differing peer, first envelope read.
+                    if !self.lists.contains_key(&env.from) || !read.insert(env.from) {
                         continue;
                     }
-                    let list = ctx
+                    if let Some(l) = ctx
                         .recv_msg::<AggrDigests>(env)
                         .filter(|l| self.scoped(l.epoch, l.node))
-                        .map(|l| l.digests.into_iter().collect())
-                        .unwrap_or_default();
-                    self.lists.insert(env.from, list);
+                    {
+                        self.lists.insert(env.from, l.digests.into_iter().collect());
+                    }
                 }
                 let quorum = self.committee.len() / 2 + 1;
+                let own_votes = 1 + self.matched.len();
                 let mut tally: BTreeMap<Digest, usize> =
-                    self.held.keys().map(|&d| (d, 1)).collect();
+                    self.held.keys().map(|&d| (d, own_votes)).collect();
                 for &d in self.lists.values().flatten() {
                     *tally.entry(d).or_default() += 1;
                 }
@@ -132,8 +202,10 @@ impl Machine for AggrExchange {
                     .filter(|&(_, count)| count >= quorum)
                     .map(|(d, _)| d)
                     .collect();
-                for d in &self.attested {
-                    let Some(sig) = self.held.get(d) else {
+                let peers: Vec<PartyId> = self.peers().collect();
+                let attested: Vec<Digest> = self.attested.iter().copied().collect();
+                for d in attested {
+                    let Some(sig) = self.held.get(&d) else {
                         continue;
                     };
                     let body = AggrBody {
@@ -141,9 +213,9 @@ impl Machine for AggrExchange {
                         node: self.node,
                         sig: sig.clone(),
                     };
-                    for peer in self.peers() {
-                        if !self.lists.get(&peer).is_some_and(|l| l.contains(d)) {
-                            ctx.send_msg(peer, &body);
+                    for &peer in &peers {
+                        if self.lacks(peer, &d) {
+                            self.send(ctx, peer, &body);
                         }
                     }
                 }

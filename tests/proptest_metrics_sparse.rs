@@ -402,7 +402,24 @@ where
 /// (corrupt relays' step-6 garbage, sized like the certificate) fell
 /// ×6.24–6.25, the maximum 50,575,500 → 8,125,092 B (`max_bytes_sent`
 /// 26,318,142 → 4,230,167); tags 1, 2, 4, 6, 12, 13 and 18, message
-/// counts, locality and rounds identical.
+/// counts, locality and rounds identical. Restated a fourth time when step
+/// 5b became hash-first: each honest member sends one 50-byte
+/// `AggrListHash` (tag 20, 0x14) to every other member of a node's
+/// distinct committee, corrupt ones included, and no digest list (tag 18
+/// is gone). SNARK: tag 18 2,498,220 → tag 20 501,000 B both ways, step
+/// 5's total 5,088,709 → 3,091,489, `max_after` of steps 5–8 163,154 /
+/// 196,354 / 205,152 → 130,334 / 163,534 / 172,332, the maximum 205,152 →
+/// 172,332 (`max_bytes_sent` 106,704 → 90,294, `total_bytes` 10,645,270 →
+/// 8,648,050); message counts unchanged (one hash per former list).
+/// Byzantine OWF: tag 18 960,536 B both ways → tag 20 457,750 B sent and
+/// 416,400 received (the honest → corrupt hashes are sent, not received,
+/// by honest parties), step 5's total 71,515,183 → 71,012,397,
+/// `max_after` of steps 5–8 2,642,607 / 7,144,792 / 8,125,092 →
+/// 2,633,895 / 7,136,388 / 8,116,072, the maximum 8,125,092 → 8,116,072
+/// (`max_bytes_sent` 4,230,167 → 4,226,165, `total_bytes` 365,416,571 →
+/// 364,913,785); the only new messages are the 827 honest → corrupt
+/// hashes (`total_msgs` 86,466 → 87,293, `max_msgs_per_party` 2,534 →
+/// 2,539). Every other tag, locality and round is identical in both rows.
 #[test]
 fn golden_reports_match_per_link_metering() {
     let snark = run_fingerprint(
@@ -420,29 +437,29 @@ fn golden_reports_match_per_link_metering() {
 }
 
 const GOLDEN_SNARK_128: &[&str] = &[
-    r#"{"parties":128,"max_bytes_per_party":205152,"max_bytes_sent":106704,"total_bytes":10645270,"total_msgs":98702,"max_msgs_per_party":2630,"max_locality":127,"rounds":72}"#,
-    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 12: 860160, 13: 11389, 18: 2498220}",
-    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 13: 11389, 18: 2498220}",
+    r#"{"parties":128,"max_bytes_per_party":172332,"max_bytes_sent":90294,"total_bytes":8648050,"total_msgs":98702,"max_msgs_per_party":2630,"max_locality":127,"rounds":72}"#,
+    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 12: 860160, 13: 11389, 20: 501000}",
+    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 13: 11389, 20: 501000}",
     "1:ae-comm-establish 860160 6720",
     "2:committee-ba+coin 393589 43814",
     "3:disseminate-(y,s) 508200 52614",
     "4:sign-and-submit 1431104 75354",
-    "5:tree-aggregation 5088709 163154",
-    "6:disseminate-certificate 1917300 196354",
-    "7-8:prf-spread+output 446208 205152",
+    "5:tree-aggregation 3091489 130334",
+    "6:disseminate-certificate 1917300 163534",
+    "7-8:prf-spread+output 446208 172332",
 ];
 
 const GOLDEN_OWF_BYZ_128: &[&str] = &[
-    r#"{"parties":116,"max_bytes_per_party":8125092,"max_bytes_sent":4230167,"total_bytes":365416571,"total_msgs":86466,"max_msgs_per_party":2534,"max_locality":127,"rounds":72}"#,
-    "sent {1: 22960, 2: 200900, 4: 134000, 6: 465784, 7: 237338120, 8: 334620, 9: 33849001, 10: 36705646, 11: 54615120, 12: 779520, 13: 10364, 18: 960536}",
-    "received {0: 19460560, 1: 24212, 2: 190855, 4: 127300, 6: 462000, 7: 215949440, 8: 304590, 9: 31440189, 10: 36705646, 11: 49548200, 13: 9503, 18: 960536}",
+    r#"{"parties":116,"max_bytes_per_party":8116072,"max_bytes_sent":4226165,"total_bytes":364913785,"total_msgs":87293,"max_msgs_per_party":2539,"max_locality":127,"rounds":72}"#,
+    "sent {1: 22960, 2: 200900, 4: 134000, 6: 465784, 7: 237338120, 8: 334620, 9: 33849001, 10: 36705646, 11: 54615120, 12: 779520, 13: 10364, 20: 457750}",
+    "received {0: 19460560, 1: 24212, 2: 190855, 4: 127300, 6: 462000, 7: 215949440, 8: 304590, 9: 31440189, 10: 36705646, 11: 49548200, 13: 9503, 20: 416400}",
     "1:ae-comm-establish 779520 6720",
     "2:committee-ba+coin 368224 42404",
     "3:disseminate-(y,s) 465784 51204",
     "4:sign-and-submit 334620 62670",
-    "5:tree-aggregation 71515183 2642607",
-    "6:disseminate-certificate 237338120 7144792",
-    "7-8:prf-spread+output 54615120 8125092",
+    "5:tree-aggregation 71012397 2633895",
+    "6:disseminate-certificate 237338120 7136388",
+    "7-8:prf-spread+output 54615120 8116072",
 ];
 
 /// Full `π_ba` runs over the whole chaos catalogue with the dense shadow

@@ -6,7 +6,12 @@
 
 use polylog_ba::prelude::*;
 
-use pba_core::aggr::{AggrBody, AggrDigests};
+#[allow(dead_code)] // the exchange's accessors this suite does not read
+#[path = "oracle/aggr_exchange.rs"]
+mod aggr_exchange;
+
+use aggr_exchange::AggrExchange;
+use pba_core::aggr::{AggrBody, AggrDigests, AggrListHash};
 use pba_core::baselines::{SampleQuery, SampleResponse};
 use pba_core::broadcast::BroadcastInput;
 use pba_core::dolev_strong::{ChainLink, DsMessage};
@@ -17,8 +22,11 @@ use pba_crypto::codec::{encode_to_vec, CodecError, MAX_SEQ_LEN};
 use pba_crypto::field::Fp;
 use pba_crypto::mss::{MssKeyPair, MssParams, MssSignature};
 use pba_crypto::wots::WotsSignature;
+use pba_net::runner::{run_phase, AdvSender, Adversary};
 use pba_net::wire::{self, step, tag, WireError, HEADER_LEN, MAX_WIRE_BYTES, REGISTRY};
+use pba_net::{Envelope, Machine};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn roundtrip<T: WireMsg + PartialEq + std::fmt::Debug>(msg: T) {
     let bytes = wire::encode_msg(&msg);
@@ -77,6 +85,7 @@ fn every_registered_message_type_roundtrips() {
         node: 17,
         sig: vec![0x5a; 300],
     });
+    roundtrip(AggrListHash::new(4, 17, &[Digest([3; 32]), Digest::ZERO]));
 }
 
 /// The hardened decoder rejects every malformed shape with the specific
@@ -240,6 +249,96 @@ fn wots_signatures_decode_hardened() {
     }
 }
 
+/// Corrupted party 3 relays a field mutant of the hash honest member 0
+/// sent it, as its own, to every honest member.
+struct HashMutator {
+    corrupted: BTreeSet<PartyId>,
+    prg: Prg,
+}
+
+impl Adversary for HashMutator {
+    fn corrupted(&self) -> &BTreeSet<PartyId> {
+        &self.corrupted
+    }
+
+    fn on_round(
+        &mut self,
+        round: u64,
+        rushed: &BTreeMap<PartyId, Vec<Envelope>>,
+        sender: &mut AdvSender<'_>,
+    ) {
+        if round != 0 {
+            return;
+        }
+        let honest_hash = rushed[&PartyId(3)]
+            .iter()
+            .find(|env| env.from == PartyId(0))
+            .expect("member 0 multicasts its hash");
+        let mutant =
+            wire::mutate_field(&honest_hash.payload, &mut self.prg).expect("AggrListHash is typed");
+        let (original, back) = (
+            wire::decode_msg::<AggrListHash>(&honest_hash.payload),
+            wire::decode_msg::<AggrListHash>(&mutant).expect("mutant stays wire-valid"),
+        );
+        assert_ne!(original, Ok(back), "mutant must carry a different value");
+        for to in 0..3 {
+            sender.send_raw(PartyId(3), PartyId(to), mutant.clone());
+        }
+    }
+}
+
+/// `AggrListHash` decodes hardened: every cut past the header is
+/// `Body(UnexpectedEnd)`, a trailing byte is rejected, and a field mutant
+/// stays wire-valid and reaches the exchange, which neither panics nor
+/// takes it for a member's own list — the honest outputs stay whole.
+#[test]
+fn aggr_list_hash_decodes_hardened() {
+    let msg = AggrListHash::new(7, 2, &[Digest([9; 32])]);
+    let bytes = wire::encode_msg(&msg);
+    for cut in HEADER_LEN..bytes.len() {
+        assert_eq!(
+            wire::decode_msg::<AggrListHash>(&bytes[..cut]),
+            Err(WireError::Body(CodecError::UnexpectedEnd)),
+            "cut={cut}"
+        );
+    }
+    let mut long = bytes.clone();
+    long.push(0);
+    assert!(matches!(
+        wire::decode_msg::<AggrListHash>(&long),
+        Err(WireError::Body(_))
+    ));
+
+    let committee: Vec<PartyId> = (0..4).map(PartyId).collect();
+    let sigs = vec![vec![0x11; 200], vec![0x22; 300]];
+    for seed in 0..32u64 {
+        let mut members: BTreeMap<PartyId, AggrExchange> = committee[..3]
+            .iter()
+            .map(|&p| (p, AggrExchange::new(committee.clone(), p, 7, 2, &sigs)))
+            .collect();
+        let mut adversary = HashMutator {
+            corrupted: [PartyId(3)].into(),
+            prg: Prg::from_seed_label(b"hash-mutate", &seed.to_string()),
+        };
+        let mut net = Network::new(4);
+        let outcome = {
+            let mut erased: BTreeMap<PartyId, Box<dyn Machine + Send + '_>> = members
+                .iter_mut()
+                .map(|(&id, m)| (id, Box::new(m) as Box<dyn Machine + Send + '_>))
+                .collect();
+            run_phase(&mut net, &mut erased, &mut adversary, 5)
+        };
+        assert!(outcome.completed, "seed={seed}");
+        for (p, m) in &members {
+            assert!(
+                !m.matched().contains(&PartyId(3)),
+                "seed={seed}: {p} took the mutant"
+            );
+            assert_eq!(m.output().map(|o| o.len()), Some(2), "seed={seed}: {p}");
+        }
+    }
+}
+
 /// Golden snapshot of the tag registry. Tags are a compatibility surface:
 /// **appending** a row is fine (extend the snapshot), renumbering or
 /// re-stepping an existing tag must fail this test.
@@ -274,6 +373,7 @@ fn tag_registry_golden_snapshot() {
         "0x11 MvInput step=0 mv-input pba-core",
         "0x12 AggrDigests step=5 5:aggregate pba-core",
         "0x13 AggrBody step=5 5:aggregate pba-core",
+        "0x14 AggrListHash step=5 5:aggregate pba-core",
     ];
     assert_eq!(
         rendered, expected,
@@ -294,6 +394,7 @@ fn tag_registry_golden_snapshot() {
         (MvInput::TAG, MvInput::STEP),
         (AggrDigests::TAG, AggrDigests::STEP),
         (AggrBody::TAG, AggrBody::STEP),
+        (AggrListHash::TAG, AggrListHash::STEP),
     ] {
         let info = wire::lookup(t).expect("WireMsg tag not in registry");
         assert_eq!(info.step, s, "WireMsg STEP disagrees with registry");
@@ -416,7 +517,7 @@ fn pi_ba_attribution_conserves_totals() {
             tag::ESTABLISH,
             tag::VALUE_SEED,
             tag::SIG_SUBMIT,
-            tag::AGGR_DIGESTS,
+            tag::AGGR_LIST_HASH,
             tag::AGGR_SHARE,
             tag::CERTIFICATE,
             tag::SPREAD,
@@ -565,6 +666,7 @@ proptest! {
         let _ = wire::decode_msg::<MvInput>(&payload);
         let _ = wire::decode_msg::<AggrDigests>(&payload);
         let _ = wire::decode_msg::<AggrBody>(&payload);
+        let _ = wire::decode_msg::<AggrListHash>(&payload);
         let _ = wire::peek_tag(&payload);
         let mut prg = Prg::from_seed_bytes(b"fuzz");
         let _ = wire::mutate_field(&payload, &mut prg);
