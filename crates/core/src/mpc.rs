@@ -105,10 +105,11 @@ where
         honest: session.honest().len(),
     };
     let supreme = session.supreme_committee();
-    let corrupt = session.corrupt().clone();
-    let tree = session.tree().clone();
-    let params = *session.params();
-    let analysis = TreeAnalysis::analyze(&tree, &corrupt);
+    // Read beside the network's charges: the established half is fixed.
+    let est = &session.est;
+    let (tree, corrupt) = (&est.tree, &est.corrupt);
+    let params = *tree.params();
+    let analysis = TreeAnalysis::analyze(tree, corrupt);
 
     // 1. Threshold-FHE setup for the supreme committee (majority threshold:
     //    above the corrupt third, within the honest two-thirds).
@@ -168,8 +169,7 @@ where
             for child in tree.children(level, node) {
                 if let Some(ct) = &current[child] {
                     // Each honest child member forwards to each parent member.
-                    let mut senders = dedup_committee(tree.committee(level - 1, child));
-                    senders.retain(|p| !corrupt.contains(p));
+                    let (_, senders) = est.members(level - 1, child);
                     let metrics = session.net.metrics_mut();
                     metrics.charge_exchange(&senders, &committee, ct.encoded_len(), tag::RAW, true);
                     children.push(ct.clone());

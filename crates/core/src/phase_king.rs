@@ -23,8 +23,10 @@
 
 use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
 use pba_crypto::Digest;
+use pba_net::runner::{AdvSender, Adversary};
 use pba_net::wire::{step, tag};
 use pba_net::{Ctx, Envelope, Machine, PartyId, WireMsg};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -281,12 +283,50 @@ where
     }
 }
 
+/// The Byzantine committee strategy: every corrupt committee member
+/// equivocates values and proposals and lies as king, sending 0 to
+/// even-index peers and 1 to odd ones (and junk to the coin toss rounds).
+pub(crate) struct PkEquivocator {
+    pub(crate) corrupted: BTreeSet<PartyId>,
+    pub(crate) committee: Vec<PartyId>,
+}
+
+impl Adversary for PkEquivocator {
+    fn corrupted(&self) -> &BTreeSet<PartyId> {
+        &self.corrupted
+    }
+    fn on_round(
+        &mut self,
+        round: u64,
+        _rushed: &BTreeMap<PartyId, Vec<Envelope>>,
+        sender: &mut AdvSender<'_>,
+    ) {
+        for &bad in self.corrupted.iter() {
+            if !self.committee.contains(&bad) {
+                continue;
+            }
+            for (j, &peer) in self.committee.iter().enumerate() {
+                if self.corrupted.contains(&peer) {
+                    continue;
+                }
+                // Conflicting values per peer in every sub-protocol round.
+                let v = (j % 2) as u8;
+                let msg = match round % 3 {
+                    0 => PkMsg::Value(v),
+                    1 => PkMsg::Propose(v),
+                    _ => PkMsg::King(v),
+                };
+                sender.send_msg(bad, peer, &msg);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pba_net::runner::{run_phase, AdvSender, Adversary, SilentAdversary};
+    use pba_net::runner::{run_phase, SilentAdversary};
     use pba_net::Network;
-    use std::collections::{BTreeMap, BTreeSet};
 
     /// Concrete runner that keeps typed access to the machines.
     fn run_committee_concrete(
@@ -351,41 +391,6 @@ mod tests {
         }
     }
 
-    /// A Byzantine adversary that equivocates values and proposals, and
-    /// lies as king.
-    struct Equivocator {
-        corrupted: BTreeSet<PartyId>,
-        committee: Vec<PartyId>,
-    }
-
-    impl Adversary for Equivocator {
-        fn corrupted(&self) -> &BTreeSet<PartyId> {
-            &self.corrupted
-        }
-        fn on_round(
-            &mut self,
-            round: u64,
-            _rushed: &BTreeMap<PartyId, Vec<Envelope>>,
-            sender: &mut AdvSender<'_>,
-        ) {
-            for &bad in &self.corrupted {
-                for (j, &peer) in self.committee.iter().enumerate() {
-                    if self.corrupted.contains(&peer) {
-                        continue;
-                    }
-                    // Send 0 to even-index peers, 1 to odd — in every role.
-                    let v = (j % 2) as u8;
-                    let msg = match round % 3 {
-                        0 => PkMsg::Value(v),
-                        1 => PkMsg::Propose(v),
-                        _ => PkMsg::King(v),
-                    };
-                    sender.send_msg(bad, peer, &msg);
-                }
-            }
-        }
-    }
-
     #[test]
     fn agreement_under_equivocation() {
         for c in [7usize, 10, 13] {
@@ -394,7 +399,7 @@ mod tests {
             // Corrupt the *last* t (kings are taken from the front, so the
             // first kings are honest — adversarial kings tested next).
             let corrupted: BTreeSet<PartyId> = (c - t..c).map(PartyId::from).collect();
-            let mut adv = Equivocator {
+            let mut adv = PkEquivocator {
                 corrupted: corrupted.clone(),
                 committee: committee.clone(),
             };
@@ -416,7 +421,7 @@ mod tests {
             let t = max_faults(c);
             let committee: Vec<PartyId> = (0..c).map(PartyId::from).collect();
             let corrupted: BTreeSet<PartyId> = (0..t).map(PartyId::from).collect();
-            let mut adv = Equivocator {
+            let mut adv = PkEquivocator {
                 corrupted: corrupted.clone(),
                 committee: committee.clone(),
             };
@@ -437,7 +442,7 @@ mod tests {
         let t = max_faults(c);
         let committee: Vec<PartyId> = (0..c).map(PartyId::from).collect();
         let corrupted: BTreeSet<PartyId> = (c - t..c).map(PartyId::from).collect();
-        let mut adv = Equivocator {
+        let mut adv = PkEquivocator {
             corrupted: corrupted.clone(),
             committee,
         };

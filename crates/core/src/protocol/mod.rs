@@ -49,8 +49,9 @@ use pba_aetree::tree::Tree;
 use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
 use pba_crypto::sha256::Digest;
+use pba_net::faults::StrategySpec;
 use pba_net::{Network, PartyId};
-use pba_srds::traits::Srds;
+use pba_srds::{owf::OwfSrds, snark::SnarkSrds, traits::Srds};
 use std::collections::BTreeSet;
 
 /// Per-slot signing material, governed by [`KeyPolicy`].
@@ -64,9 +65,37 @@ enum KeyStore<S: Srds> {
     Lazy { residue: Vec<Digest>, stride: usize },
 }
 
-/// An established `π_ba` service: everything establishment builds once —
-/// SRDS setup, per-virtual-identity keys, the `f_ae-comm` tree with its
-/// CSR layout, corruption state, and the metered network.
+/// What establishment fixes: the SRDS setup, the per-slot keys, the
+/// `f_ae-comm` tree with its CSR layout, the corruption state and the
+/// session PRG. Only [`Service::try_establish_over`] builds one, and every
+/// later step only reads it, so the network-free steps (signing,
+/// aggregation, certificate verification) are `&self` methods that run
+/// beside a `&mut` borrow of the network — and, being `Sync`, on any thread.
+pub(crate) struct Established<'a, S: Srds> {
+    scheme: &'a S,
+    pp: S::PublicParams,
+    keys: KeyStore<S>,
+    keyboard: S::KeyBoard,
+    pub(crate) tree: Tree,
+    pub(crate) corrupt: BTreeSet<PartyId>,
+    honest: Vec<PartyId>,
+    prg: Prg,
+    profile: AdversaryProfile,
+    threads: usize,
+}
+
+// Every step shares the established half read-only: it must stay `Sync`
+// under both SRDS constructions.
+const _: fn() = || {
+    fn sync<T: Sync>() {}
+    sync::<Established<'static, SnarkSrds>>();
+    sync::<Established<'static, OwfSrds>>();
+};
+
+/// An established `π_ba` service: the established half fixed at setup,
+/// and what the agreement instances change — the metered network, the
+/// committee-phase chaos spec, the step snapshots, the epoch and the
+/// one-time signing budget.
 ///
 /// One service supports many agreement instances
 /// ([`Service::try_run_stream`], or [`Service::try_certified_round`] on
@@ -76,18 +105,12 @@ enum KeyStore<S: Srds> {
 /// ([`Service::budget`]); overdrawing is the structured
 /// [`ProtocolError::KeyBudget`], never a silent key reuse.
 pub struct Service<'a, S: Srds> {
-    scheme: &'a S,
-    /// The configuration the service was established with.
-    pub config: BaConfig,
-    pp: S::PublicParams,
-    keys: KeyStore<S>,
-    keyboard: S::KeyBoard,
-    tree: Tree,
-    corrupt: BTreeSet<PartyId>,
-    honest: Vec<PartyId>,
+    pub(crate) est: Established<'a, S>,
     /// The metered network (public so harnesses can read metrics).
     pub net: Network,
-    prg: Prg,
+    /// The committee phases' fault-injection strategy
+    /// ([`Service::set_chaos`]).
+    chaos: Option<StrategySpec>,
     steps: Vec<StepReport>,
     epoch: u64,
     /// One-time signing capacity, when the scheme's is bounded (MSS).

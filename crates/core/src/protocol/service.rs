@@ -3,10 +3,10 @@
 //! accessors and the small helpers every later step leans on.
 
 use super::{
-    AdversaryProfile, BaConfig, Establishment, KeyError, KeyPolicy, KeyStore, ProtocolError,
-    ProtocolPhase, Service,
+    AdversaryProfile, BaConfig, Established, Establishment, KeyError, KeyPolicy, KeyStore,
+    ProtocolError, ProtocolPhase, Service,
 };
-use crate::phase_king::PkMsg;
+use crate::phase_king::PkEquivocator;
 use pba_aetree::analysis::adaptive_targets;
 use pba_aetree::fae::charge_establishment;
 use pba_aetree::params::TreeParams;
@@ -16,10 +16,10 @@ use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
 use pba_net::corruption::CorruptionPlan;
 use pba_net::faults::StrategySpec;
-use pba_net::runner::{AdvSender, Adversary, SilentAdversary};
-use pba_net::{Envelope, Network, PartyId, Report, TagBreakdown, Transport};
+use pba_net::runner::{Adversary, SilentAdversary};
+use pba_net::{Network, PartyId, Report, TagBreakdown, Transport};
 use pba_srds::traits::Srds;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Per-step communication snapshot (honest parties only).
 #[derive(Clone, Debug)]
@@ -30,44 +30,6 @@ pub struct StepReport {
     pub total_bytes: u64,
     /// Maximum per-honest-party cumulative bytes after this step.
     pub max_bytes_after: u64,
-}
-
-/// Byzantine strategy for the committee sub-protocols: equivocate
-/// phase-king values (also disturbing the coin-toss rounds with junk).
-struct CommitteeByzantine {
-    corrupted: BTreeSet<PartyId>,
-    committee: Vec<PartyId>,
-}
-
-impl Adversary for CommitteeByzantine {
-    fn corrupted(&self) -> &BTreeSet<PartyId> {
-        &self.corrupted
-    }
-    fn on_round(
-        &mut self,
-        round: u64,
-        _rushed: &BTreeMap<PartyId, Vec<Envelope>>,
-        sender: &mut AdvSender<'_>,
-    ) {
-        for &bad in self.corrupted.iter() {
-            if !self.committee.contains(&bad) {
-                continue;
-            }
-            for (j, &peer) in self.committee.iter().enumerate() {
-                if self.corrupted.contains(&peer) {
-                    continue;
-                }
-                // Conflicting values per peer in every sub-protocol round.
-                let v = (j % 2) as u8;
-                let msg = match round % 3 {
-                    0 => PkMsg::Value(v),
-                    1 => PkMsg::Propose(v),
-                    _ => PkMsg::King(v),
-                };
-                sender.send_msg(bad, peer, &msg);
-            }
-        }
-    }
 }
 
 /// The `f_ae-comm` tree [`Establishment::Charged`] builds for `n` parties
@@ -83,7 +45,7 @@ pub fn charged_tree(n: usize, z: usize, seed: &[u8]) -> Tree {
 
 /// The PRG that generates `owner`'s `j`-th key: a pure child of the session
 /// PRG, so a slot's key is the same key whenever it is (re)generated.
-fn slot_keygen_prg(session_prg: &Prg, owner: usize, j: usize) -> Prg {
+pub(super) fn slot_keygen_prg(session_prg: &Prg, owner: usize, j: usize) -> Prg {
     session_prg
         .child("party-keys", owner as u64)
         .child("slot", j as u64)
@@ -254,16 +216,20 @@ where
 
         let budget = scheme.epoch_capacity(&pp).map(LeafBudget::new);
         let mut session = Service {
-            scheme,
-            config: config.clone(),
-            pp,
-            keys,
-            keyboard,
-            tree,
-            corrupt,
-            honest,
+            est: Established {
+                scheme,
+                pp,
+                keys,
+                keyboard,
+                tree,
+                corrupt,
+                honest,
+                prg,
+                profile: config.profile,
+                threads: config.threads,
+            },
             net,
-            prg,
+            chaos: config.chaos.clone(),
             steps: Vec::new(),
             epoch: 0,
             budget,
@@ -274,27 +240,27 @@ where
 
     /// The supreme committee.
     pub fn supreme_committee(&self) -> Vec<PartyId> {
-        self.tree.root_committee().to_vec()
+        self.est.tree.root_committee().to_vec()
     }
 
     /// The corrupt set.
     pub fn corrupt(&self) -> &BTreeSet<PartyId> {
-        &self.corrupt
+        &self.est.corrupt
     }
 
     /// The honest parties.
     pub fn honest(&self) -> &[PartyId] {
-        &self.honest
+        &self.est.honest
     }
 
     /// The communication tree.
     pub fn tree(&self) -> &Tree {
-        &self.tree
+        &self.est.tree
     }
 
     /// The tree parameters.
     pub fn params(&self) -> &TreeParams {
-        self.tree.params()
+        self.est.tree.params()
     }
 
     /// Per-step communication snapshots so far.
@@ -304,7 +270,9 @@ where
 
     /// Aggregate honest-party communication report.
     pub fn report(&self) -> Report {
-        self.net.metrics().report_for(self.honest.iter().copied())
+        self.net
+            .metrics()
+            .report_for(self.est.honest.iter().copied())
     }
 
     /// Per-(wire tag) honest byte attribution — the per-step dimension
@@ -312,7 +280,7 @@ where
     pub fn breakdown(&self) -> TagBreakdown {
         self.net
             .metrics()
-            .breakdown_for(self.honest.iter().copied())
+            .breakdown_for(self.est.honest.iter().copied())
     }
 
     /// Exact conservation of the per-tag attribution: for every party the
@@ -326,43 +294,9 @@ where
     /// fixed stride per slot); 0 under [`KeyPolicy::Eager`], which holds
     /// the signing keys themselves.
     pub fn key_residue_bytes(&self) -> usize {
-        match &self.keys {
+        match &self.est.keys {
             KeyStore::Eager(_) => 0,
             KeyStore::Lazy { residue, .. } => std::mem::size_of_val(residue.as_slice()),
-        }
-    }
-
-    /// Signs `message` as virtual identity `slot` in execution `epoch`,
-    /// under the session's [`KeyPolicy`]: with the held key, or from the
-    /// slot's keygen PRG and kept residue. Bit-identical either way; `None`
-    /// is the scheme's `⊥` (sortition loser, epoch past capacity).
-    pub(super) fn sign_slot(&self, slot: u64, epoch: u64, message: &[u8]) -> Option<S::Signature> {
-        match &self.keys {
-            KeyStore::Eager(sks) => {
-                self.scheme
-                    .sign_epoch(&self.pp, slot, &sks[slot as usize], epoch, message)
-            }
-            KeyStore::Lazy { residue, stride } => {
-                // The slot is its owner's `j`-th key, `j` its rank among
-                // the owner's (sorted) slots — the establishment loop's
-                // occurrence count.
-                let owner = self.tree.slot_party(slot);
-                let j = self
-                    .tree
-                    .party_slots(owner)
-                    .binary_search(&slot)
-                    .expect("a slot is among its owner's slots");
-                let owner = owner.index();
-                let at = slot as usize * stride;
-                self.scheme.sign_epoch_rederived(
-                    &self.pp,
-                    slot,
-                    &slot_keygen_prg(&self.prg, owner, j),
-                    &residue[at..at + stride],
-                    epoch,
-                    message,
-                )
-            }
         }
     }
 
@@ -389,33 +323,26 @@ where
     }
 
     pub(super) fn committee_adversary(&self, committee: &[PartyId]) -> Box<dyn Adversary> {
-        if let Some(spec) = &self.config.chaos {
-            return spec.build(
-                self.corrupt.clone(),
-                self.config.n,
-                &self.prg.child("chaos", self.epoch),
-            );
+        let est = &self.est;
+        if let Some(spec) = &self.chaos {
+            let n = est.tree.params().n;
+            return spec.build(est.corrupt.clone(), n, &est.prg.child("chaos", self.epoch));
         }
-        match self.config.profile {
-            AdversaryProfile::Passive => Box::new(SilentAdversary::new(self.corrupt.clone())),
-            AdversaryProfile::Byzantine => Box::new(CommitteeByzantine {
-                corrupted: self.corrupt.clone(),
+        match est.profile {
+            AdversaryProfile::Passive => Box::new(SilentAdversary::new(est.corrupt.clone())),
+            AdversaryProfile::Byzantine => Box::new(PkEquivocator {
+                corrupted: est.corrupt.clone(),
                 committee: committee.to_vec(),
             }),
         }
     }
 
-    /// Honest `(Σ bytes_sent, max bytes_total)` so far, counters only.
-    fn honest_sent_and_max_total(&self) -> (u64, u64) {
+    /// Honest `(Σ bytes_sent, max bytes_total)` so far, counters only — the
+    /// cumulative figures step snapshots and instance baselines are deltas of.
+    pub(super) fn honest_sent_and_max_total(&self) -> (u64, u64) {
         self.net
             .metrics()
-            .sent_and_max_total_for(self.honest.iter().copied())
-    }
-
-    /// Honest bytes sent so far (the cumulative figure step snapshots and
-    /// instance baselines are deltas of).
-    pub(super) fn honest_bytes_sent(&self) -> u64 {
-        self.honest_sent_and_max_total().0
+            .sent_and_max_total_for(self.est.honest.iter().copied())
     }
 
     /// Reserves the current epoch's one-time signing slot against the
@@ -456,6 +383,6 @@ where
     /// here, and a timing spec armed later adds none of them. Disarming
     /// (`None`) therefore leaves an installed model's window in force.
     pub fn set_chaos(&mut self, spec: Option<StrategySpec>) {
-        self.config.chaos = spec;
+        self.chaos = spec;
     }
 }

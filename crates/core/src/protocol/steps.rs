@@ -2,7 +2,8 @@
 //! among the supreme committee, the robust input fan-in feeding it, and
 //! steps 3–8 (disseminate, sign, aggregate, certify, spread).
 
-use super::{AdversaryProfile, ProtocolError, ProtocolPhase, Service};
+use super::service::slot_keygen_prg;
+use super::{AdversaryProfile, Established, KeyStore, ProtocolError, ProtocolPhase, Service};
 use crate::aggr::{charge_aggr_round, f_aggr_sig_uniform};
 use crate::phase_king::{rounds_for, PhaseKing};
 use crate::vss_coin::try_toss_coin_vss;
@@ -17,11 +18,10 @@ use pba_crypto::prf::SubsetPrf;
 use pba_crypto::sha256::Digest;
 use pba_net::runner::{run_phase_threaded, PhaseOutcome};
 use pba_net::wire::{self, step, tag};
-use pba_net::{Machine, Network, PartyId, WireMsg};
+use pba_net::{Machine, PartyId, WireMsg};
 use pba_srds::traits::Srds;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::rc::Rc;
 
 /// Outcome of one certified round within a [`Service`].
 #[derive(Clone, Debug)]
@@ -177,7 +177,7 @@ where
         let mut adversary = self.committee_adversary(&supreme);
         let mut machines: BTreeMap<PartyId, PhaseKing<u8>> = supreme
             .iter()
-            .filter(|p| !self.corrupt.contains(p))
+            .filter(|p| !self.est.corrupt.contains(p))
             .map(|&p| {
                 let input = committee_inputs.get(&p).copied().unwrap_or(0);
                 (p, PhaseKing::new(supreme.clone(), p, input))
@@ -193,7 +193,7 @@ where
                 &mut erased,
                 adversary.as_mut(),
                 rounds_for(supreme.len()) + 6,
-                self.config.threads,
+                self.est.threads,
             )
         };
         let outputs = machines.values().filter_map(|m| m.output().copied());
@@ -214,8 +214,8 @@ where
             &mut self.net,
             &supreme,
             adversary.as_mut(),
-            &mut self.prg.child("coin", epoch),
-            self.config.threads,
+            &mut self.est.prg.child("coin", epoch),
+            self.est.threads,
         )
         .map(|seeds| seeds.into_values().collect());
         self.unanimous(ProtocolPhase::CommitteeCoin, run)
@@ -284,12 +284,14 @@ where
         // Crash-recovery churn: a party offline while (y, s) travels the
         // tree receives nothing here — it also signs nothing in step 4 and
         // resyncs from the step 7–8 certificate spread once it rejoins.
-        let received = self.disseminate_from_root(&payload, garbage).per_party;
+        let received = self.disseminate_from_root(&payload, garbage);
         self.snap("3:disseminate-(y,s)");
 
-        let (leaves, evil_sigs, charges) = self.sign_and_submit(&payload, &evil_payload, received);
+        let (leaves, evil_sigs, charges) = self.sign_and_submit(&payload, &evil_payload, &received);
         let sigma_root = self.aggregate_up(&payload, &evil_payload, leaves, evil_sigs, charges);
-        let certificate_len = sigma_root.as_ref().map(|s| self.scheme.signature_len(s));
+        let certificate_len = sigma_root
+            .as_ref()
+            .map(|s| self.est.scheme.signature_len(s));
 
         // ---- Step 6: disseminate (value, s, σ_root). ----
         let certificate = sigma_root.as_ref().map(|sig| {
@@ -324,22 +326,23 @@ where
         &mut self,
         payload: &[u8],
         evil_payload: &[u8],
-        received: Vec<Option<Rc<Vec<u8>>>>,
+        received: &DisseminationResult,
     ) -> (
         Vec<Option<S::Signature>>,
         Vec<S::Signature>,
         Vec<AggrCharge>,
     ) {
         // Isolated parties and malformed payloads sign nothing.
-        let received: Vec<_> = received
-            .into_iter()
+        let received: Vec<Option<&[u8]>> = (0..received.per_party.len())
+            .map(|p| received.party_value(p))
             .map(|r| r.filter(|b| wire::decode_msg::<ValueSeed>(b).is_ok()))
             .collect();
+        let est = &self.est;
         let (mut leaves, mut evil_sigs, mut charges) = (Vec::new(), Vec::new(), Vec::new());
-        for leaf in 0..self.tree.params().leaf_count {
+        for leaf in 0..est.tree.params().leaf_count {
             let (aggregate, charge, corrupt, submits) =
-                self.sign_leaf(leaf, payload, evil_payload, &received);
-            let (committee, _) = self.members(0, leaf);
+                est.sign_leaf(leaf, self.epoch, payload, evil_payload, &received);
+            let (committee, _) = est.members(0, leaf);
             for (len, signers) in &submits {
                 let metrics = self.net.metrics_mut();
                 metrics.charge_exchange(signers, &committee, *len, tag::SIG_SUBMIT, true);
@@ -351,58 +354,6 @@ where
         self.net.bump_round();
         self.snap("4:sign-and-submit");
         (leaves, evil_sigs, charges)
-    }
-
-    /// One leaf's step 4 and step 5a, without the network: every slot
-    /// signs — an honest owner what it received, a corrupt one (Byzantine
-    /// profile only) `evil_payload` — and the leaf committee aggregates.
-    /// Also returns the corrupt slots' signatures and the honest
-    /// submitters grouped by signature length, one entry per signature.
-    #[allow(clippy::type_complexity)] // named where step 4 destructures it
-    fn sign_leaf(
-        &self,
-        leaf: usize,
-        payload: &[u8],
-        evil_payload: &[u8],
-        received: &[Option<Rc<Vec<u8>>>],
-    ) -> (
-        Option<S::Signature>,
-        AggrCharge,
-        Vec<S::Signature>,
-        Vec<(usize, Vec<PartyId>)>,
-    ) {
-        let byzantine = self.config.profile == AdversaryProfile::Byzantine;
-        let (mut sigs, mut corrupt) = (Vec::new(), Vec::new());
-        let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
-        for slot in self.tree.leaf_range(leaf) {
-            let owner = self.tree.slot_party(slot);
-            if self.corrupt.contains(&owner) {
-                if !byzantine {
-                    continue;
-                }
-                if let Some(sig) = self.sign_slot(slot, self.epoch, evil_payload) {
-                    corrupt.push(sig.clone());
-                    sigs.push(sig);
-                }
-                continue;
-            }
-            let Some(sig) = received[owner.index()]
-                .as_ref()
-                .and_then(|mine| self.sign_slot(slot, self.epoch, mine))
-            else {
-                continue; // nothing received, or a sortition loser (OWF)
-            };
-            let len = self.scheme.signature_len(&sig);
-            match submits.iter_mut().find(|(l, _)| *l == len) {
-                Some((_, signers)) => signers.push(owner),
-                None => submits.push((len, vec![owner])),
-            }
-            sigs.push(sig);
-        }
-        let range = self.tree.leaf_range(leaf);
-        let candidates = sigs.into_iter().map(|sig| (range.clone(), sig));
-        let (aggregate, charge) = self.aggregate_node(0, leaf, payload, candidates);
-        (aggregate, charge, corrupt, submits)
     }
 
     /// Fig. 3 step 5: robust redundant-path aggregation up the tree. Every
@@ -422,138 +373,82 @@ where
         // (the list and body-push rounds are empty when every hash matches).
         self.net.bump_round();
         self.net.bump_round();
+        let est = &self.est;
         // The colluding copy corrupted members vote for at every node: an
         // aggregate over the adversary's divergent message. It can win the
         // vote at a majority-corrupted node, but aggregate1's validation
         // drops it at the next honest combine — withholding in disguise.
         let evil_copy = (!evil_sigs.is_empty())
             .then(|| {
-                self.scheme
-                    .aggregate(&self.pp, &self.keyboard, evil_payload, &evil_sigs)
+                est.scheme
+                    .aggregate(&est.pp, &est.keyboard, evil_payload, &evil_sigs)
             })
             .flatten();
-        // The combine reads the service but never the network, so the
-        // ascent holds the network alone while the combine borrows the rest.
-        let mut net = std::mem::replace(&mut self.net, Network::new(0));
         let outcome = ascend(
-            &mut net,
-            &self.tree,
-            &self.corrupt,
+            &mut self.net,
+            &est.tree,
+            &est.corrupt,
             leaves,
             |level, node, winners| {
                 // Each child's winner, held to the child's range.
-                let ranges = self
+                let ranges = est
                     .tree
                     .children(level, node)
-                    .map(|child| self.tree.node_range(level - 1, child));
+                    .map(|child| est.tree.node_range(level - 1, child));
                 let candidates = ranges
                     .zip(winners)
                     .filter_map(|(range, w)| Some((range, w.clone()?)));
-                let (aggregate, charge) = self.aggregate_node(level, node, payload, candidates);
+                let (aggregate, charge) = est.aggregate_node(level, node, payload, candidates);
                 charges.push(charge);
                 aggregate
             },
             |_, _, _| evil_copy.clone(),
-            |sig| self.scheme.signature_len(sig),
+            |sig| est.scheme.signature_len(sig),
             tag::AGGR_SHARE,
         );
-        self.net = net;
         for (level, node, out_len) in charges {
-            let (committee, honest) = self.members(level, node);
+            let (committee, honest) = est.members(level, node);
             charge_aggr_round(&mut self.net, &committee, &honest, out_len);
         }
         self.snap("5:tree-aggregation");
         outcome.root_value
     }
 
-    /// Fig. 3 step 5a at node `(level, node)`, without the network: the
-    /// uniform `f_aggr-sig` (every member was handed every candidate) over
-    /// the candidates whose signers lie inside the range each came for.
-    fn aggregate_node(
-        &self,
-        level: usize,
-        node: usize,
-        payload: &[u8],
-        candidates: impl Iterator<Item = (Range<u64>, S::Signature)>,
-    ) -> (Option<S::Signature>, AggrCharge) {
-        let (committee, honest) = self.members(level, node);
-        let scheme = self.scheme;
-        let held: Vec<S::Signature> = candidates
-            .filter(|(r, sig)| {
-                r.contains(&scheme.min_index(sig)) && r.contains(&scheme.max_index(sig))
-            })
-            .map(|(_, sig)| sig)
-            .collect();
-        let aggregate = f_aggr_sig_uniform(
-            scheme,
-            &self.pp,
-            &self.keyboard,
-            payload,
-            committee.len(),
-            honest.len(),
-            &held,
-        );
-        let out_len = aggregate.as_ref().map_or(0, |a| scheme.signature_len(a));
-        (aggregate, (level, node, out_len))
-    }
-
-    /// Node `(level, node)`'s distinct committee and its honest members.
-    fn members(&self, level: usize, node: usize) -> (Vec<PartyId>, Vec<PartyId>) {
-        let committee = dedup_committee(self.tree.committee(level, node));
-        let mut honest = committee.clone();
-        honest.retain(|p| !self.corrupt.contains(p));
-        (committee, honest)
-    }
-
     /// Fig. 3 steps 7–8, holder by holder like step 4's leaves: a holder's
     /// PRF targets and the outputs they settle, then its charges.
     fn spread(&mut self, certified: Option<(&[u8], DisseminationResult)>) -> Vec<Option<Vec<u8>>> {
-        let n = self.config.n;
+        let est = &self.est;
+        let n = est.tree.params().n;
         let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
         if let Some((certificate, holders)) = certified {
             let epoch = self.epoch;
-            let decode_and_verify = |bytes: &[u8]| -> Option<Vec<u8>> {
-                let cert = wire::decode_msg::<Certificate>(bytes).ok()?;
-                if cert.epoch != epoch {
-                    return None; // cross-epoch replay
-                }
-                let sig: S::Signature = decode_from_slice(&cert.sig).ok()?;
-                let signed = wire::encode_msg(&ValueSeed {
-                    epoch: cert.epoch,
-                    value: cert.value.clone(),
-                    seed: cert.seed,
-                });
-                self.scheme
-                    .verify(&self.pp, &self.keyboard, &signed, &sig)
-                    .then_some(cert.value)
-            };
             // Step 6 hands every honest holder the same bytes, so the
             // verdict on that one payload is computed once and a holder of
             // identical bytes takes it; any other bytes (relayed garbage, a
             // spliced certificate) get the full decode-and-verify.
-            let verdict = decode_and_verify(certificate);
+            let verdict = est.verify_certificate(epoch, certificate);
             let verify = |bytes: &[u8]| {
                 if bytes == certificate {
                     verdict.clone()
                 } else {
-                    decode_and_verify(bytes)
+                    est.verify_certificate(epoch, bytes)
                 }
             };
             let offline = self.net.offline_set();
             // A corrupt party ignores a copy and an offline one lets it
             // expire unread; an honest party offline now neither outputs
             // nor sends.
-            let processes = |p: &PartyId| !self.corrupt.contains(p) && !offline.contains(p);
-            let held: Vec<(PartyId, &[u8])> = self
+            let processes = |p: &PartyId| !est.corrupt.contains(p) && !offline.contains(p);
+            let held: Vec<(PartyId, &[u8])> = est
                 .honest
                 .iter()
                 .filter(|p| processes(p))
-                .filter_map(|&p| Some((p, holders.per_party[p.index()].as_deref()?.as_slice())))
+                .filter_map(|&p| Some((p, holders.party_value(p.index())?)))
                 .collect();
             for &(p, bytes) in &held {
                 outputs[p.index()] = verify(bytes);
             }
-            let committee_size = self.tree.params().committee_size;
+            let committee_size = est.tree.params().committee_size;
             let subset_size = committee_size.min(n.saturating_sub(1)).max(1);
             for (p, bytes) in held {
                 let Ok(cert) = wire::decode_msg::<Certificate>(bytes) else {
@@ -585,15 +480,15 @@ where
     /// Byzantine profile; a party offline at the current tick receives
     /// nothing.
     fn disseminate_from_root(&mut self, payload: &[u8], garbage: Vec<u8>) -> DisseminationResult {
-        let mut adv: Box<AdversaryFn<'static>> = match self.config.profile {
+        let mut adv: Box<AdversaryFn<'static>> = match self.est.profile {
             AdversaryProfile::Passive => Box::new(honest_adversary()),
             AdversaryProfile::Byzantine => Box::new(constant_adversary(garbage)),
         };
-        let corrupt = &self.corrupt;
+        let corrupt = &self.est.corrupt;
         let root_values = |member: PartyId| (!corrupt.contains(&member)).then(|| payload.to_vec());
         let mut result = disseminate(
             &mut self.net,
-            &self.tree,
+            &self.est.tree,
             corrupt,
             &root_values,
             adv.as_mut(),
@@ -647,15 +542,15 @@ where
     /// no strict-majority value (the safe default — a jammed fan-in never
     /// substitutes an adversarial value).
     pub fn robust_committee_inputs(&mut self, inputs: &[u8]) -> BTreeMap<PartyId, u8> {
-        assert_eq!(inputs.len(), self.config.n, "one input per party");
-        let corrupt_value = match self.config.profile {
+        assert_eq!(inputs.len(), self.params().n, "one input per party");
+        let corrupt_value = match self.est.profile {
             AdversaryProfile::Passive => None,
             AdversaryProfile::Byzantine => Some(0xaa),
         };
         let outcome = robust_input_fanin(
             &mut self.net,
-            &self.tree,
-            &self.corrupt,
+            &self.est.tree,
+            &self.est.corrupt,
             inputs,
             corrupt_value,
         );
@@ -669,7 +564,7 @@ where
         outcome: AscentOutcome<T>,
         inputs: &[T],
     ) -> BTreeMap<PartyId, T> {
-        let ascended = &outcome.honest_values[self.tree.height() - 1][0];
+        let ascended = &outcome.honest_values[self.est.tree.height() - 1][0];
         let adopt = |p: PartyId| {
             ascended
                 .clone()
@@ -694,16 +589,16 @@ where
         inputs: &[Vec<u8>],
         width: usize,
     ) -> BTreeMap<PartyId, Vec<u8>> {
-        assert_eq!(inputs.len(), self.config.n, "one input value per party");
-        let corrupt_value = match self.config.profile {
+        assert_eq!(inputs.len(), self.params().n, "one input value per party");
+        let corrupt_value = match self.est.profile {
             AdversaryProfile::Passive => None,
             AdversaryProfile::Byzantine => Some(vec![0xaa; width]),
         };
         let epoch = self.epoch;
         let outcome = robust_input_fanin_with(
             &mut self.net,
-            &self.tree,
-            &self.corrupt,
+            &self.est.tree,
+            &self.est.corrupt,
             inputs,
             corrupt_value,
             |v: &Vec<u8>| {
@@ -737,5 +632,154 @@ where
             value.push(self.try_committee_ba(&byte_inputs)?);
         }
         Ok(value)
+    }
+}
+
+impl<S> Established<'_, S>
+where
+    S: Srds,
+    S::Signature: Encode + Decode,
+{
+    /// Signs `message` as virtual identity `slot` in execution `epoch`,
+    /// under the session's [`KeyPolicy`]: with the held key, or from the
+    /// slot's keygen PRG and kept residue. Bit-identical either way; `None`
+    /// is the scheme's `⊥` (sortition loser, epoch past capacity).
+    pub(super) fn sign_slot(&self, slot: u64, epoch: u64, message: &[u8]) -> Option<S::Signature> {
+        match &self.keys {
+            KeyStore::Eager(sks) => {
+                self.scheme
+                    .sign_epoch(&self.pp, slot, &sks[slot as usize], epoch, message)
+            }
+            KeyStore::Lazy { residue, stride } => {
+                // The slot is its owner's `j`-th key, `j` its rank among
+                // the owner's (sorted) slots — the establishment loop's
+                // occurrence count.
+                let owner = self.tree.slot_party(slot);
+                let j = self
+                    .tree
+                    .party_slots(owner)
+                    .binary_search(&slot)
+                    .expect("a slot is among its owner's slots");
+                let owner = owner.index();
+                let at = slot as usize * stride;
+                self.scheme.sign_epoch_rederived(
+                    &self.pp,
+                    slot,
+                    &slot_keygen_prg(&self.prg, owner, j),
+                    &residue[at..at + stride],
+                    epoch,
+                    message,
+                )
+            }
+        }
+    }
+
+    /// One leaf's step 4 and step 5a, without the network: every slot
+    /// signs — an honest owner what it received, a corrupt one (Byzantine
+    /// profile only) `evil_payload` — and the leaf committee aggregates.
+    /// Also returns the corrupt slots' signatures and the honest
+    /// submitters grouped by signature length, one entry per signature.
+    #[allow(clippy::type_complexity)] // named where step 4 destructures it
+    fn sign_leaf(
+        &self,
+        leaf: usize,
+        epoch: u64,
+        payload: &[u8],
+        evil_payload: &[u8],
+        received: &[Option<&[u8]>],
+    ) -> (
+        Option<S::Signature>,
+        AggrCharge,
+        Vec<S::Signature>,
+        Vec<(usize, Vec<PartyId>)>,
+    ) {
+        let byzantine = self.profile == AdversaryProfile::Byzantine;
+        let (mut sigs, mut corrupt) = (Vec::new(), Vec::new());
+        let mut submits: Vec<(usize, Vec<PartyId>)> = Vec::new();
+        for slot in self.tree.leaf_range(leaf) {
+            let owner = self.tree.slot_party(slot);
+            if self.corrupt.contains(&owner) {
+                if !byzantine {
+                    continue;
+                }
+                if let Some(sig) = self.sign_slot(slot, epoch, evil_payload) {
+                    corrupt.push(sig.clone());
+                    sigs.push(sig);
+                }
+                continue;
+            }
+            let Some(sig) =
+                received[owner.index()].and_then(|mine| self.sign_slot(slot, epoch, mine))
+            else {
+                continue; // nothing received, or a sortition loser (OWF)
+            };
+            let len = self.scheme.signature_len(&sig);
+            match submits.iter_mut().find(|(l, _)| *l == len) {
+                Some((_, signers)) => signers.push(owner),
+                None => submits.push((len, vec![owner])),
+            }
+            sigs.push(sig);
+        }
+        let range = self.tree.leaf_range(leaf);
+        let candidates = sigs.into_iter().map(|sig| (range.clone(), sig));
+        let (aggregate, charge) = self.aggregate_node(0, leaf, payload, candidates);
+        (aggregate, charge, corrupt, submits)
+    }
+
+    /// Fig. 3 step 5a at node `(level, node)`, without the network: the
+    /// uniform `f_aggr-sig` (every member was handed every candidate) over
+    /// the candidates whose signers lie inside the range each came for.
+    fn aggregate_node(
+        &self,
+        level: usize,
+        node: usize,
+        payload: &[u8],
+        candidates: impl Iterator<Item = (Range<u64>, S::Signature)>,
+    ) -> (Option<S::Signature>, AggrCharge) {
+        let (committee, honest) = self.members(level, node);
+        let scheme = self.scheme;
+        let held: Vec<S::Signature> = candidates
+            .filter(|(r, sig)| {
+                r.contains(&scheme.min_index(sig)) && r.contains(&scheme.max_index(sig))
+            })
+            .map(|(_, sig)| sig)
+            .collect();
+        let aggregate = f_aggr_sig_uniform(
+            scheme,
+            &self.pp,
+            &self.keyboard,
+            payload,
+            committee.len(),
+            honest.len(),
+            &held,
+        );
+        let out_len = aggregate.as_ref().map_or(0, |a| scheme.signature_len(a));
+        (aggregate, (level, node, out_len))
+    }
+
+    /// Node `(level, node)`'s distinct committee and its honest members.
+    pub(crate) fn members(&self, level: usize, node: usize) -> (Vec<PartyId>, Vec<PartyId>) {
+        let committee = dedup_committee(self.tree.committee(level, node));
+        let mut honest = committee.clone();
+        honest.retain(|p| !self.corrupt.contains(p));
+        (committee, honest)
+    }
+
+    /// Fig. 3 step 8's receiver check on `bytes`: the certified value, when
+    /// they decode as an `epoch` certificate whose `σ_root` verifies.
+    fn verify_certificate(&self, epoch: u64, bytes: &[u8]) -> Option<Vec<u8>> {
+        let cert = wire::decode_msg::<Certificate>(bytes).ok()?;
+        if cert.epoch != epoch {
+            return None; // cross-epoch replay
+        }
+        let sig: S::Signature = decode_from_slice(&cert.sig).ok()?;
+        let signed = wire::encode_msg(&ValueSeed {
+            epoch: cert.epoch,
+            value: cert.value.clone(),
+            seed: cert.seed,
+        });
+        self.scheme
+            .verify(&self.pp, &self.keyboard, &signed, &sig)
+            .then_some(cert.value)
     }
 }

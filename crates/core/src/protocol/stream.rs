@@ -196,7 +196,7 @@ where
     fn open_instance(&mut self) -> Result<InstanceBaseline, ProtocolError> {
         let baseline = InstanceBaseline {
             index: self.epoch,
-            bytes: self.honest_bytes_sent(),
+            bytes: self.honest_sent_and_max_total().0,
             rounds: self.net.metrics().rounds(),
             steps_len: self.steps.len(),
         };
@@ -210,7 +210,7 @@ where
     /// ℓ is public, so the width is the honest inputs': a corrupt party's
     /// longer input cannot widen (and so zero-pad) the agreed value.
     fn agree_values(&mut self, inputs: &[Vec<u8>]) -> Result<(Vec<u8>, Digest), ProtocolError> {
-        let honest_lens = self.honest.iter().map(|p| inputs[p.index()].len());
+        let honest_lens = self.est.honest.iter().map(|p| inputs[p.index()].len());
         let width = honest_lens.max().unwrap_or(0);
         let committee_values = if width <= 1 {
             let bits: Vec<u8> = inputs
@@ -259,7 +259,7 @@ where
     /// reference for the validity verdict.
     fn unanimous_value(&self, inputs: &[Vec<u8>]) -> Option<Vec<u8>> {
         let honest_inputs: BTreeSet<&Vec<u8>> =
-            self.honest.iter().map(|p| &inputs[p.index()]).collect();
+            self.est.honest.iter().map(|p| &inputs[p.index()]).collect();
         (honest_inputs.len() == 1)
             .then(|| (*honest_inputs.iter().next().expect("nonempty")).clone())
     }
@@ -276,6 +276,7 @@ where
         round: BytesRoundOutcome,
     ) -> Result<MultiValueOutcome, ProtocolError> {
         let honest_outputs: Vec<Option<&Vec<u8>>> = self
+            .est
             .honest
             .iter()
             .map(|p| round.outputs[p.index()].as_ref())
@@ -317,7 +318,7 @@ where
     ) -> InstanceReport {
         InstanceReport {
             index: baseline.index,
-            total_bytes: self.honest_bytes_sent() - baseline.bytes,
+            total_bytes: self.honest_sent_and_max_total().0 - baseline.bytes,
             rounds: self.net.metrics().rounds() - baseline.rounds,
             overlapped_rounds,
             steps: self.steps[baseline.steps_len..].to_vec(),
