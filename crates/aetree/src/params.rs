@@ -7,8 +7,8 @@
 //! constants as parameters:
 //!
 //! * [`TreeParams::scaled`] — defaults usable at simulation scale, chosen so
-//!   every *structural* invariant of Def. 2.3/3.4 holds exactly and committee
-//!   honest-majority holds with overwhelming probability;
+//!   every *structural* invariant of Def. 2.3/3.4 holds exactly; committee
+//!   honest majority holds at `β ≈ 0.1` (its doc gives the failure rates);
 //! * [`TreeParams::paper_exact`] — the literal log-power constants, used by
 //!   structural property tests.
 
@@ -46,9 +46,19 @@ impl TreeParams {
     /// Scaled-down defaults for simulation-size `n` with `z` leaf
     /// memberships per party.
     ///
-    /// Committee sizes grow as `Θ(log n)` with constants large enough that a
-    /// `β < 1/3` random corruption keeps committees `< 1/3`-corrupt with
-    /// overwhelming probability at the benchmarked sizes.
+    /// Committee sizes grow as `Θ(log n)`: `|C| = 3·⌈log₂ n⌉`. That is
+    /// sized for a random corruption of `β ≈ 0.1`, not for every `β < 1/3`.
+    /// The binomial tail of a bad supreme committee (`≥ ⌈|C|/3⌉` corrupt):
+    ///
+    /// | n | \|C\| | β = 0.1 | β = 0.2 | β = 0.25 |
+    /// |---|---|---|---|---|
+    /// | 2^10 | 30 | 4.5·10⁻⁴ | 0.061 | 0.20 |
+    /// | 2^20 | 60 | 7.8·10⁻⁷ | 0.011 | 0.092 |
+    ///
+    /// So at `β = 0.1` the root is bad in well under one run in a thousand.
+    /// At `β = 0.2` it is bad in one run in 16 (2^10) to one in 94 (2^20),
+    /// and at `β = 0.25` in one in 5 to one in 11. Sizing committees from a
+    /// failure budget is ROADMAP item 5.
     ///
     /// # Panics
     ///

@@ -257,8 +257,11 @@ pub fn charge_aggr_round(
     // receivers' totals (an addressee-less synthetic charge would keep
     // this traffic out of both — the silent-metrics gap).
     metrics.charge_exchange(honest, honest, output_bytes, tag::AGGR_MPC, true);
-    // Round accounting is the caller's: all nodes of a tree level run their
-    // f_aggr-sig invocations in parallel, so the caller bumps once per level.
+    // Charges bytes only. π_ba's step 5 counts two rounds for this call at
+    // the leaves (`aggregate_up`: the hash and the output) and none at an
+    // internal node, whose level's one round is `robust::ascend`'s
+    // child → parent copy. That undercounts step 5 by the internal levels'
+    // hash rounds (ROADMAP item 15).
 }
 
 #[cfg(test)]
@@ -396,7 +399,9 @@ mod tests {
         for i in 7..20u64 {
             assert_eq!(net.metrics().party(PartyId(i)).bytes_total(), 0);
         }
-        // Rounds are bumped by the caller (per level), not per invocation.
+        // Bytes only: step 5's round count is `aggregate_up`'s (two at the
+        // leaves) and `robust::ascend`'s (one copy round per internal
+        // level), none for internal hashes (ROADMAP item 15).
         assert_eq!(net.report().rounds, 0);
     }
 
