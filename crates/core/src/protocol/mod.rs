@@ -312,6 +312,42 @@ mod tests {
         assert_eq!(budget.consumed(), 3);
     }
 
+    /// `F_s(p)` samples all of `[n]`, so a holder can draw itself. It then
+    /// spreads to its `k − 1` other targets only: no `SPREAD` bytes and no
+    /// peer entry for a link to itself.
+    #[test]
+    fn spread_charges_no_link_to_the_holder_itself() {
+        use pba_crypto::prf::SubsetPrf;
+        use pba_crypto::sha256::Sha256;
+        use pba_net::wire::tag;
+        let n = 64;
+        let scheme = SnarkSrds::with_defaults();
+        let config = BaConfig::honest(n, b"spread-self-link");
+        let mut service = Service::try_establish(&scheme, &config).expect("establishment");
+        let k = service.params().committee_size.min(n - 1);
+        let draws_itself = |s: Digest, p: u64| SubsetPrf::new(s, n as u64, k).eval(p).contains(&p);
+        // The first coin seed at which some party draws itself and another
+        // does not.
+        let (s, p, q) = (0u64..)
+            .map(|i| Sha256::digest(&i.to_le_bytes()))
+            .find_map(|s| {
+                let p = (0..n as u64).find(|&p| draws_itself(s, p))?;
+                let q = (0..n as u64).find(|&q| !draws_itself(s, q))?;
+                Some((s, PartyId(p), PartyId(q)))
+            })
+            .expect("a seed where a party draws itself");
+        let out = service.certify_bytes(vec![1], s);
+        assert!(out.outputs.iter().all(|o| o.as_deref() == Some(&[1u8][..])));
+        let metrics = service.net.metrics();
+        let spread_sent = |p| metrics.party(p).sent_by_tag[&tag::SPREAD];
+        // q sends k copies of the certificate.
+        let len = spread_sent(q) / k as u64;
+        assert_eq!(spread_sent(q), k as u64 * len);
+        assert_eq!(spread_sent(p), (k as u64 - 1) * len);
+        let m = metrics.party(p);
+        assert!(!m.peers_out.contains(&p) && !m.peers_in.contains(&p));
+    }
+
     #[test]
     fn exhausted_budget_is_a_structured_error_not_a_panic() {
         // Default height 1 = capacity 2: the third certified round must be

@@ -455,7 +455,15 @@ where
                     continue;
                 };
                 let prf = SubsetPrf::new(cert.seed, n as u64, subset_size);
-                let targets: Vec<PartyId> = prf.eval(p.0).into_iter().map(PartyId).collect();
+                // F_s(p) may draw p itself (the PRF samples all of [n]): a
+                // holder has its copy, so like every committee exchange it
+                // charges no link to itself.
+                let targets: Vec<PartyId> = prf
+                    .eval(p.0)
+                    .into_iter()
+                    .map(PartyId)
+                    .filter(|&r| r != p)
+                    .collect();
                 // j ∈ F_s(i) holds by construction of the targets; the
                 // receiver still verifies the certificate in full.
                 for r in targets.iter().filter(|r| processes(r)) {

@@ -8,6 +8,26 @@
 //! [`MetricsTable::report`] aggregates into the columns of Table 1:
 //! max-per-party communication, totals, and maximum locality.
 //!
+//! # What is counted
+//!
+//! A party's figure is the bytes it sends plus the bytes it *processes*
+//! of what it receives ([`PartyMetrics::bytes_sent`],
+//! [`PartyMetrics::bytes_received`]). A copy addressed to a corrupt or
+//! offline party is charged to the sender only; a copy an honest party
+//! reads and then rejects is a processed receive. No link runs from a
+//! party to itself: committee exchanges skip self seats
+//! ([`MetricsTable::charge_exchange`]'s `skip_self`), and π_ba's step 7–8
+//! spread leaves a holder out of its own PRF targets. π_ba's reports sum
+//! over the honest parties ([`MetricsTable::report_for`]).
+//!
+//! The paper (arXiv 2002.02516 §1) bounds the bits each honest party
+//! communicates, sent and received. Such a bound can only cover what a
+//! party processes, since an adversary can address any number of bits to
+//! it; a party drops unread what the protocol does not expect from the
+//! sender. The two agree, except that this table also charges a copy
+//! that is read and rejected on an expected link (DESIGN.md §4b, "What
+//! the meter counts").
+//!
 //! # Sparse layout
 //!
 //! The table is *sparse*: `new(n)` allocates one pointer-sized slot per

@@ -420,6 +420,15 @@ where
 /// 364,913,785); the only new messages are the 827 honest → corrupt
 /// hashes (`total_msgs` 86,466 → 87,293, `max_msgs_per_party` 2,534 →
 /// 2,539). Every other tag, locality and round is identical in both rows.
+/// Restated a fifth time when the step 7–8 spread stopped charging a
+/// holder that draws itself (`p ∈ F_s(p)`) a copy to itself: only tag 11
+/// `SPREAD` and message counts moved. SNARK: tag 11 446,208 → 443,054 B
+/// both ways (19 self-links of 166 B), step 7–8 446,208 → 443,054,
+/// `total_bytes` 8,648,050 → 8,644,896, `total_msgs` 98,702 → 98,683.
+/// Byzantine OWF: tag 11 sent 54,615,120 → 54,211,560 and received
+/// 49,548,200 → 49,144,640 (18 self-links of 22,420 B), step 7–8
+/// 54,615,120 → 54,211,560, `total_bytes` 364,913,785 → 364,510,225,
+/// `total_msgs` 87,293 → 87,275. Maxima, locality and rounds identical.
 #[test]
 fn golden_reports_match_per_link_metering() {
     let snark = run_fingerprint(
@@ -437,29 +446,29 @@ fn golden_reports_match_per_link_metering() {
 }
 
 const GOLDEN_SNARK_128: &[&str] = &[
-    r#"{"parties":128,"max_bytes_per_party":172332,"max_bytes_sent":90294,"total_bytes":8648050,"total_msgs":98702,"max_msgs_per_party":2630,"max_locality":127,"rounds":72}"#,
-    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 12: 860160, 13: 11389, 20: 501000}",
-    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 446208, 13: 11389, 20: 501000}",
+    r#"{"parties":128,"max_bytes_per_party":172332,"max_bytes_sent":90294,"total_bytes":8644896,"total_msgs":98683,"max_msgs_per_party":2630,"max_locality":127,"rounds":72}"#,
+    "sent {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 443054, 12: 860160, 13: 11389, 20: 501000}",
+    "received {1: 24080, 2: 210700, 4: 147420, 6: 508200, 7: 1917300, 8: 1431104, 9: 1378069, 10: 1212420, 11: 443054, 13: 11389, 20: 501000}",
     "1:ae-comm-establish 860160 6720",
     "2:committee-ba+coin 393589 43814",
     "3:disseminate-(y,s) 508200 52614",
     "4:sign-and-submit 1431104 75354",
     "5:tree-aggregation 3091489 130334",
     "6:disseminate-certificate 1917300 163534",
-    "7-8:prf-spread+output 446208 172332",
+    "7-8:prf-spread+output 443054 172332",
 ];
 
 const GOLDEN_OWF_BYZ_128: &[&str] = &[
-    r#"{"parties":116,"max_bytes_per_party":8116072,"max_bytes_sent":4226165,"total_bytes":364913785,"total_msgs":87293,"max_msgs_per_party":2539,"max_locality":127,"rounds":72}"#,
-    "sent {1: 22960, 2: 200900, 4: 134000, 6: 465784, 7: 237338120, 8: 334620, 9: 33849001, 10: 36705646, 11: 54615120, 12: 779520, 13: 10364, 20: 457750}",
-    "received {0: 19460560, 1: 24212, 2: 190855, 4: 127300, 6: 462000, 7: 215949440, 8: 304590, 9: 31440189, 10: 36705646, 11: 49548200, 13: 9503, 20: 416400}",
+    r#"{"parties":116,"max_bytes_per_party":8116072,"max_bytes_sent":4226165,"total_bytes":364510225,"total_msgs":87275,"max_msgs_per_party":2539,"max_locality":127,"rounds":72}"#,
+    "sent {1: 22960, 2: 200900, 4: 134000, 6: 465784, 7: 237338120, 8: 334620, 9: 33849001, 10: 36705646, 11: 54211560, 12: 779520, 13: 10364, 20: 457750}",
+    "received {0: 19460560, 1: 24212, 2: 190855, 4: 127300, 6: 462000, 7: 215949440, 8: 304590, 9: 31440189, 10: 36705646, 11: 49144640, 13: 9503, 20: 416400}",
     "1:ae-comm-establish 779520 6720",
     "2:committee-ba+coin 368224 42404",
     "3:disseminate-(y,s) 465784 51204",
     "4:sign-and-submit 334620 62670",
     "5:tree-aggregation 71012397 2633895",
     "6:disseminate-certificate 237338120 7136388",
-    "7-8:prf-spread+output 54615120 8116072",
+    "7-8:prf-spread+output 54211560 8116072",
 ];
 
 /// Full `π_ba` runs over the whole chaos catalogue with the dense shadow
