@@ -649,7 +649,7 @@ where
     S::Signature: Encode + Decode,
 {
     /// Signs `message` as virtual identity `slot` in execution `epoch`,
-    /// under the session's [`KeyPolicy`]: with the held key, or from the
+    /// under the session's [`super::KeyPolicy`]: with the held key, or from the
     /// slot's keygen PRG and kept residue. Bit-identical either way; `None`
     /// is the scheme's `⊥` (sortition loser, epoch past capacity).
     pub(super) fn sign_slot(&self, slot: u64, epoch: u64, message: &[u8]) -> Option<S::Signature> {
