@@ -121,7 +121,9 @@ pub struct BaConfig {
     /// threads than parties — yields a bit-identical execution (see
     /// [`pba_net::run_phase_threaded`], which also reads the delivery
     /// window and slack off the timing model installed at establishment),
-    /// so this is purely a wall-clock knob.
+    /// so this is purely a wall-clock knob. It sizes that pool only:
+    /// Fig. 3 step 4 splits its leaves across the host's cores whatever
+    /// this says, since its output is identical at any worker count.
     pub threads: usize,
     /// When signing-key material is instantiated (see [`KeyPolicy`]).
     pub key_policy: KeyPolicy,

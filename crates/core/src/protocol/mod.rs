@@ -51,7 +51,7 @@ use pba_crypto::prg::Prg;
 use pba_crypto::sha256::Digest;
 use pba_net::faults::StrategySpec;
 use pba_net::{Network, PartyId};
-use pba_srds::{owf::OwfSrds, snark::SnarkSrds, traits::Srds};
+use pba_srds::traits::Srds;
 use std::collections::BTreeSet;
 
 /// Per-slot signing material, governed by [`KeyPolicy`].
@@ -84,13 +84,34 @@ pub(crate) struct Established<'a, S: Srds> {
     threads: usize,
 }
 
-// Every step shares the established half read-only: it must stay `Sync`
-// under both SRDS constructions.
-const _: fn() = || {
-    fn sync<T: Sync>() {}
-    sync::<Established<'static, SnarkSrds>>();
-    sync::<Established<'static, OwfSrds>>();
-};
+/// `(0..len).map(f).collect()` on up to `workers` threads: `0..len` is cut
+/// into contiguous chunks, the caller maps the first and one scoped thread
+/// maps each other, and the chunks are joined in order, so the output is
+/// the same at every worker count. A worker's panic resumes in the caller.
+pub(crate) fn par_map<T: Send>(
+    len: usize,
+    workers: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.clamp(1, len.max(1));
+    let chunk = |w: usize| w * len / workers..(w + 1) * len / workers;
+    let f = &f;
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || chunk(w).map(f).collect::<Vec<T>>()))
+            .collect();
+        let mut out: Vec<T> = Vec::with_capacity(len);
+        out.extend(chunk(0).map(f));
+        for worker in rest {
+            out.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        out
+    })
+}
 
 /// An established `π_ba` service: the established half fixed at setup,
 /// and what the agreement instances change — the metered network, the
@@ -124,6 +145,52 @@ mod tests {
     use pba_srds::owf::OwfSrds;
     use pba_srds::snark::SnarkSrds;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Every `(len, workers)` pair the `par_map` tests run, including more
+    /// workers than items.
+    fn par_map_shapes() -> impl Iterator<Item = (usize, usize)> {
+        [0, 1, 2, 5, 64]
+            .into_iter()
+            .flat_map(|len| [1, 2, 3, 8, len + 3].map(|workers| (len, workers)))
+    }
+
+    #[test]
+    fn par_map_equals_the_sequential_map_in_order() {
+        let f = |i: usize| (i, i.wrapping_mul(0x9e37_79b9) ^ 0x5a);
+        for (len, workers) in par_map_shapes() {
+            let sequential: Vec<_> = (0..len).map(f).collect();
+            assert_eq!(
+                par_map(len, workers, f),
+                sequential,
+                "len {len}, workers {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_runs_the_closure_once_per_index() {
+        for (len, workers) in par_map_shapes() {
+            let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            par_map(len, workers, |i| runs[i].fetch_add(1, Ordering::Relaxed));
+            let runs: Vec<usize> = runs.into_iter().map(AtomicUsize::into_inner).collect();
+            assert_eq!(runs, vec![1; len], "len {len}, workers {workers}");
+        }
+    }
+
+    #[test]
+    fn par_map_panics_the_caller_when_any_index_panics() {
+        for (len, workers) in par_map_shapes().filter(|&(len, _)| len > 0) {
+            // The first index (the caller's chunk) and the last (the last
+            // worker's chunk, a spawned thread's whenever workers > 1).
+            for bad in [0, len - 1] {
+                let run = std::panic::catch_unwind(|| {
+                    par_map(len, workers, |i| assert_ne!(i, bad, "leaf {i} panicked"))
+                });
+                assert!(run.is_err(), "len {len}, workers {workers}, bad {bad}");
+            }
+        }
+    }
 
     #[test]
     fn honest_run_owf_agrees() {

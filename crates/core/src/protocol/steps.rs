@@ -3,7 +3,9 @@
 //! steps 3–8 (disseminate, sign, aggregate, certify, spread).
 
 use super::service::slot_keygen_prg;
-use super::{AdversaryProfile, Established, KeyStore, ProtocolError, ProtocolPhase, Service};
+use super::{
+    par_map, AdversaryProfile, Established, KeyStore, ProtocolError, ProtocolPhase, Service,
+};
 use crate::aggr::{charge_aggr_round, f_aggr_sig_uniform};
 use crate::phase_king::{rounds_for, PhaseKing};
 use crate::vss_coin::try_toss_coin_vss;
@@ -318,9 +320,13 @@ where
         }
     }
 
-    /// Fig. 3 step 4, leaf by leaf: each leaf's work is charged before the
-    /// next leaf's signatures exist, so peak signature storage is one
-    /// committee's worth. The leaves' step-5a charges go to step 5.
+    /// Fig. 3 step 4 in two passes. The compute pass signs and aggregates
+    /// every leaf, the leaves split across the host's cores; a worker
+    /// holds one leaf's signatures at a time, so peak signature storage is
+    /// one committee per worker. The charge pass then charges the leaves'
+    /// submissions in leaf order on the calling thread, so the output, the
+    /// charges and their order are the same at every worker count. The
+    /// leaves' step-5a charges go to step 5.
     #[allow(clippy::type_complexity)] // step 5's three inputs
     fn sign_and_submit(
         &mut self,
@@ -337,11 +343,14 @@ where
             .map(|p| received.party_value(p))
             .map(|r| r.filter(|b| wire::decode_msg::<ValueSeed>(b).is_ok()))
             .collect();
-        let est = &self.est;
+        let (est, epoch) = (&self.est, self.epoch);
+        let leaf_count = est.tree.params().leaf_count;
+        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+        let signed = par_map(leaf_count, workers, |leaf| {
+            est.sign_leaf(leaf, epoch, payload, evil_payload, &received)
+        });
         let (mut leaves, mut evil_sigs, mut charges) = (Vec::new(), Vec::new(), Vec::new());
-        for leaf in 0..est.tree.params().leaf_count {
-            let (aggregate, charge, corrupt, submits) =
-                est.sign_leaf(leaf, self.epoch, payload, evil_payload, &received);
+        for (leaf, (aggregate, charge, corrupt, submits)) in signed.into_iter().enumerate() {
             let (committee, _) = est.members(0, leaf);
             for (len, signers) in &submits {
                 let metrics = self.net.metrics_mut();
@@ -414,8 +423,8 @@ where
         outcome.root_value
     }
 
-    /// Fig. 3 steps 7–8, holder by holder like step 4's leaves: a holder's
-    /// PRF targets and the outputs they settle, then its charges.
+    /// Fig. 3 steps 7–8, holder by holder: a holder's PRF targets and the
+    /// outputs they settle, then its charges.
     fn spread(&mut self, certified: Option<(&[u8], DisseminationResult)>) -> Vec<Option<Vec<u8>>> {
         let est = &self.est;
         let n = est.tree.params().n;

@@ -54,24 +54,28 @@ pub struct CacheStats {
 /// `n` here is the number of *SRDS parties* — in the BA protocol this is
 /// the number of virtual identities `n · z`, not the number of protocol
 /// participants (see the "Notation n" remark under Definition 2.1).
-pub trait Srds {
+///
+/// The scheme, its setup and keys are shared across threads and its
+/// signatures move between them, so `π_ba`'s leaves sign and aggregate on
+/// every core (Fig. 3 step 4).
+pub trait Srds: Sync {
     /// Public parameters `pp` output by `Setup`.
-    type PublicParams: Clone;
+    type PublicParams: Clone + Sync;
     /// A verification key.
     type VerificationKey: Clone + PartialEq + fmt::Debug;
     /// A signing key (may internally be "no key" for sortition schemes —
     /// `Sign` then returns `None`, the paper's `⊥`).
-    type SigningKey: Clone;
+    type SigningKey: Clone + Sync;
     /// Base and aggregated signatures (the space `X`); `⊥` is modelled by
     /// `Option` at call sites.
-    type Signature: Clone + PartialEq + fmt::Debug;
+    type Signature: Clone + PartialEq + fmt::Debug + Send;
 
     /// A prepared view of the public key board `{vk_1 … vk_n}`.
     ///
     /// Verification and `Aggregate₁` are defined over the full key list;
     /// schemes that need derived structure over it (e.g. a Merkle index)
     /// build it once in [`Srds::prepare`] instead of per call.
-    type KeyBoard;
+    type KeyBoard: Sync;
 
     /// Which PKI model the scheme is secure in.
     fn mode(&self) -> PkiMode;

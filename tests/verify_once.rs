@@ -13,8 +13,8 @@ use pba_net::wire::tag;
 use pba_net::PartyId;
 use pba_srds::owf::OwfSrds;
 use pba_srds::traits::{PkiMode, Srds};
-use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N: usize = 96;
 const SEED: &[u8] = b"verify-once";
@@ -24,14 +24,14 @@ const SEED: &[u8] = b"verify-once";
 /// is the whole scheme.
 struct CountingOwf {
     inner: OwfSrds,
-    verifies: Cell<usize>,
+    verifies: AtomicUsize,
 }
 
 impl CountingOwf {
     fn new() -> Self {
         CountingOwf {
             inner: OwfSrds::with_defaults(),
-            verifies: Cell::new(0),
+            verifies: AtomicUsize::new(0),
         }
     }
 }
@@ -71,7 +71,7 @@ impl Srds for CountingOwf {
         self.inner.aggregate2(pp, message, s_sig)
     }
     fn verify(&self, pp: &Pp, board: &Board, message: &[u8], sig: &Sig) -> bool {
-        self.verifies.set(self.verifies.get() + 1);
+        self.verifies.fetch_add(1, Ordering::Relaxed);
         self.inner.verify(pp, board, message, sig)
     }
     fn min_index(&self, sig: &Sig) -> u64 {
@@ -107,7 +107,7 @@ fn decide(config: &BaConfig) -> (usize, usize) {
             sent.get(&tag::SPREAD).copied().unwrap_or(0) == 0
         })
         .count();
-    (scheme.verifies.get(), silent)
+    (scheme.verifies.load(Ordering::Relaxed), silent)
 }
 
 #[test]
