@@ -56,18 +56,18 @@ impl ScaleConfig {
     }
 
     /// CI smoke variant: n ∈ {2^10, 2^16} with the memory regression
-    /// budget armed: 224 MiB against the 171 MiB measured peak on the
+    /// budget armed: 188 MiB against the 143 MiB measured peak on the
     /// reference host (8 MiB of it the lazy signer's key residue, 128 B a
     /// party), i.e. ≈ 31 % headroom. The gate is tight enough to catch a
     /// per-key heap object: the memoised proof map every `MerkleTree`
-    /// used to carry measured 247 MiB on the same host. An O(n²) metrics
-    /// table, held signing keys or a private peer list per party (1,236.5
-    /// MiB before peers were held by reference) overshoot it several
-    /// times over.
+    /// used to carry measured 247 MiB on the same host (against 171 MiB
+    /// without it, then). An O(n²) metrics table, held signing keys or a
+    /// private peer list per party (1,236.5 MiB before peers were held by
+    /// reference) overshoot it several times over.
     pub fn smoke() -> Self {
         ScaleConfig {
             sizes: vec![1 << 10, 1 << 16],
-            rss_budget_mib: Some(224.0),
+            rss_budget_mib: Some(188.0),
         }
     }
 }

@@ -415,6 +415,92 @@ mod tests {
         assert!(!m.peers_out.contains(&p) && !m.peers_in.contains(&p));
     }
 
+    /// Step 6 hands every honest holder the same bytes (its garbage is
+    /// certificate-sized and fails to decode), so holders of different
+    /// lengths reach the spread only when it is handed them. Here it is,
+    /// after a Byzantine decision with the dense shadow armed: a third of
+    /// the parties hold one certificate, a third a longer spliced one, and
+    /// the rest nothing. A receiver's copies are charged per holder byte
+    /// length: the table must match its per-link shadow, every tag
+    /// marginal must sum to its total, and each receiver's `SPREAD` bytes
+    /// must be the lengths of the copies it processed. The shadow is fed
+    /// the calls the spread makes, so only that last count catches a call
+    /// made with the wrong length.
+    #[test]
+    fn byzantine_spread_of_two_lengths_matches_the_per_link_shadow() {
+        use pba_aetree::fae::DisseminationResult;
+        use pba_crypto::prf::SubsetPrf;
+        use pba_crypto::sha256::Sha256;
+        use pba_net::wire::{self, tag};
+        use std::rc::Rc;
+        let n = 128;
+        let scheme = SnarkSrds::with_defaults();
+        let config = BaConfig::byzantine(n, 12, b"spread-two-lengths");
+        let mut service = Service::try_establish(&scheme, &config).expect("establishment");
+        service.net.metrics_mut().enable_shadow();
+        let committee = service.supreme_committee();
+        let inputs: BTreeMap<PartyId, u8> = committee.iter().map(|&p| (p, 1)).collect();
+        let out = service
+            .try_certified_round(&inputs)
+            .expect("byzantine decision");
+        assert_eq!(out.y, 1);
+        assert_eq!(service.net.metrics().shadow_divergence(), None);
+
+        let epoch = service.epoch;
+        let certificate = |value: Vec<u8>, seed: &[u8]| {
+            let seed = Sha256::digest(seed);
+            let sig = vec![0xaa; 40];
+            wire::encode_msg(&Certificate {
+                epoch,
+                value,
+                seed,
+                sig,
+            })
+        };
+        let held = [
+            certificate(vec![1], b"short"),
+            certificate(vec![1; 9], b"long"),
+        ];
+        assert_ne!(held[0].len(), held[1].len());
+        let holds = |p: usize| held.get(p % 3);
+        let per_party = (0..n).map(|p| holds(p).cloned().map(Rc::new)).collect();
+        let received = |service: &Service<'_, SnarkSrds>, r: PartyId| {
+            let m = service.net.metrics().party(r);
+            m.recv_by_tag.get(&tag::SPREAD).copied().unwrap_or(0)
+        };
+        let before: Vec<u64> = (0..n)
+            .map(|r| received(&service, PartyId::from(r)))
+            .collect();
+        service.spread(Some((&held[0], DisseminationResult { per_party })));
+        let metrics = service.net.metrics();
+        assert_eq!(metrics.shadow_divergence(), None);
+        assert!(metrics.tags_conserve_totals());
+
+        // Each honest receiver processed every honest holder's copy that
+        // named it, at that holder's length; some did at both lengths.
+        let k = service.params().committee_size.min(n - 1);
+        let honest = |p: PartyId| !service.corrupt().contains(&p);
+        let mut mixed = 0;
+        for r in (0..n as u64).map(PartyId).filter(|&r| honest(r)) {
+            let mut lens = BTreeMap::new();
+            for p in (0..n as u64).filter(|&p| p != r.0 && honest(PartyId(p))) {
+                let Some(bytes) = holds(p as usize) else {
+                    continue;
+                };
+                let seed = wire::decode_msg::<Certificate>(bytes)
+                    .expect("decodes")
+                    .seed;
+                if SubsetPrf::new(seed, n as u64, k).eval(p).contains(&r.0) {
+                    *lens.entry(bytes.len() as u64).or_insert(0u64) += 1;
+                }
+            }
+            let expected: u64 = lens.iter().map(|(len, copies)| len * copies).sum();
+            assert_eq!(received(&service, r) - before[r.index()], expected, "{r:?}");
+            mixed += usize::from(lens.len() == 2);
+        }
+        assert!(mixed > 0, "no receiver processed copies of both lengths");
+    }
+
     #[test]
     fn exhausted_budget_is_a_structured_error_not_a_panic() {
         // Default height 1 = capacity 2: the third certified round must be

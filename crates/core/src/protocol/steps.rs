@@ -423,9 +423,13 @@ where
         outcome.root_value
     }
 
-    /// Fig. 3 steps 7–8, holder by holder: a holder's PRF targets and the
-    /// outputs they settle, then its charges.
-    fn spread(&mut self, certified: Option<(&[u8], DisseminationResult)>) -> Vec<Option<Vec<u8>>> {
+    /// Fig. 3 steps 7–8, holder by holder: a holder's PRF targets, the
+    /// outputs they settle and its send charge. The receive side is charged
+    /// after the last holder, one call per receiver and holder byte length.
+    pub(super) fn spread(
+        &mut self,
+        certified: Option<(&[u8], DisseminationResult)>,
+    ) -> Vec<Option<Vec<u8>>> {
         let est = &self.est;
         let n = est.tree.params().n;
         let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
@@ -459,7 +463,13 @@ where
             }
             let committee_size = est.tree.params().committee_size;
             let subset_size = committee_size.min(n.saturating_sub(1)).max(1);
-            for (p, bytes) in held {
+            // Every processed copy as `receiver << 32 | holder index`
+            // (both < n), charged per receiver once all holders have sent.
+            // Reserved once: a growing vector would double past the step's
+            // peak.
+            debug_assert!(u32::try_from(n).is_ok(), "receipts pack ids in 32 bits");
+            let mut receipts: Vec<u64> = Vec::with_capacity(held.len() * subset_size);
+            for (holder, &(p, bytes)) in held.iter().enumerate() {
                 let Ok(cert) = wire::decode_msg::<Certificate>(bytes) else {
                     continue;
                 };
@@ -482,9 +492,25 @@ where
                 }
                 let metrics = self.net.metrics_mut();
                 metrics.record_sends_tagged(p, &targets, bytes.len(), tag::SPREAD);
-                for &r in targets.iter().filter(|r| processes(r)) {
-                    metrics.record_receive_tagged(r, p, bytes.len(), tag::SPREAD);
-                }
+                let processed = targets.iter().filter(|r| processes(r));
+                receipts.extend(processed.map(|r| r.0 << 32 | holder as u64));
+            }
+            // One receive charge per receiver and holder byte length: under
+            // the Byzantine profile holders may hold bytes of different
+            // lengths.
+            receipts.sort_unstable();
+            let receiver = |receipt: u64| PartyId(receipt >> 32);
+            let holder = |receipt: u64| held[receipt as u32 as usize];
+            let same_charge = |a: &u64, b: &u64| {
+                receiver(*a) == receiver(*b) && holder(*a).1.len() == holder(*b).1.len()
+            };
+            let metrics = self.net.metrics_mut();
+            let mut senders = Vec::new();
+            for run in receipts.chunk_by(same_charge) {
+                senders.clear();
+                senders.extend(run.iter().map(|&receipt| holder(receipt).0));
+                let (to, len) = (receiver(run[0]), holder(run[0]).1.len());
+                metrics.record_receives_tagged(to, &senders, len, tag::SPREAD);
             }
             self.net.bump_round();
         }

@@ -38,9 +38,13 @@
 //!
 //! A cell records its peers in two forms. The per-link paths
 //! ([`MetricsTable::record_send_tagged`],
-//! [`MetricsTable::record_receive_tagged`],
-//! [`MetricsTable::record_sends_tagged`]) name individuals, which go into
-//! two sorted id vectors by binary-search insertion. The committee path
+//! [`MetricsTable::record_receive_tagged`] and their bulk twins
+//! [`MetricsTable::record_sends_tagged`],
+//! [`MetricsTable::record_receives_tagged`]) name individuals, which go
+//! into two sorted `u32` id vectors: one id by binary-search insertion, a
+//! bulk call's ids in one merge. Every id a run names fits `u32`; a wider
+//! one (unit tests only) is kept as a reference to a one-id list in the
+//! pool below, which readers already expand. The committee path
 //! ([`MetricsTable::charge_exchange`]) names whole sides, and those are
 //! held *by reference*: every distinct sorted, deduplicated id list an
 //! exchange has named is interned once in a pool owned by the table, and
@@ -64,21 +68,24 @@
 //!
 //! Fig. 3 steps 3–8 move bytes committee to committee, so their call
 //! sites meter a whole exchange at once: [`MetricsTable::charge_exchange`]
-//! (every sender seat to every receiver seat) and the sender-half
-//! [`MetricsTable::record_sends_tagged`]. Both are *defined as* their
-//! per-link expansion into [`MetricsTable::record_send_tagged`] /
+//! (every sender seat to every receiver seat), the sender half
+//! [`MetricsTable::record_sends_tagged`] and the receiver half
+//! [`MetricsTable::record_receives_tagged`]. All three are *defined as*
+//! their per-link expansion into [`MetricsTable::record_send_tagged`] /
 //! [`MetricsTable::record_receive_tagged`] and are observationally
 //! identical to it, but touch each party's cell once per exchange instead
-//! of once per link: counters move by `bytes · k`, the tag marginal takes
-//! one bump, and the opposite side is one group reference. Seats listed
-//! several times count by multiplicity, and a party with `k = 0` links is
-//! never materialized (DESIGN.md §4b "Committee-granular metering").
+//! of once per link: counters move by `bytes · k` and the tag marginal
+//! takes one bump. Seats listed several times count by multiplicity, and
+//! a party with `k = 0` links is never materialized (DESIGN.md §4b
+//! "Committee-granular metering").
 //!
-//! The step 7–8 spread stays per id on purpose: a sender's targets are a
-//! PRF-chosen subset that is fresh for every (sender, epoch), so interning
-//! them would add `n` lists per instance that nothing ever references
-//! twice. `record_sends_tagged` moves the counters once and inserts the
-//! targets one by one.
+//! The opposite side of a committee exchange is one group reference. The
+//! step 7–8 spread keeps ids instead: a sender's targets are a PRF-chosen
+//! subset that is fresh for every (sender, epoch), so interning them would
+//! add `n` lists per instance that nothing ever references twice. The
+//! spread charges each holder's sends with one `record_sends_tagged` and
+//! each receiver's processed copies with one `record_receives_tagged` per
+//! holder byte length, so every cell merges its new ids once per step.
 //!
 //! # Differential oracle
 //!
@@ -159,10 +166,11 @@ struct PartyCell {
     bytes_received: u64,
     msgs_sent: u64,
     msgs_received: u64,
-    /// Sorted, deduplicated ids of the per-link paths (outbound).
-    peers_out: Vec<u64>,
+    /// Sorted, deduplicated ids of the per-link paths (outbound). An id
+    /// past `u32` is held in `groups_out` instead ([`add_peers`]).
+    peers_out: Vec<u32>,
     /// Sorted, deduplicated ids of the per-link paths (inbound).
-    peers_in: Vec<u64>,
+    peers_in: Vec<u32>,
     /// Distinct groups this party sent to as a whole, in first-use order.
     groups_out: Vec<GroupRef>,
     /// Distinct groups this party received from as a whole.
@@ -209,7 +217,12 @@ impl GroupPool {
     /// Index of the ids of `counts` (a [`seat_counts`] list), interning
     /// them on first sight.
     fn intern(&mut self, counts: &[(u64, u64)]) -> u32 {
-        let ids: Vec<u64> = counts.iter().map(|e| e.0).collect();
+        self.intern_ids(counts.iter().map(|e| e.0).collect())
+    }
+
+    /// Index of the sorted, deduplicated list `ids`, interned on first
+    /// sight.
+    fn intern_ids(&mut self, ids: Vec<u64>) -> u32 {
         if let Some(&group) = self.index.get(ids.as_slice()) {
             return group;
         }
@@ -225,10 +238,47 @@ impl GroupPool {
     }
 }
 
-fn insert_sorted(v: &mut Vec<u64>, x: u64) {
-    if let Err(pos) = v.binary_search(&x) {
-        v.insert(pos, x);
+/// Adds the peers a per-link path named to one direction of a cell: an id
+/// that fits `u32` to the sorted vector `ids`, a wider one as a reference
+/// to its one-id list in `pool`. Every id of a protocol run fits
+/// (`Network::stage` range-checks both endpoints, and the spread samples
+/// from `[n]`); only unit tests name wider ones. One peer is a
+/// binary-search insertion into `ids`, which grows as a `Vec` does.
+/// Several are appended under one exact reservation, then sorted and
+/// deduplicated once; the stable sort keeps the sorted prefix as one run
+/// and merges the new ids into it.
+fn add_peers(
+    ids: &mut Vec<u32>,
+    groups: &mut Vec<GroupRef>,
+    pool: &mut GroupPool,
+    peers: &[PartyId],
+) {
+    let mut add_wide = |id: u64| {
+        let group = GroupRef::new(pool.intern_ids(vec![id]), false);
+        if !groups.contains(&group) {
+            groups.push(group);
+        }
+    };
+    if let [peer] = peers {
+        match u32::try_from(peer.0) {
+            Ok(id) => {
+                if let Err(pos) = ids.binary_search(&id) {
+                    ids.insert(pos, id);
+                }
+            }
+            Err(_) => add_wide(peer.0),
+        }
+        return;
     }
+    ids.reserve_exact(peers.len());
+    for peer in peers {
+        match u32::try_from(peer.0) {
+            Ok(id) => ids.push(id),
+            Err(_) => add_wide(peer.0),
+        }
+    }
+    ids.sort();
+    ids.dedup();
 }
 
 fn bump_tag(v: &mut Vec<(u8, u64)>, tag: u8, bytes: u64) {
@@ -407,9 +457,10 @@ impl MetricsTable {
         let Some(cell) = self.cells[id.index()].as_deref() else {
             return PartyMetrics::default();
         };
-        let peers = |ids: &[u64], groups: &[GroupRef]| -> BTreeSet<PartyId> {
+        let peers = |ids: &[u32], groups: &[GroupRef]| -> BTreeSet<PartyId> {
             let grouped = groups.iter().flat_map(|&g| self.members(g, id.0));
-            ids.iter().copied().chain(grouped).map(PartyId).collect()
+            let ids = ids.iter().map(|&p| u64::from(p));
+            ids.chain(grouped).map(PartyId).collect()
         };
         PartyMetrics {
             bytes_sent: cell.bytes_sent,
@@ -429,7 +480,7 @@ impl MetricsTable {
         seen.next_cell();
         let mut count = 0u64;
         for &p in cell.peers_out.iter().chain(&cell.peers_in) {
-            count += u64::from(seen.first_visit(p));
+            count += u64::from(seen.first_visit(u64::from(p)));
         }
         // Most groups are met in both directions: walk those once.
         let inbound = cell
@@ -509,27 +560,38 @@ impl MetricsTable {
 
     /// Records a sent envelope, attributing its bytes to a wire tag.
     pub fn record_send_tagged(&mut self, from: PartyId, to: PartyId, bytes: usize, tag: u8) {
-        if let Some(shadow) = self.shadow.as_deref_mut() {
-            shadow.record_send_tagged(from, to, bytes, tag);
-        }
-        let m = self.cell_mut(from.index());
-        m.bytes_sent += bytes as u64;
-        m.msgs_sent += 1;
-        insert_sorted(&mut m.peers_out, to.0);
-        bump_tag(&mut m.sent_by_tag, tag, bytes as u64);
+        self.record_sends_tagged(from, &[to], bytes, tag);
     }
 
     /// Records a received-and-processed envelope, attributing its bytes to
     /// a wire tag.
     pub fn record_receive_tagged(&mut self, to: PartyId, from: PartyId, bytes: usize, tag: u8) {
+        self.record_receives_tagged(to, &[from], bytes, tag);
+    }
+
+    /// The receiver half of a fan-in: `to` receives and processes `bytes`
+    /// from every entry of `from` — **defined as** one
+    /// [`MetricsTable::record_receive_tagged`] per entry, and the attached
+    /// dense shadow is fed exactly that. The cell is touched once: the
+    /// counters and the tag marginal move by `bytes · from.len()` and the
+    /// peers merge in one pass. An empty `from` materializes no cell. The
+    /// step 7–8 spread charges each receiver's processed copies with one
+    /// call per holder byte length.
+    pub fn record_receives_tagged(&mut self, to: PartyId, from: &[PartyId], bytes: usize, tag: u8) {
         if let Some(shadow) = self.shadow.as_deref_mut() {
-            shadow.record_receive_tagged(to, from, bytes, tag);
+            for &s in from {
+                shadow.record_receive_tagged(to, s, bytes, tag);
+            }
         }
-        let m = self.cell_mut(to.index());
-        m.bytes_received += bytes as u64;
-        m.msgs_received += 1;
-        insert_sorted(&mut m.peers_in, from.0);
-        bump_tag(&mut m.recv_by_tag, tag, bytes as u64);
+        if from.is_empty() {
+            return;
+        }
+        let (links, bytes) = (from.len() as u64, bytes as u64);
+        let m = self.cells[to.index()].get_or_insert_with(Default::default);
+        m.bytes_received += bytes * links;
+        m.msgs_received += links;
+        add_peers(&mut m.peers_in, &mut m.groups_in, &mut self.groups, from);
+        bump_tag(&mut m.recv_by_tag, tag, bytes * links);
     }
 
     /// Charges one committee-to-committee exchange: every seat of `senders`
@@ -614,28 +676,30 @@ impl MetricsTable {
 
     /// The sender half of a fan-out: `from` sends `bytes` to every entry
     /// of `to` — **defined as** one [`MetricsTable::record_send_tagged`]
-    /// per entry; the counters move once, the peers go in id by id. For
-    /// exchanges whose receive side is decided per link (the step 7–8
-    /// spread: corrupt and offline addressees never process their copy) —
-    /// and whose targets are a fresh PRF-chosen subset per sender and
-    /// epoch, which interned as groups would grow the pool by `n` lists an
-    /// instance and never be referenced twice.
+    /// per entry, and the attached dense shadow is fed exactly that. The
+    /// cell is touched once: the counters and the tag marginal move by
+    /// `bytes · to.len()`, and the targets merge into the sorted peer ids
+    /// in one pass (one reservation, one sort, one dedup). An empty `to`
+    /// materializes no cell. For exchanges whose receive side is decided
+    /// per link (the step 7–8 spread: corrupt and offline addressees never
+    /// process their copy) and whose targets are a fresh PRF-chosen subset
+    /// per sender and epoch, which interned as groups would grow the pool
+    /// by `n` lists an instance and never be referenced twice.
     pub fn record_sends_tagged(&mut self, from: PartyId, to: &[PartyId], bytes: usize, tag: u8) {
         if let Some(shadow) = self.shadow.as_deref_mut() {
             for &r in to {
                 shadow.record_send_tagged(from, r, bytes, tag);
             }
         }
-        let (links, bytes) = (to.len() as u64, bytes as u64);
-        if links > 0 {
-            let m = self.cell_mut(from.index());
-            m.bytes_sent += bytes * links;
-            m.msgs_sent += links;
-            for peer in to {
-                insert_sorted(&mut m.peers_out, peer.0);
-            }
-            bump_tag(&mut m.sent_by_tag, tag, bytes * links);
+        if to.is_empty() {
+            return;
         }
+        let (links, bytes) = (to.len() as u64, bytes as u64);
+        let m = self.cells[from.index()].get_or_insert_with(Default::default);
+        m.bytes_sent += bytes * links;
+        m.msgs_sent += links;
+        add_peers(&mut m.peers_out, &mut m.groups_out, &mut self.groups, to);
+        bump_tag(&mut m.sent_by_tag, tag, bytes * links);
     }
 
     /// Charges synthetic communication to a party under a wire tag — used
@@ -1364,6 +1428,61 @@ mod tests {
         assert_eq!(bulk.allocated_cells(), 1, "sender side only");
         assert_eq!(bulk.shadow_divergence(), None);
         assert!(bulk.tags_conserve_totals());
+    }
+
+    #[test]
+    fn receives_equal_per_link_receives() {
+        let senders = ids(&[5, 1, 5, 2, 7]);
+        let mut bulk = MetricsTable::new(8);
+        bulk.enable_shadow();
+        bulk.record_receives_tagged(PartyId(2), &senders, 11, 6);
+        bulk.record_receives_tagged(PartyId(2), &ids(&[3, 1]), 4, 6);
+        let mut per_link = MetricsTable::new(8);
+        for &s in &senders {
+            per_link.record_receive_tagged(PartyId(2), s, 11, 6);
+        }
+        for s in ids(&[3, 1]) {
+            per_link.record_receive_tagged(PartyId(2), s, 4, 6);
+        }
+        let m = bulk.party(PartyId(2));
+        assert_eq!((m.bytes_received, m.msgs_received), (63, 7));
+        assert_eq!(m.peers_in, ids(&[1, 2, 3, 5, 7]).into_iter().collect());
+        assert_eq!(m, per_link.party(PartyId(2)));
+        assert_eq!(bulk.report(), per_link.report());
+        assert_eq!(bulk.allocated_cells(), 1, "receiver side only");
+        bulk.record_receives_tagged(PartyId(4), &[], 9, 6);
+        assert_eq!(
+            bulk.allocated_cells(),
+            1,
+            "an empty fan-in materializes nothing"
+        );
+        assert_eq!(bulk.shadow_divergence(), None);
+        assert!(bulk.tags_conserve_totals());
+    }
+
+    #[test]
+    fn wide_peers_through_the_bulk_calls_are_kept_and_counted() {
+        // Ids past `u32` go to one-id groups, interned once across both
+        // directions and both calls, and expand like any other peer.
+        let (far, farther) = (PartyId(1 << 32), PartyId(u64::MAX));
+        let mut t = MetricsTable::new(4);
+        t.enable_shadow();
+        t.record_sends_tagged(PartyId(0), &[far, PartyId(3), far, farther], 5, 2);
+        t.record_receives_tagged(PartyId(0), &[farther, PartyId(1), far], 5, 2);
+        t.record_receives_tagged(PartyId(2), &[far, far], 7, 2);
+        assert_eq!(t.peer_groups(), 2);
+        let m = t.party(PartyId(0));
+        assert_eq!(
+            m.peers_out,
+            [PartyId(3), far, farther].into_iter().collect()
+        );
+        assert_eq!(m.peers_in, [PartyId(1), far, farther].into_iter().collect());
+        assert_eq!((m.msgs_sent, m.msgs_received), (4, 3));
+        assert_eq!(m.locality(), 4);
+        assert_eq!(t.party(PartyId(2)).bytes_received, 14);
+        assert_eq!(t.report().max_locality, 4);
+        assert_eq!(t.shadow_divergence(), None);
+        assert!(t.tags_conserve_totals());
     }
 
     #[test]

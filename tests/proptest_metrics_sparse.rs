@@ -55,10 +55,17 @@ enum Op {
         tag: u8,
         skip_self: bool,
     },
-    /// [`MetricsTable::record_sends_tagged`].
+    /// [`MetricsTable::record_sends_tagged`]; targets may repeat.
     Sends {
         from: usize,
         to: Vec<usize>,
+        bytes: usize,
+        tag: u8,
+    },
+    /// [`MetricsTable::record_receives_tagged`]; senders may repeat.
+    Receives {
+        to: usize,
+        from: Vec<usize>,
         bytes: usize,
         tag: u8,
     },
@@ -83,7 +90,19 @@ fn random_op(rng: &mut TestRng, n: usize, earlier: &[Op]) -> Op {
     fn seats(rng: &mut TestRng, n: u64) -> Vec<usize> {
         (0..rng.below(49)).map(|_| rng.below(n) as usize).collect()
     }
-    match rng.below(7) {
+    // Seats of a bulk per-link call: one in sixteen is an id past `u32`,
+    // which the table keeps apart from the `u32` peer ids.
+    fn peers(rng: &mut TestRng, n: u64) -> Vec<usize> {
+        let wide = |p: usize| (1usize << 32) + p % 3;
+        let mut peers = seats(rng, n);
+        for p in &mut peers {
+            if rng.below(16) == 0 {
+                *p = wide(*p);
+            }
+        }
+        peers
+    }
+    match rng.below(8) {
         0 => Op::Send {
             from: rng.below(n) as usize,
             to: rng.below(n) as usize,
@@ -111,11 +130,17 @@ fn random_op(rng: &mut TestRng, n: usize, earlier: &[Op]) -> Op {
         },
         4 => Op::Sends {
             from: rng.below(n) as usize,
-            to: seats(rng, n),
+            to: peers(rng, n),
             bytes: rng.below(3) as usize * 100,
             tag: rng.below(8) as u8,
         },
-        5 => replay(rng, earlier),
+        5 => Op::Receives {
+            to: rng.below(n) as usize,
+            from: peers(rng, n),
+            bytes: rng.below(3) as usize * 100,
+            tag: rng.below(8) as u8,
+        },
+        6 => replay(rng, earlier),
         _ => Op::BumpRound,
     }
 }
@@ -168,7 +193,8 @@ fn touched(op: &Op) -> Vec<usize> {
             senders, receivers, ..
         } => [senders.as_slice(), receivers].concat(),
         Op::Sends { from, to, .. } if !to.is_empty() => vec![*from],
-        Op::Sends { .. } | Op::BumpRound => vec![],
+        Op::Receives { to, from, .. } if !from.is_empty() => vec![*to],
+        Op::Sends { .. } | Op::Receives { .. } | Op::BumpRound => vec![],
     }
 }
 
@@ -189,6 +215,12 @@ fn apply_sparse(table: &mut MetricsTable, op: &Op) {
             bytes,
             tag,
         } => table.record_sends_tagged(PartyId(from as u64), &ids(to), bytes, tag),
+        Op::Receives {
+            to,
+            ref from,
+            bytes,
+            tag,
+        } => table.record_receives_tagged(PartyId(to as u64), &ids(from), bytes, tag),
         Op::Send {
             from,
             to,
@@ -249,6 +281,16 @@ fn apply_dense(table: &mut DenseMetricsTable, op: &Op) {
         } => {
             for &r in &ids(to) {
                 table.record_send_tagged(PartyId(from as u64), r, bytes, tag);
+            }
+        }
+        Op::Receives {
+            to,
+            ref from,
+            bytes,
+            tag,
+        } => {
+            for &s in &ids(from) {
+                table.record_receive_tagged(PartyId(to as u64), s, bytes, tag);
             }
         }
         Op::Send {
