@@ -53,6 +53,7 @@ use pba_net::faults::StrategySpec;
 use pba_net::{Network, PartyId};
 use pba_srds::traits::Srds;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Per-slot signing material, governed by [`KeyPolicy`].
 enum KeyStore<S: Srds> {
@@ -84,33 +85,50 @@ pub(crate) struct Established<'a, S: Srds> {
     threads: usize,
 }
 
+/// `0..len` cut into `workers.clamp(1, len.max(1))` contiguous chunks, in
+/// order.
+fn chunks(len: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let workers = workers.clamp(1, len.max(1));
+    (0..workers).map(move |w| w * len / workers..(w + 1) * len / workers)
+}
+
+/// `jobs.map(f).collect()` with the first job on the calling thread and
+/// each other on a scoped thread of its own, joined in job order. A job's
+/// panic resumes in the caller.
+fn par_jobs<J: Send, T: Send>(jobs: Vec<J>, f: impl Fn(J) -> T + Sync) -> Vec<T> {
+    let f = &f;
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = jobs.map(|job| scope.spawn(move || f(job))).collect();
+        let mut out = vec![f(first)];
+        out.extend(rest.into_iter().map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e))
+        }));
+        out
+    })
+}
+
 /// `(0..len).map(f).collect()` on up to `workers` threads: `0..len` is cut
-/// into contiguous chunks, the caller maps the first and one scoped thread
-/// maps each other, and the chunks are joined in order, so the output is
-/// the same at every worker count. A worker's panic resumes in the caller.
+/// into contiguous [`chunks`], mapped by [`par_jobs`] and joined in order,
+/// so the output is the same at every worker count.
 pub(crate) fn par_map<T: Send>(
     len: usize,
     workers: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let workers = workers.clamp(1, len.max(1));
-    let chunk = |w: usize| w * len / workers..(w + 1) * len / workers;
-    let f = &f;
-    std::thread::scope(|scope| {
-        let rest: Vec<_> = (1..workers)
-            .map(|w| scope.spawn(move || chunk(w).map(f).collect::<Vec<T>>()))
-            .collect();
-        let mut out: Vec<T> = Vec::with_capacity(len);
-        out.extend(chunk(0).map(f));
-        for worker in rest {
-            out.extend(
-                worker
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            );
-        }
-        out
-    })
+    let mapped = par_jobs(chunks(len, workers).collect(), |chunk| {
+        chunk.map(&f).collect::<Vec<T>>()
+    });
+    let mut out = Vec::with_capacity(len);
+    for chunk in mapped {
+        out.extend(chunk);
+    }
+    out
 }
 
 /// An established `π_ba` service: the established half fixed at setup,
@@ -140,8 +158,10 @@ pub struct Service<'a, S: Srds> {
 
 #[cfg(test)]
 mod tests {
+    use super::service::generate_keys;
     use super::*;
     use pba_net::corruption::CorruptionPlan;
+    use pba_srds::multisig::MultisigSrds;
     use pba_srds::owf::OwfSrds;
     use pba_srds::snark::SnarkSrds;
     use std::collections::BTreeMap;
@@ -189,6 +209,87 @@ mod tests {
                 });
                 assert!(run.is_err(), "len {len}, workers {workers}, bad {bad}");
             }
+        }
+    }
+
+    /// Establishment's keygen pass at workers 1, 2, 3, 8 and slots + 3:
+    /// Lazy keys give Eager's vks at every count, and the residue and key
+    /// board of Eager's signing keys.
+    #[test]
+    fn lazy_keygen_is_the_same_at_every_worker_count() {
+        fn check<S: Srds, B: PartialEq + std::fmt::Debug>(
+            scheme: &S,
+            board: impl Fn(&S::KeyBoard) -> B,
+        ) {
+            let config = BaConfig::honest(48, b"keygen-workers");
+            let tree = charged_tree(config.n, config.z, &config.seed);
+            let slots = tree.params().total_slots();
+            let prg = Prg::from_seed_label(&config.seed, "pi-ba");
+            let pp = scheme.setup(slots, &mut prg.child("setup", 0));
+            let keygen = |policy, workers| generate_keys(scheme, &pp, &prg, &tree, policy, workers);
+            let (eager_vks, KeyStore::Eager(sks)) = keygen(KeyPolicy::Eager, 1) else {
+                panic!("Eager keeps signing keys");
+            };
+            let mut eager_residue = Vec::new();
+            for sk in &sks {
+                scheme.key_residue(&pp, sk, &mut eager_residue);
+            }
+            assert!(!eager_residue.is_empty());
+            let eager_board = board(&scheme.prepare(&pp, &eager_vks));
+            for workers in [1, 2, 3, 8, slots + 3] {
+                let (vks, KeyStore::Lazy { residue, .. }) = keygen(KeyPolicy::Lazy, workers) else {
+                    panic!("Lazy keeps residue");
+                };
+                assert!(vks == eager_vks, "vks at {workers} workers");
+                assert!(residue == eager_residue, "residue at {workers} workers");
+                assert_eq!(
+                    board(&scheme.prepare(&pp, &vks)),
+                    eager_board,
+                    "{workers} workers"
+                );
+            }
+        }
+        check(&SnarkSrds::with_defaults(), |board| board.root());
+        check(&MultisigSrds::with_defaults(), Clone::clone);
+    }
+
+    /// Step 4's `SIG_SUBMIT` charge is a bulk call the dense shadow cannot
+    /// check, so each honest party's sent bytes are recounted from the
+    /// tree: every slot it owns submits one signature to the distinct
+    /// members of its leaf committee other than itself.
+    #[test]
+    fn sig_submit_bytes_are_each_slots_leaf_committee_times_the_signature_length() {
+        use pba_net::wire::tag;
+        let n = 128;
+        let scheme = SnarkSrds::with_defaults();
+        let config = BaConfig::byzantine(n, 12, b"sig-submit-recount");
+        let mut service = Service::try_establish(&scheme, &config).expect("establishment");
+        let committee = service.supreme_committee();
+        let inputs: BTreeMap<PartyId, u8> = committee.iter().map(|&p| (p, 1)).collect();
+        let out = service
+            .try_certified_round(&inputs)
+            .expect("byzantine decision");
+        assert_eq!(out.y, 1);
+        let est = &service.est;
+        let sig = est
+            .sign_slot(0, 0, b"any message")
+            .expect("SNARK keys sign");
+        let len = scheme.signature_len(&sig) as u64;
+        let metrics = service.net.metrics();
+        for &p in service.honest() {
+            let expected: u64 = est
+                .tree
+                .party_slots(p)
+                .iter()
+                .map(|&slot| {
+                    let leaf = est.tree.slot_leaf(slot);
+                    let others: BTreeSet<PartyId> =
+                        est.tree.committee(0, leaf).iter().copied().collect();
+                    (others.len() - usize::from(others.contains(&p))) as u64 * len
+                })
+                .sum();
+            let sent = metrics.party(p).sent_by_tag.get(&tag::SIG_SUBMIT).copied();
+            assert_eq!(sent.unwrap_or(0), expected, "{p:?}");
         }
     }
 

@@ -3,8 +3,8 @@
 //! accessors and the small helpers every later step leans on.
 
 use super::{
-    AdversaryProfile, BaConfig, Established, Establishment, KeyError, KeyPolicy, KeyStore,
-    ProtocolError, ProtocolPhase, Service,
+    chunks, par_jobs, AdversaryProfile, BaConfig, Established, Establishment, KeyError, KeyPolicy,
+    KeyStore, ProtocolError, ProtocolPhase, Service,
 };
 use crate::phase_king::PkEquivocator;
 use pba_aetree::analysis::adaptive_targets;
@@ -14,6 +14,7 @@ use pba_aetree::tree::Tree;
 use pba_crypto::codec::{Decode, Encode};
 use pba_crypto::mss::LeafBudget;
 use pba_crypto::prg::Prg;
+use pba_crypto::sha256::Digest;
 use pba_net::corruption::CorruptionPlan;
 use pba_net::faults::StrategySpec;
 use pba_net::runner::{Adversary, SilentAdversary};
@@ -43,12 +44,80 @@ pub fn charged_tree(n: usize, z: usize, seed: &[u8]) -> Tree {
     Tree::build(&TreeParams::scaled(n, z), &tree_seed)
 }
 
-/// The PRG that generates `owner`'s `j`-th key: a pure child of the session
-/// PRG, so a slot's key is the same key whenever it is (re)generated.
-pub(super) fn slot_keygen_prg(session_prg: &Prg, owner: usize, j: usize) -> Prg {
+/// The PRG that generates virtual identity `slot`'s key: its owner's `j`-th
+/// key, `j` the slot's rank among the owner's (sorted) slots. A pure child
+/// of the session PRG read off the tree alone, so a slot's key is the same
+/// key whenever, and on whichever thread, it is (re)generated.
+pub(super) fn slot_keygen_prg(session_prg: &Prg, tree: &Tree, slot: u64) -> Prg {
+    let owner = tree.slot_party(slot);
+    let j = tree
+        .party_slots(owner)
+        .binary_search(&slot)
+        .expect("a slot is among its owner's slots");
     session_prg
-        .child("party-keys", owner as u64)
+        .child("party-keys", owner.0)
         .child("slot", j as u64)
+}
+
+/// Establishment's keygen pass: every slot's verification key, and what
+/// `policy` keeps of its signing half. Under [`KeyPolicy::Lazy`] the slots
+/// are cut into one contiguous chunk per worker and run by [`par_jobs`]: a
+/// worker drops each signing key as soon as its residue is taken, writes
+/// the residue into its chunk's own disjoint run of the preallocated flat
+/// store, and the chunks' verification keys join in slot order.
+/// [`KeyPolicy::Eager`] runs on the calling thread whatever `workers` says:
+/// its store keeps every signing key on the heap, and a key built on a
+/// worker would stay in that thread's malloc arena (DESIGN.md "Keys that
+/// sign"). Keys, residue and their order are the same at every worker
+/// count.
+pub(super) fn generate_keys<S: Srds>(
+    scheme: &S,
+    pp: &S::PublicParams,
+    prg: &Prg,
+    tree: &Tree,
+    policy: KeyPolicy,
+    workers: usize,
+) -> (Vec<S::VerificationKey>, KeyStore<S>) {
+    let total_slots = tree.params().total_slots();
+    let keygen = |slot: usize| scheme.keygen(pp, &mut slot_keygen_prg(prg, tree, slot as u64));
+    match policy {
+        KeyPolicy::Eager => {
+            let (vks, sks) = (0..total_slots).map(keygen).unzip();
+            (vks, KeyStore::Eager(sks))
+        }
+        KeyPolicy::Lazy => {
+            let stride = scheme.key_residue_len(pp);
+            let mut residue = vec![Digest::ZERO; total_slots * stride];
+            let mut unclaimed = residue.as_mut_slice();
+            let jobs: Vec<_> = chunks(total_slots, workers)
+                .map(|slots| {
+                    let (run, rest) =
+                        std::mem::take(&mut unclaimed).split_at_mut(slots.len() * stride);
+                    unclaimed = rest;
+                    (slots, run)
+                })
+                .collect();
+            let chunk_vks = par_jobs(jobs, |(slots, run)| {
+                let mut digests = Vec::with_capacity(stride);
+                let first = slots.start;
+                slots
+                    .map(|slot| {
+                        let (vk, sk) = keygen(slot);
+                        digests.clear();
+                        scheme.key_residue(pp, &sk, &mut digests);
+                        let at = (slot - first) * stride;
+                        run[at..at + stride].copy_from_slice(&digests);
+                        vk
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let mut vks = Vec::with_capacity(total_slots);
+            for chunk in chunk_vks {
+                vks.extend(chunk);
+            }
+            (vks, KeyStore::Lazy { residue, stride })
+        }
+    }
 }
 
 impl<'a, S> Service<'a, S>
@@ -91,12 +160,12 @@ where
         }
 
         // Setup: SRDS public parameters. Keys are generated per occupied
-        // slot in the idmap loop below, once the tree says who sits where.
+        // slot in the keygen pass below, once the tree says who sits where.
         let pp = scheme.setup(total_slots, &mut prg.child("setup", 0));
 
         // Corruption: adaptive during setup — the model shows the adversary
         // every public key first. Here the keys are only materialized in
-        // the idmap loop below, which no run can observe: no plan reads a
+        // the keygen pass below, which no run can observe: no plan reads a
         // key, and each key is a pure function of its own PRG child, the
         // same key whenever it is generated. Or, for
         // [`CorruptionPlan::Adaptive`], adaptive *post-setup*: the
@@ -184,34 +253,8 @@ where
         // idmap: slot s ↔ owner's j-th key, generated here — one keygen per
         // occupied slot. The board keeps the verification key; the policy
         // decides what stays of the signing half.
-        let stride = scheme.key_residue_len(&pp);
-        let mut occurrence: Vec<usize> = vec![0; n];
-        let mut vks: Vec<S::VerificationKey> = Vec::with_capacity(total_slots);
-        let mut keys = match config.key_policy {
-            KeyPolicy::Eager => KeyStore::Eager(Vec::with_capacity(total_slots)),
-            KeyPolicy::Lazy => KeyStore::Lazy {
-                residue: Vec::with_capacity(total_slots * stride),
-                stride,
-            },
-        };
-        for s in 0..total_slots as u64 {
-            let owner = tree.slot_party(s).index();
-            let j = occurrence[owner];
-            occurrence[owner] += 1;
-            let (vk, sk) = scheme.keygen(&pp, &mut slot_keygen_prg(&prg, owner, j));
-            match &mut keys {
-                KeyStore::Eager(sks) => sks.push(sk),
-                KeyStore::Lazy { residue, stride } => {
-                    scheme.key_residue(&pp, &sk, residue);
-                    assert_eq!(
-                        residue.len(),
-                        (s as usize + 1) * *stride,
-                        "key residue is one fixed stride per slot"
-                    );
-                }
-            }
-            vks.push(vk);
-        }
+        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+        let (vks, keys) = generate_keys(scheme, &pp, &prg, &tree, config.key_policy, workers);
         let keyboard = scheme.prepare(&pp, &vks);
 
         let budget = scheme.epoch_capacity(&pp).map(LeafBudget::new);

@@ -694,21 +694,11 @@ where
                     .sign_epoch(&self.pp, slot, &sks[slot as usize], epoch, message)
             }
             KeyStore::Lazy { residue, stride } => {
-                // The slot is its owner's `j`-th key, `j` its rank among
-                // the owner's (sorted) slots — the establishment loop's
-                // occurrence count.
-                let owner = self.tree.slot_party(slot);
-                let j = self
-                    .tree
-                    .party_slots(owner)
-                    .binary_search(&slot)
-                    .expect("a slot is among its owner's slots");
-                let owner = owner.index();
                 let at = slot as usize * stride;
                 self.scheme.sign_epoch_rederived(
                     &self.pp,
                     slot,
-                    &slot_keygen_prg(&self.prg, owner, j),
+                    &slot_keygen_prg(&self.prg, &self.tree, slot),
                     &residue[at..at + stride],
                     epoch,
                     message,

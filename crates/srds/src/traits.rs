@@ -56,13 +56,14 @@ pub struct CacheStats {
 /// participants (see the "Notation n" remark under Definition 2.1).
 ///
 /// The scheme, its setup and keys are shared across threads and its
-/// signatures move between them, so `π_ba`'s leaves sign and aggregate on
-/// every core (Fig. 3 step 4).
+/// signatures and verification keys move between them, so `π_ba`'s leaves
+/// sign and aggregate on every core (Fig. 3 step 4), and so do the keygens
+/// of an establishment that keeps no signing key.
 pub trait Srds: Sync {
     /// Public parameters `pp` output by `Setup`.
     type PublicParams: Clone + Sync;
     /// A verification key.
-    type VerificationKey: Clone + PartialEq + fmt::Debug;
+    type VerificationKey: Clone + PartialEq + fmt::Debug + Send;
     /// A signing key (may internally be "no key" for sortition schemes —
     /// `Sign` then returns `None`, the paper's `⊥`).
     type SigningKey: Clone + Sync;
