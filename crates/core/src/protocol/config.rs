@@ -115,15 +115,16 @@ pub struct BaConfig {
     /// misbehaviour). Built deterministically from the execution seed.
     pub chaos: Option<StrategySpec>,
     /// Worker threads for the committee sub-protocol round engine
-    /// (`0` and `1` both mean sequential). Larger values run honest
-    /// machines on a phase-persistent worker pool that claims
-    /// equal-count chunks from one queue; any value — including more
+    /// (`0` and `1` both mean sequential). Larger values cut each round's
+    /// honest machines into that many contiguous runs, stepped as scoped
+    /// jobs ([`pba_net::par::par_jobs`]); any value — including more
     /// threads than parties — yields a bit-identical execution (see
     /// [`pba_net::run_phase_threaded`], which also reads the delivery
     /// window and slack off the timing model installed at establishment),
-    /// so this is purely a wall-clock knob. It sizes that pool only:
-    /// Fig. 3 step 4 splits its leaves across the host's cores whatever
-    /// this says, since its output is identical at any worker count.
+    /// so this is purely a wall-clock knob. It sizes the round engine
+    /// only: Fig. 3 step 4 and Lazy keygen split their work across the
+    /// host's cores whatever this says, since their output is identical
+    /// at any worker count.
     pub threads: usize,
     /// When signing-key material is instantiated (see [`KeyPolicy`]).
     pub key_policy: KeyPolicy,
@@ -162,7 +163,7 @@ impl BaConfig {
 
     /// Returns the configuration with the round-engine thread count set.
     /// `0` is accepted and runs the sequential engine, as does `1`; the
-    /// runner caps the pool at the machine count, so over-subscription is
+    /// runner cuts at most one run per machine, so over-subscription is
     /// safe too.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

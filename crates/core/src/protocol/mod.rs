@@ -53,7 +53,6 @@ use pba_net::faults::StrategySpec;
 use pba_net::{Network, PartyId};
 use pba_srds::traits::Srds;
 use std::collections::BTreeSet;
-use std::ops::Range;
 
 /// Per-slot signing material, governed by [`KeyPolicy`].
 enum KeyStore<S: Srds> {
@@ -83,52 +82,6 @@ pub(crate) struct Established<'a, S: Srds> {
     prg: Prg,
     profile: AdversaryProfile,
     threads: usize,
-}
-
-/// `0..len` cut into `workers.clamp(1, len.max(1))` contiguous chunks, in
-/// order.
-fn chunks(len: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
-    let workers = workers.clamp(1, len.max(1));
-    (0..workers).map(move |w| w * len / workers..(w + 1) * len / workers)
-}
-
-/// `jobs.map(f).collect()` with the first job on the calling thread and
-/// each other on a scoped thread of its own, joined in job order. A job's
-/// panic resumes in the caller.
-fn par_jobs<J: Send, T: Send>(jobs: Vec<J>, f: impl Fn(J) -> T + Sync) -> Vec<T> {
-    let f = &f;
-    let mut jobs = jobs.into_iter();
-    let Some(first) = jobs.next() else {
-        return Vec::new();
-    };
-    std::thread::scope(|scope| {
-        let rest: Vec<_> = jobs.map(|job| scope.spawn(move || f(job))).collect();
-        let mut out = vec![f(first)];
-        out.extend(rest.into_iter().map(|worker| {
-            worker
-                .join()
-                .unwrap_or_else(|e| std::panic::resume_unwind(e))
-        }));
-        out
-    })
-}
-
-/// `(0..len).map(f).collect()` on up to `workers` threads: `0..len` is cut
-/// into contiguous [`chunks`], mapped by [`par_jobs`] and joined in order,
-/// so the output is the same at every worker count.
-pub(crate) fn par_map<T: Send>(
-    len: usize,
-    workers: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let mapped = par_jobs(chunks(len, workers).collect(), |chunk| {
-        chunk.map(&f).collect::<Vec<T>>()
-    });
-    let mut out = Vec::with_capacity(len);
-    for chunk in mapped {
-        out.extend(chunk);
-    }
-    out
 }
 
 /// An established `π_ba` service: the established half fixed at setup,
@@ -165,52 +118,6 @@ mod tests {
     use pba_srds::owf::OwfSrds;
     use pba_srds::snark::SnarkSrds;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Every `(len, workers)` pair the `par_map` tests run, including more
-    /// workers than items.
-    fn par_map_shapes() -> impl Iterator<Item = (usize, usize)> {
-        [0, 1, 2, 5, 64]
-            .into_iter()
-            .flat_map(|len| [1, 2, 3, 8, len + 3].map(|workers| (len, workers)))
-    }
-
-    #[test]
-    fn par_map_equals_the_sequential_map_in_order() {
-        let f = |i: usize| (i, i.wrapping_mul(0x9e37_79b9) ^ 0x5a);
-        for (len, workers) in par_map_shapes() {
-            let sequential: Vec<_> = (0..len).map(f).collect();
-            assert_eq!(
-                par_map(len, workers, f),
-                sequential,
-                "len {len}, workers {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_map_runs_the_closure_once_per_index() {
-        for (len, workers) in par_map_shapes() {
-            let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            par_map(len, workers, |i| runs[i].fetch_add(1, Ordering::Relaxed));
-            let runs: Vec<usize> = runs.into_iter().map(AtomicUsize::into_inner).collect();
-            assert_eq!(runs, vec![1; len], "len {len}, workers {workers}");
-        }
-    }
-
-    #[test]
-    fn par_map_panics_the_caller_when_any_index_panics() {
-        for (len, workers) in par_map_shapes().filter(|&(len, _)| len > 0) {
-            // The first index (the caller's chunk) and the last (the last
-            // worker's chunk, a spawned thread's whenever workers > 1).
-            for bad in [0, len - 1] {
-                let run = std::panic::catch_unwind(|| {
-                    par_map(len, workers, |i| assert_ne!(i, bad, "leaf {i} panicked"))
-                });
-                assert!(run.is_err(), "len {len}, workers {workers}, bad {bad}");
-            }
-        }
-    }
 
     /// Establishment's keygen pass at workers 1, 2, 3, 8 and slots + 3:
     /// Lazy keys give Eager's vks at every count, and the residue and key
@@ -290,6 +197,51 @@ mod tests {
                 .sum();
             let sent = metrics.party(p).sent_by_tag.get(&tag::SIG_SUBMIT).copied();
             assert_eq!(sent.unwrap_or(0), expected, "{p:?}");
+        }
+    }
+
+    /// Step 5b's `AGGR_LIST_HASH` charge is the bulk call
+    /// `charge_aggr_round`, which the dense shadow cannot check, so each
+    /// honest party's hash bytes are recounted from the tree: at every node
+    /// whose distinct committee holds it, the party sends one 50-byte hash
+    /// to each other member, corrupt ones included, and reads one from each
+    /// other honest member (corrupt members are silent in step 5b).
+    #[test]
+    fn aggr_list_hash_bytes_are_each_nodes_distinct_committee_times_the_hash_length() {
+        use pba_net::wire::tag;
+        const HASH_LEN: u64 = 50;
+        let scheme = SnarkSrds::with_defaults();
+        let config = BaConfig::byzantine(128, 12, b"aggr-hash-recount");
+        let mut service = Service::try_establish(&scheme, &config).expect("establishment");
+        let committee = service.supreme_committee();
+        let inputs: BTreeMap<PartyId, u8> = committee.iter().map(|&p| (p, 1)).collect();
+        let out = service
+            .try_certified_round(&inputs)
+            .expect("byzantine decision");
+        assert_eq!(out.y, 1);
+        let (tree, corrupt) = (&service.est.tree, &service.est.corrupt);
+        assert!(!corrupt.is_empty());
+        let mut expected: BTreeMap<PartyId, (u64, u64)> = BTreeMap::new();
+        for level in 0..tree.height() {
+            for node in 0..tree.nodes_at_level(level) {
+                let distinct: BTreeSet<PartyId> =
+                    tree.committee(level, node).iter().copied().collect();
+                let honest = distinct.iter().filter(|p| !corrupt.contains(p)).count();
+                for &p in distinct.iter().filter(|p| !corrupt.contains(p)) {
+                    let (sent, received) = expected.entry(p).or_default();
+                    *sent += (distinct.len() as u64 - 1) * HASH_LEN;
+                    *received += (honest as u64 - 1) * HASH_LEN;
+                }
+            }
+        }
+        let metrics = service.net.metrics();
+        for &p in service.honest() {
+            let party = metrics.party(p);
+            let sent = party.sent_by_tag.get(&tag::AGGR_LIST_HASH).copied();
+            let received = party.recv_by_tag.get(&tag::AGGR_LIST_HASH).copied();
+            let counted = (sent.unwrap_or(0), received.unwrap_or(0));
+            let recounted = expected.get(&p).copied().unwrap_or_default();
+            assert_eq!(counted, recounted, "{p:?}");
         }
     }
 

@@ -3,8 +3,8 @@
 //! accessors and the small helpers every later step leans on.
 
 use super::{
-    chunks, par_jobs, AdversaryProfile, BaConfig, Established, Establishment, KeyError, KeyPolicy,
-    KeyStore, ProtocolError, ProtocolPhase, Service,
+    AdversaryProfile, BaConfig, Established, Establishment, KeyError, KeyPolicy, KeyStore,
+    ProtocolError, ProtocolPhase, Service,
 };
 use crate::phase_king::PkEquivocator;
 use pba_aetree::analysis::adaptive_targets;
@@ -17,6 +17,7 @@ use pba_crypto::prg::Prg;
 use pba_crypto::sha256::Digest;
 use pba_net::corruption::CorruptionPlan;
 use pba_net::faults::StrategySpec;
+use pba_net::par::{chunks, par_jobs};
 use pba_net::runner::{Adversary, SilentAdversary};
 use pba_net::{Network, PartyId, Report, TagBreakdown, Transport};
 use pba_srds::traits::Srds;

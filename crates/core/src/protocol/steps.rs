@@ -3,9 +3,7 @@
 //! steps 3–8 (disseminate, sign, aggregate, certify, spread).
 
 use super::service::slot_keygen_prg;
-use super::{
-    par_map, AdversaryProfile, Established, KeyStore, ProtocolError, ProtocolPhase, Service,
-};
+use super::{AdversaryProfile, Established, KeyStore, ProtocolError, ProtocolPhase, Service};
 use crate::aggr::{charge_aggr_round, f_aggr_sig_uniform};
 use crate::phase_king::{rounds_for, PhaseKing};
 use crate::vss_coin::try_toss_coin_vss;
@@ -18,6 +16,7 @@ use pba_aetree::robust::{
 use pba_crypto::codec::{decode_from_slice, encode_to_vec, CodecError, Decode, Encode, Reader};
 use pba_crypto::prf::SubsetPrf;
 use pba_crypto::sha256::Digest;
+use pba_net::par::par_map;
 use pba_net::runner::{run_phase_threaded, PhaseOutcome};
 use pba_net::wire::{self, step, tag};
 use pba_net::{Machine, PartyId, WireMsg};

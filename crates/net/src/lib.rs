@@ -18,6 +18,8 @@
 //! * [`network`] — staging, delivery, and the per-party [`network::Ctx`];
 //! * [`runner`] — the phase runner driving honest [`runner::Machine`]s
 //!   against an [`runner::Adversary`];
+//! * [`par`] — scoped jobs joined in order, which every compute pass
+//!   (the round engine, Fig. 3 step 4, establishment's keygen) runs on;
 //! * [`corruption`] — corruption-set sampling plans;
 //! * [`faults`] — composable Byzantine fault-injection strategies
 //!   ([`faults::StrategySpec`]) for chaos testing, covering both message
@@ -59,8 +61,8 @@ pub mod faults;
 pub mod framing;
 pub mod metrics;
 pub mod network;
+pub mod par;
 pub mod runner;
-mod sched;
 pub mod transport;
 pub mod wire;
 

@@ -24,8 +24,8 @@
 //! A [`Ctx`] normally mutates the [`Network`] directly. For the parallel
 //! round engine ([`crate::runner::run_phase_threaded`]) a context can
 //! instead *buffer* its effects — sends and receive charges — into a
-//! [`RoundEffects`] value owned by the calling worker thread. Replaying the
-//! per-party effect logs against the network in ascending [`PartyId`] order
+//! [`RoundEffects`] value owned by the job that steps the machine. Replaying
+//! the effect logs against the network in ascending [`PartyId`] order
 //! performs **exactly the same `Network` mutations in exactly the same
 //! order** as the sequential schedule (which also steps parties in
 //! ascending id order), so staged-envelope order, metric totals, and the
@@ -59,8 +59,10 @@ enum Effect {
     },
 }
 
-/// The ordered effect log of one party's round, produced by a buffered
-/// [`Ctx`] and replayed with [`Network::apply_effects`].
+/// The ordered effect log of a round, produced by one or more buffered
+/// [`Ctx`]s in turn (the round engine keeps one log per job, filled in
+/// ascending [`PartyId`] order) and replayed with
+/// [`Network::apply_effects`].
 ///
 /// The log preserves the exact interleaving of sends and receive charges
 /// the machine performed, so replaying it is indistinguishable from having
@@ -68,8 +70,9 @@ enum Effect {
 #[derive(Clone, Debug, Default)]
 pub struct RoundEffects {
     ops: Vec<Effect>,
-    /// Per-worker encode scratch reused across this log's sends; carries no
-    /// observable state (see the manual [`PartialEq`]).
+    /// Encode scratch reused across this log's sends, by every context
+    /// that fills the log; carries no observable state (see the manual
+    /// [`PartialEq`]).
     scratch: Vec<u8>,
 }
 

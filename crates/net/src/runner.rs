@@ -18,17 +18,16 @@
 //! Within a round, honest parties are independent: each machine sees only
 //! its own inbox (delivered last round) and its own state, and its effects
 //! on the network (sends, receive charges) commute with nothing until the
-//! round boundary. [`run_phase_threaded`] exploits this: machines run on a
-//! phase-persistent pool of [`std::thread::scope`] workers (the pool in
-//! `sched`) with *buffered* contexts ([`crate::network::RoundEffects`]),
-//! and the per-party effect logs are replayed against the network in
-//! ascending [`PartyId`] order — the same order the sequential engine steps
-//! parties in. Each round is cut into more equal-count chunks than workers
-//! and idle workers claim trailing chunks, but claim order does not
-//! influence the merge order, so the result is byte-identical to
-//! [`run_phase`]: identical staged-envelope order, identical metrics, and
-//! an identical rushing view for the adversary, which always runs on the
-//! calling thread after the merge.
+//! round boundary. [`run_phase_threaded`] exploits this: each round it
+//! cuts the online machines into contiguous ascending-id runs, one per
+//! worker, and steps each run as one [`crate::par::par_jobs`] job against
+//! a *buffered* context ([`crate::network::RoundEffects`]). The jobs' effect
+//! logs are replayed against the network in job order, which is ascending
+//! [`PartyId`] order — the same order the sequential engine steps parties
+//! in — so the result is byte-identical to [`run_phase`]: identical
+//! staged-envelope order, identical metrics, and an identical rushing view
+//! for the adversary, which always runs on the calling thread after the
+//! merge.
 //!
 //! Thread-level parallelism composes with *lane-level* hash batching:
 //! [`pba_crypto::sha256::batch_digest`] (the multi-lane SHA-256 engine) is
@@ -37,8 +36,8 @@
 //! than contend.
 
 use crate::envelope::{Envelope, PartyId};
-use crate::network::Network;
-use crate::sched;
+use crate::network::{Ctx, Network, RoundEffects};
+use crate::par::{chunks, par_jobs};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A per-party protocol state machine for one phase.
@@ -208,18 +207,17 @@ pub fn run_phase(
 }
 
 /// Runs one phase to completion (all honest machines done) or `max_rounds`,
-/// stepping honest machines on a pool of up to `threads` scoped workers.
+/// stepping honest machines on up to `threads` scoped workers.
 ///
 /// `threads <= 1` (including `0`) is the plain sequential engine. For
-/// `threads > 1`, the phase spawns a persistent worker pool (capped at the
-/// machine count, so `threads > n` is safe); each round's honest machines
-/// are split into equal-count contiguous ascending-id chunks, three per
-/// worker, idle workers claim trailing chunks from a shared queue, and
-/// every worker runs its chunks against buffered contexts. The buffered
-/// effects are merged in ascending [`PartyId`] order before the adversary
-/// acts — claim order may vary run to run, the merge order may not — so
-/// the execution (outcome, staged-envelope transcript, metrics, adversary
-/// observations) is bit-identical for every thread count.
+/// `threads > 1`, each round cuts the online machines into
+/// [`chunks`]`(online, threads)` contiguous ascending-id runs (so
+/// `threads > n` is safe), runs each run as one [`par_jobs`] job against a
+/// buffered context — the first on the calling thread, each other on a
+/// scoped thread of its own — and applies the jobs' effects in job order,
+/// which is ascending [`PartyId`] order, before the adversary acts. The
+/// execution (outcome, staged-envelope transcript, metrics, adversary
+/// observations) is therefore bit-identical for every thread count.
 ///
 /// Without a timing model every machine round is one delivery tick:
 /// everything staged in round `r` is on the wire for round `r + 1`. With
@@ -239,8 +237,8 @@ pub fn run_phase(
 /// # Panics
 ///
 /// Panics if a corrupted identity appears among the honest machines, or if
-/// a machine panics on a worker thread (the payload is resumed on the
-/// calling thread).
+/// a machine panics; on several workers the panic of the lowest run that
+/// panicked is resumed on the calling thread with its original payload.
 pub fn run_phase_threaded(
     net: &mut Network,
     machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + '_>>,
@@ -254,63 +252,6 @@ pub fn run_phase_threaded(
             "party {id} is both honest and corrupted"
         );
     }
-    if threads <= 1 || machines.len() <= 1 {
-        // Sequential engine: step machines in map order against the live
-        // network. This is the reference schedule the parallel path must
-        // reproduce bit for bit.
-        return phase_loop(
-            net,
-            machines,
-            adversary,
-            max_rounds,
-            &mut |net, machines, inboxes, round, offline| {
-                for (&id, machine) in machines.iter_mut() {
-                    let inbox = inboxes.remove(&id).unwrap_or_default();
-                    if offline.contains(&id) {
-                        continue;
-                    }
-                    let mut ctx = net.ctx(id, round);
-                    machine.on_round(&mut ctx, &inbox);
-                }
-            },
-        );
-    }
-    // Parallel engine: one scoped worker pool for the whole phase.
-    let workers = threads.min(machines.len());
-    sched::with_pool(workers, |pool| {
-        phase_loop(
-            net,
-            machines,
-            adversary,
-            max_rounds,
-            &mut |net, machines, inboxes, round, offline| {
-                pool.step_round(net, machines, inboxes, round, offline);
-            },
-        )
-    })
-}
-
-/// One honest step of a round: consumes the honest inboxes (leaving the
-/// corrupted parties' entries for the rushing view) and steps every online
-/// machine, sequentially or via the worker pool.
-type StepFn<'a, 'm> = &'a mut dyn FnMut(
-    &mut Network,
-    &mut BTreeMap<PartyId, Box<dyn Machine + Send + 'm>>,
-    &mut BTreeMap<PartyId, Vec<Envelope>>,
-    u64,
-    &BTreeSet<PartyId>,
-);
-
-/// The phase loop shared by the sequential and pooled engines: delivery
-/// ticks, the honest step (via `step`), rushing adversary, and completion
-/// detection.
-fn phase_loop<'m>(
-    net: &mut Network,
-    machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + 'm>>,
-    adversary: &mut dyn Adversary,
-    max_rounds: u64,
-    step: StepFn<'_, 'm>,
-) -> PhaseOutcome {
     // Drop any stale cross-phase messages that are *due*. Traffic still in
     // the delay queue survives into this phase and arrives in the machine
     // round whose window covers its deliver-at tick.
@@ -358,7 +299,7 @@ fn phase_loop<'m>(
         };
 
         // Honest parties act first.
-        step(net, machines, &mut inboxes, rounds - 1, &offline);
+        step_honest(net, machines, &mut inboxes, rounds - 1, &offline, threads);
 
         // Rushing: adversary sees this round's honest messages to corrupted
         // parties (they are in `net.staged` now) plus last round's deliveries
@@ -394,10 +335,58 @@ fn phase_loop<'m>(
     PhaseOutcome { rounds, completed }
 }
 
+/// One honest step of a round: consumes the honest inboxes (leaving the
+/// corrupted parties' entries for the rushing view) and steps every online
+/// machine, sequentially or as [`par_jobs`] runs.
+fn step_honest(
+    net: &mut Network,
+    machines: &mut BTreeMap<PartyId, Box<dyn Machine + Send + '_>>,
+    inboxes: &mut BTreeMap<PartyId, Vec<Envelope>>,
+    round: u64,
+    offline: &BTreeSet<PartyId>,
+    threads: usize,
+) {
+    if threads <= 1 || machines.len() <= 1 {
+        // Sequential engine: step machines in map order against the live
+        // network. This is the reference schedule the parallel path must
+        // reproduce bit for bit.
+        for (&id, machine) in machines.iter_mut() {
+            let inbox = inboxes.remove(&id).unwrap_or_default();
+            if offline.contains(&id) {
+                continue;
+            }
+            let mut ctx = net.ctx(id, round);
+            machine.on_round(&mut ctx, &inbox);
+        }
+        return;
+    }
+    let mut online = Vec::with_capacity(machines.len());
+    for (&id, machine) in machines.iter_mut() {
+        let inbox = inboxes.remove(&id).unwrap_or_default();
+        if !offline.contains(&id) {
+            online.push((id, machine, inbox));
+        }
+    }
+    let n = net.len();
+    let mut online = online.into_iter();
+    let runs: Vec<Vec<_>> = chunks(online.len(), threads)
+        .map(|run| online.by_ref().take(run.len()).collect())
+        .collect();
+    let logs = par_jobs(runs, |run| {
+        let mut effects = RoundEffects::new();
+        for (id, machine, inbox) in run {
+            machine.on_round(&mut Ctx::buffered(id, round, n, &mut effects), &inbox);
+        }
+        effects
+    });
+    for effects in logs {
+        net.apply_effects(effects);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Ctx;
 
     /// Relays a counter: party 0 starts at value 1; each round every party
     /// forwards (value+1) to the next party in a ring; done at value 5.
@@ -469,8 +458,8 @@ mod tests {
 
     #[test]
     fn parallel_ring_matches_sequential() {
-        // 0 is the sequential engine spelled differently; 7 > n exercises
-        // a pool capped at the machine count; the rest run the pool.
+        // 0 is the sequential engine spelled differently; 2 cuts two runs
+        // of three, 3 three runs of two, and 7 and 64 > n one machine each.
         for threads in [0, 2, 3, 7, 64] {
             let n = 6u64;
             let mut seq_net = Network::new(n as usize);
@@ -627,8 +616,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "machine 4 gave up")]
     fn lone_panic_in_a_later_chunk_is_reraised() {
-        // Two workers cut six machines into six one-machine chunks; only
-        // the fifth panics. The five clean chunks must not mask it.
+        // Two workers cut six machines into two runs of three; only machine
+        // 4 panics, in the run on the spawned thread. The clean run on the
+        // calling thread must not mask it.
         struct Fragile(PartyId);
         impl Machine for Fragile {
             fn on_round(&mut self, ctx: &mut Ctx<'_>, _: &[Envelope]) {
@@ -648,6 +638,50 @@ mod tests {
             .collect();
         let mut adv = SilentAdversary::default();
         run_phase_threaded(&mut net, &mut machines, &mut adv, 2, 2);
+    }
+
+    #[test]
+    fn the_lowest_panicking_run_is_the_panic_raised() {
+        // Machines 3 and 6 of eight panic, and 3 waits for 6's signal, so 6
+        // panics first. At 2, 3 and 8 workers they sit in different runs
+        // (at 3 and 8 both on spawned threads); machine 3's message must be
+        // the one raised.
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        struct Fragile(u64, Option<Receiver<()>>, Option<Sender<()>>);
+        impl Machine for Fragile {
+            fn on_round(&mut self, _: &mut Ctx<'_>, _: &[Envelope]) {
+                if let Some(signal) = &self.2 {
+                    signal.send(()).ok();
+                }
+                if let Some(wait) = &self.1 {
+                    wait.recv_timeout(std::time::Duration::from_secs(10)).ok();
+                }
+                let clean = self.1.is_none() && self.2.is_none();
+                assert!(clean, "machine {} gave up", self.0);
+            }
+            fn is_done(&self) -> bool {
+                false
+            }
+        }
+        for threads in [2, 3, 8] {
+            let (signal, wait) = channel();
+            let (mut signal, mut wait) = (Some(signal), Some(wait));
+            let mut machines: BTreeMap<PartyId, Box<dyn Machine + Send>> = (0..8)
+                .map(|i| {
+                    let wait = if i == 3 { wait.take() } else { None };
+                    let signal = if i == 6 { signal.take() } else { None };
+                    let machine = Box::new(Fragile(i, wait, signal));
+                    (PartyId(i), machine as Box<dyn Machine + Send>)
+                })
+                .collect();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut adv = SilentAdversary::default();
+                run_phase_threaded(&mut Network::new(8), &mut machines, &mut adv, 2, threads)
+            }))
+            .expect_err("two machines panic");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some("machine 3 gave up"), "threads={threads}");
+        }
     }
 
     /// A hash-bound machine that routes its per-round workload through the
