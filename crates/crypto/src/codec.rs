@@ -4,7 +4,8 @@
 //! so every message crosses the simulated network as explicit bytes produced
 //! by this codec — no in-memory hand-waving. The format is little-endian
 //! fixed-width integers, canonical LEB128 varint length prefixes for
-//! sequences, and a one-byte tag for options/enums.
+//! sequences, and a one-byte tag for options/enums. A byte sequence
+//! (`Vec<u8>`, `String`) decodes as one bounds-checked copy, not byte by byte.
 //!
 //! # Examples
 //!
@@ -161,6 +162,21 @@ pub trait Decode: Sized {
     ///
     /// Any [`CodecError`] on malformed input.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// Decodes the body of a sequence of `len` items, whose length prefix
+    /// the caller has already read and bounded by [`MAX_SEQ_LEN`]. The
+    /// default decodes item by item; `u8` overrides it with one copy.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] an item's decode returns.
+    fn decode_seq(r: &mut Reader<'_>, len: u64) -> Result<Vec<Self>, CodecError> {
+        let mut out = Vec::with_capacity((len as usize).min(1024));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encodes a value into a fresh byte vector.
@@ -205,7 +221,26 @@ macro_rules! impl_int {
     };
 }
 
-impl_int!(u8, u16, u32, u64, i64);
+impl_int!(u16, u32, u64, i64);
+
+impl Encode for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_le_bytes());
+    }
+    fn encoded_len(&self) -> usize {
+        std::mem::size_of::<u8>()
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(r.take(1)?[0])
+    }
+
+    fn decode_seq(r: &mut Reader<'_>, len: u64) -> Result<Vec<Self>, CodecError> {
+        Ok(r.take(len as usize)?.to_vec())
+    }
+}
 
 impl Encode for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -294,11 +329,7 @@ impl<T: Decode> Decode for Vec<T> {
         if len > MAX_SEQ_LEN {
             return Err(CodecError::LengthOverflow(len));
         }
-        let mut out = Vec::with_capacity((len as usize).min(1024));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_seq(r, len)
     }
 }
 
@@ -360,12 +391,7 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let len = read_varint(r)?;
-        if len > MAX_SEQ_LEN {
-            return Err(CodecError::LengthOverflow(len));
-        }
-        let bytes = r.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid("utf-8"))
+        String::from_utf8(Vec::<u8>::decode(r)?).map_err(|_| CodecError::Invalid("utf-8"))
     }
 }
 
@@ -516,6 +542,15 @@ mod tests {
         assert_eq!(
             decode_from_slice::<Vec<u8>>(&bytes),
             Err(CodecError::LengthOverflow(MAX_SEQ_LEN + 1))
+        );
+        // A prefix at the bound is in range: over a short body it is a
+        // truncation, not an overflow.
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, MAX_SEQ_LEN);
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(
+            decode_from_slice::<Vec<u8>>(&bytes),
+            Err(CodecError::UnexpectedEnd)
         );
     }
 

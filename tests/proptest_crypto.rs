@@ -1,6 +1,8 @@
 //! Property-based tests over the cryptographic substrate.
 
-use pba_crypto::codec::{decode_from_slice, encode_to_vec};
+use pba_crypto::codec::{
+    decode_from_slice, encode_to_vec, write_varint, CodecError, Decode, Reader, MAX_SEQ_LEN,
+};
 use pba_crypto::field::{Fp, MODULUS};
 use pba_crypto::lamport::{LamportKeyPair, LamportParams};
 use pba_crypto::merkle::MerkleTree;
@@ -72,8 +74,50 @@ fn corrupted_word(xs: &[Fp], k: usize, errors: usize, lies: Lies, prg: &mut Prg)
     ys
 }
 
+/// A byte that keeps `Decode`'s provided item-by-item `decode_seq`: the
+/// reference `u8`'s one-copy override is compared against.
+#[derive(Debug)]
+struct B(u8);
+
+impl Decode for B {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        u8::decode(r).map(B)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `Vec<u8>` decodes as one copy; on every input it returns exactly
+    /// what the item-by-item decode returns, `Ok` values and `Err`
+    /// variants both. Inputs are random bytes, an encoding cut at a random
+    /// point (or whole), and a random length prefix over a random body:
+    /// past `MAX_SEQ_LEN`, within it but past the body, or short of it.
+    #[test]
+    fn byte_seq_decode_matches_the_item_by_item_reference(
+        kind in 0usize..3,
+        body in proptest::collection::vec(any::<u8>(), 0..4096),
+        cut in any::<u64>(),
+        len in prop_oneof![0..=MAX_SEQ_LEN + 1, any::<u64>()],
+    ) {
+        let bytes = match kind {
+            0 => body,
+            1 => {
+                let mut bytes = encode_to_vec(&body);
+                bytes.truncate(cut as usize % (bytes.len() + 1));
+                bytes
+            }
+            _ => {
+                let mut bytes = Vec::new();
+                write_varint(&mut bytes, len);
+                bytes.extend(body);
+                bytes
+            }
+        };
+        let reference = decode_from_slice::<Vec<B>>(&bytes)
+            .map(|v| v.into_iter().map(|b| b.0).collect::<Vec<u8>>());
+        prop_assert_eq!(decode_from_slice::<Vec<u8>>(&bytes), reference);
+    }
 
     /// The per-evaluation-set decoder returns, on every input, exactly the
     /// `Result` (coefficients included) of the Berlekamp–Welch search it
@@ -205,7 +249,7 @@ proptest! {
 
     #[test]
     fn codec_roundtrip_nested(
-        v in proptest::collection::vec((any::<u64>(), proptest::collection::vec(any::<u8>(), 0..16)), 0..16),
+        v in proptest::collection::vec((any::<u64>(), proptest::collection::vec(any::<u8>(), 0..4096)), 0..16),
     ) {
         let encoded = encode_to_vec(&v);
         let decoded: Vec<(u64, Vec<u8>)> = decode_from_slice(&encoded).unwrap();
@@ -213,11 +257,15 @@ proptest! {
     }
 
     #[test]
-    fn codec_rejects_any_truncation(value in any::<u64>(), tail in proptest::collection::vec(any::<u8>(), 1..8)) {
+    fn codec_rejects_any_truncation(
+        value in any::<u64>(),
+        tail in proptest::collection::vec(any::<u8>(), 1..8192),
+        cut in any::<u64>(),
+    ) {
         let mut bytes = encode_to_vec(&(value, tail));
-        bytes.pop();
+        bytes.truncate(cut as usize % bytes.len());
         let r: Result<(u64, Vec<u8>), _> = decode_from_slice(&bytes);
-        prop_assert!(r.is_err());
+        prop_assert_eq!(r, Err(CodecError::UnexpectedEnd));
     }
 
     #[test]
