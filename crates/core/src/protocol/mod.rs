@@ -245,6 +245,79 @@ mod tests {
         }
     }
 
+    /// Step 5's other two bulk charges, recounted from the tree and the
+    /// corrupt set: `charge_aggr_round`'s `AGGR_MPC` half, where each honest
+    /// member of a node's distinct committee sends the node's aggregate to
+    /// every other honest member, and `robust::ascend`'s `AGGR_SHARE`
+    /// copies, where each honest member of a child's distinct committee
+    /// sends the child's aggregate to every other member of the parent's.
+    /// Every distinct committee has an honest strict majority, so every
+    /// node outputs a SNARK aggregate of the format's fixed 121 bytes.
+    #[test]
+    fn aggr_mpc_and_share_bytes_are_each_nodes_honest_members_times_the_aggregate_length() {
+        use pba_net::wire::tag;
+        // Tag, count, lo, hi, acc, vk_root, proof: 1 + 3 · 8 + 3 · 32.
+        const AGG_LEN: u64 = 121;
+        let scheme = SnarkSrds::with_defaults();
+        let config = BaConfig::byzantine(128, 12, b"aggr-output-recount");
+        let mut service = Service::try_establish(&scheme, &config).expect("establishment");
+        let committee = service.supreme_committee();
+        let inputs: BTreeMap<PartyId, u8> = committee.iter().map(|&p| (p, 1)).collect();
+        let out = service
+            .try_certified_round(&inputs)
+            .expect("byzantine decision");
+        assert_eq!(out.y, 1);
+        let (tree, corrupt) = (&service.est.tree, &service.est.corrupt);
+        assert!(!corrupt.is_empty());
+        // A node's distinct committee and its honest members.
+        let members = |level, node| {
+            let distinct: BTreeSet<PartyId> = tree.committee(level, node).iter().copied().collect();
+            let honest = &distinct - corrupt;
+            (distinct, honest)
+        };
+        // Per party: (MPC sent, MPC received, share sent, share received).
+        let mut expected: BTreeMap<PartyId, [u64; 4]> = BTreeMap::new();
+        for level in 0..tree.height() {
+            for node in 0..tree.nodes_at_level(level) {
+                let (distinct, honest) = members(level, node);
+                assert!(2 * honest.len() > distinct.len(), "node ({level}, {node})");
+                for &p in &honest {
+                    let others = honest.len() as u64 - 1;
+                    let counts = expected.entry(p).or_default();
+                    counts[0] += others * AGG_LEN;
+                    counts[1] += others * AGG_LEN;
+                }
+                if level == 0 {
+                    continue;
+                }
+                for child in tree.children(level, node) {
+                    let (_, senders) = members(level - 1, child);
+                    for &p in &senders {
+                        let receivers = distinct.len() - usize::from(distinct.contains(&p));
+                        expected.entry(p).or_default()[2] += receivers as u64 * AGG_LEN;
+                    }
+                    for &p in &honest {
+                        let copies = senders.len() - usize::from(senders.contains(&p));
+                        expected.entry(p).or_default()[3] += copies as u64 * AGG_LEN;
+                    }
+                }
+            }
+        }
+        let metrics = service.net.metrics();
+        for &p in service.honest() {
+            let party = metrics.party(p);
+            let bytes = |by_tag: &BTreeMap<u8, u64>, tag| by_tag.get(&tag).copied().unwrap_or(0);
+            let counted = [
+                bytes(&party.sent_by_tag, tag::AGGR_MPC),
+                bytes(&party.recv_by_tag, tag::AGGR_MPC),
+                bytes(&party.sent_by_tag, tag::AGGR_SHARE),
+                bytes(&party.recv_by_tag, tag::AGGR_SHARE),
+            ];
+            let recounted = expected.get(&p).copied().unwrap_or_default();
+            assert_eq!(counted, recounted, "{p:?}");
+        }
+    }
+
     #[test]
     fn honest_run_owf_agrees() {
         let scheme = OwfSrds::with_defaults();

@@ -14,7 +14,9 @@
 //! compliance predicate `Π(z; inputs, local)` — so an accepted proof
 //! inductively attests a fully compliant transcript — and proofs stay
 //! 32 bytes at every depth, which is the succinctness property the SRDS
-//! construction consumes.
+//! construction consumes. The witness `local` is a typed value, as in
+//! [`crate::system::Relation`]: the prover holds it and the predicate
+//! reads it in place; it is never encoded, and never reaches the wire.
 //!
 //! # Examples
 //!
@@ -27,9 +29,10 @@
 //! struct Counting;
 //! impl CompliancePredicate for Counting {
 //!     type Message = u64;
+//!     type Witness = ();
 //!     fn id(&self) -> &'static str { "counting" }
-//!     fn check(&self, output: &u64, inputs: &[u64], _local: &[u8]) -> bool {
-//!         *output <= inputs.iter().sum::<u64>() + 1
+//!     fn check(&self, output: &u64, inputs: &[&u64], _local: &()) -> bool {
+//!         *output <= inputs.iter().copied().sum::<u64>() + 1
 //!     }
 //!     fn encode_message(&self, m: &u64, buf: &mut Vec<u8>) {
 //!         buf.extend_from_slice(&m.to_le_bytes());
@@ -37,11 +40,11 @@
 //! }
 //!
 //! let pcd = PcdSystem::new(SnarkCrs::setup(b"crs"), Counting);
-//! let p1 = pcd.prove(&1, &[], b"")?;          // source: count 1
-//! let p2 = pcd.prove(&1, &[], b"")?;          // source: count 1
-//! let joined = pcd.prove(&3, &[(&1, &p1), (&1, &p2)], b"")?; // 1+1+1
+//! let p1 = pcd.prove(&1, &[], &())?;          // source: count 1
+//! let p2 = pcd.prove(&1, &[], &())?;          // source: count 1
+//! let joined = pcd.prove(&3, &[(&1, &p1), (&1, &p2)], &())?; // 1+1+1
 //! assert!(pcd.verify(&3, &joined));
-//! assert!(pcd.prove(&5, &[(&1, &p1)], b"").is_err()); // over-counting
+//! assert!(pcd.prove(&5, &[(&1, &p1)], &()).is_err()); // over-counting
 //! # Ok::<(), pba_snark::pcd::PcdError>(())
 //! ```
 
@@ -54,13 +57,22 @@ use std::fmt;
 pub trait CompliancePredicate {
     /// The message type carried on DAG edges.
     type Message;
+    /// The prover's private auxiliary data for one step (`()` when a step
+    /// needs none). It is read in place by [`CompliancePredicate::check`]
+    /// and never encoded.
+    type Witness: ?Sized;
 
     /// Stable identifier, mixed into every proof.
     fn id(&self) -> &'static str;
 
     /// Whether `output` is a compliant successor of `inputs` with private
     /// auxiliary data `local`.
-    fn check(&self, output: &Self::Message, inputs: &[Self::Message], local: &[u8]) -> bool;
+    fn check(
+        &self,
+        output: &Self::Message,
+        inputs: &[&Self::Message],
+        local: &Self::Witness,
+    ) -> bool;
 
     /// Canonical message encoding (what proofs bind to).
     fn encode_message(&self, message: &Self::Message, buf: &mut Vec<u8>);
@@ -134,10 +146,7 @@ pub struct PcdSystem<C> {
     predicate: C,
 }
 
-impl<C: CompliancePredicate> PcdSystem<C>
-where
-    C::Message: Clone,
-{
+impl<C: CompliancePredicate> PcdSystem<C> {
     /// Binds a compliance predicate to a CRS.
     pub fn new(crs: SnarkCrs, predicate: C) -> Self {
         PcdSystem { crs, predicate }
@@ -178,14 +187,14 @@ where
         &self,
         output: &C::Message,
         inputs: &[(&C::Message, &PcdProof)],
-        local: &[u8],
+        local: &C::Witness,
     ) -> Result<PcdProof, PcdError> {
         for (i, (msg, proof)) in inputs.iter().enumerate() {
             if !self.verify(msg, proof) {
                 return Err(PcdError::InvalidInputProof(i));
             }
         }
-        let input_msgs: Vec<C::Message> = inputs.iter().map(|(m, _)| (*m).clone()).collect();
+        let input_msgs: Vec<&C::Message> = inputs.iter().map(|&(m, _)| m).collect();
         if !self.predicate.check(output, &input_msgs, local) {
             return Err(PcdError::NotCompliant);
         }
@@ -211,10 +220,11 @@ mod tests {
 
     impl CompliancePredicate for SumDag {
         type Message = (u64, u64);
+        type Witness = ();
         fn id(&self) -> &'static str {
             "sum-dag"
         }
-        fn check(&self, output: &(u64, u64), inputs: &[(u64, u64)], _local: &[u8]) -> bool {
+        fn check(&self, output: &(u64, u64), inputs: &[&(u64, u64)], _local: &()) -> bool {
             if inputs.is_empty() {
                 return output.0 == 0 && output.1 == 1;
             }
@@ -239,7 +249,7 @@ mod tests {
         let mut layer: Vec<((u64, u64), PcdProof)> = (0..8)
             .map(|_| {
                 let m = (0u64, 1u64);
-                let p = pcd.prove(&m, &[], b"").unwrap();
+                let p = pcd.prove(&m, &[], &()).unwrap();
                 (m, p)
             })
             .collect();
@@ -251,7 +261,7 @@ mod tests {
                     let msg = (depth, pair.iter().map(|(m, _)| m.1).sum());
                     let inputs: Vec<(&(u64, u64), &PcdProof)> =
                         pair.iter().map(|(m, p)| (m, p)).collect();
-                    let proof = pcd.prove(&msg, &inputs, b"").unwrap();
+                    let proof = pcd.prove(&msg, &inputs, &()).unwrap();
                     (msg, proof)
                 })
                 .collect();
@@ -265,16 +275,16 @@ mod tests {
     #[test]
     fn bad_source_rejected() {
         let pcd = pcd();
-        assert_eq!(pcd.prove(&(0, 2), &[], b""), Err(PcdError::NotCompliant));
+        assert_eq!(pcd.prove(&(0, 2), &[], &()), Err(PcdError::NotCompliant));
     }
 
     #[test]
     fn inflated_sum_rejected() {
         let pcd = pcd();
         let m = (0u64, 1u64);
-        let p = pcd.prove(&m, &[], b"").unwrap();
+        let p = pcd.prove(&m, &[], &()).unwrap();
         assert_eq!(
-            pcd.prove(&(1, 5), &[(&m, &p)], b""),
+            pcd.prove(&(1, 5), &[(&m, &p)], &()),
             Err(PcdError::NotCompliant)
         );
     }
@@ -285,7 +295,7 @@ mod tests {
         let m = (0u64, 1u64);
         let forged = PcdProof::from_bytes([7u8; 32]);
         assert_eq!(
-            pcd.prove(&(1, 1), &[(&m, &forged)], b""),
+            pcd.prove(&(1, 1), &[(&m, &forged)], &()),
             Err(PcdError::InvalidInputProof(0))
         );
     }
@@ -294,7 +304,7 @@ mod tests {
     fn verify_rejects_wrong_message() {
         let pcd = pcd();
         let m = (0u64, 1u64);
-        let p = pcd.prove(&m, &[], b"").unwrap();
+        let p = pcd.prove(&m, &[], &()).unwrap();
         assert!(pcd.verify(&m, &p));
         assert!(!pcd.verify(&(0, 2), &p));
     }
@@ -304,10 +314,11 @@ mod tests {
         struct OtherDag;
         impl CompliancePredicate for OtherDag {
             type Message = (u64, u64);
+            type Witness = ();
             fn id(&self) -> &'static str {
                 "other-dag"
             }
-            fn check(&self, _: &(u64, u64), _: &[(u64, u64)], _: &[u8]) -> bool {
+            fn check(&self, _: &(u64, u64), _: &[&(u64, u64)], _: &()) -> bool {
                 true
             }
             fn encode_message(&self, m: &(u64, u64), buf: &mut Vec<u8>) {
@@ -319,15 +330,61 @@ mod tests {
         let a = PcdSystem::new(crs.clone(), SumDag);
         let b = PcdSystem::new(crs, OtherDag);
         let m = (0u64, 1u64);
-        let p = a.prove(&m, &[], b"").unwrap();
+        let p = a.prove(&m, &[], &()).unwrap();
         assert!(!b.verify(&m, &p));
+    }
+
+    /// A predicate whose witness is real data: a step's message is the
+    /// hash of its input messages followed by the witness bytes, so a
+    /// source must hold a preimage of its message.
+    struct Preimage;
+
+    impl CompliancePredicate for Preimage {
+        type Message = Digest;
+        type Witness = [u8];
+        fn id(&self) -> &'static str {
+            "preimage"
+        }
+        fn check(&self, output: &Digest, inputs: &[&Digest], witness: &[u8]) -> bool {
+            let mut h = Sha256::new();
+            for input in inputs {
+                h.update(input.as_bytes());
+            }
+            h.update(witness);
+            h.finalize() == *output
+        }
+        fn encode_message(&self, m: &Digest, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(m.as_bytes());
+        }
+    }
+
+    #[test]
+    fn typed_witness_must_satisfy_the_predicate() {
+        let pcd = PcdSystem::new(SnarkCrs::setup(b"pcd-test"), Preimage);
+        let source = Sha256::digest(b"preimage");
+        assert_eq!(
+            pcd.prove(&source, &[], b"another preimage"),
+            Err(PcdError::NotCompliant)
+        );
+        let proof = pcd.prove(&source, &[], b"preimage").unwrap();
+        assert!(pcd.verify(&source, &proof));
+
+        let mut joined = source.as_bytes().to_vec();
+        joined.extend_from_slice(b"step");
+        let output = Sha256::digest(&joined);
+        assert_eq!(
+            pcd.prove(&output, &[(&source, &proof)], b"stop"),
+            Err(PcdError::NotCompliant)
+        );
+        let step = pcd.prove(&output, &[(&source, &proof)], b"step").unwrap();
+        assert!(pcd.verify(&output, &step));
     }
 
     #[test]
     fn proofs_are_constant_size() {
         let pcd = pcd();
         let m = (0u64, 1u64);
-        let p = pcd.prove(&m, &[], b"").unwrap();
+        let p = pcd.prove(&m, &[], &()).unwrap();
         assert_eq!(pba_crypto::codec::encode_to_vec(&p).len(), PcdProof::LEN);
     }
 }

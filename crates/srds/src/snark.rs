@@ -38,7 +38,7 @@
 //! ```
 
 use crate::traits::{PkiMode, Srds};
-use pba_crypto::codec::{encode_to_vec, CodecError, Decode, Encode, Reader};
+use pba_crypto::codec::{CodecError, Decode, Encode, Reader};
 use pba_crypto::merkle::{MerkleProof, MerkleTree};
 use pba_crypto::mss::{MssKeyPair, MssParams, MssSignature, MssVerificationKey};
 use pba_crypto::prg::Prg;
@@ -170,7 +170,8 @@ pub enum SnarkSignature {
     /// Output of `Aggregate₁` for base inputs: a verified base signature
     /// enriched with its key's Merkle path (the key-dependent data
     /// `Aggregate₂` needs, precomputed so `Aggregate₂` never touches the
-    /// key board).
+    /// key board). A maximal run of these is the PCD witness of
+    /// `Aggregate₂`'s source step, which the predicate reads in place.
     Attested {
         /// SRDS party index of the signer.
         id: u64,
@@ -269,32 +270,26 @@ pub struct SrdsPredicate {
     mss: MssParams,
 }
 
-/// Witness entry for a PCD *source* step: one verified base signature.
-struct SourceEntry {
-    id: u64,
-    mss: MssSignature,
-    vk: Digest,
-    path: MerkleProof,
-}
-
-impl Encode for SourceEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.mss.encode(buf);
-        self.vk.encode(buf);
-        self.path.encode(buf);
-    }
-}
-
-impl Decode for SourceEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SourceEntry {
-            id: u64::decode(r)?,
-            mss: MssSignature::decode(r)?,
-            vk: Digest::decode(r)?,
-            path: MerkleProof::decode(r)?,
-        })
-    }
+/// The id of `sig` when it is an attested entry that holds under
+/// `vk_root`: its key sits at position `id` under the root and its base
+/// signature verifies on `m_digest`. Aggregate₁'s re-validation and the
+/// PCD source step both check entries with it.
+fn attested_id(
+    mss_params: &MssParams,
+    m_digest: &Digest,
+    vk_root: &Digest,
+    sig: &SnarkSignature,
+) -> Option<u64> {
+    let SnarkSignature::Attested {
+        id, mss, vk, path, ..
+    } = sig
+    else {
+        return None;
+    };
+    let holds = path.leaf_index() == *id
+        && path.verify_leaf_digest(vk_root, &pba_crypto::merkle::hash_leaf(vk.as_bytes()))
+        && mss_params.verify(&MssVerificationKey(*vk), m_digest.as_bytes(), mss);
+    holds.then_some(*id)
 }
 
 fn ids_accumulator(ids: &[u64]) -> Digest {
@@ -306,7 +301,7 @@ fn ids_accumulator(ids: &[u64]) -> Digest {
     h.finalize()
 }
 
-fn join_accumulator(children: &[AggStatement]) -> Digest {
+fn join_accumulator<'a>(children: impl IntoIterator<Item = &'a AggStatement>) -> Digest {
     let mut h = Sha256::new();
     h.update(b"srds-acc-join");
     for c in children {
@@ -320,56 +315,39 @@ fn join_accumulator(children: &[AggStatement]) -> Digest {
 
 impl CompliancePredicate for SrdsPredicate {
     type Message = AggStatement;
+    /// A source step's run of attested base signatures; join steps take an
+    /// empty run.
+    type Witness = [SnarkSignature];
 
     fn id(&self) -> &'static str {
         "srds-aggregation-v1"
     }
 
-    fn check(&self, output: &AggStatement, inputs: &[AggStatement], local: &[u8]) -> bool {
+    fn check(
+        &self,
+        output: &AggStatement,
+        inputs: &[&AggStatement],
+        local: &[SnarkSignature],
+    ) -> bool {
         if output.lo > output.hi || output.count == 0 {
             return false;
         }
         if inputs.is_empty() {
-            // Source step: `local` holds the verified base signatures.
-            let Ok(entries) = pba_crypto::codec::decode_from_slice::<Vec<SourceEntry>>(local)
-            else {
-                return false;
-            };
-            if entries.is_empty() || entries.len() as u64 != output.count {
+            // Source step: every entry holds under the committed board.
+            if local.len() as u64 != output.count {
                 return false;
             }
-            let mut prev: Option<u64> = None;
-            let mut ids = Vec::with_capacity(entries.len());
-            for e in &entries {
+            let mut ids = Vec::with_capacity(local.len());
+            for sig in local {
+                let Some(id) = attested_id(&self.mss, &output.m_digest, &output.vk_root, sig)
+                else {
+                    return false;
+                };
                 // Strictly increasing ids => distinctness.
-                if let Some(p) = prev {
-                    if e.id <= p {
-                        return false;
-                    }
-                }
-                prev = Some(e.id);
-                if e.id < output.lo || e.id > output.hi {
+                if ids.last().is_some_and(|&prev| id <= prev) || id < output.lo || id > output.hi {
                     return false;
                 }
-                // The key sits at position `id` under the committed board.
-                if e.path.leaf_index() != e.id {
-                    return false;
-                }
-                if !e.path.verify_leaf_digest(
-                    &output.vk_root,
-                    &pba_crypto::merkle::hash_leaf(e.vk.as_bytes()),
-                ) {
-                    return false;
-                }
-                // The base signature verifies on the message digest.
-                if !self.mss.verify(
-                    &MssVerificationKey(e.vk),
-                    output.m_digest.as_bytes(),
-                    &e.mss,
-                ) {
-                    return false;
-                }
-                ids.push(e.id);
+                ids.push(id);
             }
             output.acc == ids_accumulator(&ids)
         } else {
@@ -390,7 +368,7 @@ impl CompliancePredicate for SrdsPredicate {
             output.count == count
                 && output.lo == inputs[0].lo
                 && output.hi == inputs.last().expect("nonempty").hi
-                && output.acc == join_accumulator(inputs)
+                && output.acc == join_accumulator(inputs.iter().copied())
         }
     }
 
@@ -416,38 +394,25 @@ impl SnarkSrds {
         h.finalize()
     }
 
-    /// Builds a source certificate from attested entries (helper for
-    /// `Aggregate₂`).
+    /// Builds a source certificate from a run of attested entries, the run
+    /// itself being the PCD witness (helper for `Aggregate₂`).
     fn source_certificate(
         &self,
         pp: &SnarkPublicParams,
         m_digest: Digest,
         vk_root: Digest,
-        entries: &[(u64, MssSignature, Digest, MerkleProof)],
+        run: &[SnarkSignature],
     ) -> Option<AggCertificate> {
-        if entries.is_empty() {
-            return None;
-        }
-        let ids: Vec<u64> = entries.iter().map(|e| e.0).collect();
+        let ids: Vec<u64> = run.iter().map(|sig| self.min_index(sig)).collect();
         let statement = AggStatement {
             m_digest,
             vk_root,
-            count: entries.len() as u64,
-            lo: ids[0],
-            hi: *ids.last().expect("nonempty"),
+            count: run.len() as u64,
+            lo: *ids.first()?,
+            hi: *ids.last()?,
             acc: ids_accumulator(&ids),
         };
-        let witness: Vec<SourceEntry> = entries
-            .iter()
-            .map(|(id, mss, vk, path)| SourceEntry {
-                id: *id,
-                mss: mss.clone(),
-                vk: *vk,
-                path: path.clone(),
-            })
-            .collect();
-        let local = encode_to_vec(&witness);
-        let proof = self.pcd(pp).prove(&statement, &[], &local).ok()?;
+        let proof = self.pcd(pp).prove(&statement, &[], run).ok()?;
         Some(AggCertificate {
             count: statement.count,
             lo: statement.lo,
@@ -495,7 +460,7 @@ impl SnarkSrds {
             .iter()
             .zip(certs.iter().map(|c| &c.proof))
             .collect();
-        let proof = pcd.prove(&output, &inputs, b"").ok()?;
+        let proof = pcd.prove(&output, &inputs, &[]).ok()?;
         Some(AggCertificate {
             count: output.count,
             lo: output.lo,
@@ -660,26 +625,14 @@ impl Srds for SnarkSrds {
                     }
                 }
                 SnarkSignature::Attested {
-                    id,
-                    mss,
-                    vk,
-                    path,
-                    vk_root: root,
+                    id, vk_root: root, ..
                 } => {
                     // Re-validate attested inputs (they may come from the
                     // adversary): path + signature must check out.
                     if attested.contains_key(id) || *root != vk_root {
                         continue;
                     }
-                    if path.leaf_index() == *id
-                        && path.verify_leaf_digest(
-                            &vk_root,
-                            &pba_crypto::merkle::hash_leaf(vk.as_bytes()),
-                        )
-                        && pp
-                            .mss
-                            .verify(&MssVerificationKey(*vk), m_digest.as_bytes(), mss)
-                    {
+                    if attested_id(&pp.mss, &m_digest, &vk_root, sig).is_some() {
                         attested.insert(*id, sig.clone());
                     }
                 }
@@ -736,59 +689,23 @@ impl Srds for SnarkSrds {
         message: &[u8],
         s_sig: &[SnarkSignature],
     ) -> Option<SnarkSignature> {
-        // Key-independent combiner: turn runs of attested signatures into
-        // source certificates, then join everything. Inputs come from
-        // Aggregate₁: validated, deduplicated, range-disjoint, sorted.
+        // Key-independent combiner: turn each maximal run of attested
+        // signatures into a source certificate under the run's first key
+        // root, then join everything. Inputs come from Aggregate₁:
+        // validated, deduplicated, range-disjoint, sorted.
         let m_digest = Self::message_digest(message);
+        let attested = |s: &SnarkSignature| matches!(s, SnarkSignature::Attested { .. });
         let mut certs: Vec<AggCertificate> = Vec::new();
-        let mut run: Vec<(u64, MssSignature, Digest, MerkleProof)> = Vec::new();
-        let mut run_root: Option<Digest> = None;
-
-        let flush = |run: &mut Vec<(u64, MssSignature, Digest, MerkleProof)>,
-                     run_root: &mut Option<Digest>,
-                     certs: &mut Vec<AggCertificate>|
-         -> bool {
-            if run.is_empty() {
-                return true;
+        for run in s_sig.chunk_by(|a, b| attested(a) && attested(b)) {
+            match &run[0] {
+                SnarkSignature::Attested { vk_root, .. } => {
+                    certs.push(self.source_certificate(pp, m_digest, *vk_root, run)?);
+                }
+                SnarkSignature::Agg(cert) => certs.push(cert.clone()),
+                // Base signatures must pass through Aggregate₁ first —
+                // Aggregate₂ has no key access to validate them.
+                SnarkSignature::Base { .. } => return None,
             }
-            let root = run_root.take().expect("root set with run");
-            match self.source_certificate(pp, m_digest, root, run) {
-                Some(cert) => {
-                    certs.push(cert);
-                    run.clear();
-                    true
-                }
-                None => false,
-            }
-        };
-
-        for sig in s_sig {
-            match sig {
-                SnarkSignature::Attested {
-                    id,
-                    mss,
-                    vk,
-                    path,
-                    vk_root,
-                } => {
-                    run_root.get_or_insert(*vk_root);
-                    run.push((*id, mss.clone(), *vk, path.clone()));
-                }
-                SnarkSignature::Agg(cert) => {
-                    if !flush(&mut run, &mut run_root, &mut certs) {
-                        return None;
-                    }
-                    certs.push(cert.clone());
-                }
-                SnarkSignature::Base { .. } => {
-                    // Base signatures must pass through Aggregate₁ first —
-                    // Aggregate₂ has no key access to validate them.
-                    return None;
-                }
-            }
-        }
-        if !flush(&mut run, &mut run_root, &mut certs) {
-            return None;
         }
         certs.sort_by_key(|c| c.lo);
         self.join_certificates(pp, m_digest, &certs)
@@ -845,6 +762,7 @@ impl Srds for SnarkSrds {
 mod tests {
     use super::*;
     use crate::traits::PkiBoard;
+    use pba_crypto::codec::encode_to_vec;
 
     fn board(n: usize) -> (SnarkSrds, PkiBoard<SnarkSrds>, SnarkKeyBoard) {
         let scheme = SnarkSrds::with_defaults();
@@ -999,6 +917,59 @@ mod tests {
         let (scheme, b, _) = board(32);
         let sigs = all_sigs(&scheme, &b, b"m");
         assert_eq!(scheme.aggregate2(&b.pp, b"m", &sigs[..4]), None);
+    }
+
+    /// The source step proves only runs whose every entry holds: starting
+    /// from Aggregate₁'s output, one tampered entry makes Aggregate₂ refuse,
+    /// whichever condition of the entry check or the id order it breaks.
+    #[test]
+    fn aggregate2_refuses_tampered_attested_runs() {
+        /// An attested entry's base signature, key and path.
+        fn parts(sig: &mut SnarkSignature) -> (&mut MssSignature, &mut Digest, &mut MerkleProof) {
+            let SnarkSignature::Attested { mss, vk, path, .. } = sig else {
+                panic!("Aggregate₁ attests base signatures");
+            };
+            (mss, vk, path)
+        }
+        let (scheme, b, keys) = board(32);
+        let run = scheme.aggregate1(&b.pp, &keys, b"m", &all_sigs(&scheme, &b, b"m"));
+        assert_eq!(run.len(), 32);
+        let agg = scheme
+            .aggregate2(&b.pp, b"m", &run)
+            .expect("untampered run");
+        assert!(scheme.verify(&b.pp, &keys, b"m", &agg));
+
+        let k = 5;
+        let mut repeated = run.clone();
+        repeated[k] = repeated[k - 1].clone();
+        let mut disordered = run.clone();
+        disordered.swap(k, k + 1);
+        // Index k + 32 has k's low bits, so its path still verifies under
+        // the root of the 32-leaf board.
+        let mut aliased = run.clone();
+        let (_, _, path) = parts(&mut aliased[k]);
+        *path = MerkleProof::from_parts(path.leaf_index() + 32, path.path().to_vec());
+        // Key k is the same on a board with keys 0 and 1 swapped; its root
+        // is not.
+        let mut vks = b.vks.clone();
+        vks.swap(0, 1);
+        let mut foreign_root = run.clone();
+        *parts(&mut foreign_root[k]).2 = scheme.prepare(&b.pp, &vks).tree.prove(k);
+        let mut other_message = run.clone();
+        let other = SnarkSrds::message_digest(b"other");
+        *parts(&mut other_message[k]).0 = b.sks[k].sign_with_index(other.as_bytes(), 0);
+        let mut other_vk = run.clone();
+        *parts(&mut other_vk[k]).1 = b.vks[k + 1].digest();
+        for (case, run) in [
+            ("a repeated id", repeated),
+            ("ids out of order", disordered),
+            ("a path for another index", aliased),
+            ("a path under another board's root", foreign_root),
+            ("an MSS signature over another message", other_message),
+            ("the vk of another slot", other_vk),
+        ] {
+            assert_eq!(scheme.aggregate2(&b.pp, b"m", &run), None, "{case}");
+        }
     }
 
     #[test]
